@@ -35,8 +35,8 @@ class ExternalBlackbox:
     """Holds one child process and performs line-protocol evaluations.
 
     Single-in-flight: callers must not issue concurrent evaluations against
-    the same instance. Usable as a context manager; ``close`` terminates the
-    child.
+    the same instance. Calling the instance evaluates. Usable as a context
+    manager; ``close`` terminates the child.
     """
 
     def __init__(self, command: list[str], n_constraints: int, timeout: float = 30.0):
@@ -93,6 +93,8 @@ class ExternalBlackbox:
                 f"external evaluator exited (code {code}) before answering"
             )
         return self._parse_response(line)
+
+    __call__ = evaluate
 
     def _parse_response(self, line: str) -> np.ndarray:
         try:

@@ -83,6 +83,12 @@ class Problem:
             return true.copy(), true
         return true + std * rng.standard_normal(self.n_outputs), true
 
+    def close(self):
+        """Release what the oracle holds, if it has a ``close`` (an external child process)."""
+        close = getattr(self.oracle, "close", None)
+        if close is not None:
+            close()
+
 
 # -- artificial trigonometric problem ------------------------------------------
 
@@ -215,7 +221,7 @@ def external_problem(
         name=name,
         domain=domain,
         n_constraints=n_constraints,
-        oracle=box.evaluate,
+        oracle=box,
         noise_std=tuple([noise_std] * (n_constraints + 1)),
         params={
             "command": list(command),

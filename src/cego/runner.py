@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from . import __version__
 from .domain import Domain
@@ -300,6 +301,13 @@ def _truncate_partial_line(path: Path):
 def run_replication(config: RunConfig, policy_spec: dict, seed: int) -> Path:
     """Run (or resume) one (policy, seed) replication; returns the log path."""
     problem = problem_from_config(config.problem)
+    try:
+        return _run_replication(config, policy_spec, seed, problem)
+    finally:
+        problem.close()
+
+
+def _run_replication(config: RunConfig, policy_spec: dict, seed: int, problem: Problem) -> Path:
     path = log_path(config, policy_spec, seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = _header(config, policy_spec, seed)
@@ -408,9 +416,14 @@ def _maybe_refit(state: AlgorithmState, fit_every: int):
         return
     new_models = []
     for model in state.models:
-        kernel, noise = fit_hyperparameters(
-            model.points, model.values, state.domain, family=model.kernel.family
-        )
+        try:
+            kernel, noise = fit_hyperparameters(
+                model.points, model.values, state.domain, family=model.kernel.family
+            )
+        except LinAlgError:
+            # No candidate factorized: keep this output's current hyperparameters.
+            new_models.append(model)
+            continue
         new_models.append(
             GpModel(kernel, noise, model.output_index, model.points, model.values)
         )

@@ -192,3 +192,110 @@ def test_add_returns_new_model():
     grown = base.add([0.0], 1.0)
     assert base.n_observations == 0
     assert grown.n_observations == 1
+
+
+# -- lattice cache: incremental vs fresh posterior -----------------------------
+
+
+def assert_posteriors_close(actual, expected):
+    # Criterion 1's tolerance: 1e-8 relative with a 1e-9 absolute floor.
+    for got, want in zip(actual, expected):
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-9)
+
+
+def fresh_lattice_posterior(model, domain):
+    """Uncached posterior: a writeable copy of the lattice never hits the cache."""
+    return model.posterior_batch(domain.grid.copy())
+
+
+def random_instance(rng):
+    dim = int(rng.integers(1, 4))
+    family = rng.choice(["squared_exponential", "matern52"])
+    kernel = Kernel(family, rng.uniform(0.3, 2.0, dim), rng.uniform(0.5, 2.0))
+    side = int(round(600 ** (1 / dim)))
+    domain = Domain([-2.0] * dim, [2.0] * dim, [side] * dim)
+    return GpModel(kernel, 10 ** rng.uniform(-4, -1)), domain
+
+
+def test_incremental_lattice_posterior_matches_fresh():
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        model, domain = random_instance(rng)
+        for _ in range(int(rng.integers(1, 61))):
+            model = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+            assert_posteriors_close(
+                model.posterior_batch(domain.grid), fresh_lattice_posterior(model, domain)
+            )
+
+
+def test_branching_adds_leave_parent_posterior_unchanged():
+    rng = np.random.default_rng(23)
+    model, domain = random_instance(rng)
+    for _ in range(10):
+        model = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+    parent = model.posterior_batch(domain.grid)
+    first = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+    first.posterior_batch(domain.grid)
+    second = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+    grandchild = first.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+    for before, after in zip(parent, model.posterior_batch(domain.grid)):
+        np.testing.assert_array_equal(before, after)
+    for child in (first, second, grandchild):
+        assert_posteriors_close(
+            child.posterior_batch(domain.grid), fresh_lattice_posterior(child, domain)
+        )
+
+
+def test_model_rebuilt_from_its_data_matches_incremental():
+    # The hyperparameter refit rebuilds a model from points/values; its first
+    # lattice query builds a new cache that later adds extend.
+    rng = np.random.default_rng(29)
+    model, domain = random_instance(rng)
+    for _ in range(20):
+        model = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+        model.posterior_batch(domain.grid)
+    rebuilt = GpModel(model.kernel, model.noise_variance, model.output_index,
+                      model.points, model.values)
+    assert_posteriors_close(rebuilt.posterior_batch(domain.grid), model.posterior_batch(domain.grid))
+    for _ in range(10):
+        point, value = rng.uniform(-2, 2, domain.dim), rng.normal()
+        model, rebuilt = model.add(point, value), rebuilt.add(point, value)
+        assert_posteriors_close(
+            rebuilt.posterior_batch(domain.grid), model.posterior_batch(domain.grid)
+        )
+
+
+def test_lattice_step_costs_one_kernel_row(monkeypatch):
+    entries = []
+    cross = Kernel.cross
+
+    def counted_cross(kernel, a, b):
+        entries.append(np.atleast_2d(a).shape[0] * np.atleast_2d(b).shape[0])
+        return cross(kernel, a, b)
+
+    monkeypatch.setattr(Kernel, "cross", counted_cross)
+    rng = np.random.default_rng(31)
+    domain = Domain([-2.0, -2.0], [2.0, 2.0], [20, 20])
+    model = GpModel(Kernel("squared_exponential", [0.5, 0.5]), 1e-3).add([0.0, 0.0], 1.0)
+    model.posterior_batch(domain.grid)
+    for _ in range(5):
+        model = model.add(rng.uniform(-2, 2, 2), rng.normal())
+        model.posterior_batch(model.points)  # writeable: uncached, keeps the cache
+        entries.clear()
+        model.posterior_batch(domain.grid)
+        assert entries == []
+    entries.clear()
+    child = model.add([1.0, 1.0], 0.0)
+    # The child's full Gram matrix, then one row against the lattice.
+    assert entries == [child.n_observations**2, domain.grid_size]
+
+
+def test_cached_results_are_copies():
+    model = GpModel(Kernel("squared_exponential", [1.0]), 1e-2).add([0.0], 1.0)
+    domain = Domain([-1.0], [1.0], [9])
+    mean, var = model.posterior_batch(domain.grid)
+    expected = mean.copy(), var.copy()
+    mean[:] = 7.0
+    var[:] = 7.0
+    for got, want in zip(model.posterior_batch(domain.grid), expected):
+        np.testing.assert_array_equal(got, want)

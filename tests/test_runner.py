@@ -1,8 +1,10 @@
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 import cego.runner as runner_mod
 from cego.metrics import best_so_far_series
@@ -279,3 +281,74 @@ def test_safeopt_requires_seed_or_feasible_start(tmp_path):
     )
     with pytest.raises(RuntimeError, match="safe_seed"):
         run_experiment(config)
+
+
+# Answers every request, records its pid, and lingers briefly after stdin
+# closes, so a child nobody closed is still alive when the run returns.
+LINGERING_STUB = (
+    "import json, os, sys, time\n"
+    "with open(sys.argv[1], 'a') as fh:\n"
+    "    fh.write(f'{os.getpid()}\\n')\n"
+    "for line in sys.stdin:\n"
+    "    t = json.loads(line)['theta']\n"
+    "    print(json.dumps({'objective': t[0], 'constraints': [t[1] - 1.0]}), flush=True)\n"
+    "time.sleep(0.5)\n"
+)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_external_child_survives_run_experiment(tmp_path, jobs):
+    pid_file = tmp_path / "pids.txt"
+    config = RunConfig(
+        problem={
+            "name": "external",
+            "command": [sys.executable, "-c", LINGERING_STUB, str(pid_file)],
+            "lower": [0.0, 0.0],
+            "upper": [1.0, 1.0],
+            "grid": [4, 4],
+            "n_constraints": 1,
+            "timeout": 10.0,
+        },
+        policies=[{"name": "random"}],
+        budget=3,
+        seeds=[1, 2],
+        output_dir=str(tmp_path / "logs"),
+        start="none",
+        gp=GP,
+    )
+    run_experiment(config, jobs=jobs)
+    pids = [int(line) for line in pid_file.read_text().split()]
+    assert len(pids) == 2  # one child per replication
+    assert not [pid for pid in pids if _alive(pid)]
+
+
+def test_refit_failure_keeps_previous_models(tmp_path, monkeypatch):
+    def failing_fit(*args, **kwargs):
+        raise LinAlgError("no hyperparameter candidate produced a valid factorization")
+
+    monkeypatch.setattr(runner_mod, "fit_hyperparameters", failing_fit)
+    base = dict(policies=[{"name": "config"}], budget=8, seeds=(2,), n_init_random=3)
+    refit = small_config(tmp_path / "refit", gp={**GP, "fit_every": 2}, **base)
+    (path,) = run_experiment(refit)
+    _, records = load_log(path)
+    assert len(records) == 8
+    # Every refit failed, so each output kept its model: the run without refits.
+    (plain_path,) = run_experiment(small_config(tmp_path / "plain", **base))
+    assert records == load_log(plain_path)[1]
+
+    original = path.read_bytes()
+    path.unlink()
+    run_experiment(refit)
+    assert path.read_bytes() == original
+    lines = original.split(b"\n")
+    path.write_bytes(b"\n".join(lines[:6]) + b"\n" + lines[6][:5])
+    run_experiment(refit)
+    assert path.read_bytes() == original
