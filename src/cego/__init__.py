@@ -8,11 +8,11 @@ constrained Bayesian-optimization policies and a seeded benchmark harness.
 __version__ = "0.1.0"
 
 from .domain import Domain
-from .gp import GpModel, Observation, add_observation
+from .gp import GpModel
 from .grid_eval import GridEvaluation, constrained_argmin, evaluate_grid
 from .hyperfit import fit_hyperparameters
 from .info_gain import max_info_gain
-from .kernels import Kernel, kernel_eval
+from .kernels import Kernel
 from .metrics import (
     RunRecord,
     best_so_far_series,
@@ -42,10 +42,7 @@ __all__ = [
     "__version__",
     "Domain",
     "Kernel",
-    "kernel_eval",
     "GpModel",
-    "Observation",
-    "add_observation",
     "max_info_gain",
     "fit_hyperparameters",
     "GridEvaluation",

@@ -35,8 +35,9 @@ class ExternalBlackbox:
     """Holds one child process and performs line-protocol evaluations.
 
     Single-in-flight: callers must not issue concurrent evaluations against
-    the same instance. Calling the instance evaluates. Usable as a context
-    manager; ``close`` terminates the child.
+    the same instance. Calling the instance on an ``(n, d)`` array of points
+    is the problem oracle: one round trip per row, in order. Usable as a
+    context manager; ``close`` terminates the child.
     """
 
     def __init__(self, command: list[str], n_constraints: int, timeout: float = 30.0):
@@ -94,7 +95,9 @@ class ExternalBlackbox:
             )
         return self._parse_response(line)
 
-    __call__ = evaluate
+    def __call__(self, thetas) -> np.ndarray:
+        """Rows ``[objective, g_1 .. g_N]``, one round trip per row of ``thetas``, in order."""
+        return np.array([self.evaluate(theta) for theta in thetas])
 
     def _parse_response(self, line: str) -> np.ndarray:
         try:

@@ -89,23 +89,6 @@ class Domain:
             raise IndexError(f"grid index {index} out of range [0, {self.grid_size})")
         return self.grid[index].copy()
 
-    def index_of(self, theta, atol: float = 1e-9) -> int:
-        """Linear index of a point that lies on the lattice.
-
-        Raises ``ValueError`` when ``theta`` is farther than ``atol`` from any
-        lattice coordinate in some dimension.
-        """
-        theta = as_point(theta)
-        if theta.shape[0] != self.dim:
-            raise ValueError(f"point has dim {theta.shape[0]}, domain has {self.dim}")
-        index = 0
-        for d, (axis, count) in enumerate(zip(self.axes, self.grid_counts)):
-            j = int(np.argmin(np.abs(axis - theta[d])))
-            if abs(axis[j] - theta[d]) > atol:
-                raise ValueError(f"coordinate {theta[d]} (dim {d}) is not on the lattice")
-            index = index * count + j
-        return index
-
     def nearest_index(self, theta) -> int:
         """Linear index of the lattice point closest to ``theta`` (per-dimension snap)."""
         theta = as_point(theta)
@@ -116,14 +99,16 @@ class Domain:
             index = index * count + int(np.argmin(np.abs(axis - theta[d])))
         return index
 
-    def contains(self, theta) -> bool:
-        theta = as_point(theta)
-        if theta.shape[0] != self.dim:
-            return False
-        return bool(
-            np.all(theta >= np.asarray(self.lower))
-            and np.all(theta <= np.asarray(self.upper))
-        )
+    def contains(self, points) -> np.ndarray:
+        """Whether a point, or each row of an ``(n, dim)`` array, lies in the closed box.
+
+        Points of the wrong dimension and non-finite points are outside.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1] != self.dim:
+            return np.zeros(points.shape[:-1], dtype=bool)
+        inside = (points >= np.asarray(self.lower)) & (points <= np.asarray(self.upper))
+        return np.all(inside, axis=-1)
 
     def sample_index(self, rng: np.random.Generator) -> int:
         """Uniform lattice index draw."""

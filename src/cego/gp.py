@@ -50,7 +50,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from .domain import as_point
 from .kernels import Kernel
 
-__all__ = ["GpModel", "Observation", "add_observation"]
+__all__ = ["GpModel"]
 
 _VARIANCE_CLAMP = 1e-9
 
@@ -77,25 +77,6 @@ def _mapped_rows(n_rows: int, width: int) -> np.ndarray:
 
 class GpNumericsError(RuntimeError):
     """Posterior variance fell below the tolerated floating-point floor."""
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One measurement of one output at one parameter vector.
-
-    ``output_index`` 0 is the objective; ``i >= 1`` is constraint ``i``.
-    """
-
-    point: np.ndarray
-    value: float
-    output_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", as_point(self.point))
-        value = float(self.value)
-        if not np.isfinite(value):
-            raise ValueError(f"observation value must be finite, got {value}")
-        object.__setattr__(self, "value", value)
 
 
 class _RowBuffer:
@@ -223,11 +204,6 @@ class GpModel:
         self._chol = cholesky(gram, lower=True)
         self._alpha = cho_solve((self._chol, True), self._y)
 
-    @property
-    def cholesky_factor(self) -> np.ndarray | None:
-        """Lower-triangular factor of ``K + lam I``, or None with no data."""
-        return None if self._chol is None else self._chol.copy()
-
     # -- posterior queries ----------------------------------------------------
 
     def posterior(self, query) -> tuple[float, float]:
@@ -271,20 +247,6 @@ class GpModel:
             )
         return means, np.maximum(variances, 0.0)
 
-    def lcb(self, query, beta_sqrt: float) -> float:
-        """Lower confidence bound ``mean - beta_sqrt * std``."""
-        if beta_sqrt < 0:
-            raise ValueError(f"beta_sqrt must be nonnegative, got {beta_sqrt}")
-        mean, var = self.posterior(query)
-        return mean - beta_sqrt * np.sqrt(var)
-
-    def ucb(self, query, beta_sqrt: float) -> float:
-        """Upper confidence bound ``mean + beta_sqrt * std``."""
-        if beta_sqrt < 0:
-            raise ValueError(f"beta_sqrt must be nonnegative, got {beta_sqrt}")
-        mean, var = self.posterior(query)
-        return mean + beta_sqrt * np.sqrt(var)
-
     def log_marginal_likelihood(self) -> float:
         """Exact log marginal likelihood of the stored observations."""
         if self.n_observations == 0:
@@ -300,13 +262,3 @@ class GpModel:
             f"GpModel(family={self.kernel.family}, t={self.n_observations}, "
             f"lam={self.noise_variance:g}, output={self.output_index})"
         )
-
-
-def add_observation(model: GpModel, obs: Observation) -> GpModel:
-    """Append an observation, checking it targets the model's output."""
-    if obs.output_index != model.output_index:
-        raise ValueError(
-            f"observation targets output {obs.output_index}, "
-            f"model tracks output {model.output_index}"
-        )
-    return model.add(obs.point, obs.value)

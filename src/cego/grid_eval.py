@@ -28,7 +28,6 @@ class GridEvaluation:
     row-major linear grid index.
     """
 
-    domain: Domain
     means: np.ndarray
     sigmas: np.ndarray
     beta_sqrt: np.ndarray
@@ -40,9 +39,6 @@ class GridEvaluation:
     @property
     def ucb(self) -> np.ndarray:
         return self.means + self.beta_sqrt[:, None] * self.sigmas
-
-    def point(self, index: int) -> np.ndarray:
-        return self.domain.point(index)
 
 
 def evaluate_grid(
@@ -67,7 +63,7 @@ def evaluate_grid(
         mean, var = model.posterior_batch(grid)
         means[i] = mean
         sigmas[i] = np.sqrt(var)
-    return GridEvaluation(domain=domain, means=means, sigmas=sigmas, beta_sqrt=beta)
+    return GridEvaluation(means=means, sigmas=sigmas, beta_sqrt=beta)
 
 
 def constrained_argmin(scores: np.ndarray, feasible_mask: np.ndarray | None = None) -> int | None:

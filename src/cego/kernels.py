@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import as_point
-
-__all__ = ["Kernel", "kernel_eval", "SQUARED_EXPONENTIAL", "MATERN52"]
+__all__ = ["Kernel", "SQUARED_EXPONENTIAL", "MATERN52"]
 
 SQUARED_EXPONENTIAL = "squared_exponential"
 MATERN52 = "matern52"
@@ -69,17 +67,3 @@ class Kernel:
         gram = self.cross(points, points)
         # Enforce exact symmetry; float noise here would leak into Cholesky checks.
         return 0.5 * (gram + gram.T)
-
-    def __call__(self, a, b) -> float:
-        return kernel_eval(self, a, b)
-
-
-def kernel_eval(kernel: Kernel, a, b) -> float:
-    """Scalar covariance ``k(a, b)``; symmetric with ``k(x, x) = output_scale**2``."""
-    a = as_point(a)
-    b = as_point(b)
-    if a.shape[0] != kernel.dim or b.shape[0] != kernel.dim:
-        raise ValueError(
-            f"points have dims {a.shape[0]}/{b.shape[0]}, kernel has {kernel.dim}"
-        )
-    return float(kernel.cross(a[None, :], b[None, :])[0, 0])

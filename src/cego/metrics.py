@@ -129,5 +129,4 @@ def compute_normalizers(
     """Per-output standard deviations over a seeded uniform sample of the lattice."""
     rng = np.random.default_rng(seed)
     indices = rng.integers(problem.domain.grid_size, size=n_samples)
-    values = np.stack([problem.evaluate(problem.domain.point(int(i))) for i in indices])
-    return np.std(values, axis=0)
+    return np.std(problem.evaluate_batch(problem.domain.grid[indices]), axis=0)

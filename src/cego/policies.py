@@ -3,7 +3,9 @@
 All policies share the same mechanics: evaluate every model's posterior over
 the domain lattice, derive a per-point score, and pick an extremizer with
 ties broken by the smallest linear grid index. They differ in how constraint
-information enters the score:
+information enters the score. ``config``, ``epbo`` and ``primal_dual`` all
+minimize the objective LCB plus a constraint term with
+:func:`~cego.grid_eval.constrained_argmin`, ``config`` under a mask:
 
 ``config``
     Optimism for both objective and constraints: minimize the objective LCB
@@ -57,7 +59,9 @@ __all__ = [
 POLICIES = ("config", "cei", "epbo", "primal_dual", "safeopt_lite", "random")
 
 # Incumbent rule for constrained EI: an observed point counts as feasible
-# when its posterior probability of satisfying all constraints is >= 1/2.
+# when each constraint on its own holds with posterior probability >= 1/2
+# (the per-constraint rule of Gelbart, Snoek & Adams, UAI 2014), not when
+# the joint probability does.
 CEI_INCUMBENT_THRESHOLD = 0.5
 
 
@@ -100,8 +104,9 @@ class Decision:
     index: int | None = None
 
     @classmethod
-    def sample(cls, point: np.ndarray, index: int) -> "Decision":
-        return cls(kind="sample", point=np.asarray(point, dtype=float), index=int(index))
+    def sample(cls, domain: Domain, index: int) -> "Decision":
+        """Sample the lattice point with linear index ``index``."""
+        return cls(kind="sample", point=domain.point(index), index=int(index))
 
     @classmethod
     def infeasible(cls) -> "Decision":
@@ -175,53 +180,63 @@ def config_step(state: AlgorithmState) -> Decision:
     single constraint certifying infeasibility, falls back to the point with
     the smallest total positive-part constraint LCB.
     """
-    _require_policy(state, "config")
-    ev = state.grid_bounds()
-    lcb = ev.lcb
-    if state.n_constraints and np.max(np.min(lcb[1:], axis=1)) > 0:
+    lcb = state.grid_bounds().lcb
+    if np.any(np.min(lcb[1:], axis=1) > 0):
         return Decision.infeasible()
-    if state.n_constraints:
-        mask = np.all(lcb[1:] <= 0, axis=0)
-        idx = constrained_argmin(lcb[0], mask)
-        if idx is None:
-            violation = np.sum(np.maximum(lcb[1:], 0.0), axis=0)
-            idx = constrained_argmin(violation)
-    else:
-        idx = constrained_argmin(lcb[0])
-    return Decision.sample(ev.point(idx), idx)
+    idx = constrained_argmin(lcb[0], np.all(lcb[1:] <= 0, axis=0))
+    if idx is None:
+        idx = constrained_argmin(_violation(lcb))
+    return Decision.sample(state.domain, idx)
 
 
-def _feasibility_probability(ev: GridEvaluation) -> np.ndarray:
-    """Product over constraints of P[g_i <= 0] under the posterior, per grid point."""
-    prob = np.ones(ev.domain.grid_size)
-    for i in range(1, ev.means.shape[0]):
-        mean, sigma = ev.means[i], ev.sigmas[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = norm.cdf(np.where(sigma > 0, -mean / np.where(sigma > 0, sigma, 1.0), 0.0))
-        p = np.where(sigma > 0, p, (mean <= 0).astype(float))
-        prob *= p
-    return prob
+def epbo_step(state: AlgorithmState) -> Decision:
+    """Penalty step: minimize LCB(objective) + rho * sum of positive-part constraint LCBs."""
+    if state.rho < 0:
+        raise ValueError(f"penalty rho must be nonnegative, got {state.rho}")
+    lcb = state.grid_bounds().lcb
+    return Decision.sample(state.domain, constrained_argmin(lcb[0] + state.rho * _violation(lcb)))
+
+
+def primal_dual_step(state: AlgorithmState) -> Decision:
+    """Lagrangian step: minimize LCB(objective) + sum_i dual_i * LCB(constraint_i).
+
+    The dual variables themselves are updated in :func:`observe` once the
+    sampled point's constraint measurements are available.
+    """
+    lcb = state.grid_bounds().lcb
+    return Decision.sample(state.domain, constrained_argmin(lcb[0] + state.duals @ lcb[1:]))
+
+
+def _violation(lcb: np.ndarray) -> np.ndarray:
+    """Summed positive parts of the constraint LCBs (rows ``1..N``), per grid point."""
+    return np.sum(np.maximum(lcb[1:], 0.0), axis=0)
+
+
+def _constraint_probability(means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Elementwise posterior ``P[g <= 0]``; a point mass where ``sigma`` is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = norm.cdf(np.where(sigmas > 0, -means / np.where(sigmas > 0, sigmas, 1.0), 0.0))
+    return np.where(sigmas > 0, p, (means <= 0).astype(float))
 
 
 def cei_step(state: AlgorithmState) -> Decision:
     """Constrained expected improvement: EI times the feasibility probability.
 
-    The incumbent is the best observed objective value among points whose
-    current feasibility probability is at least 1/2; with no such point the
-    step maximizes the feasibility probability alone. Never declares
-    infeasibility.
+    The feasibility probability is the product over constraints of
+    ``P[g_i <= 0]``. The incumbent is the best observed objective value
+    among points where every constraint on its own holds with posterior
+    probability at least 1/2; with no such point the step maximizes the
+    feasibility probability alone. Never declares infeasibility.
     """
-    _require_policy(state, "cei")
     objective = state.models[0]
     if objective.n_observations == 0:
         raise ValueError("cei needs at least one objective observation for the incumbent")
     ev = state.grid_bounds()
-    feas_prob = _feasibility_probability(ev)
+    feas_prob = np.prod(_constraint_probability(ev.means[1:], ev.sigmas[1:]), axis=0)
 
     incumbent = _cei_incumbent(state)
     if incumbent is None:
-        idx = int(np.argmax(feas_prob))
-        return Decision.sample(ev.point(idx), idx)
+        return Decision.sample(state.domain, np.argmax(feas_prob))
 
     mean, sigma = ev.means[0], ev.sigmas[0]
     improvement = incumbent - mean
@@ -232,55 +247,21 @@ def cei_step(state: AlgorithmState) -> Decision:
         improvement * norm.cdf(z) + sigma * norm.pdf(z),
         np.maximum(improvement, 0.0),
     )
-    idx = int(np.argmax(ei * feas_prob))
-    return Decision.sample(ev.point(idx), idx)
+    return Decision.sample(state.domain, np.argmax(ei * feas_prob))
 
 
 def _cei_incumbent(state: AlgorithmState) -> float | None:
-    """Best objective observation at a point currently believed feasible."""
+    """Best objective observation at a point where each constraint is probably met."""
     objective = state.models[0]
     points = objective.points
     feasible = np.ones(points.shape[0], dtype=bool)
     for model in state.models[1:]:
         means, variances = model.posterior_batch(points)
-        sigmas = np.sqrt(variances)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = norm.cdf(np.where(sigmas > 0, -means / np.where(sigmas > 0, sigmas, 1.0), 0.0))
-        p = np.where(sigmas > 0, p, (means <= 0).astype(float))
-        feasible &= p >= CEI_INCUMBENT_THRESHOLD
+        probability = _constraint_probability(means, np.sqrt(variances))
+        feasible &= probability >= CEI_INCUMBENT_THRESHOLD
     if not np.any(feasible):
         return None
     return float(np.min(objective.values[feasible]))
-
-
-def epbo_step(state: AlgorithmState) -> Decision:
-    """Penalty step: minimize LCB(objective) + rho * sum of positive-part constraint LCBs."""
-    _require_policy(state, "epbo")
-    if state.rho < 0:
-        raise ValueError(f"penalty rho must be nonnegative, got {state.rho}")
-    ev = state.grid_bounds()
-    lcb = ev.lcb
-    score = lcb[0].copy()
-    if state.n_constraints:
-        score += state.rho * np.sum(np.maximum(lcb[1:], 0.0), axis=0)
-    idx = constrained_argmin(score)
-    return Decision.sample(ev.point(idx), idx)
-
-
-def primal_dual_step(state: AlgorithmState) -> Decision:
-    """Lagrangian step: minimize LCB(objective) + sum_i dual_i * LCB(constraint_i).
-
-    The dual variables themselves are updated in :func:`observe` once the
-    sampled point's constraint measurements are available.
-    """
-    _require_policy(state, "primal_dual")
-    ev = state.grid_bounds()
-    lcb = ev.lcb
-    score = lcb[0].copy()
-    if state.n_constraints:
-        score += state.duals @ lcb[1:]
-    idx = constrained_argmin(score)
-    return Decision.sample(ev.point(idx), idx)
 
 
 def updated_duals(duals: np.ndarray, constraint_values: np.ndarray, eta: float) -> np.ndarray:
@@ -299,7 +280,6 @@ def safeopt_lite_step(state: AlgorithmState) -> Decision:
     objective LCB, breaking ties by larger posterior sigma and then by
     smaller index. The safe set only grows and sampling never leaves it.
     """
-    _require_policy(state, "safeopt_lite")
     if state.safe_indices is None or state.safe_indices.size == 0:
         raise ValueError("safeopt_lite requires a non-empty feasible seed set")
     if state.lipschitz < 0:
@@ -320,16 +300,13 @@ def safeopt_lite_step(state: AlgorithmState) -> Decision:
     best = lcb0 == np.min(lcb0)
     sigma0 = ev.sigmas[0][safe]
     widest = sigma0 == np.max(sigma0[best])
-    idx = int(safe[np.flatnonzero(best & widest)[0]])
-    return Decision.sample(ev.point(idx), idx)
+    return Decision.sample(state.domain, safe[np.flatnonzero(best & widest)[0]])
 
 
 def random_step(state: AlgorithmState, rng_seed) -> Decision:
     """Uniform draw over the lattice, deterministic for a given seed."""
-    _require_policy(state, "random")
     rng = np.random.default_rng(rng_seed)
-    idx = state.domain.sample_index(rng)
-    return Decision.sample(state.domain.point(idx), idx)
+    return Decision.sample(state.domain, state.domain.sample_index(rng))
 
 
 _STEPS = {
@@ -365,8 +342,3 @@ def observe(state: AlgorithmState, theta, values) -> AlgorithmState:
     if state.policy == "primal_dual" and state.n_constraints:
         state.duals = updated_duals(state.duals, values[1:], state.eta)
     return state
-
-
-def _require_policy(state: AlgorithmState, expected: str):
-    if state.policy != expected:
-        raise ValueError(f"state.policy is {state.policy!r}, expected {expected!r}")

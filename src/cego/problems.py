@@ -1,9 +1,11 @@
 """Benchmark problems behind a single ``Problem`` abstraction.
 
-Each problem exposes a pure oracle ``evaluate(theta) -> [J, g_1 .. g_N]``
-(feasible means every ``g_i <= 0``) plus per-output noise levels; noisy
-measurements are produced by a caller-supplied seeded generator so that the
-underlying oracle stays deterministic and replayable.
+Each problem has one batch oracle: an ``(n, d)`` array of points in, an
+``(n, 1 + N)`` array of rows ``[J, g_1 .. g_N]`` out (feasible means every
+``g_i <= 0``). ``Problem.evaluate_batch`` validates both sides of it and
+``Problem.evaluate`` is a batch of one. Per-output noise levels come with the
+problem; noisy measurements are produced by a caller-supplied seeded
+generator so that the underlying oracle stays deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from .domain import Domain, as_point
 
 __all__ = [
     "Problem",
-    "artificial_eval",
     "artificial_values",
     "artificial_problem",
     "artificial_infeasible_problem",
-    "williams_otto_eval",
+    "williams_otto_values",
     "williams_otto_problem",
     "external_problem",
     "problem_from_config",
@@ -37,7 +38,11 @@ INFEASIBLE_G_THR = -2.0  # cos(.) - (-2) >= 1 everywhere: provably infeasible
 
 @dataclass(frozen=True)
 class Problem:
-    """A constrained black-box minimization instance on a gridded box."""
+    """A constrained black-box minimization instance on a gridded box.
+
+    ``oracle`` maps an ``(n, dim)`` array of points to an ``(n, 1 + N)``
+    array of noiseless outputs, one row per point, in order.
+    """
 
     name: str
     domain: Domain
@@ -64,14 +69,24 @@ class Problem:
         return self.n_constraints + 1
 
     def evaluate(self, theta) -> np.ndarray:
-        """Noiseless oracle values ``[J, g_1 .. g_N]``."""
-        theta = as_point(theta)
-        if not self.domain.contains(theta):
-            raise ValueError(f"{theta} lies outside the domain of {self.name}")
-        values = np.asarray(self.oracle(theta), dtype=float).reshape(-1)
-        if values.shape[0] != self.n_outputs:
+        """Noiseless oracle values ``[J, g_1 .. g_N]`` at one point."""
+        return self.evaluate_batch(as_point(theta)[None, :])[0]
+
+    def evaluate_batch(self, thetas) -> np.ndarray:
+        """Noiseless oracle values, one row ``[J, g_1 .. g_N]`` per row of ``thetas``."""
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.domain.dim:
             raise ValueError(
-                f"oracle returned {values.shape[0]} outputs, expected {self.n_outputs}"
+                f"need an (n, {self.domain.dim}) array of points, got shape {thetas.shape}"
+            )
+        outside = ~self.domain.contains(thetas)
+        if np.any(outside):
+            raise ValueError(f"{thetas[outside][0]} lies outside the domain of {self.name}")
+        values = np.asarray(self.oracle(thetas), dtype=float)
+        if values.shape != (thetas.shape[0], self.n_outputs):
+            raise ValueError(
+                f"oracle returned shape {values.shape}, expected "
+                f"{(thetas.shape[0], self.n_outputs)}"
             )
         return values
 
@@ -93,30 +108,27 @@ class Problem:
 # -- artificial trigonometric problem ------------------------------------------
 
 
-def artificial_eval(theta, g_thr: float) -> tuple[float, float]:
-    """Closed-form objective/constraint pair of the artificial benchmark.
-
-    ``J = cos(2*t1)*cos(t2) + sin(t1)`` and ``g = cos(t1 + t2) - g_thr`` on
-    the box ``[-10, 10]^2`` with ``g_thr`` strictly inside ``(-1, 1)``.
-    """
-    theta = as_point(theta)
-    if theta.shape[0] != 2:
-        raise ValueError(f"artificial problem is 2-D, got dim {theta.shape[0]}")
-    if not (-1.0 < g_thr < 1.0):
-        raise ValueError(f"g_thr must lie in (-1, 1), got {g_thr}")
-    lo, hi = ARTIFICIAL_BOX
-    if np.any(theta < lo) or np.any(theta > hi):
-        raise ValueError(f"{theta} outside the box [{lo}, {hi}]^2")
-    t1, t2 = theta
-    return float(np.cos(2.0 * t1) * np.cos(t2) + np.sin(t1)), float(np.cos(t1 + t2) - g_thr)
-
-
 def artificial_values(thetas: np.ndarray, g_thr: float) -> np.ndarray:
-    """Vectorized oracle used by the dense-grid reference computations."""
+    """Objective/constraint rows ``[J, g]`` of the artificial benchmark.
+
+    ``J = cos(2*t1)*cos(t2) + sin(t1)`` and ``g = cos(t1 + t2) - g_thr`` at
+    each row ``(t1, t2)`` of ``thetas``.
+    """
     t1, t2 = thetas[:, 0], thetas[:, 1]
     j = np.cos(2.0 * t1) * np.cos(t2) + np.sin(t1)
     g = np.cos(t1 + t2) - g_thr
     return np.stack([j, g], axis=1)
+
+
+def _artificial(name: str, g_thr: float, grid, noise_std: float, **fields) -> Problem:
+    return Problem(
+        name=name,
+        domain=Domain([ARTIFICIAL_BOX[0]] * 2, [ARTIFICIAL_BOX[1]] * 2, grid),
+        n_constraints=1,
+        oracle=lambda thetas: artificial_values(thetas, g_thr),
+        noise_std=(noise_std, noise_std),
+        **fields,
+    )
 
 
 def artificial_problem(
@@ -126,13 +138,11 @@ def artificial_problem(
     known_optimum: float | None = None,
     optimum_note: str = "",
 ) -> Problem:
-    domain = Domain([ARTIFICIAL_BOX[0]] * 2, [ARTIFICIAL_BOX[1]] * 2, grid)
-    return Problem(
-        name="artificial",
-        domain=domain,
-        n_constraints=1,
-        oracle=lambda theta: np.array(artificial_eval(theta, g_thr)),
-        noise_std=(noise_std, noise_std),
+    """The artificial benchmark on ``[-10, 10]^2``; ``g_thr`` must lie strictly in ``(-1, 1)``."""
+    if not -1.0 < g_thr < 1.0:
+        raise ValueError(f"g_thr must lie in (-1, 1), got {g_thr}")
+    return _artificial(
+        "artificial", g_thr, grid, noise_std,
         known_optimum=known_optimum,
         optimum_note=optimum_note,
         params={"g_thr": g_thr, "grid": tuple(grid), "noise_std": noise_std},
@@ -144,20 +154,8 @@ def artificial_infeasible_problem(
     noise_std: float = DEFAULT_ARTIFICIAL_NOISE,
 ) -> Problem:
     """Same objective, constraint shifted so that g >= 1 everywhere."""
-
-    def oracle(theta):
-        theta = as_point(theta)
-        t1, t2 = theta
-        j = float(np.cos(2.0 * t1) * np.cos(t2) + np.sin(t1))
-        return np.array([j, float(np.cos(t1 + t2) - INFEASIBLE_G_THR)])
-
-    domain = Domain([ARTIFICIAL_BOX[0]] * 2, [ARTIFICIAL_BOX[1]] * 2, grid)
-    return Problem(
-        name="artificial_infeasible",
-        domain=domain,
-        n_constraints=1,
-        oracle=oracle,
-        noise_std=(noise_std, noise_std),
+    return _artificial(
+        "artificial_infeasible", INFEASIBLE_G_THR, grid, noise_std,
         params={"grid": tuple(grid), "noise_std": noise_std},
     )
 
@@ -168,14 +166,17 @@ X_A_LIMIT = 0.12
 X_G_LIMIT = 0.08
 
 
-def williams_otto_eval(theta, plant: CstrPlant = WILLIAMS_OTTO_PLANT) -> tuple[float, float, float]:
-    """Negative profit plus residual-fraction threshold constraints at ``(F_B, T_r)``."""
-    theta = as_point(theta)
-    if theta.shape[0] != 2:
-        raise ValueError(f"Williams-Otto problem is 2-D, got dim {theta.shape[0]}")
-    state = cstr_steady_state(theta[0], theta[1], plant=plant)
-    profit = williams_otto_profit(state, plant=plant)
-    return -profit, state.x_a - X_A_LIMIT, state.x_g - X_G_LIMIT
+def williams_otto_values(thetas: np.ndarray, plant: CstrPlant = WILLIAMS_OTTO_PLANT) -> np.ndarray:
+    """Negative profit and residual-fraction constraints, one steady-state solve per row.
+
+    Each row of ``thetas`` is an operating point ``(F_B, T_r)``.
+    """
+    rows = []
+    for feed_b, temperature in thetas:
+        state = cstr_steady_state(feed_b, temperature, plant=plant)
+        profit = williams_otto_profit(state, plant=plant)
+        rows.append((-profit, state.x_a - X_A_LIMIT, state.x_g - X_G_LIMIT))
+    return np.array(rows, dtype=float)
 
 
 def williams_otto_problem(
@@ -193,7 +194,7 @@ def williams_otto_problem(
         name="williams_otto",
         domain=domain,
         n_constraints=2,
-        oracle=lambda theta: np.asarray(williams_otto_eval(theta, plant=plant)),
+        oracle=lambda thetas: williams_otto_values(thetas, plant=plant),
         noise_std=(0.0, 0.0, 0.0),  # treated as a deterministic simulation
         known_optimum=known_optimum,
         optimum_note=optimum_note,

@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import SIGMA_SAMPLES, SIGMA_SEED, compute_normalizers
-from .problems import (
-    Problem,
-    artificial_values,
-    artificial_problem,
-    williams_otto_problem,
-)
+from .problems import Problem, problem_from_config
 
 __all__ = [
     "compute_reference",
@@ -33,6 +28,9 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_GRIDS = {"artificial": (2000, 2000), "williams_otto": (200, 200)}
+# Problem parameters (besides the lattice) that each reference is computed
+# for; they are recorded in the entry.
+REFERENCE_PARAMS = {"artificial": {"g_thr": -0.6}, "williams_otto": {}}
 
 
 def packaged_references_path() -> Path:
@@ -63,9 +61,9 @@ def get_reference(name: str, path=None, g_thr: float | None = None) -> dict:
     return entry
 
 
-def _dense_feasible_optimum(problem: Problem, batch_values) -> dict:
+def _dense_feasible_optimum(problem: Problem) -> dict:
     """Best feasible value over the problem's lattice via full enumeration."""
-    values = batch_values(problem.domain.grid)
+    values = problem.evaluate_batch(problem.domain.grid)
     feasible = np.all(values[:, 1:] <= 0, axis=1)
     if not np.any(feasible):
         raise ValueError(f"{problem.name}: no feasible lattice point at this resolution")
@@ -80,22 +78,12 @@ def _dense_feasible_optimum(problem: Problem, batch_values) -> dict:
 
 def compute_reference(name: str, grid=None) -> dict:
     """Run the brute-force computations for one problem and return its entry."""
-    if name == "artificial":
-        grid = tuple(grid) if grid is not None else DEFAULT_ORACLE_GRIDS[name]
-        g_thr = -0.6
-        problem = artificial_problem(g_thr=g_thr, grid=grid, noise_std=0.0)
-        entry = _dense_feasible_optimum(
-            problem, lambda pts: artificial_values(pts, g_thr)
-        )
-        entry["g_thr"] = g_thr
-    elif name == "williams_otto":
-        grid = tuple(grid) if grid is not None else DEFAULT_ORACLE_GRIDS[name]
-        problem = williams_otto_problem(grid=grid)
-        entry = _dense_feasible_optimum(
-            problem, lambda pts: np.stack([problem.evaluate(p) for p in pts])
-        )
-    else:
+    if name not in REFERENCE_PARAMS:
         raise ValueError(f"no reference computation defined for problem {name!r}")
+    grid = tuple(grid) if grid is not None else DEFAULT_ORACLE_GRIDS[name]
+    params = REFERENCE_PARAMS[name]
+    problem = problem_from_config({"name": name, "grid": grid, **params})
+    entry = {**_dense_feasible_optimum(problem), **params}
     sigmas = compute_normalizers(problem)
     entry["sigmas"] = [float(s) for s in sigmas]
     entry["sigma_seed"] = SIGMA_SEED

@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgError
 from . import __version__
 from .domain import Domain
 from .gp import GpModel
-from .hyperfit import fit_hyperparameters
+from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
 from .kernels import SQUARED_EXPONENTIAL, Kernel
 from .metrics import (
     RunRecord,
@@ -36,7 +36,7 @@ from .metrics import (
     normalized_regret_violation,
     regret_contribution,
 )
-from .policies import AlgorithmState, BetaSchedule, observe, propose
+from .policies import POLICIES, AlgorithmState, BetaSchedule, observe, propose
 from .problems import Problem, problem_from_config
 
 __all__ = [
@@ -58,6 +58,9 @@ _STREAM_NOISE = 202
 _STREAM_POLICY = 303
 
 MAX_START_REJECTIONS = 100_000
+
+# Keys a policy spec may carry: its name, its log label and the policy knobs.
+POLICY_KEYS = frozenset({"name", "label", "beta", "rho", "eta", "lipschitz", "safe_seed"})
 
 
 class FeasibleStartError(RuntimeError):
@@ -88,14 +91,17 @@ class RunConfig:
             raise ValueError(f"unknown start mode {self.start!r}")
         if self.n_init_random < 0:
             raise ValueError("n_init_random must be nonnegative")
-        labels = [policy_label(p) for p in self.policies]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"policy labels must be unique, got {labels}")
         # Fail fast on unknown problems/policies.
         problem_from_config(self.problem)
         for spec in self.policies:
-            if "name" not in spec:
-                raise ValueError(f"policy spec needs a 'name': {spec}")
+            if spec.get("name") not in POLICIES:
+                raise ValueError(f"policy spec needs a 'name' out of {POLICIES}: {spec}")
+            unknown = sorted(set(spec) - POLICY_KEYS)
+            if unknown:
+                raise ValueError(f"unknown policy keys {unknown} in {spec}")
+        labels = [policy_label(p) for p in self.policies]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"policy labels must be unique, got {labels}")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -352,18 +358,16 @@ def _advance_replication(
     path: Path,
     existing: list[RunRecord],
 ):
+    init_points = _initial_points(problem, config, seed)
     if policy_spec["name"] == "safeopt_lite" and "safe_seed" not in policy_spec:
         if config.start != "feasible":
             raise ValueError(
                 "safeopt_lite needs an explicit safe_seed unless start='feasible'"
             )
-        policy_spec = dict(policy_spec)
-        policy_spec["safe_seed"] = [
-            [float(v) for v in feasible_start_sampler(problem, seed)]
-        ]
+        # The feasible start is known feasible: it seeds the safe set.
+        policy_spec = {**policy_spec, "safe_seed": [[float(v) for v in init_points[0]]]}
 
     state = build_state(problem, policy_spec, config.gp)
-    init_points = _initial_points(problem, config, seed)
     n_init = min(len(init_points), config.budget)
     fit_every = int(config.gp.get("fit_every", 0))
 
@@ -412,7 +416,7 @@ def _policy_seed(seed: int, step: int):
 
 
 def _maybe_refit(state: AlgorithmState, fit_every: int):
-    if fit_every <= 0 or state.t < 4 or state.t % fit_every:
+    if fit_every <= 0 or state.t < MIN_OBSERVATIONS or state.t % fit_every:
         return
     new_models = []
     for model in state.models:

@@ -51,6 +51,9 @@ def test_echo_round_trip():
         np.testing.assert_allclose(values, [0.25, -1.5])
         values = box.evaluate([2.0, 0.5])
         np.testing.assert_allclose(values, [2.0, 0.5])
+        # Called on a batch, the box answers the rows in order.
+        rows = [[2.0, 0.5], [0.25, -1.5], [-3.0, 4.0]]
+        np.testing.assert_allclose(box(np.array(rows)), rows)
 
 
 def test_malformed_response_raises_protocol_error():

@@ -8,7 +8,7 @@ from cego.cstr import (
     cstr_steady_state,
     williams_otto_profit,
 )
-from cego.problems import williams_otto_eval
+from cego.problems import williams_otto_values
 
 # Outlet fractions at two reference operating points, computed ahead of this
 # implementation with a damped successive-substitution solver (each balance
@@ -75,13 +75,16 @@ def test_non_convergence_signalled():
 
 
 def test_residual_mass_fraction_constraints():
-    j, g1, g2 = williams_otto_eval([5.0, 85.0])
-    state = cstr_steady_state(5.0, 85.0)
-    assert g1 == pytest.approx(state.x_a - 0.12)
-    assert g2 == pytest.approx(state.x_g - 0.08)
-    assert j == pytest.approx(-williams_otto_profit(state))
-    # X_A is a mass fraction, so g1 > -0.12 always.
-    assert g1 > -0.12
+    # One row per operating point, in order.
+    values = williams_otto_values(np.array([[5.0, 85.0], [4.0, 70.0]]))
+    assert values.shape == (2, 3)
+    for (fb, tr), (j, g1, g2) in zip([(5.0, 85.0), (4.0, 70.0)], values):
+        state = cstr_steady_state(fb, tr)
+        assert g1 == pytest.approx(state.x_a - 0.12)
+        assert g2 == pytest.approx(state.x_g - 0.08)
+        assert j == pytest.approx(-williams_otto_profit(state))
+        # X_A is a mass fraction, so g1 > -0.12 always.
+        assert g1 > -0.12
 
 
 def test_bisection_located_feasibility_boundary():
@@ -96,7 +99,7 @@ def test_bisection_located_feasibility_boundary():
         else:
             hi = mid
     boundary = 0.5 * (lo + hi)
-    _, g1, _ = williams_otto_eval([fb, boundary])
+    _, g1, _ = williams_otto_values(np.array([[fb, boundary]]))[0]
     assert g1 == pytest.approx(0.0, abs=1e-6)
 
 

@@ -24,13 +24,7 @@ def test_corners_on_lattice():
 @given(st.integers(0, 11))
 def test_index_round_trip(idx):
     d = Domain([0.0, -1.0], [2.0, 1.0], [3, 4])
-    assert d.index_of(d.point(idx)) == idx
-
-
-def test_index_of_rejects_off_lattice_points():
-    d = Domain([0.0], [1.0], [5])
-    with pytest.raises(ValueError):
-        d.index_of([0.3])
+    assert d.nearest_index(d.point(idx)) == idx
 
 
 def test_nearest_index_snaps():
@@ -44,6 +38,8 @@ def test_contains():
     assert d.contains([0.5, 0.5])
     assert not d.contains([1.5, 0.5])
     assert not d.contains([0.5])
+    rows = [[0.5, 0.5], [1.5, 0.5], [np.nan, 0.5], [1.0, 0.0]]
+    np.testing.assert_array_equal(d.contains(rows), [True, False, False, True])
 
 
 def test_as_point_rejects_non_finite():

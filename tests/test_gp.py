@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cego.domain import Domain
-from cego.gp import GpModel, Observation, add_observation
+from cego.gp import GpModel
+from cego.grid_eval import evaluate_grid
 from cego.kernels import Kernel
 
 from conftest import random_model
@@ -128,53 +129,60 @@ def test_observation_order_irrelevant():
 
 
 def test_cached_factorization_reproduces_gram():
+    # The log marginal likelihood reads the cached factor (its diagonal and
+    # the solve behind alpha); compare it with a dense evaluation of the Gram.
     rng = np.random.default_rng(21)
     kernel = Kernel("squared_exponential", [1.0], 1.0)
     model = random_model(rng, kernel, 1e-2, 10)
-    L = model.cholesky_factor
     gram = kernel.gram(model.points) + model.noise_variance * np.eye(10)
-    np.testing.assert_allclose(L @ L.T, gram, rtol=1e-10)
+    y = model.values
+    _, log_det = np.linalg.slogdet(gram)
+    dense = -0.5 * y @ np.linalg.solve(gram, y) - 0.5 * log_det - 5.0 * np.log(2.0 * np.pi)
+    assert model.log_marginal_likelihood() == pytest.approx(dense, rel=1e-10)
+
+
+def lattice_bounds(model, beta, lower=-1.0, upper=1.0, count=9):
+    """``evaluate_grid`` and the posterior of one model on a 1-D lattice."""
+    domain = Domain([lower], [upper], [count])
+    ev = evaluate_grid([model], beta, domain)
+    mean, var = model.posterior_batch(domain.grid.copy())
+    return ev, mean, var
 
 
 def test_lcb_ucb_identities():
     rng = np.random.default_rng(2)
     model = random_model(rng, Kernel("squared_exponential", [1.0], 1.0), 1e-2, 4)
-    q = [0.25]
-    mean, var = model.posterior(q)
-    assert model.lcb(q, 0.0) == pytest.approx(mean)
-    assert model.ucb(q, 0.0) == pytest.approx(mean)
+    ev, mean, var = lattice_bounds(model, 0.0)
+    np.testing.assert_allclose(ev.lcb[0], mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ev.ucb[0], mean, rtol=1e-12, atol=1e-12)
     for beta in (0.5, 1.0, 2.0):
-        lcb, ucb = model.lcb(q, beta), model.ucb(q, beta)
-        assert lcb <= mean <= ucb
-        assert ucb - lcb == pytest.approx(2 * beta * np.sqrt(var), rel=1e-12)
+        ev, mean, var = lattice_bounds(model, beta)
+        lcb, ucb = ev.lcb[0], ev.ucb[0]
+        assert np.all(lcb <= mean) and np.all(mean <= ucb)
+        np.testing.assert_allclose(ucb - lcb, 2 * beta * np.sqrt(var), rtol=1e-12)
 
 
 def test_prior_bounds_without_data():
     model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 1e-2)
-    assert model.lcb([0.0], 2.0) == pytest.approx(-2.0)
-    assert model.ucb([0.0], 2.0) == pytest.approx(2.0)
+    ev, _, _ = lattice_bounds(model, 2.0)
+    np.testing.assert_allclose(ev.lcb[0], -2.0)
+    np.testing.assert_allclose(ev.ucb[0], 2.0)
 
 
 def test_single_observation_lcb_composition():
     model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01).add([0.0], 1.0)
+    ev, _, _ = lattice_bounds(model, 1.0)  # lattice index 4 is the observed point 0.0
     mean, var = model.posterior([0.0])
-    assert model.lcb([0.0], 1.0) == pytest.approx(mean - np.sqrt(var), rel=1e-12)
-    assert model.lcb([0.0], 1.0) == pytest.approx(1 / 1.01 - np.sqrt(1 - 1 / 1.01), rel=1e-6)
-
-
-def test_add_observation_checks_output_index():
-    model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01, output_index=1)
-    grown = add_observation(model, Observation([0.0], 1.0, output_index=1))
-    assert grown.n_observations == 1
-    with pytest.raises(ValueError):
-        add_observation(model, Observation([0.0], 1.0, output_index=0))
+    assert ev.lcb[0, 4] == pytest.approx(mean - np.sqrt(var), rel=1e-12)
+    assert ev.lcb[0, 4] == pytest.approx(1 / 1.01 - np.sqrt(1 - 1 / 1.01), rel=1e-6)
 
 
 def test_observation_validates_finiteness():
+    model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01)
     with pytest.raises(ValueError):
-        Observation([0.0], np.nan)
+        model.add([0.0], np.nan)
     with pytest.raises(ValueError):
-        Observation([np.inf], 1.0)
+        model.add([np.inf], 1.0)
 
 
 def test_ill_conditioned_factorization_signalled():

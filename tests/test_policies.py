@@ -6,8 +6,10 @@ from cego.domain import Domain
 from cego.gp import GpModel
 from cego.kernels import Kernel
 from cego.policies import (
+    CEI_INCUMBENT_THRESHOLD,
     AlgorithmState,
     BetaSchedule,
+    _cei_incumbent,
     cei_step,
     config_step,
     epbo_step,
@@ -30,6 +32,12 @@ def make_state(policy, domain, n_constraints=1, beta=2.0, noise=1e-2, output_sca
     )
 
 
+def pointwise_bound(model, point, beta):
+    """``mean + beta * std`` from a single-point posterior (beta < 0 gives the LCB)."""
+    mean, var = model.posterior(point)
+    return mean + beta * np.sqrt(var)
+
+
 def reference_config_decision(state):
     """Two-loop reimplementation of the optimistic constrained step (oracle)."""
     beta = state.beta.value
@@ -37,7 +45,7 @@ def reference_config_decision(state):
     lcbs = np.empty((len(state.models), n))
     for i, model in enumerate(state.models):
         for idx in range(n):
-            lcbs[i, idx] = model.lcb(state.domain.point(idx), beta)
+            lcbs[i, idx] = pointwise_bound(model, state.domain.point(idx), -beta)
     for i in range(1, len(state.models)):
         if np.min(lcbs[i]) > 0:
             return "infeasible", None
@@ -82,9 +90,9 @@ def test_config_respects_constraint_mask():
         decision = config_step(state)
         if decision.is_infeasible:
             continue
-        lcb_g = state.models[1].lcb(decision.point, state.beta.value)
+        lcb_g = pointwise_bound(state.models[1], decision.point, -state.beta.value)
         mask_nonempty = any(
-            state.models[1].lcb(domain.point(i), state.beta.value) <= 0
+            pointwise_bound(state.models[1], domain.point(i), -state.beta.value) <= 0
             for i in range(domain.grid_size)
         )
         if mask_nonempty:
@@ -198,6 +206,25 @@ def test_cei_falls_back_to_feasibility_maximization():
     assert decision.index == int(np.argmax(probs))
 
 
+def test_cei_incumbent_rule_is_per_constraint():
+    # Each constraint holds at the observed point with probability 0.6 on its
+    # own, so the point counts as feasible although the joint probability,
+    # 0.36, is below the threshold.
+    domain = Domain([0.0], [1.0], [3])
+    state = make_state("cei", domain, n_constraints=2, noise=1.0)
+    # Prior variance 1, noise 1: the posterior at the observed point has mean
+    # y / 2 and variance 1 / 2.
+    y = -2.0 * np.sqrt(0.5) * norm.ppf(0.6)
+    observe(state, domain.point(1), [0.7, y, y])
+    probabilities = []
+    for model in state.models[1:]:
+        mean, var = model.posterior(domain.point(1))
+        probabilities.append(norm.cdf(-mean / np.sqrt(var)))
+    assert probabilities == pytest.approx([0.6, 0.6])
+    assert np.prod(probabilities) < CEI_INCUMBENT_THRESHOLD
+    assert _cei_incumbent(state) == 0.7
+
+
 # -- epbo -----------------------------------------------------------------------
 
 
@@ -304,7 +331,7 @@ def test_safeopt_expansion_certificate():
     for _ in range(8):
         observe(state, domain.point(0), [0.0, -3.0])
     safeopt_lite_step(state)
-    ucb_seed = state.models[1].ucb(domain.point(0), state.beta.value)
+    ucb_seed = pointwise_bound(state.models[1], domain.point(0), state.beta.value)
     grid = domain.grid[:, 0]
     expected = set(np.flatnonzero(ucb_seed + 1.0 * np.abs(grid - grid[0]) <= 0)) | {0}
     assert set(state.safe_indices) == expected

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cego.problems import (
-    artificial_eval,
     artificial_infeasible_problem,
     artificial_problem,
     artificial_values,
@@ -13,13 +12,13 @@ from cego.problems import (
 
 
 def test_origin_values():
-    j, g = artificial_eval([0.0, 0.0], g_thr=-0.6)
+    j, g = artificial_problem(g_thr=-0.6).evaluate([0.0, 0.0])
     assert j == pytest.approx(1.0)
     assert g == pytest.approx(1.6)
 
 
 def test_unconstrained_minimum_is_infeasible():
-    j, g = artificial_eval([-np.pi / 2, 0.0], g_thr=-0.6)
+    j, g = artificial_problem(g_thr=-0.6).evaluate([-np.pi / 2, 0.0])
     assert j == pytest.approx(-2.0)
     assert g == pytest.approx(0.6)
     assert g > 0
@@ -31,16 +30,21 @@ def test_unconstrained_minimum_is_infeasible():
     g_thr=st.floats(-0.99, 0.99),
 )
 def test_output_ranges(t1, t2, g_thr):
-    j, g = artificial_eval([t1, t2], g_thr)
+    j, g = artificial_values(np.array([[t1, t2]]), g_thr)[0]
     assert -2.0 - 1e-12 <= j <= 2.0 + 1e-12
     assert -1.0 - g_thr - 1e-12 <= g <= 1.0 - g_thr + 1e-12
 
 
 def test_domain_violation_rejected():
+    problem = artificial_problem(g_thr=-0.6, grid=(10, 10))
     with pytest.raises(ValueError):
-        artificial_eval([11.0, 0.0], -0.6)
+        problem.evaluate([11.0, 0.0])
     with pytest.raises(ValueError):
-        artificial_eval([0.0, 0.0], -1.5)
+        problem.evaluate([0.0])
+    with pytest.raises(ValueError):
+        problem.evaluate_batch([[0.0, 0.0], [0.0, -10.5]])
+    with pytest.raises(ValueError):
+        artificial_problem(g_thr=-1.5)
 
 
 def test_purity_bit_identical():
@@ -52,11 +56,14 @@ def test_purity_bit_identical():
 
 
 def test_scalar_and_vectorized_paths_agree():
+    # evaluate() is a batch of one: bit for bit the matching row of a batch.
     rng = np.random.default_rng(1)
     thetas = rng.uniform(-10, 10, size=(50, 2))
-    batch = artificial_values(thetas, -0.6)
+    problem = artificial_problem(g_thr=-0.6)
+    batch = problem.evaluate_batch(thetas)
+    np.testing.assert_array_equal(batch, artificial_values(thetas, -0.6))
     for theta, row in zip(thetas, batch):
-        assert artificial_eval(theta, -0.6) == pytest.approx(tuple(row), rel=1e-15)
+        np.testing.assert_array_equal(problem.evaluate(theta), row)
 
 
 def test_infeasible_variant_constraint_at_least_one():

@@ -8,7 +8,7 @@ from scipy.linalg import LinAlgError
 
 import cego.runner as runner_mod
 from cego.metrics import best_so_far_series
-from cego.problems import artificial_infeasible_problem, artificial_problem
+from cego.problems import artificial_infeasible_problem, artificial_problem, problem_from_config
 from cego.runner import (
     FeasibleStartError,
     RunConfig,
@@ -154,6 +154,16 @@ def test_distinct_seeds_required(tmp_path):
         small_config(tmp_path, seeds=(1, 1))
 
 
+@pytest.mark.parametrize(
+    "spec", [{"name": "confg"}, {"label": "nameless"}, {"name": "epbo", "rh": 0.2}]
+)
+def test_mistyped_policy_spec_rejected(tmp_path, spec):
+    # A misspelled policy or knob must fail when the config is built, not
+    # after the other replications have run (or never, for a knob).
+    with pytest.raises(ValueError):
+        small_config(tmp_path, policies=[{"name": "random"}, spec])
+
+
 def test_emit_metrics_single_log_zero_std(tmp_path):
     config = small_config(tmp_path, budget=4, seeds=(8,))
     paths = run_experiment(config)
@@ -281,6 +291,20 @@ def test_safeopt_requires_seed_or_feasible_start(tmp_path):
     )
     with pytest.raises(RuntimeError, match="safe_seed"):
         run_experiment(config)
+
+
+def test_safeopt_without_seed_starts_from_the_feasible_start(tmp_path):
+    implicit = small_config(tmp_path / "implicit", policies=[{"name": "safeopt_lite"}],
+                            budget=6, seeds=(3,))
+    start = feasible_start_sampler(problem_from_config(implicit.problem), 3)
+    explicit = small_config(
+        tmp_path / "explicit",
+        policies=[{"name": "safeopt_lite", "safe_seed": [[float(v) for v in start]]}],
+        budget=6, seeds=(3,),
+    )
+    (implicit_log,) = run_experiment(implicit)
+    (explicit_log,) = run_experiment(explicit)
+    assert load_log(implicit_log)[1] == load_log(explicit_log)[1]
 
 
 # Answers every request, records its pid, and lingers briefly after stdin
