@@ -36,7 +36,7 @@ from .problems import (
     problem_from_config,
     williams_otto_problem,
 )
-from .runner import RunConfig, emit_metrics, feasible_start_sampler, run_experiment
+from .runner import RunConfig, emit_metrics, run_experiment
 
 __all__ = [
     "__version__",
@@ -67,6 +67,5 @@ __all__ = [
     "compute_normalizers",
     "RunConfig",
     "run_experiment",
-    "feasible_start_sampler",
     "emit_metrics",
 ]

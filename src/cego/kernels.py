@@ -55,15 +55,20 @@ class Kernel:
         ls = np.asarray(self.lengthscales)
         diff = a[:, None, :] / ls - b[None, :, :] / ls
         sq = np.sum(diff * diff, axis=-1)
-        if self.family == SQUARED_EXPONENTIAL:
-            return self.prior_variance * np.exp(-0.5 * sq)
-        # Matern-5/2 in terms of the scaled distance r.
-        r = np.sqrt(np.maximum(sq, 0.0))
-        sqrt5_r = np.sqrt(5.0) * r
-        return self.prior_variance * (1.0 + sqrt5_r + (5.0 / 3.0) * sq) * np.exp(-sqrt5_r)
+        return covariance(self.family, sq, self.prior_variance)
 
     def gram(self, points: np.ndarray) -> np.ndarray:
         """Symmetric Gram matrix of a point set."""
         gram = self.cross(points, points)
         # Enforce exact symmetry; float noise here would leak into Cholesky checks.
         return 0.5 * (gram + gram.T)
+
+
+def covariance(family: str, sq: np.ndarray, variance: float = 1.0) -> np.ndarray:
+    """Covariance at lengthscale-scaled squared distances ``sq``, prior variance ``variance``."""
+    if family == SQUARED_EXPONENTIAL:
+        return variance * np.exp(-0.5 * sq)
+    # Matern-5/2 in terms of the scaled distance r.
+    r = np.sqrt(np.maximum(sq, 0.0))
+    sqrt5_r = np.sqrt(5.0) * r
+    return variance * (1.0 + sqrt5_r + (5.0 / 3.0) * sq) * np.exp(-sqrt5_r)

@@ -43,7 +43,6 @@ __all__ = [
     "RunConfig",
     "run_experiment",
     "run_replication",
-    "feasible_start_sampler",
     "emit_metrics",
     "load_log",
     "log_path",
@@ -61,6 +60,11 @@ MAX_START_REJECTIONS = 100_000
 
 # Keys a policy spec may carry: its name, its log label and the policy knobs.
 POLICY_KEYS = frozenset({"name", "label", "beta", "rho", "eta", "lipschitz", "safe_seed"})
+# Keys of a policy's ``beta`` schedule and of the experiment's ``gp`` settings.
+BETA_KEYS = frozenset({"mode", "value", "delta"})
+GP_KEYS = frozenset({
+    "family", "lengthscales", "lengthscale_factor", "output_scale", "noise_variance", "fit_every",
+})
 
 
 class FeasibleStartError(RuntimeError):
@@ -91,14 +95,17 @@ class RunConfig:
             raise ValueError(f"unknown start mode {self.start!r}")
         if self.n_init_random < 0:
             raise ValueError("n_init_random must be nonnegative")
-        # Fail fast on unknown problems/policies.
+        # Fail fast on unknown problems/policies and misspelled settings.
         problem_from_config(self.problem)
+        _check_keys("gp", self.gp, GP_KEYS)
+        fit_every = self.gp.get("fit_every", 0)
+        if type(fit_every) is not int or fit_every < 0:
+            raise ValueError(f"gp fit_every must be a non-negative int, got {fit_every!r}")
         for spec in self.policies:
             if spec.get("name") not in POLICIES:
                 raise ValueError(f"policy spec needs a 'name' out of {POLICIES}: {spec}")
-            unknown = sorted(set(spec) - POLICY_KEYS)
-            if unknown:
-                raise ValueError(f"unknown policy keys {unknown} in {spec}")
+            _check_keys("policy", spec, POLICY_KEYS)
+            _check_keys("beta", spec.get("beta", {}), BETA_KEYS)
         labels = [policy_label(p) for p in self.policies]
         if len(set(labels)) != len(labels):
             raise ValueError(f"policy labels must be unique, got {labels}")
@@ -120,6 +127,12 @@ class RunConfig:
             "n_init_random": self.n_init_random,
             "gp": self.gp,
         }
+
+
+def _check_keys(what: str, settings: dict, allowed: frozenset):
+    unknown = sorted(set(settings) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown} in {settings}")
 
 
 def policy_label(spec: dict) -> str:
@@ -192,13 +205,8 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict) -> Algorit
     )
 
 
-def feasible_start_sampler(problem: Problem, seed: int) -> np.ndarray:
-    """Uniformly draw lattice points until the true constraints are all satisfied."""
-    rng = _stream(seed, _STREAM_START)
-    return _feasible_start(problem, rng)
-
-
 def _feasible_start(problem: Problem, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly draw lattice points until the true constraints are all satisfied."""
     for _ in range(MAX_START_REJECTIONS):
         point = problem.domain.point(problem.domain.sample_index(rng))
         values = problem.evaluate(point)
@@ -369,7 +377,7 @@ def _advance_replication(
 
     state = build_state(problem, policy_spec, config.gp)
     n_init = min(len(init_points), config.budget)
-    fit_every = int(config.gp.get("fit_every", 0))
+    fit_every = config.gp.get("fit_every", 0)
 
     def replay(record: RunRecord, expect_proposal: bool):
         if record.decision == "infeasible":

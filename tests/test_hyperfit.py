@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from cego.domain import Domain
 from cego.gp import GpModel
-from cego.hyperfit import LENGTHSCALE_FACTORS, fit_hyperparameters
-from cego.kernels import Kernel
+from cego.hyperfit import (
+    LENGTHSCALE_FACTORS,
+    NOISE_FACTORS,
+    OUTPUT_SCALE_FACTORS,
+    candidate_lengthscales,
+    fit_hyperparameters,
+)
+from cego.kernels import MATERN52, SQUARED_EXPONENTIAL, Kernel
 
 
 def gp_likelihood(points, values, kernel, noise_variance):
@@ -81,3 +88,52 @@ def test_fitted_model_usable():
         model = model.add(p, v)
     mean, _ = model.posterior(pts[0])
     assert mean == pytest.approx(values[0], abs=0.2)
+
+
+def exhaustive_fit(points, values, domain, family):
+    """Score every candidate with the exact likelihood; the first maximum wins."""
+    value_scale = max(float(np.std(values)), 1e-8)
+    best = None
+    for lengthscales in candidate_lengthscales(domain):
+        for scale_factor in OUTPUT_SCALE_FACTORS:
+            kernel = Kernel(family, lengthscales, scale_factor * value_scale)
+            for noise_factor in NOISE_FACTORS:
+                noise_variance = noise_factor * value_scale**2
+                try:
+                    model = GpModel(kernel, noise_variance, _X=points, _y=values)
+                except LinAlgError:
+                    continue
+                lml = model.log_marginal_likelihood()
+                if np.isfinite(lml) and (best is None or lml > best[0]):
+                    best = (lml, kernel, noise_variance)
+    return best[1], best[2]
+
+
+def random_case(seed):
+    """Points and values of one seeded case: dim 1-3, t 4-40, varied shape and scale."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    t = int(rng.integers(4, 41))
+    lower = rng.uniform(-5.0, 5.0, size=dim)
+    upper = lower + rng.uniform(0.5, 20.0, size=dim)
+    domain = Domain(lower, upper, [7] * dim)
+    points = rng.uniform(lower, upper, size=(t, dim))
+    if seed % 4 == 1:  # duplicated points
+        points[t // 2:] = points[: t - t // 2]
+    values = np.sin(points @ rng.normal(size=dim)) + 0.05 * rng.standard_normal(t)
+    if seed % 5 == 2:  # constant values
+        values = np.full(t, rng.normal())
+    values = values * (1e-6, 1.0, 1e6)[seed % 3]
+    return points, values, domain
+
+
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN52])
+@pytest.mark.parametrize("seed", range(40))
+def test_spectral_screen_matches_exhaustive_search(family, seed):
+    # Without the exact confirmation, the screen alone picks a different
+    # candidate for the squared-exponential case of seed 33.
+    points, values, domain = random_case(seed)
+    kernel, noise = fit_hyperparameters(points, values, domain, family)
+    expected_kernel, expected_noise = exhaustive_fit(points, values, domain, family)
+    assert kernel == expected_kernel
+    assert noise == expected_noise

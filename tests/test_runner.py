@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,14 @@ from cego.runner import (
     FeasibleStartError,
     RunConfig,
     emit_metrics,
-    feasible_start_sampler,
     load_log,
     run_experiment,
     run_replication,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 GP = {"lengthscale_factor": 0.05, "output_scale": 0.5, "noise_variance": 1e-4}
 
@@ -120,17 +125,23 @@ def test_record_schema(tmp_path):
         assert len(rec["true"]) == 2
 
 
+def feasible_start(problem, seed):
+    """The first initial point of a replication that starts feasible."""
+    config = small_config("unused", start="feasible")
+    return runner_mod._initial_points(problem, config, seed)[0]
+
+
 def test_feasible_start_satisfies_constraint():
     problem = artificial_problem(g_thr=-0.6, grid=(30, 30), noise_std=0.0)
     for seed in range(5):
-        theta = feasible_start_sampler(problem, seed)
+        theta = feasible_start(problem, seed)
         assert np.cos(theta[0] + theta[1]) <= -0.6 + 1e-12
 
 
 def test_feasible_start_deterministic():
     problem = artificial_problem(g_thr=-0.6, grid=(30, 30), noise_std=0.0)
     np.testing.assert_array_equal(
-        feasible_start_sampler(problem, 123), feasible_start_sampler(problem, 123)
+        feasible_start(problem, 123), feasible_start(problem, 123)
     )
 
 
@@ -138,7 +149,7 @@ def test_feasible_start_fails_on_infeasible_problem(monkeypatch):
     problem = artificial_infeasible_problem(grid=(5, 5))
     monkeypatch.setattr(runner_mod, "MAX_START_REJECTIONS", 200)
     with pytest.raises(FeasibleStartError):
-        feasible_start_sampler(problem, 0)
+        feasible_start(problem, 0)
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
@@ -155,13 +166,36 @@ def test_distinct_seeds_required(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec", [{"name": "confg"}, {"label": "nameless"}, {"name": "epbo", "rh": 0.2}]
+    "spec", [{"name": "confg"}, {"label": "nameless"}, {"name": "epbo", "rh": 0.2},
+             {"name": "config", "beta": {"vaule": 3.0}}]
 )
 def test_mistyped_policy_spec_rejected(tmp_path, spec):
     # A misspelled policy or knob must fail when the config is built, not
     # after the other replications have run (or never, for a knob).
     with pytest.raises(ValueError):
         small_config(tmp_path, policies=[{"name": "random"}, spec])
+
+
+@pytest.mark.parametrize(
+    "gp", [{"fit_evry": 5}, {"lengthscale_facor": 0.5}, {"fit_every": -1},
+           {"fit_every": 2.5}, {"fit_every": "5"}, {"fit_every": True}]
+)
+def test_mistyped_gp_settings_rejected(tmp_path, gp):
+    # A misspelled fit_every would silently turn hyperparameter refits off.
+    with pytest.raises(ValueError):
+        small_config(tmp_path, gp={**GP, **gp})
+
+
+def test_shipped_and_benchmark_configs_construct(tmp_path, monkeypatch):
+    for path in sorted(CONFIGS.glob("*.json")):
+        RunConfig.from_json(path)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        RunConfig(**workload.run_config(1, tmp_path))
 
 
 def test_emit_metrics_single_log_zero_std(tmp_path):
@@ -296,7 +330,7 @@ def test_safeopt_requires_seed_or_feasible_start(tmp_path):
 def test_safeopt_without_seed_starts_from_the_feasible_start(tmp_path):
     implicit = small_config(tmp_path / "implicit", policies=[{"name": "safeopt_lite"}],
                             budget=6, seeds=(3,))
-    start = feasible_start_sampler(problem_from_config(implicit.problem), 3)
+    start = feasible_start(problem_from_config(implicit.problem), 3)
     explicit = small_config(
         tmp_path / "explicit",
         policies=[{"name": "safeopt_lite", "safe_seed": [[float(v) for v in start]]}],
