@@ -37,18 +37,21 @@ def main():
     state = AlgorithmState(
         policy="config",
         domain=problem.domain,
-        models=[GpModel(kernel, 1e-4, output_index=i) for i in range(2)],
+        models=[GpModel(kernel, 1e-4) for _ in range(2)],
         beta=BetaSchedule(value=2.0),
     )
-    for _ in range(15):
-        decision = propose(state)
-        if decision.is_infeasible:
-            print("declared infeasible")
-            return
-        values = problem.evaluate(decision.point)
-        observe(state, decision.point, values)
-        print(f"t={state.t:2d} theta=({decision.point[0]:+.3f}, {decision.point[1]:+.3f}) "
-              f"J={values[0]:.4f} g={values[1]:+.4f}")
+    try:
+        for _ in range(15):
+            decision = propose(state)
+            if decision.is_infeasible:
+                print("declared infeasible")
+                return
+            values = problem.evaluate(decision.point)
+            observe(state, decision.point, values)
+            print(f"t={state.t:2d} theta=({decision.point[0]:+.3f}, {decision.point[1]:+.3f}) "
+                  f"J={values[0]:.4f} g={values[1]:+.4f}")
+    finally:
+        problem.close()
 
 
 if __name__ == "__main__":

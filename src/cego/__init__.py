@@ -17,8 +17,6 @@ from .metrics import (
     RunRecord,
     best_so_far_series,
     compute_normalizers,
-    constrained_regret,
-    cumulative_violation,
     normalized_regret_violation,
 )
 from .policies import (
@@ -60,10 +58,8 @@ __all__ = [
     "williams_otto_problem",
     "problem_from_config",
     "RunRecord",
-    "constrained_regret",
     "normalized_regret_violation",
     "best_so_far_series",
-    "cumulative_violation",
     "compute_normalizers",
     "RunConfig",
     "run_experiment",

@@ -137,17 +137,14 @@ class GpModel:
         Covariance function; also fixes the input dimension.
     noise_variance:
         i.i.d. Gaussian observation noise variance ``lam > 0``.
-    output_index:
-        Which problem output this model tracks (bookkeeping only).
     """
 
-    def __init__(self, kernel: Kernel, noise_variance: float, output_index: int = 0,
+    def __init__(self, kernel: Kernel, noise_variance: float,
                  _X: np.ndarray | None = None, _y: np.ndarray | None = None):
         if noise_variance <= 0:
             raise ValueError(f"noise_variance must be positive, got {noise_variance}")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
-        self.output_index = int(output_index)
         self._X = np.empty((0, kernel.dim)) if _X is None else _X
         self._y = np.empty(0) if _y is None else _y
         self._chol = None
@@ -180,7 +177,7 @@ class GpModel:
         value = float(value)
         X = np.vstack([self._X, point[None, :]])
         y = np.append(self._y, value)
-        child = GpModel(self.kernel, self.noise_variance, self.output_index, X, y)
+        child = GpModel(self.kernel, self.noise_variance, X, y)
         cache = self._lattice
         if cache is not None:
             t = self.n_observations
@@ -260,5 +257,5 @@ class GpModel:
     def __repr__(self):
         return (
             f"GpModel(family={self.kernel.family}, t={self.n_observations}, "
-            f"lam={self.noise_variance:g}, output={self.output_index})"
+            f"lam={self.noise_variance:g})"
         )

@@ -91,15 +91,18 @@ def fit_hyperparameters(
     values: np.ndarray,
     domain: Domain,
     family: str = SQUARED_EXPONENTIAL,
-) -> tuple[Kernel, float]:
-    """Pick ``(Kernel, noise_variance)`` maximizing the exact marginal likelihood.
+) -> GpModel:
+    """The ``GpModel`` on the data whose hyperparameters maximize the exact marginal likelihood.
+
+    The model is returned as it was confirmed, already factorized.
 
     Requires at least four observations. Candidates whose Gram matrix fails
     to factorize are skipped; if every candidate fails the data is degenerate
     and a ``LinAlgError`` is raised.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.asarray(values, dtype=float).reshape(-1)
+    # Copies: the returned model keeps these arrays.
+    points = np.atleast_2d(np.array(points, dtype=float))
+    values = np.array(values, dtype=float).reshape(-1)
     if points.shape[0] != values.shape[0]:
         raise ValueError(
             f"got {points.shape[0]} points but {values.shape[0]} values"
@@ -118,7 +121,7 @@ def fit_hyperparameters(
     bound = np.where(np.isfinite(screened), screened + SCREEN_TOLERANCE * size, np.inf)
     lengthscales = candidate_lengthscales(domain)
     grid_shape = (len(lengthscales), len(OUTPUT_SCALE_FACTORS), len(NOISE_FACTORS))
-    best: tuple[float, int, Kernel, float] | None = None
+    best: tuple[float, int, GpModel] | None = None
     for index in np.argsort(-bound, kind="stable"):
         if best is not None and bound[index] < best[0]:
             break
@@ -135,7 +138,7 @@ def fit_hyperparameters(
         if not np.isfinite(lml):
             continue
         if best is None or (lml, -index) > (best[0], -best[1]):
-            best = (lml, index, kernel, noise_variance)
+            best = (lml, index, model)
     if best is None:
         raise LinAlgError("no hyperparameter candidate produced a valid factorization")
-    return best[2], best[3]
+    return best[2]

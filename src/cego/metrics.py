@@ -13,7 +13,7 @@ back to the measured values when the problem is not pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,11 +22,9 @@ from .problems import Problem
 
 __all__ = [
     "RunRecord",
-    "constrained_regret",
     "regret_contribution",
     "normalized_regret_violation",
     "best_so_far_series",
-    "cumulative_violation",
     "compute_normalizers",
     "SIGMA_SEED",
 ]
@@ -45,8 +43,6 @@ class RunRecord:
     y: tuple[float, ...] | None
     true_values: tuple[float, ...] | None = None
     decision: str = "sample"
-    policy: str = ""
-    seed: int | None = None
 
     def outputs(self) -> np.ndarray:
         """Oracle values when available, else measurements."""
@@ -66,14 +62,6 @@ def regret_contribution(record: RunRecord, j_star: float) -> float:
     suboptimality = max(values[0] - j_star, 0.0)
     violation = float(np.sum(np.maximum(values[1:], 0.0)))
     return suboptimality + violation
-
-
-def constrained_regret(records: Sequence[RunRecord], j_star: float) -> float:
-    """Min over sampled steps of the pointwise regret term; non-increasing in the prefix."""
-    sampled = _sampled(records)
-    if not sampled:
-        raise ValueError("no sampled records to compute constrained regret from")
-    return min(regret_contribution(r, j_star) for r in sampled)
 
 
 def normalized_regret_violation(
@@ -110,15 +98,6 @@ def best_so_far_series(
     if not values:
         return np.empty(0)
     return np.minimum.accumulate(np.asarray(values, dtype=float))
-
-
-def cumulative_violation(records: Sequence[RunRecord]) -> np.ndarray:
-    """Summed positive-part violation per constraint over all sampled steps."""
-    sampled = _sampled(records)
-    if not sampled:
-        return np.empty(0)
-    stacked = np.stack([r.outputs()[1:] for r in sampled])
-    return np.sum(np.maximum(stacked, 0.0), axis=0)
 
 
 def compute_normalizers(

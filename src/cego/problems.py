@@ -10,7 +10,8 @@ generator so that the underlying oracle stays deterministic and replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,9 +50,6 @@ class Problem:
     n_constraints: int
     oracle: Callable[[np.ndarray], np.ndarray]
     noise_std: tuple[float, ...]
-    known_optimum: float | None = None
-    optimum_note: str = ""
-    params: dict = field(default_factory=dict)
     # Pure oracles are deterministic before noise injection, so logs can
     # carry the exact values next to the noisy measurements.
     pure: bool = True
@@ -120,14 +118,13 @@ def artificial_values(thetas: np.ndarray, g_thr: float) -> np.ndarray:
     return np.stack([j, g], axis=1)
 
 
-def _artificial(name: str, g_thr: float, grid, noise_std: float, **fields) -> Problem:
+def _artificial(name: str, g_thr: float, grid, noise_std: float) -> Problem:
     return Problem(
         name=name,
         domain=Domain([ARTIFICIAL_BOX[0]] * 2, [ARTIFICIAL_BOX[1]] * 2, grid),
         n_constraints=1,
         oracle=lambda thetas: artificial_values(thetas, g_thr),
         noise_std=(noise_std, noise_std),
-        **fields,
     )
 
 
@@ -135,18 +132,11 @@ def artificial_problem(
     g_thr: float = -0.6,
     grid: tuple[int, int] = (100, 100),
     noise_std: float = DEFAULT_ARTIFICIAL_NOISE,
-    known_optimum: float | None = None,
-    optimum_note: str = "",
 ) -> Problem:
     """The artificial benchmark on ``[-10, 10]^2``; ``g_thr`` must lie strictly in ``(-1, 1)``."""
     if not -1.0 < g_thr < 1.0:
         raise ValueError(f"g_thr must lie in (-1, 1), got {g_thr}")
-    return _artificial(
-        "artificial", g_thr, grid, noise_std,
-        known_optimum=known_optimum,
-        optimum_note=optimum_note,
-        params={"g_thr": g_thr, "grid": tuple(grid), "noise_std": noise_std},
-    )
+    return _artificial("artificial", g_thr, grid, noise_std)
 
 
 def artificial_infeasible_problem(
@@ -154,10 +144,7 @@ def artificial_infeasible_problem(
     noise_std: float = DEFAULT_ARTIFICIAL_NOISE,
 ) -> Problem:
     """Same objective, constraint shifted so that g >= 1 everywhere."""
-    return _artificial(
-        "artificial_infeasible", INFEASIBLE_G_THR, grid, noise_std,
-        params={"grid": tuple(grid), "noise_std": noise_std},
-    )
+    return _artificial("artificial_infeasible", INFEASIBLE_G_THR, grid, noise_std)
 
 
 # -- Williams-Otto reactor problem ----------------------------------------------
@@ -182,8 +169,6 @@ def williams_otto_values(thetas: np.ndarray, plant: CstrPlant = WILLIAMS_OTTO_PL
 def williams_otto_problem(
     grid: tuple[int, int] = (50, 50),
     plant: CstrPlant = WILLIAMS_OTTO_PLANT,
-    known_optimum: float | None = None,
-    optimum_note: str = "",
 ) -> Problem:
     domain = Domain(
         [plant.feed_b_range[0], plant.temperature_range[0]],
@@ -196,9 +181,6 @@ def williams_otto_problem(
         n_constraints=2,
         oracle=lambda thetas: williams_otto_values(thetas, plant=plant),
         noise_std=(0.0, 0.0, 0.0),  # treated as a deterministic simulation
-        known_optimum=known_optimum,
-        optimum_note=optimum_note,
-        params={"grid": tuple(grid)},
     )
 
 
@@ -224,11 +206,6 @@ def external_problem(
         n_constraints=n_constraints,
         oracle=box,
         noise_std=tuple([noise_std] * (n_constraints + 1)),
-        params={
-            "command": list(command),
-            "timeout": timeout,
-            "grid": tuple(int(g) for g in np.atleast_1d(grid)),
-        },
         pure=False,
     )
 
@@ -236,49 +213,27 @@ def external_problem(
 # -- registry ---------------------------------------------------------------------
 
 
-def _build_artificial(params: dict) -> Problem:
-    return artificial_problem(
-        g_thr=params.get("g_thr", -0.6),
-        grid=tuple(params.get("grid", (100, 100))),
-        noise_std=params.get("noise_std", DEFAULT_ARTIFICIAL_NOISE),
-    )
-
-
-def _build_artificial_infeasible(params: dict) -> Problem:
-    return artificial_infeasible_problem(
-        grid=tuple(params.get("grid", (100, 100))),
-        noise_std=params.get("noise_std", DEFAULT_ARTIFICIAL_NOISE),
-    )
-
-
-def _build_williams_otto(params: dict) -> Problem:
-    return williams_otto_problem(grid=tuple(params.get("grid", (50, 50))))
-
-
-def _build_external(params: dict) -> Problem:
-    return external_problem(
-        command=params["command"],
-        lower=params["lower"],
-        upper=params["upper"],
-        grid=params["grid"],
-        n_constraints=params["n_constraints"],
-        timeout=params.get("timeout", 30.0),
-        noise_std=params.get("noise_std", 0.0),
-    )
-
-
-PROBLEM_BUILDERS: dict[str, Callable[[dict], Problem]] = {
-    "artificial": _build_artificial,
-    "artificial_infeasible": _build_artificial_infeasible,
-    "williams_otto": _build_williams_otto,
-    "external": _build_external,
+PROBLEM_BUILDERS: dict[str, Callable[..., Problem]] = {
+    "artificial": artificial_problem,
+    "artificial_infeasible": artificial_infeasible_problem,
+    "williams_otto": williams_otto_problem,
+    "external": external_problem,
 }
 
 
 def problem_from_config(config: dict) -> Problem:
-    """Instantiate a registered problem from ``{"name": .., **params}``."""
+    """Instantiate a registered problem from ``{"name": .., **params}``.
+
+    ``params`` are the builder's keyword arguments; an unknown or missing one
+    raises a ``ValueError`` that names it.
+    """
     params = dict(config)
-    name = params.pop("name")
+    name = params.pop("name", None)
     if name not in PROBLEM_BUILDERS:
         raise ValueError(f"unknown problem {name!r}, known: {sorted(PROBLEM_BUILDERS)}")
-    return PROBLEM_BUILDERS[name](params)
+    builder = PROBLEM_BUILDERS[name]
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"problem {name!r}: {exc}") from None
+    return builder(**params)

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +58,12 @@ _STREAM_POLICY = 303
 
 MAX_START_REJECTIONS = 100_000
 
+# Policy knobs a spec passes straight to ``AlgorithmState``.
+_STATE_KNOBS = ("rho", "eta", "lipschitz")
 # Keys a policy spec may carry: its name, its log label and the policy knobs.
-POLICY_KEYS = frozenset({"name", "label", "beta", "rho", "eta", "lipschitz", "safe_seed"})
+POLICY_KEYS = frozenset({"name", "label", "beta", "safe_seed", *_STATE_KNOBS})
 # Keys of a policy's ``beta`` schedule and of the experiment's ``gp`` settings.
-BETA_KEYS = frozenset({"mode", "value", "delta"})
+BETA_KEYS = frozenset(f.name for f in fields(BetaSchedule))
 GP_KEYS = frozenset({
     "family", "lengthscales", "lengthscale_factor", "output_scale", "noise_variance", "fit_every",
 })
@@ -116,18 +118,6 @@ class RunConfig:
             raw = json.load(fh)
         return cls(**raw)
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "policies": self.policies,
-            "budget": self.budget,
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "start": self.start,
-            "n_init_random": self.n_init_random,
-            "gp": self.gp,
-        }
-
 
 def _check_keys(what: str, settings: dict, allowed: frozenset):
     unknown = sorted(set(settings) - allowed)
@@ -179,29 +169,21 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict) -> Algorit
     output_scales = _per_output(gp_config.get("output_scale", 1.0), problem.n_outputs)
     noise_variances = _per_output(gp_config.get("noise_variance", 1e-4), problem.n_outputs)
     models = [
-        GpModel(Kernel(family, lengthscales, output_scales[i]), noise_variances[i], output_index=i)
+        GpModel(Kernel(family, lengthscales, output_scales[i]), noise_variances[i])
         for i in range(problem.n_outputs)
     ]
-    beta_cfg = policy_spec.get("beta", {})
-    beta = BetaSchedule(
-        mode=beta_cfg.get("mode", "constant"),
-        value=beta_cfg.get("value", 2.0),
-        delta=beta_cfg.get("delta", 0.05),
-    )
-    safe_indices = None
+    # A knob the spec leaves out keeps the default of AlgorithmState.
+    knobs = {key: policy_spec[key] for key in _STATE_KNOBS if key in policy_spec}
     if policy_spec["name"] == "safeopt_lite" and "safe_seed" in policy_spec:
-        safe_indices = [
+        knobs["safe_indices"] = [
             problem.domain.nearest_index(point) for point in policy_spec["safe_seed"]
         ]
     return AlgorithmState(
         policy=policy_spec["name"],
         domain=problem.domain,
         models=models,
-        beta=beta,
-        rho=policy_spec.get("rho", 1.0),
-        eta=policy_spec.get("eta", 1.0),
-        lipschitz=policy_spec.get("lipschitz", 1.0),
-        safe_indices=safe_indices,
+        beta=BetaSchedule(**policy_spec.get("beta", {})),
+        **knobs,
     )
 
 
@@ -237,13 +219,14 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _record_dict(t: int, decision_kind: str, theta, y, true) -> dict:
+def _record_dict(t: int, theta, y, true) -> dict:
+    """A sampled step's record, or the ``infeasible`` marker when ``theta`` is None."""
     return {
         "t": t,
         "theta": None if theta is None else [float(v) for v in theta],
         "y": None if y is None else [float(v) for v in y],
         "true": None if true is None else [float(v) for v in true],
-        "decision": decision_kind,
+        "decision": "sample" if theta is not None else "infeasible",
     }
 
 
@@ -275,11 +258,8 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] != "":
-        lines = lines[:-1]  # drop incomplete trailing line
-    else:
-        lines = lines[:-1] if lines else []
+    # The last element is "" after a final newline, else an incomplete line.
+    lines = text.split("\n")[:-1]
     if not lines:
         raise ValueError(f"log {path} has no header line")
     header = json.loads(lines[0])
@@ -295,8 +275,6 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
                 y=None if raw["y"] is None else tuple(raw["y"]),
                 true_values=None if raw["true"] is None else tuple(raw["true"]),
                 decision=raw["decision"],
-                policy=header["policy"]["name"],
-                seed=header["seed"],
             )
         )
     return header, records
@@ -376,47 +354,33 @@ def _advance_replication(
         policy_spec = {**policy_spec, "safe_seed": [[float(v) for v in init_points[0]]]}
 
     state = build_state(problem, policy_spec, config.gp)
-    n_init = min(len(init_points), config.budget)
     fit_every = config.gp.get("fit_every", 0)
-
-    def replay(record: RunRecord, expect_proposal: bool):
-        if record.decision == "infeasible":
-            raise AssertionError("infeasible records terminate a log")
-        if expect_proposal:
-            decision = propose(state, rng_seed=_policy_seed(seed, record.t))
-            if decision.is_infeasible or list(decision.point) != list(record.theta):
-                raise RuntimeError(
-                    f"resume mismatch at t={record.t} in {path}: the configuration "
-                    "or code no longer reproduces the logged decision"
-                )
-        observe(state, np.asarray(record.theta), np.asarray(record.y))
-        _maybe_refit(state, fit_every)
-
-    for record in existing:
-        replay(record, expect_proposal=record.t > n_init)
-    t = len(existing)
-
     with open(path, "a", encoding="utf-8") as fh:
-        while t < config.budget:
-            if t < n_init:
+        for t in range(config.budget):
+            if t < len(init_points):
                 theta = init_points[t]
-                decision_kind = "sample"
             else:
                 decision = propose(state, rng_seed=_policy_seed(seed, t + 1))
-                if decision.is_infeasible:
-                    fh.write(_dumps(_record_dict(t + 1, "infeasible", None, None, None)) + "\n")
-                    fh.flush()
-                    return
-                theta = decision.point
-                decision_kind = "sample"
-            noise_rng = _stream(seed, _STREAM_NOISE, t + 1)
-            y, true = problem.evaluate_noisy(theta, noise_rng)
-            true_field = true if problem.pure else None
+                theta = None if decision.is_infeasible else decision.point
+            if t < len(existing):
+                # A logged step must be re-derived exactly; its measurement is reused.
+                logged = existing[t]
+                if theta is None or logged.theta is None or list(theta) != list(logged.theta):
+                    raise RuntimeError(
+                        f"resume mismatch at t={t + 1} in {path}: the configuration "
+                        "or code no longer reproduces the logged decision"
+                    )
+                y = np.asarray(logged.y)
+            elif theta is None:
+                fh.write(_dumps(_record_dict(t + 1, None, None, None)) + "\n")
+                return
+            else:
+                y, true = problem.evaluate_noisy(theta, _stream(seed, _STREAM_NOISE, t + 1))
+                record = _record_dict(t + 1, theta, y, true if problem.pure else None)
+                fh.write(_dumps(record) + "\n")
+                fh.flush()
             observe(state, theta, y)
             _maybe_refit(state, fit_every)
-            t += 1
-            fh.write(_dumps(_record_dict(t, decision_kind, theta, y, true_field)) + "\n")
-            fh.flush()
 
 
 def _policy_seed(seed: int, step: int):
@@ -429,16 +393,12 @@ def _maybe_refit(state: AlgorithmState, fit_every: int):
     new_models = []
     for model in state.models:
         try:
-            kernel, noise = fit_hyperparameters(
+            model = fit_hyperparameters(
                 model.points, model.values, state.domain, family=model.kernel.family
             )
         except LinAlgError:
-            # No candidate factorized: keep this output's current hyperparameters.
-            new_models.append(model)
-            continue
-        new_models.append(
-            GpModel(kernel, noise, model.output_index, model.points, model.values)
-        )
+            pass  # No candidate factorized: keep this output's current hyperparameters.
+        new_models.append(model)
     state.models = new_models
 
 

@@ -20,9 +20,9 @@ def unit_domain_1d():
     return Domain([0.0], [1.0], [5])
 
 
-def random_model(rng, kernel, noise_variance, n_obs, lo=-2.0, hi=2.0, output_index=0):
+def random_model(rng, kernel, noise_variance, n_obs, lo=-2.0, hi=2.0):
     """A GP model filled with uniform random observations."""
-    model = GpModel(kernel, noise_variance, output_index=output_index)
+    model = GpModel(kernel, noise_variance)
     dim = kernel.dim
     for _ in range(n_obs):
         point = rng.uniform(lo, hi, size=dim)

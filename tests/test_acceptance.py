@@ -221,7 +221,7 @@ def test_criterion_6_epbo_limit_equivalence():
         n_constraints = int(rng.integers(1, 3))
         kernel = Kernel("squared_exponential", [float(rng.uniform(0.3, 1.5))] * dim,
                         float(rng.uniform(0.5, 1.5)))
-        models = [GpModel(kernel, 1e-3, output_index=i) for i in range(n_constraints + 1)]
+        models = [GpModel(kernel, 1e-3) for _ in range(n_constraints + 1)]
         epbo_state = AlgorithmState(policy="epbo", domain=domain, models=models,
                                     beta=BetaSchedule(value=2.0), rho=1e6)
         config_state = AlgorithmState(policy="config", domain=domain, models=models,

@@ -262,8 +262,7 @@ def test_model_rebuilt_from_its_data_matches_incremental():
     for _ in range(20):
         model = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
         model.posterior_batch(domain.grid)
-    rebuilt = GpModel(model.kernel, model.noise_variance, model.output_index,
-                      model.points, model.values)
+    rebuilt = GpModel(model.kernel, model.noise_variance, model.points, model.values)
     assert_posteriors_close(rebuilt.posterior_batch(domain.grid), model.posterior_batch(domain.grid))
     for _ in range(10):
         point, value = rng.uniform(-2, 2, domain.dim), rng.normal()

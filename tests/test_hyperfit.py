@@ -37,7 +37,7 @@ def test_recovers_known_lengthscale_within_grid_cell():
     cov = true_kernel.gram(pts) + 1e-8 * np.eye(50)
     values = np.linalg.cholesky(cov) @ rng.standard_normal(50)
 
-    kernel, _ = fit_hyperparameters(pts, values, domain)
+    kernel = fit_hyperparameters(pts, values, domain).kernel
     candidates = np.asarray(LENGTHSCALE_FACTORS) * 10.0
     below = candidates[candidates <= 1.0].max()
     above = candidates[candidates >= 1.0].min()
@@ -49,7 +49,7 @@ def test_constant_data_selects_largest_lengthscale():
     domain = Domain([0.0], [10.0], [50])
     pts = rng.uniform(0, 10, size=(12, 1))
     values = np.full(12, 3.7)
-    kernel, _ = fit_hyperparameters(pts, values, domain)
+    kernel = fit_hyperparameters(pts, values, domain).kernel
     assert kernel.lengthscales[0] == pytest.approx(max(LENGTHSCALE_FACTORS) * 10.0)
 
 
@@ -59,8 +59,10 @@ def test_selected_candidate_maximizes_likelihood():
     domain = Domain([0.0, 0.0], [5.0, 5.0], [10, 10])
     pts = rng.uniform(0, 5, size=(20, 2))
     values = np.sin(pts[:, 0]) + 0.1 * rng.standard_normal(20)
-    kernel, noise = fit_hyperparameters(pts, values, domain)
+    model = fit_hyperparameters(pts, values, domain)
+    kernel, noise = model.kernel, model.noise_variance
     best = gp_likelihood(pts, values, kernel, noise)
+    assert model.log_marginal_likelihood() == pytest.approx(best)
     for factor in (0.5, 2.0):
         other = Kernel(kernel.family, np.asarray(kernel.lengthscales) * factor, kernel.output_scale)
         assert gp_likelihood(pts, values, other, noise) <= best + 1e-9
@@ -73,8 +75,8 @@ def test_deterministic_for_fixed_input():
     values = rng.standard_normal(8)
     first = fit_hyperparameters(pts, values, domain)
     second = fit_hyperparameters(pts, values, domain)
-    assert first[0] == second[0]
-    assert first[1] == second[1]
+    assert first.kernel == second.kernel
+    assert first.noise_variance == second.noise_variance
 
 
 def test_fitted_model_usable():
@@ -82,10 +84,9 @@ def test_fitted_model_usable():
     domain = Domain([0.0], [4.0], [10])
     pts = rng.uniform(0, 4, size=(10, 1))
     values = np.cos(pts[:, 0])
-    kernel, noise = fit_hyperparameters(pts, values, domain)
-    model = GpModel(kernel, noise)
-    for p, v in zip(pts, values):
-        model = model.add(p, v)
+    model = fit_hyperparameters(pts, values, domain)
+    np.testing.assert_array_equal(model.points, pts)
+    np.testing.assert_array_equal(model.values, values)
     mean, _ = model.posterior(pts[0])
     assert mean == pytest.approx(values[0], abs=0.2)
 
@@ -133,7 +134,7 @@ def test_spectral_screen_matches_exhaustive_search(family, seed):
     # Without the exact confirmation, the screen alone picks a different
     # candidate for the squared-exponential case of seed 33.
     points, values, domain = random_case(seed)
-    kernel, noise = fit_hyperparameters(points, values, domain, family)
+    model = fit_hyperparameters(points, values, domain, family)
     expected_kernel, expected_noise = exhaustive_fit(points, values, domain, family)
-    assert kernel == expected_kernel
-    assert noise == expected_noise
+    assert model.kernel == expected_kernel
+    assert model.noise_variance == expected_noise

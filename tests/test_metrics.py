@@ -7,8 +7,6 @@ from cego.metrics import (
     RunRecord,
     best_so_far_series,
     compute_normalizers,
-    constrained_regret,
-    cumulative_violation,
     normalized_regret_violation,
     regret_contribution,
 )
@@ -19,31 +17,35 @@ def record(j, gs, t=1):
     return RunRecord(t=t, theta=(0.0, 0.0), y=None, true_values=(j, *gs))
 
 
+def regret_series(records, j_star):
+    """The constrained-regret series that ``emit_metrics`` tabulates."""
+    return best_so_far_series(records, lambda r: regret_contribution(r, j_star))
+
+
 def test_regret_zero_at_optimum():
-    assert constrained_regret([record(1.5, [-0.2])], j_star=1.5) == 0.0
+    np.testing.assert_array_equal(regret_series([record(1.5, [-0.2])], j_star=1.5), [0.0])
 
 
 def test_regret_clips_negative_violation():
-    assert constrained_regret([record(2.0, [-5.0])], j_star=1.0) == pytest.approx(1.0)
+    np.testing.assert_allclose(regret_series([record(2.0, [-5.0])], j_star=1.0), [1.0])
 
 
 def test_regret_superoptimal_infeasible_counts_violation_only():
-    assert constrained_regret([record(-3.0, [0.5])], j_star=0.0) == pytest.approx(0.5)
+    np.testing.assert_allclose(regret_series([record(-3.0, [0.5])], j_star=0.0), [0.5])
 
 
 def test_regret_is_prefix_minimum():
     records = [record(2.0, [0.0], t=1), record(1.0, [0.3], t=2), record(5.0, [-1.0], t=3)]
     # contributions: 2.0, 1.3, 5.0 -> prefix minima 2.0, 1.3, 1.3
-    assert constrained_regret(records[:1], 0.0) == pytest.approx(2.0)
-    assert constrained_regret(records[:2], 0.0) == pytest.approx(1.3)
-    assert constrained_regret(records, 0.0) == pytest.approx(1.3)
+    np.testing.assert_allclose(regret_series(records, 0.0), [2.0, 1.3, 1.3])
 
 
 @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=1, max_size=20))
 def test_regret_monotone_in_prefix_length(pairs):
     records = [record(j, [g], t=i + 1) for i, (j, g) in enumerate(pairs)]
-    values = [constrained_regret(records[: k + 1], j_star=0.0) for k in range(len(records))]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+    values = regret_series(records, j_star=0.0)
+    assert values.size == len(records)
+    assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_normalized_zero_at_feasible_optimum():
@@ -90,18 +92,6 @@ def test_best_so_far_skips_infeasible_markers():
     ]
     series = best_so_far_series(records, lambda r: r.outputs()[0])
     np.testing.assert_allclose(series, [3.0])
-
-
-def test_cumulative_violation_all_feasible():
-    records = [record(1.0, [-0.5, -0.1], t=1), record(2.0, [-0.2, -0.3], t=2)]
-    np.testing.assert_allclose(cumulative_violation(records), [0.0, 0.0])
-
-
-def test_cumulative_violation_sums_positive_parts():
-    records = [record(0.0, [0.5], t=1), record(0.0, [0.2], t=2)]
-    np.testing.assert_allclose(cumulative_violation(records), [0.7])
-    mixed = [record(0.0, [-1.0], t=1), record(0.0, [1.0], t=2)]
-    np.testing.assert_allclose(cumulative_violation(mixed), [1.0])
 
 
 def test_records_prefer_true_values():

@@ -25,7 +25,7 @@ from cego.policies import (
 def make_state(policy, domain, n_constraints=1, beta=2.0, noise=1e-2, output_scale=1.0,
                lengthscale=1.0, **kwargs):
     kernel = Kernel("squared_exponential", [lengthscale] * domain.dim, output_scale)
-    models = [GpModel(kernel, noise, output_index=i) for i in range(n_constraints + 1)]
+    models = [GpModel(kernel, noise) for _ in range(n_constraints + 1)]
     return AlgorithmState(
         policy=policy, domain=domain, models=models,
         beta=BetaSchedule(mode="constant", value=beta), **kwargs,

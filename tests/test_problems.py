@@ -100,7 +100,8 @@ def test_noise_injection_seeded():
 
 def test_problem_registry_round_trip():
     problem = problem_from_config({"name": "artificial", "g_thr": -0.3, "grid": [20, 20]})
-    assert problem.params["g_thr"] == -0.3
-    assert problem.domain.grid_size == 400
+    assert problem.domain.grid_counts == (20, 20)
+    # g = cos(t1 + t2) - g_thr
+    np.testing.assert_allclose(problem.evaluate([0.0, 0.0]), [1.0, 1.3])
     with pytest.raises(ValueError):
         problem_from_config({"name": "unheard_of"})

@@ -61,19 +61,46 @@ def test_rerun_is_byte_identical(tmp_path):
         assert p.read_bytes() == blob
 
 
-def test_truncate_and_resume_reproduces_prefix(tmp_path):
-    config = small_config(
-        tmp_path, policies=[{"name": "config"}], budget=8, seeds=(5,), start="feasible"
+def resume_config(tmp_path):
+    """Three initial points (feasible start, two random), then proposals and refits."""
+    return small_config(
+        tmp_path, policies=[{"name": "config"}], budget=9, seeds=(5,), start="feasible",
+        n_init_random=2, gp={**GP, "fit_every": 3},
     )
+
+
+@pytest.mark.parametrize(
+    "kept, torn", [(0, False), (1, False), (3, False), (3, True)],
+    ids=["cut-0", "cut-1", "cut-3", "cut-3-torn"],
+)
+def test_truncate_and_resume_reproduces_prefix(tmp_path, kept, torn):
+    config = resume_config(tmp_path)
     (path,) = run_experiment(config)
     original = path.read_bytes()
 
     lines = original.split(b"\n")
-    # keep header + 3 records, plus a torn partial line
-    truncated = b"\n".join(lines[:4]) + b"\n" + lines[4][: max(len(lines[4]) // 2, 1)]
+    # keep the header and `kept` records, perhaps plus a torn partial line
+    truncated = b"\n".join(lines[: kept + 1]) + b"\n"
+    if torn:
+        truncated += lines[kept + 1][: len(lines[kept + 1]) // 2]
     path.write_bytes(truncated)
     run_experiment(config)
     assert path.read_bytes() == original
+
+
+@pytest.mark.parametrize("step", [2, 5], ids=["initial", "proposed"])
+def test_resume_rejects_a_tampered_record(tmp_path, step):
+    # Steps 1-3 are the initial points, later ones the policy's proposals.
+    config = resume_config(tmp_path)
+    (path,) = run_experiment(config)
+    header, *records = path.read_text(encoding="utf-8").splitlines()[: step + 1]
+    tampered = json.loads(records[step - 1])
+    assert tampered["theta"] != [-10.0, -10.0]
+    tampered["theta"] = [-10.0, -10.0]
+    records[step - 1] = runner_mod._dumps(tampered)
+    path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match=f"resume mismatch at t={step}"):
+        run_experiment(config)
 
 
 def test_resume_refuses_foreign_config(tmp_path):
@@ -184,6 +211,20 @@ def test_mistyped_gp_settings_rejected(tmp_path, gp):
     # A misspelled fit_every would silently turn hyperparameter refits off.
     with pytest.raises(ValueError):
         small_config(tmp_path, gp={**GP, **gp})
+
+
+@pytest.mark.parametrize(
+    "problem, key",
+    [({"name": "artificial", "gird": [10, 10]}, "gird"),
+     ({"name": "williams_otto", "noise_std": 0.1}, "noise_std"),
+     ({"name": "external", "lower": [0.0], "upper": [1.0], "grid": [5], "n_constraints": 1},
+      "command")],
+    ids=["misspelled", "not-a-setting", "missing"],
+)
+def test_mistyped_problem_settings_rejected(tmp_path, problem, key):
+    # A dropped key would silently run the default problem instead.
+    with pytest.raises(ValueError, match=key):
+        small_config(tmp_path, problem=problem)
 
 
 def test_shipped_and_benchmark_configs_construct(tmp_path, monkeypatch):

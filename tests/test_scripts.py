@@ -1,0 +1,50 @@
+"""The shipped scripts run against the current API."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+    )
+
+
+def test_external_blackbox_demo_runs_to_completion():
+    result = run_script("demo_external_blackbox.py")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].startswith("t=15 ")
+
+
+def test_external_blackbox_demo_closes_its_problem(monkeypatch):
+    spec = importlib.util.spec_from_file_location("demo", SCRIPTS / "demo_external_blackbox.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    build, problems = demo.external_problem, []
+
+    def recording_problem(*args, **kwargs):
+        problems.append(build(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(demo, "external_problem", recording_problem)
+    demo.main()
+    (problem,) = problems
+    assert problem.oracle._proc is None  # the child was stopped
+
+
+@pytest.mark.parametrize("name", ["run_artificial.py", "run_williams_otto.py"])
+def test_experiment_script_help(name):
+    result = run_script(name, "--help")
+    assert result.returncode == 0, result.stderr
+    assert "usage:" in result.stdout
