@@ -166,10 +166,8 @@ def williams_otto_values(thetas: np.ndarray, plant: CstrPlant = WILLIAMS_OTTO_PL
     return np.array(rows, dtype=float)
 
 
-def williams_otto_problem(
-    grid: tuple[int, int] = (50, 50),
-    plant: CstrPlant = WILLIAMS_OTTO_PLANT,
-) -> Problem:
+def williams_otto_problem(grid: tuple[int, int] = (50, 50)) -> Problem:
+    plant = WILLIAMS_OTTO_PLANT
     domain = Domain(
         [plant.feed_b_range[0], plant.temperature_range[0]],
         [plant.feed_b_range[1], plant.temperature_range[1]],
@@ -179,7 +177,7 @@ def williams_otto_problem(
         name="williams_otto",
         domain=domain,
         n_constraints=2,
-        oracle=lambda thetas: williams_otto_values(thetas, plant=plant),
+        oracle=williams_otto_values,
         noise_std=(0.0, 0.0, 0.0),  # treated as a deterministic simulation
     )
 

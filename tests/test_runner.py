@@ -62,7 +62,7 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def resume_config(tmp_path):
-    """Three initial points (feasible start, two random), then proposals and refits."""
+    """Three initial points (feasible start, two random), then proposals; the first refit is at t=6."""
     return small_config(
         tmp_path, policies=[{"name": "config"}], budget=9, seeds=(5,), start="feasible",
         n_init_random=2, gp={**GP, "fit_every": 3},
@@ -70,8 +70,8 @@ def resume_config(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kept, torn", [(0, False), (1, False), (3, False), (3, True)],
-    ids=["cut-0", "cut-1", "cut-3", "cut-3-torn"],
+    "kept, torn", [(0, False), (1, False), (3, False), (3, True), (7, False)],
+    ids=["cut-0", "cut-1", "cut-3", "cut-3-torn", "cut-7"],
 )
 def test_truncate_and_resume_reproduces_prefix(tmp_path, kept, torn):
     config = resume_config(tmp_path)
@@ -217,9 +217,10 @@ def test_mistyped_gp_settings_rejected(tmp_path, gp):
     "problem, key",
     [({"name": "artificial", "gird": [10, 10]}, "gird"),
      ({"name": "williams_otto", "noise_std": 0.1}, "noise_std"),
+     ({"name": "williams_otto", "plant": {}}, "plant"),
      ({"name": "external", "lower": [0.0], "upper": [1.0], "grid": [5], "n_constraints": 1},
       "command")],
-    ids=["misspelled", "not-a-setting", "missing"],
+    ids=["misspelled", "not-a-setting", "not-a-plant-setting", "missing"],
 )
 def test_mistyped_problem_settings_rejected(tmp_path, problem, key):
     # A dropped key would silently run the default problem instead.
