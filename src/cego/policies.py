@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .domain import Domain, as_point
 from .gp import GpModel
@@ -63,6 +63,16 @@ POLICIES = ("config", "cei", "epbo", "primal_dual", "safeopt_lite", "random")
 # (the per-constraint rule of Gelbart, Snoek & Adams, UAI 2014), not when
 # the joint probability does.
 CEI_INCUMBENT_THRESHOLD = 0.5
+
+# The standard normal CDF is ``ndtr`` and the density below is
+# ``exp(-z**2/2) / sqrt(2*pi)``: the formulas behind ``scipy.stats.norm.cdf``
+# and ``norm.pdf``, so scores keep their bits without importing scipy.stats.
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _normal_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density, elementwise."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,7 @@ def _violation(lcb: np.ndarray) -> np.ndarray:
 def _constraint_probability(means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Elementwise posterior ``P[g <= 0]``; a point mass where ``sigma`` is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = norm.cdf(np.where(sigmas > 0, -means / np.where(sigmas > 0, sigmas, 1.0), 0.0))
+        p = ndtr(np.where(sigmas > 0, -means / np.where(sigmas > 0, sigmas, 1.0), 0.0))
     return np.where(sigmas > 0, p, (means <= 0).astype(float))
 
 
@@ -244,7 +254,7 @@ def cei_step(state: AlgorithmState) -> Decision:
         z = np.where(sigma > 0, improvement / np.where(sigma > 0, sigma, 1.0), 0.0)
     ei = np.where(
         sigma > 0,
-        improvement * norm.cdf(z) + sigma * norm.pdf(z),
+        improvement * ndtr(z) + sigma * _normal_pdf(z),
         np.maximum(improvement, 0.0),
     )
     return Decision.sample(state.domain, np.argmax(ei * feas_prob))

@@ -11,7 +11,9 @@ generator so that the underlying oracle stays deterministic and replayable.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -219,11 +221,37 @@ PROBLEM_BUILDERS: dict[str, Callable[..., Problem]] = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _list_of(check: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, (list, tuple)) and all(check(v) for v in value)
+
+
+# The JSON value each builder keyword accepts, by keyword name.
+_SETTING_KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "g_thr": ("a finite number", _is_number),
+    "noise_std": ("a finite number", _is_number),
+    "timeout": ("a finite number", _is_number),
+    "n_constraints": ("an int", _is_int),
+    "grid": ("a list of ints", _list_of(_is_int)),
+    "lower": ("a list of finite numbers", _list_of(_is_number)),
+    "upper": ("a list of finite numbers", _list_of(_is_number)),
+    "command": ("a list of strings", _list_of(lambda v: isinstance(v, str))),
+}
+
+
 def problem_from_config(config: dict) -> Problem:
     """Instantiate a registered problem from ``{"name": .., **params}``.
 
-    ``params`` are the builder's keyword arguments; an unknown or missing one
-    raises a ``ValueError`` that names it.
+    ``params`` are the builder's keyword arguments; an unknown or missing one,
+    or one whose value is not of the kind that keyword takes, raises a
+    ``ValueError`` that names it.
     """
     params = dict(config)
     name = params.pop("name", None)
@@ -234,4 +262,8 @@ def problem_from_config(config: dict) -> Problem:
         inspect.signature(builder).bind(**params)
     except TypeError as exc:
         raise ValueError(f"problem {name!r}: {exc}") from None
+    for key, value in params.items():
+        kind, check = _SETTING_KINDS[key]
+        if not check(value):
+            raise ValueError(f"problem {name!r}: setting {key!r} must be {kind}, got {value!r}")
     return builder(**params)

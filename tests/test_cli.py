@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,3 +81,19 @@ def test_write_reference_merges_entries(tmp_path):
     write_reference("artificial", grid=(60, 60), path=out)
     after = load_references(out)
     assert after["artificial"]["grid"] == [60, 60]
+
+
+@pytest.mark.parametrize("module", ["cego", "cego.cli"])
+def test_import_leaves_out_scipy_stats(module):
+    # scipy.stats (and the scipy.optimize it pulls in) would double the cold
+    # start of every interpreter that imports cego: the CLI, each script and
+    # each benchmark child. Only a fresh interpreter shows what an import loads.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    probe = (f"import sys, {module}; "
+             "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

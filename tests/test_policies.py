@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from cego.domain import Domain
@@ -10,6 +11,8 @@ from cego.policies import (
     AlgorithmState,
     BetaSchedule,
     _cei_incumbent,
+    _constraint_probability,
+    _normal_pdf,
     cei_step,
     config_step,
     epbo_step,
@@ -172,6 +175,31 @@ def test_cei_reduces_to_ei_argmax_without_constraints():
         assert closed == pytest.approx(mc_ei[idx], abs=1e-3)
 
     assert cei_step(state).index == int(np.argmax(mc_ei))
+
+
+SPECIAL_Z = [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 38.5, -38.5, 1e-300, -1e-300, np.nan]
+
+
+def test_normal_cdf_pdf_bit_identical_to_scipy_stats():
+    # The cEI score and the feasibility probability use ndtr and _normal_pdf
+    # in place of scipy.stats.norm; logs stay byte-identical only if every
+    # bit agrees, tails, signed zeros, infinities and NaN included.
+    draws = np.random.default_rng(2024).standard_normal(10**6)
+    z = np.concatenate([draws, 10.0 * draws, SPECIAL_Z])
+    assert np.array_equal(ndtr(z), norm.cdf(z), equal_nan=True)
+    assert np.array_equal(_normal_pdf(z), norm.pdf(z), equal_nan=True)
+
+
+def test_constraint_probability_bit_identical_to_scipy_stats():
+    rng = np.random.default_rng(7)
+    means = np.concatenate([rng.standard_normal(10**6), SPECIAL_Z, SPECIAL_Z])
+    sigmas = np.concatenate([rng.uniform(0.0, 2.0, 10**6), np.ones(len(SPECIAL_Z)),
+                             np.zeros(len(SPECIAL_Z))])
+    sigmas[::1000] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sigmas > 0, -means / np.where(sigmas > 0, sigmas, 1.0), 0.0)
+    expected = np.where(sigmas > 0, norm.cdf(z), (means <= 0).astype(float))
+    assert np.array_equal(_constraint_probability(means, sigmas), expected, equal_nan=True)
 
 
 def test_cei_prefers_probably_feasible_point():

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import os
 import sys
@@ -10,7 +11,13 @@ from scipy.linalg import LinAlgError
 
 import cego.runner as runner_mod
 from cego.metrics import best_so_far_series
-from cego.problems import artificial_infeasible_problem, artificial_problem, problem_from_config
+from cego.problems import (
+    _SETTING_KINDS,
+    PROBLEM_BUILDERS,
+    artificial_infeasible_problem,
+    artificial_problem,
+    problem_from_config,
+)
 from cego.runner import (
     FeasibleStartError,
     RunConfig,
@@ -219,13 +226,33 @@ def test_mistyped_gp_settings_rejected(tmp_path, gp):
      ({"name": "williams_otto", "noise_std": 0.1}, "noise_std"),
      ({"name": "williams_otto", "plant": {}}, "plant"),
      ({"name": "external", "lower": [0.0], "upper": [1.0], "grid": [5], "n_constraints": 1},
-      "command")],
-    ids=["misspelled", "not-a-setting", "not-a-plant-setting", "missing"],
+      "command"),
+     ({"name": "artificial", "g_thr": "a"}, "g_thr"),
+     ({"name": "artificial", "noise_std": "x"}, "noise_std"),
+     ({"name": "artificial", "noise_std": float("nan")}, "noise_std"),
+     ({"name": "artificial", "grid": "ab"}, "grid"),
+     ({"name": "artificial", "grid": [10.5, 10]}, "grid"),
+     ({"name": "williams_otto", "grid": [True, 10]}, "grid"),
+     ({"name": "external", "command": "python stub.py", "lower": [0.0], "upper": [1.0],
+       "grid": [5], "n_constraints": 1}, "command"),
+     ({"name": "external", "command": ["python"], "lower": [0.0], "upper": [1.0],
+       "grid": [5], "n_constraints": "1"}, "n_constraints")],
+    ids=["misspelled", "not-a-setting", "not-a-plant-setting", "missing", "g_thr-text",
+         "noise-text", "noise-nan", "grid-text", "grid-fraction", "grid-bool",
+         "command-string", "n_constraints-text"],
 )
 def test_mistyped_problem_settings_rejected(tmp_path, problem, key):
     # A dropped key would silently run the default problem instead.
     with pytest.raises(ValueError, match=key):
         small_config(tmp_path, problem=problem)
+
+
+def test_every_problem_setting_has_a_kind():
+    # A builder keyword without a kind would fail the lookup instead of
+    # checking its value. A config's "name" picks the builder and never
+    # reaches it as a keyword.
+    for builder in PROBLEM_BUILDERS.values():
+        assert set(inspect.signature(builder).parameters) - {"name"} <= set(_SETTING_KINDS)
 
 
 def test_shipped_and_benchmark_configs_construct(tmp_path, monkeypatch):
