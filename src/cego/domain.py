@@ -68,6 +68,13 @@ class Domain:
         return int(np.prod(self.grid_counts))
 
     @cached_property
+    def widths(self) -> np.ndarray:
+        """Per-dimension box width ``upper - lower``."""
+        widths = np.subtract(self.upper, self.lower)
+        widths.setflags(write=False)
+        return widths
+
+    @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Per-dimension lattice coordinates (inclusive of both corners)."""
         return tuple(

@@ -141,7 +141,7 @@ class GpModel:
 
     def __init__(self, kernel: Kernel, noise_variance: float,
                  _X: np.ndarray | None = None, _y: np.ndarray | None = None):
-        if noise_variance <= 0:
+        if not noise_variance > 0:
             raise ValueError(f"noise_variance must be positive, got {noise_variance}")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)

@@ -30,30 +30,25 @@ class GridEvaluation:
 
     means: np.ndarray
     sigmas: np.ndarray
-    beta_sqrt: np.ndarray
+    beta_sqrt: float
 
     @property
     def lcb(self) -> np.ndarray:
-        return self.means - self.beta_sqrt[:, None] * self.sigmas
+        return self.means - self.beta_sqrt * self.sigmas
 
     @property
     def ucb(self) -> np.ndarray:
-        return self.means + self.beta_sqrt[:, None] * self.sigmas
+        return self.means + self.beta_sqrt * self.sigmas
 
 
-def evaluate_grid(
-    models: list[GpModel],
-    beta_sqrt,
-    domain: Domain,
-) -> GridEvaluation:
+def evaluate_grid(models: list[GpModel], beta_sqrt: float, domain: Domain) -> GridEvaluation:
     """Evaluate each model's posterior over the whole lattice.
 
-    ``beta_sqrt`` is a scalar or one nonnegative weight per model. Batched
-    values agree with pointwise posterior calls to 1e-12.
+    ``beta_sqrt`` is the step's one nonnegative confidence weight, shared by
+    every model. Batched values agree with pointwise posterior calls to 1e-12.
     """
-    beta = np.broadcast_to(np.asarray(beta_sqrt, dtype=float), (len(models),)).copy()
-    if np.any(beta < 0):
-        raise ValueError(f"beta_sqrt entries must be nonnegative, got {beta}")
+    if not beta_sqrt >= 0:
+        raise ValueError(f"beta_sqrt must be nonnegative, got {beta_sqrt}")
     grid = domain.grid
     means = np.empty((len(models), grid.shape[0]))
     sigmas = np.empty_like(means)
@@ -63,7 +58,7 @@ def evaluate_grid(
         mean, var = model.posterior_batch(grid)
         means[i] = mean
         sigmas[i] = np.sqrt(var)
-    return GridEvaluation(means=means, sigmas=sigmas, beta_sqrt=beta)
+    return GridEvaluation(means=means, sigmas=sigmas, beta_sqrt=float(beta_sqrt))
 
 
 def constrained_argmin(scores: np.ndarray, feasible_mask: np.ndarray | None = None) -> int | None:

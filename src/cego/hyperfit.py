@@ -57,8 +57,7 @@ SCREEN_TOLERANCE = 1e-6
 
 def candidate_lengthscales(domain: Domain) -> list[tuple[float, ...]]:
     """The lengthscale grid for a domain: shared factor times each width."""
-    widths = np.asarray(domain.upper) - np.asarray(domain.lower)
-    return [tuple(f * widths) for f in LENGTHSCALE_FACTORS]
+    return [tuple(f * domain.widths) for f in LENGTHSCALE_FACTORS]
 
 
 def _screen(points, values, domain, family, value_scale):
@@ -66,8 +65,7 @@ def _screen(points, values, domain, family, value_scale):
 
     Both arrays are flat in ``(lengthscale, scale, noise)`` order.
     """
-    widths = np.asarray(domain.upper) - np.asarray(domain.lower)
-    scaled = points / widths
+    scaled = points / domain.widths
     diff = scaled[:, None, :] - scaled[None, :, :]
     sq = np.sum(diff * diff, axis=-1)
     factors = np.asarray(LENGTHSCALE_FACTORS)

@@ -28,9 +28,9 @@ class Kernel:
         if family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {family!r}, expected one of {_FAMILIES}")
         lengthscales = tuple(float(v) for v in np.atleast_1d(lengthscales))
-        if any(ls <= 0 for ls in lengthscales):
+        if not all(ls > 0 for ls in lengthscales):
             raise ValueError(f"lengthscales must be positive, got {lengthscales}")
-        if output_scale <= 0:
+        if not output_scale > 0:
             raise ValueError(f"output_scale must be positive, got {output_scale}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "lengthscales", lengthscales)

@@ -32,6 +32,7 @@ minimize the objective LCB plus a constraint term with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy.special import ndtr
@@ -91,7 +92,7 @@ class BetaSchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "log_growth"):
             raise ValueError(f"unknown beta mode {self.mode!r}")
-        if self.value <= 0:
+        if not self.value > 0:
             raise ValueError(f"beta value must be positive, got {self.value}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
@@ -155,6 +156,15 @@ class AlgorithmState:
         for model in self.models:
             if model.kernel.dim != self.domain.dim:
                 raise ValueError("model dimension does not match the domain")
+        for knob in ("rho", "eta", "lipschitz"):
+            value = getattr(self, knob)
+            if isinstance(value, bool) or not isinstance(value, Real) or not value >= 0:
+                raise ValueError(f"{knob} must be a nonnegative number, got {value!r}")
+        # An infinite Lipschitz constant confines sampling to the seeds; an
+        # infinite rho or eta would turn scores or duals into NaN.
+        if not (0 < self.eta < np.inf and self.rho < np.inf):
+            raise ValueError(f"need a finite rho and a finite positive eta, got "
+                             f"rho={self.rho!r}, eta={self.eta!r}")
         if self.duals is None:
             self.duals = np.zeros(self.n_constraints)
         self.duals = np.asarray(self.duals, dtype=float)
@@ -173,13 +183,10 @@ class AlgorithmState:
     def n_constraints(self) -> int:
         return len(self.models) - 1
 
-    def beta_vector(self) -> np.ndarray:
-        """One beta_sqrt per output for the upcoming step."""
-        value = self.beta.beta_sqrt(self.t + 1, self.domain.grid_size)
-        return np.full(len(self.models), value)
-
     def grid_bounds(self) -> GridEvaluation:
-        return evaluate_grid(self.models, self.beta_vector(), self.domain)
+        """Every model's posterior on the lattice, under the upcoming step's beta."""
+        beta_sqrt = self.beta.beta_sqrt(self.t + 1, self.domain.grid_size)
+        return evaluate_grid(self.models, beta_sqrt, self.domain)
 
 
 def config_step(state: AlgorithmState) -> Decision:
@@ -201,8 +208,6 @@ def config_step(state: AlgorithmState) -> Decision:
 
 def epbo_step(state: AlgorithmState) -> Decision:
     """Penalty step: minimize LCB(objective) + rho * sum of positive-part constraint LCBs."""
-    if state.rho < 0:
-        raise ValueError(f"penalty rho must be nonnegative, got {state.rho}")
     lcb = state.grid_bounds().lcb
     return Decision.sample(state.domain, constrained_argmin(lcb[0] + state.rho * _violation(lcb)))
 
@@ -276,8 +281,6 @@ def _cei_incumbent(state: AlgorithmState) -> float | None:
 
 def updated_duals(duals: np.ndarray, constraint_values: np.ndarray, eta: float) -> np.ndarray:
     """Projected dual ascent: ``max(0, dual + eta * measured_value)`` per constraint."""
-    if eta <= 0:
-        raise ValueError(f"dual step size eta must be positive, got {eta}")
     return np.maximum(0.0, np.asarray(duals, dtype=float) + eta * np.asarray(constraint_values, dtype=float))
 
 
@@ -292,8 +295,6 @@ def safeopt_lite_step(state: AlgorithmState) -> Decision:
     """
     if state.safe_indices is None or state.safe_indices.size == 0:
         raise ValueError("safeopt_lite requires a non-empty feasible seed set")
-    if state.lipschitz < 0:
-        raise ValueError(f"lipschitz constant must be nonnegative, got {state.lipschitz}")
     ev = state.grid_bounds()
     safe = state.safe_indices
 

@@ -19,14 +19,13 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError
 
 from . import __version__
-from .domain import Domain
 from .gp import GpModel
 from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
 from .kernels import SQUARED_EXPONENTIAL, Kernel
@@ -62,11 +61,8 @@ MAX_START_REJECTIONS = 100_000
 _STATE_KNOBS = ("rho", "eta", "lipschitz")
 # Keys a policy spec may carry: its name, its log label and the policy knobs.
 POLICY_KEYS = frozenset({"name", "label", "beta", "safe_seed", *_STATE_KNOBS})
-# Keys of a policy's ``beta`` schedule and of the experiment's ``gp`` settings.
-BETA_KEYS = frozenset(f.name for f in fields(BetaSchedule))
-GP_KEYS = frozenset({
-    "family", "lengthscales", "lengthscale_factor", "output_scale", "noise_variance", "fit_every",
-})
+# Keys of the experiment's ``gp`` settings.
+GP_KEYS = frozenset({"family", "lengthscale_factor", "output_scale", "noise_variance", "fit_every"})
 
 
 class FeasibleStartError(RuntimeError):
@@ -75,7 +71,11 @@ class FeasibleStartError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """One experiment grid: a problem, a set of policies, and replication seeds."""
+    """One experiment grid: a problem, a set of policies, and replication seeds.
+
+    Building one checks every setting: each policy spec is turned into the
+    state its replications start from, before any log is written.
+    """
 
     problem: dict
     policies: list[dict]
@@ -87,27 +87,34 @@ class RunConfig:
     gp: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("replication seeds must be distinct")
+        _check_int("budget", self.budget, minimum=1)
+        _check_int("n_init_random", self.n_init_random, minimum=0)
+        _check_int("gp fit_every", self.gp.get("fit_every", 0), minimum=0)
         if not self.seeds:
             raise ValueError("need at least one replication seed")
+        for seed in self.seeds:
+            _check_int("replication seed", seed, minimum=0)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("replication seeds must be distinct")
         if self.start not in ("feasible", "uniform", "none"):
             raise ValueError(f"unknown start mode {self.start!r}")
-        if self.n_init_random < 0:
-            raise ValueError("n_init_random must be nonnegative")
-        # Fail fast on unknown problems/policies and misspelled settings.
-        problem_from_config(self.problem)
         _check_keys("gp", self.gp, GP_KEYS)
-        fit_every = self.gp.get("fit_every", 0)
-        if type(fit_every) is not int or fit_every < 0:
-            raise ValueError(f"gp fit_every must be a non-negative int, got {fit_every!r}")
+        problem = problem_from_config(self.problem)
         for spec in self.policies:
             if spec.get("name") not in POLICIES:
                 raise ValueError(f"policy spec needs a 'name' out of {POLICIES}: {spec}")
             _check_keys("policy", spec, POLICY_KEYS)
-            _check_keys("beta", spec.get("beta", {}), BETA_KEYS)
+            label = policy_label(spec)
+            seedless = spec["name"] == "safeopt_lite" and "safe_seed" not in spec
+            if seedless and self.start != "feasible":
+                raise ValueError(
+                    f"policy {label!r}: safeopt_lite needs an explicit safe_seed "
+                    "unless start='feasible'"
+                )
+            try:
+                build_state(problem, spec, self.gp)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"policy {label!r}: {exc}") from exc
         labels = [policy_label(p) for p in self.policies]
         if len(set(labels)) != len(labels):
             raise ValueError(f"policy labels must be unique, got {labels}")
@@ -117,6 +124,12 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         return cls(**raw)
+
+
+def _check_int(what: str, value, minimum: int):
+    # bool is an int subclass, and a float seed would be truncated by int().
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{what} must be an int >= {minimum}, got {value!r}")
 
 
 def _check_keys(what: str, settings: dict, allowed: frozenset):
@@ -137,11 +150,6 @@ def _stream(seed: int, tag: int, step: int | None = None):
 # -- state construction ------------------------------------------------------------
 
 
-def _default_lengthscales(domain: Domain, factor: float) -> tuple[float, ...]:
-    widths = np.asarray(domain.upper) - np.asarray(domain.lower)
-    return tuple(factor * widths)
-
-
 def _per_output(value, n_outputs: int) -> list:
     """Broadcast a scalar GP setting or pass through one value per output."""
     if isinstance(value, (list, tuple)):
@@ -156,16 +164,10 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict) -> Algorit
 
     ``output_scale`` and ``noise_variance`` accept either a scalar or one
     value per output, since objective and constraints often live on very
-    different scales.
+    different scales. The constructors check every value.
     """
     family = gp_config.get("family", SQUARED_EXPONENTIAL)
-    if "lengthscales" in gp_config:
-        raw = gp_config["lengthscales"]
-        lengthscales = tuple(np.broadcast_to(np.asarray(raw, dtype=float), (problem.domain.dim,)))
-    else:
-        lengthscales = _default_lengthscales(
-            problem.domain, gp_config.get("lengthscale_factor", 0.1)
-        )
+    lengthscales = tuple(gp_config.get("lengthscale_factor", 0.1) * problem.domain.widths)
     output_scales = _per_output(gp_config.get("output_scale", 1.0), problem.n_outputs)
     noise_variances = _per_output(gp_config.get("noise_variance", 1e-4), problem.n_outputs)
     models = [
@@ -346,11 +348,7 @@ def _advance_replication(
 ):
     init_points = _initial_points(problem, config, seed)
     if policy_spec["name"] == "safeopt_lite" and "safe_seed" not in policy_spec:
-        if config.start != "feasible":
-            raise ValueError(
-                "safeopt_lite needs an explicit safe_seed unless start='feasible'"
-            )
-        # The feasible start is known feasible: it seeds the safe set.
+        # RunConfig made sure the start is feasible: it seeds the safe set.
         policy_spec = {**policy_spec, "safe_seed": [[float(v) for v in init_points[0]]]}
 
     state = build_state(problem, policy_spec, config.gp)

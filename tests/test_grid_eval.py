@@ -24,7 +24,7 @@ def test_batched_matches_scalar_path():
     domain = Domain([-1.0, -1.0], [1.0, 1.0], [7, 5])
     kernel = Kernel("matern52", [0.8, 1.1], 1.2)
     model = random_model(rng, kernel, 1e-3, 10, lo=-1, hi=1)
-    ev = evaluate_grid([model], [1.7], domain)
+    ev = evaluate_grid([model], 1.7, domain)
     for idx in range(domain.grid_size):
         mean, var = model.posterior(domain.point(idx))
         assert abs(ev.means[0, idx] - mean) <= 1e-12
@@ -54,11 +54,12 @@ def test_argmin_simple():
 
 
 def test_beta_broadcasting_and_validation():
+    # One beta_sqrt weighs every model's sigma.
     domain = Domain([0.0], [1.0], [3])
-    kernel = Kernel("squared_exponential", [1.0], 1.0)
-    models = [GpModel(kernel, 0.01), GpModel(kernel, 0.01)]
-    ev = evaluate_grid(models, [1.0, 2.0], domain)
-    np.testing.assert_allclose(ev.lcb[0], -1.0)
-    np.testing.assert_allclose(ev.lcb[1], -2.0)
-    with pytest.raises(ValueError):
-        evaluate_grid(models, [-1.0, 2.0], domain)
+    models = [GpModel(Kernel("squared_exponential", [1.0], scale), 0.01) for scale in (1.0, 2.0)]
+    ev = evaluate_grid(models, 1.5, domain)
+    np.testing.assert_allclose(ev.lcb[0], -1.5)
+    np.testing.assert_allclose(ev.lcb[1], -3.0)
+    for beta in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            evaluate_grid(models, beta, domain)

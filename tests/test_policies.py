@@ -456,6 +456,19 @@ def test_beta_schedule_validation():
         BetaSchedule(mode="weird")
     with pytest.raises(ValueError):
         BetaSchedule(delta=1.5)
+    with pytest.raises(ValueError):
+        BetaSchedule(value=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "knobs", [{"rho": -1.0}, {"rho": "x"}, {"rho": float("nan")}, {"rho": True},
+              {"rho": np.inf}, {"eta": 0.0}, {"eta": -1.0}, {"eta": np.inf},
+              {"lipschitz": -1.0}]
+)
+def test_state_rejects_bad_knobs(knobs):
+    # Checked once when the state is built, not again at every step.
+    with pytest.raises(ValueError):
+        make_state("epbo", Domain([0.0], [1.0], [4]), **knobs)
 
 
 def test_policies_deterministic_replay():

@@ -200,24 +200,60 @@ def test_distinct_seeds_required(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "settings",
+    [{"budget": 2.5}, {"budget": 0}, {"n_init_random": 1.5}, {"n_init_random": True},
+     {"seeds": (1, 1.5)}, {"seeds": (1, True)}, {"seeds": (2, True)}, {"seeds": (-1,)}],
+    ids=["budget-fraction", "budget-zero", "n_init-fraction", "n_init-bool",
+         "seed-fraction", "seed-true-as-1", "seed-bool", "seed-negative"],
+)
+def test_mistyped_run_settings_rejected(tmp_path, settings):
+    # The streams key on int(seed), so seeds 2 and True would run the same
+    # replication twice; a fractional count would fail every replication.
+    with pytest.raises(ValueError, match="must be an int"):
+        small_config(tmp_path, **settings)
+
+
+@pytest.mark.parametrize(
     "spec", [{"name": "confg"}, {"label": "nameless"}, {"name": "epbo", "rh": 0.2},
-             {"name": "config", "beta": {"vaule": 3.0}}]
+             {"name": "config", "beta": {"vaule": 3.0}},
+             {"name": "epbo", "rho": -1.0}, {"name": "epbo", "rho": "x"},
+             {"name": "primal_dual", "eta": 0.0}, {"name": "safeopt_lite", "lipschitz": -1.0},
+             {"name": "config", "beta": {"mode": "linear"}},
+             {"name": "config", "beta": {"value": "x"}}, {"name": "config", "beta": 2.0},
+             {"name": "safeopt_lite", "safe_seed": [[0.0]]}]
 )
 def test_mistyped_policy_spec_rejected(tmp_path, spec):
-    # A misspelled policy or knob must fail when the config is built, not
-    # after the other replications have run (or never, for a knob).
+    # A misspelled policy, knob or value must fail when the config is built,
+    # not after the other replications have run (or never, for a knob).
     with pytest.raises(ValueError):
         small_config(tmp_path, policies=[{"name": "random"}, spec])
 
 
 @pytest.mark.parametrize(
     "gp", [{"fit_evry": 5}, {"lengthscale_facor": 0.5}, {"fit_every": -1},
-           {"fit_every": 2.5}, {"fit_every": "5"}, {"fit_every": True}]
+           {"fit_every": 2.5}, {"fit_every": "5"}, {"fit_every": True},
+           {"family": "rbf"}, {"lengthscale_factor": -1}, {"lengthscale_factor": "x"},
+           {"output_scale": [0.5, 0.5, 0.5]}, {"noise_variance": float("nan")},
+           {"lengthscales": [1.0, 1.0]}]
 )
 def test_mistyped_gp_settings_rejected(tmp_path, gp):
     # A misspelled fit_every would silently turn hyperparameter refits off.
     with pytest.raises(ValueError):
         small_config(tmp_path, gp={**GP, **gp})
+
+
+def test_rejected_config_writes_nothing_and_its_fix_runs(tmp_path):
+    # A bad knob used to leave a header and a first record in every log, and
+    # those logs then blocked the corrected config ("different configuration").
+    out = tmp_path / "runs"
+    policies = [{"name": "config"}, {"name": "epbo", "rho": -1.0}]
+    with pytest.raises(ValueError, match="policy 'epbo': rho"):
+        small_config(out, policies=policies, budget=3, seeds=(1, 2))
+    assert not out.exists()
+    policies[1]["rho"] = 1.0
+    paths = run_experiment(small_config(out, policies=policies, budget=3, seeds=(1, 2)))
+    assert sorted(out.glob("*.jsonl")) == sorted(paths)
+    assert all(len(load_log(path)[1]) == 3 for path in paths)
 
 
 @pytest.mark.parametrize(
@@ -389,11 +425,10 @@ def test_hyperparameter_refit_in_the_loop(tmp_path):
 
 
 def test_safeopt_requires_seed_or_feasible_start(tmp_path):
-    config = small_config(
-        tmp_path, policies=[{"name": "safeopt_lite"}], budget=2, seeds=(1,), start="none"
-    )
-    with pytest.raises(RuntimeError, match="safe_seed"):
-        run_experiment(config)
+    for start in ("none", "uniform"):
+        with pytest.raises(ValueError, match="policy 'safeopt_lite'.*safe_seed"):
+            small_config(tmp_path, policies=[{"name": "safeopt_lite"}], start=start)
+    assert not any(tmp_path.iterdir())
 
 
 def test_safeopt_without_seed_starts_from_the_feasible_start(tmp_path):
