@@ -51,6 +51,8 @@ class Domain:
         grid_counts = tuple(int(c) for c in np.atleast_1d(grid_counts))
         if not len(lower) == len(upper) == len(grid_counts):
             raise ValueError("lower, upper and grid_counts must have equal length")
+        if not lower:
+            raise ValueError("a domain needs at least one dimension")
         if any(lo >= hi for lo, hi in zip(lower, upper)):
             raise ValueError(f"need lower < upper per dimension, got {lower} / {upper}")
         if any(c < 2 for c in grid_counts):

@@ -34,8 +34,8 @@ on the identity of a read-only array that owns its memory, such as
 cache alone. A model that is never asked about a lattice builds no cache,
 and a model built from scratch (e.g. after a hyperparameter refit) rebuilds
 it on its first lattice query. The cache holds ``t * G`` floats per model
-plus up to ``_ROW_CHUNK`` spare rows; one uncached query builds a ``(t, G, d)``
-difference tensor and a ``t * G`` cross-covariance on every call.
+plus up to ``_ROW_CHUNK`` spare rows; one uncached query builds a ``t * G``
+cross-covariance on every call.
 """
 
 from __future__ import annotations

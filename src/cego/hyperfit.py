@@ -40,7 +40,7 @@ from scipy.linalg import LinAlgError
 
 from .domain import Domain
 from .gp import GpModel
-from .kernels import SQUARED_EXPONENTIAL, Kernel, covariance
+from .kernels import SQUARED_EXPONENTIAL, Kernel, covariance, scaled_sq_distances
 
 __all__ = ["fit_hyperparameters", "LENGTHSCALE_FACTORS", "OUTPUT_SCALE_FACTORS", "NOISE_FACTORS"]
 
@@ -65,9 +65,7 @@ def _screen(points, values, domain, family, value_scale):
 
     Both arrays are flat in ``(lengthscale, scale, noise)`` order.
     """
-    scaled = points / domain.widths
-    diff = scaled[:, None, :] - scaled[None, :, :]
-    sq = np.sum(diff * diff, axis=-1)
+    sq = scaled_sq_distances(points, points, domain.widths)
     factors = np.asarray(LENGTHSCALE_FACTORS)
     eigvals, eigvecs = np.linalg.eigh(covariance(family, sq / (factors**2)[:, None, None]))
     proj = np.einsum("fij,i->fj", eigvecs, values) ** 2

@@ -3,6 +3,13 @@
 Two families are supported: squared-exponential for smooth targets and
 Matern-5/2 for moderately rough ones. Both use per-dimension lengthscales
 (ARD) and a scalar output scale ``s`` with prior variance ``s**2``.
+
+Scaled squared distances are built one ``(len(a), len(b))`` plane per
+dimension, ``((a_k / s_k) - (b_k / s_k))**2``, and summed in dimension order
+k = 0, 1, ...; no ``(len(a), len(b), d)`` difference tensor is formed. For
+d <= 7 this is bit for bit what ``np.sum(diff * diff, axis=-1)`` over that
+tensor gives, because numpy sums fewer than 8 elements in order. From d = 8
+numpy sums pairwise, so the last bit may differ there.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ class Kernel:
         if family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {family!r}, expected one of {_FAMILIES}")
         lengthscales = tuple(float(v) for v in np.atleast_1d(lengthscales))
+        if not lengthscales:
+            raise ValueError("a kernel needs at least one lengthscale")
         if not all(ls > 0 for ls in lengthscales):
             raise ValueError(f"lengthscales must be positive, got {lengthscales}")
         if not output_scale > 0:
@@ -52,9 +61,7 @@ class Kernel:
             raise ValueError(
                 f"points have dims {a.shape[1]}/{b.shape[1]}, kernel has {self.dim}"
             )
-        ls = np.asarray(self.lengthscales)
-        diff = a[:, None, :] / ls - b[None, :, :] / ls
-        sq = np.sum(diff * diff, axis=-1)
+        sq = scaled_sq_distances(a, b, self.lengthscales)
         return covariance(self.family, sq, self.prior_variance)
 
     def gram(self, points: np.ndarray) -> np.ndarray:
@@ -62,6 +69,22 @@ class Kernel:
         gram = self.cross(points, points)
         # Enforce exact symmetry; float noise here would leak into Cholesky checks.
         return 0.5 * (gram + gram.T)
+
+
+def scaled_sq_distances(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and ``b``, axis k divided by ``scales[k]``.
+
+    Shape ``(len(a), len(b))``, summed one plane per dimension in order.
+    """
+    sq = None
+    for k, scale in enumerate(scales):
+        plane = np.subtract.outer(a[:, k] / scale, b[:, k] / scale)
+        plane *= plane
+        if sq is None:
+            sq = plane
+        else:
+            sq += plane
+    return sq
 
 
 def covariance(family: str, sq: np.ndarray, variance: float = 1.0) -> np.ndarray:

@@ -301,8 +301,11 @@ def safeopt_lite_step(state: AlgorithmState) -> Decision:
     if state.n_constraints and np.isfinite(state.lipschitz):
         grid = state.domain.grid
         worst_ucb = np.max(ev.ucb[1:], axis=0)
-        # L1 distances from each safe point to every lattice point.
-        dist = np.sum(np.abs(grid[safe][:, None, :] - grid[None, :, :]), axis=-1)
+        # L1 distances from each safe point to every lattice point, summed one
+        # plane per dimension in order (see kernels.scaled_sq_distances).
+        dist = np.abs(np.subtract.outer(grid[safe, 0], grid[:, 0]))
+        for k in range(1, state.domain.dim):
+            dist += np.abs(np.subtract.outer(grid[safe, k], grid[:, k]))
         certified = np.min(worst_ucb[safe][:, None] + state.lipschitz * dist, axis=0) <= 0
         safe = np.union1d(safe, np.flatnonzero(certified))
     state.safe_indices = safe

@@ -253,6 +253,8 @@ def problem_from_config(config: dict) -> Problem:
     or one whose value is not of the kind that keyword takes, raises a
     ``ValueError`` that names it.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"problem must be an object with a 'name', got {config!r}")
     params = dict(config)
     name = params.pop("name", None)
     if name not in PROBLEM_BUILDERS:

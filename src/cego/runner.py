@@ -87,6 +87,12 @@ class RunConfig:
     gp: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # A JSON config can hold any shape; each setting's is checked first.
+        _check_shape("gp", self.gp, dict, "an object of GP settings")
+        _check_shape("policies", self.policies, (list, tuple), "a list of policy specs")
+        for spec in self.policies:
+            _check_shape("policy spec", spec, dict, "an object with a 'name'")
+        _check_shape("seeds", self.seeds, (list, tuple), "a list of ints")
         _check_int("budget", self.budget, minimum=1)
         _check_int("n_init_random", self.n_init_random, minimum=0)
         _check_int("gp fit_every", self.gp.get("fit_every", 0), minimum=0)
@@ -130,6 +136,11 @@ def _check_int(what: str, value, minimum: int):
     # bool is an int subclass, and a float seed would be truncated by int().
     if type(value) is not int or value < minimum:
         raise ValueError(f"{what} must be an int >= {minimum}, got {value!r}")
+
+
+def _check_shape(what: str, value, kinds, expected: str):
+    if not isinstance(value, kinds):
+        raise ValueError(f"{what} must be {expected}, got {value!r}")
 
 
 def _check_keys(what: str, settings: dict, allowed: frozenset):

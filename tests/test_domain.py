@@ -13,6 +13,8 @@ def test_validation():
         Domain([0.0], [1.0], [1])
     with pytest.raises(ValueError):
         Domain([0.0, 0.0], [1.0], [2, 2])
+    with pytest.raises(ValueError, match="at least one dimension"):
+        Domain([], [], [])
 
 
 def test_corners_on_lattice():

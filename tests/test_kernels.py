@@ -1,9 +1,34 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cego.kernels import Kernel
+from cego.domain import Domain
+from cego.kernels import Kernel, covariance
+
+FAMILIES = ["squared_exponential", "matern52"]
+
+
+def tensor_cross(kernel, a, b):
+    """The cross-covariance from an ``(n, m, d)`` difference tensor summed over its last axis."""
+    ls = np.asarray(kernel.lengthscales)
+    diff = a[:, None, :] / ls - b[None, :, :] / ls
+    return covariance(kernel.family, np.sum(diff * diff, axis=-1), kernel.prior_variance)
+
+
+def tensor_gram(kernel, points):
+    gram = tensor_cross(kernel, points, points)
+    return 0.5 * (gram + gram.T)
+
+
+def cross_cases(dim, seed):
+    """A kernel and point sets of shapes 0 x m, 1 x 1, 3 x 1 and t x 10^4, in ``dim`` dimensions."""
+    rng = np.random.default_rng(seed)
+    kernel_scales = rng.uniform(1.0, 3.0, dim)
+    sizes = [(0, 7), (1, 1), (3, 1), (30, 10_000)]
+    return kernel_scales, [(rng.uniform(0, 1, (n, dim)), rng.uniform(0, 1, (m, dim))) for n, m in sizes]
 
 
 def test_se_at_identical_points_is_prior_variance():
@@ -75,3 +100,46 @@ def test_invalid_parameters_rejected():
         Kernel("squared_exponential", [1.0], -1.0)
     with pytest.raises(ValueError):
         Kernel("cubic", [1.0], 1.0)
+
+
+def test_zero_dimensions_rejected():
+    with pytest.raises(ValueError, match="at least one lengthscale"):
+        Kernel("squared_exponential", [], 1.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_cross_and_gram_match_difference_tensor_bit_for_bit(family, dim):
+    # numpy sums fewer than 8 elements in order, as the per-dimension planes are.
+    scales, cases = cross_cases(dim, seed=dim)
+    kernel = Kernel(family, scales, 1.3)
+    for a, b in cases:
+        assert np.array_equal(kernel.cross(a, b), tensor_cross(kernel, a, b))
+        assert np.array_equal(kernel.gram(a), tensor_gram(kernel, a))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", range(8, 13))
+def test_cross_and_gram_match_difference_tensor_beyond_seven_dimensions(family, dim):
+    # From 8 elements numpy sums pairwise, so the last bit may differ.
+    scales, cases = cross_cases(dim, seed=dim)
+    kernel = Kernel(family, scales, 1.3)
+    for a, b in cases:
+        np.testing.assert_allclose(kernel.cross(a, b), tensor_cross(kernel, a, b), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(kernel.gram(a), tensor_gram(kernel, a), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("family, planes", [("squared_exponential", 3.5), ("matern52", 6.5)])
+def test_cross_peak_memory_in_lattice_planes(family, planes):
+    # An (n, m, d) difference tensor and its square cost 2d planes of n x m
+    # floats on top of the covariance's own temporaries.
+    t, grid = 100, Domain([0.0, 0.0], [1.0, 1.0], [100, 100]).grid
+    points = np.random.default_rng(5).uniform(0, 1, (t, 2))
+    kernel = Kernel(family, [0.1, 0.2], 1.0)
+    tracemalloc.start()
+    try:
+        kernel.cross(points, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= planes * t * len(grid) * 8

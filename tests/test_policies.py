@@ -365,6 +365,29 @@ def test_safeopt_expansion_certificate():
     assert set(state.safe_indices) == expected
 
 
+def test_safeopt_expansion_matches_brute_force_l1():
+    # Three spread seeds, two constraints: a lattice point is certified when
+    # some seed's worst UCB plus L times its L1 distance is <= 0.
+    domain = Domain([0.0, -1.0], [3.0, 1.0], [16, 11])
+    seeds = np.array([0, 93, domain.grid_size - 1])
+    state = make_state("safeopt_lite", domain, n_constraints=2, lipschitz=1.5, noise=1e-6,
+                       safe_indices=seeds, lengthscale=0.4)
+    for index, value in zip(seeds, (-1.0, -2.0, -0.6)):
+        for _ in range(3):
+            observe(state, domain.point(index), [0.0, value, value - 0.2])
+    ucb = state.grid_bounds().ucb
+    grid = domain.grid
+    expected = set(seeds)
+    for index in range(domain.grid_size):
+        for seed in seeds:
+            dist = sum(abs(float(grid[seed, k]) - float(grid[index, k])) for k in range(2))
+            if max(ucb[1][seed], ucb[2][seed]) + 1.5 * dist <= 0:
+                expected.add(index)
+    safeopt_lite_step(state)
+    assert set(state.safe_indices) == expected
+    assert len(seeds) < len(expected) < domain.grid_size
+
+
 def test_safeopt_never_samples_outside_safe_set():
     rng = np.random.default_rng(12)
     domain = Domain([0.0, 0.0], [1.0, 1.0], [5, 5])

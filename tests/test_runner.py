@@ -39,7 +39,7 @@ def small_config(tmp_path, policies=None, budget=5, seeds=(1,), problem=None, gp
         problem=problem or {"name": "artificial", "g_thr": -0.6, "grid": [12, 12], "noise_std": 0.01},
         policies=policies or [{"name": "random"}],
         budget=budget,
-        seeds=list(seeds),
+        seeds=seeds,
         output_dir=str(tmp_path),
         gp=gp or GP,
         **kwargs,
@@ -200,16 +200,22 @@ def test_distinct_seeds_required(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "settings",
-    [{"budget": 2.5}, {"budget": 0}, {"n_init_random": 1.5}, {"n_init_random": True},
-     {"seeds": (1, 1.5)}, {"seeds": (1, True)}, {"seeds": (2, True)}, {"seeds": (-1,)}],
+    "settings, match",
+    [({"budget": 2.5}, "must be an int"), ({"budget": 0}, "must be an int"),
+     ({"n_init_random": 1.5}, "must be an int"), ({"n_init_random": True}, "must be an int"),
+     ({"seeds": (1, 1.5)}, "must be an int"), ({"seeds": (1, True)}, "must be an int"),
+     ({"seeds": (2, True)}, "must be an int"), ({"seeds": (-1,)}, "must be an int"),
+     ({"seeds": 3}, "seeds must be a list"), ({"gp": 5}, "gp must be an object"),
+     ({"policies": {"name": "config"}}, "policies must be a list")],
     ids=["budget-fraction", "budget-zero", "n_init-fraction", "n_init-bool",
-         "seed-fraction", "seed-true-as-1", "seed-bool", "seed-negative"],
+         "seed-fraction", "seed-true-as-1", "seed-bool", "seed-negative",
+         "seeds-not-a-list", "gp-not-an-object", "policies-not-a-list"],
 )
-def test_mistyped_run_settings_rejected(tmp_path, settings):
+def test_mistyped_run_settings_rejected(tmp_path, settings, match):
     # The streams key on int(seed), so seeds 2 and True would run the same
     # replication twice; a fractional count would fail every replication.
-    with pytest.raises(ValueError, match="must be an int"):
+    # A setting of the wrong JSON shape must be named, not fail inside a lookup.
+    with pytest.raises(ValueError, match=match):
         small_config(tmp_path, **settings)
 
 
@@ -220,7 +226,7 @@ def test_mistyped_run_settings_rejected(tmp_path, settings):
              {"name": "primal_dual", "eta": 0.0}, {"name": "safeopt_lite", "lipschitz": -1.0},
              {"name": "config", "beta": {"mode": "linear"}},
              {"name": "config", "beta": {"value": "x"}}, {"name": "config", "beta": 2.0},
-             {"name": "safeopt_lite", "safe_seed": [[0.0]]}]
+             {"name": "safeopt_lite", "safe_seed": [[0.0]]}, "config"]
 )
 def test_mistyped_policy_spec_rejected(tmp_path, spec):
     # A misspelled policy, knob or value must fail when the config is built,
@@ -272,10 +278,11 @@ def test_rejected_config_writes_nothing_and_its_fix_runs(tmp_path):
      ({"name": "external", "command": "python stub.py", "lower": [0.0], "upper": [1.0],
        "grid": [5], "n_constraints": 1}, "command"),
      ({"name": "external", "command": ["python"], "lower": [0.0], "upper": [1.0],
-       "grid": [5], "n_constraints": "1"}, "n_constraints")],
+       "grid": [5], "n_constraints": "1"}, "n_constraints"),
+     ("artificial", "problem")],
     ids=["misspelled", "not-a-setting", "not-a-plant-setting", "missing", "g_thr-text",
          "noise-text", "noise-nan", "grid-text", "grid-fraction", "grid-bool",
-         "command-string", "n_constraints-text"],
+         "command-string", "n_constraints-text", "not-an-object"],
 )
 def test_mistyped_problem_settings_rejected(tmp_path, problem, key):
     # A dropped key would silently run the default problem instead.
