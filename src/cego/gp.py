@@ -15,26 +15,39 @@ variance ``lam`` and ``L L^T = K + lam I``::
 Variance values in ``[-1e-9, 0)`` are clamped to zero; anything more
 negative indicates a broken factorization and raises.
 
+Groups. The posterior covariance depends on the inputs, the kernel and the
+noise, never on the targets (Rasmussen & Williams 2006, §2.2). So a model
+holds two parts: a covariance part with the kernel, the noise, ``X``, ``L``
+and the lattice rows below, and its own targets ``y`` with what depends on
+them. Outputs observed at the same inputs under equal kernel and noise can
+hold one covariance part, a group: :func:`empty_models` starts one per
+distinct ``(kernel, noise_variance)``, and when each member of a group
+``add``s the same point, the first builds the child part and the others get
+it. A model built any other way, such as a refit, is a group of one.
+
 Lattice cache. Every policy step asks each model about the same lattice, so
-a model keeps ``V = L^{-1} k(X, lattice)``, ``z = L^{-1} y`` and the posterior
-on the last lattice it was asked about. The first query builds them with the
-formulas above, so its answer is the uncached one. ``add`` then extends the
+a group keeps ``V = L^{-1} k(X, lattice)`` and the unclamped variance on the
+last lattice one of its members was asked about, and each member keeps
+``z = L^{-1} y`` and its mean there. The first query builds them with the
+formulas above, so its answer is the uncached one; a member that first asks
+about the group's lattice later computes its own mean with one
+cross-covariance and takes the group's variance. ``add`` then extends the
 cache by one row instead of dropping it (sequential Cholesky update;
 Rasmussen & Williams 2006, Alg. 2.1; Osborne 2010). With ``l, d`` the new
 last row and diagonal entry of the child's factor::
 
+    row  = (k(x_t, lattice) - l^T V) / d     once per group
+    var -= row**2                            once per group
     z_t  = (y_t - l . z) / d
-    row  = (k(x_t, lattice) - l^T V) / d
     mean += z_t * row
-    var  -= row**2
 
 which costs O(t G) per step instead of O(t G d + t^2 G). The cache is keyed
 on the identity of a read-only array that owns its memory, such as
 ``Domain.grid``; any other query takes the uncached path and leaves the
-cache alone. A model that is never asked about a lattice builds no cache,
+cache alone. A group that is never asked about a lattice builds no cache,
 and a model built from scratch (e.g. after a hyperparameter refit) rebuilds
-it on its first lattice query. The cache holds ``t * G`` floats per model
-plus up to ``_ROW_CHUNK`` spare rows; one uncached query builds a ``t * G``
+it on its first lattice query. The cache holds ``t * G`` floats per group,
+in a buffer that doubles when full; one uncached query builds a ``t * G``
 cross-covariance on every call.
 """
 
@@ -42,6 +55,7 @@ from __future__ import annotations
 
 import mmap
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +64,11 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from .domain import as_point
 from .kernels import Kernel
 
-__all__ = ["GpModel"]
+__all__ = ["GpModel", "empty_models"]
 
 _VARIANCE_CLAMP = 1e-9
 
-# Lattice-cache rows are allocated this many at a time.
+# Lattice-cache rows are allocated at least this many at a time.
 _ROW_CHUNK = 32
 _TIP_LOCK = threading.Lock()
 
@@ -80,11 +94,12 @@ class GpNumericsError(RuntimeError):
 
 
 class _RowBuffer:
-    """Rows of ``V``, grown in chunks and shared along a chain of ``add`` calls.
+    """Rows of ``V``, grown geometrically and shared along a chain of ``add`` calls.
 
     ``tip`` counts the rows some model has claimed. A model only reads its
     own first ``t`` rows, so the model whose cache ends at the tip may append
-    in place; any other (a second child of one parent) gets a copy.
+    in place; any other (a second child of one parent) gets a copy. Rows
+    mapped but not yet written are not resident.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -101,7 +116,7 @@ class _RowBuffer:
         if not at_tip:
             return _RowBuffer(np.vstack([self.data[:t], row]))
         if t == self.data.shape[0]:
-            grown = _mapped_rows(t + _ROW_CHUNK, self.data.shape[1])
+            grown = _mapped_rows(t + max(t, _ROW_CHUNK), self.data.shape[1])
             grown[:t] = self.data[:t]
             self.data = grown
         self.data[t] = row
@@ -109,17 +124,76 @@ class _RowBuffer:
 
 
 @dataclass(frozen=True, eq=False)
-class _LatticeCache:
-    """A model's posterior on one lattice, and what extending it needs.
+class _LatticeRows:
+    """A group's share of the posterior on one lattice.
 
-    ``rows.data[:len(z)]`` is ``V``; ``var`` is not yet clamped.
+    ``buffer.data[:t]`` is ``V``; ``var`` is not yet clamped.
     """
 
     lattice: np.ndarray
-    rows: _RowBuffer
+    buffer: _RowBuffer
+    var: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _LatticeMean:
+    """One output's share of the posterior on the lattice of ``shared``."""
+
+    shared: _LatticeRows
     z: np.ndarray
     mean: np.ndarray
-    var: np.ndarray
+
+
+class _Covariance:
+    """The part of a posterior that depends on the inputs alone.
+
+    Kernel, noise variance, inputs ``X``, the lower Cholesky factor ``chol``
+    of ``K + lam I`` (None without data) and ``lattice``, the group's
+    lattice cache (None until a lattice query builds it).
+    """
+
+    def __init__(self, kernel: Kernel, noise_variance: float, X: np.ndarray):
+        self.kernel = kernel
+        self.noise_variance = noise_variance
+        self.X = X
+        self.chol = None
+        self.lattice: _LatticeRows | None = None
+        # (point bytes, lattice extended, weakref to the child, its lattice rows)
+        self._last_child = None
+        if len(X):
+            gram = kernel.gram(X)
+            gram[np.diag_indices_from(gram)] += noise_variance
+            # Raises scipy.linalg.LinAlgError on an ill-conditioned kernel/noise pair.
+            self.chol = cholesky(gram, lower=True)
+
+    def extend(self, point: np.ndarray, lattice: _LatticeRows | None):
+        """The part for ``X`` plus ``point``, and ``lattice`` extended by its row.
+
+        ``lattice`` is this part's lattice cache as the caller read it. The
+        members of a group call this in turn with the same arguments; while
+        the first one's child lives, the others get the same pair back. Two
+        calls that race both build a child, and either is correct.
+        """
+        key = point.tobytes()
+        last = self._last_child
+        if last is not None and last[0] == key and last[1] is lattice:
+            child = last[2]()
+            if child is not None:
+                return child, last[3]
+        child = _Covariance(self.kernel, self.noise_variance, np.vstack([self.X, point[None, :]]))
+        rows = None
+        if lattice is not None:
+            t = self.X.shape[0]
+            l, d = child.chol[t, :t], child.chol[t, t]
+            k_row = self.kernel.cross(point[None, :], lattice.lattice)[0]
+            row = (k_row - l @ lattice.buffer.data[:t]) / d
+            rows = child.lattice = _LatticeRows(
+                lattice=lattice.lattice,
+                buffer=lattice.buffer.append(t, row),
+                var=lattice.var - row * row,
+            )
+        self._last_child = (key, lattice, weakref.ref(child), rows)
+        return child, rows
 
 
 def _is_lattice(queries: np.ndarray) -> bool:
@@ -143,15 +217,23 @@ class GpModel:
                  _X: np.ndarray | None = None, _y: np.ndarray | None = None):
         if not noise_variance > 0:
             raise ValueError(f"noise_variance must be positive, got {noise_variance}")
-        self.kernel = kernel
-        self.noise_variance = float(noise_variance)
-        self._X = np.empty((0, kernel.dim)) if _X is None else _X
-        self._y = np.empty(0) if _y is None else _y
-        self._chol = None
-        self._alpha = None
-        self._lattice: _LatticeCache | None = None
-        if len(self._y):
-            self._factorize()
+        X = np.empty((0, kernel.dim)) if _X is None else _X
+        self._hold(_Covariance(kernel, float(noise_variance), X), np.empty(0) if _y is None else _y)
+
+    def _hold(self, cov: _Covariance, y: np.ndarray):
+        """Take ``cov`` as the covariance part and ``y`` as the targets at its inputs."""
+        self._cov = cov
+        self._y = y
+        self._alpha = cho_solve((cov.chol, True), y) if len(y) else None
+        self._lattice: _LatticeMean | None = None
+
+    @property
+    def kernel(self) -> Kernel:
+        return self._cov.kernel
+
+    @property
+    def noise_variance(self) -> float:
+        return self._cov.noise_variance
 
     # -- observation data ---------------------------------------------------
 
@@ -161,7 +243,7 @@ class GpModel:
 
     @property
     def points(self) -> np.ndarray:
-        return self._X.copy()
+        return self._cov.X.copy()
 
     @property
     def values(self) -> np.ndarray:
@@ -175,31 +257,21 @@ class GpModel:
         if not np.isfinite(value):
             raise ValueError(f"observation value must be finite, got {value}")
         value = float(value)
-        X = np.vstack([self._X, point[None, :]])
-        y = np.append(self._y, value)
-        child = GpModel(self.kernel, self.noise_variance, X, y)
-        cache = self._lattice
-        if cache is not None:
+        shared = self._cov.lattice
+        cov, rows = self._cov.extend(point, shared)
+        child = object.__new__(GpModel)
+        child._hold(cov, np.append(self._y, value))
+        own = self._lattice
+        if own is not None and own.shared is shared:
             t = self.n_observations
-            l, d = child._chol[t, :t], child._chol[t, t]
-            k_row = self.kernel.cross(point[None, :], cache.lattice)[0]
-            row = (k_row - l @ cache.rows.data[:t]) / d
-            z_t = (value - l @ cache.z) / d
-            child._lattice = _LatticeCache(
-                lattice=cache.lattice,
-                rows=cache.rows.append(t, row),
-                z=np.append(cache.z, z_t),
-                mean=cache.mean + z_t * row,
-                var=cache.var - row * row,
+            l, d = cov.chol[t, :t], cov.chol[t, t]
+            z_t = (value - l @ own.z) / d
+            child._lattice = _LatticeMean(
+                shared=rows,
+                z=np.append(own.z, z_t),
+                mean=own.mean + z_t * rows.buffer.data[t],
             )
         return child
-
-    def _factorize(self):
-        gram = self.kernel.gram(self._X)
-        gram[np.diag_indices_from(gram)] += self.noise_variance
-        # Raises scipy.linalg.LinAlgError on an ill-conditioned kernel/noise pair.
-        self._chol = cholesky(gram, lower=True)
-        self._alpha = cho_solve((self._chol, True), self._y)
 
     # -- posterior queries ----------------------------------------------------
 
@@ -222,20 +294,24 @@ class GpModel:
         prior_var = np.full(queries.shape[0], self.kernel.prior_variance)
         if self.n_observations == 0:
             return np.zeros(queries.shape[0]), prior_var
-        cache = self._lattice
-        if cache is not None and cache.lattice is queries:
-            means, variances = cache.mean.copy(), cache.var
+        cov, own, shared = self._cov, self._lattice, self._cov.lattice
+        if shared is not None and shared.lattice is not queries:
+            shared = None
+        if own is not None and own.shared is shared:
+            means, variances = own.mean.copy(), shared.var
         else:
-            k_cross = self.kernel.cross(self._X, queries)
+            k_cross = self.kernel.cross(cov.X, queries)
             means = k_cross.T @ self._alpha
-            v = solve_triangular(self._chol, k_cross, lower=True)
-            variances = prior_var - np.sum(v * v, axis=0)
-            if _is_lattice(queries):
-                z = solve_triangular(self._chol, self._y, lower=True)
-                self._lattice = _LatticeCache(
-                    lattice=queries, rows=_RowBuffer(v), z=z,
-                    mean=means.copy(), var=variances,
-                )
+            if shared is not None:
+                variances = shared.var
+            else:
+                v = solve_triangular(cov.chol, k_cross, lower=True)
+                variances = prior_var - np.sum(v * v, axis=0)
+                if _is_lattice(queries):
+                    shared = cov.lattice = _LatticeRows(queries, _RowBuffer(v), variances)
+            if shared is not None:
+                z = solve_triangular(cov.chol, self._y, lower=True)
+                self._lattice = _LatticeMean(shared, z, means.copy())
         too_negative = variances < -_VARIANCE_CLAMP
         if np.any(too_negative):
             raise GpNumericsError(
@@ -249,7 +325,7 @@ class GpModel:
         if self.n_observations == 0:
             return 0.0
         t = self.n_observations
-        log_det = 2.0 * np.sum(np.log(np.diag(self._chol)))
+        log_det = 2.0 * np.sum(np.log(np.diag(self._cov.chol)))
         return float(
             -0.5 * self._y @ self._alpha - 0.5 * log_det - 0.5 * t * np.log(2.0 * np.pi)
         )
@@ -259,3 +335,18 @@ class GpModel:
             f"GpModel(family={self.kernel.family}, t={self.n_observations}, "
             f"lam={self.noise_variance:g})"
         )
+
+
+def empty_models(settings) -> list[GpModel]:
+    """One model without data per ``(kernel, noise_variance)`` pair, in order.
+
+    Pairs that are equal share one covariance part, so while their models
+    see the same inputs each step factorizes and extends the lattice cache
+    once for all of them (see the module docstring).
+    """
+    models, groups = [], {}
+    for kernel, noise_variance in settings:
+        model = GpModel(kernel, noise_variance)
+        model._hold(groups.setdefault((kernel, model.noise_variance), model._cov), model._y)
+        models.append(model)
+    return models

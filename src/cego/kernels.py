@@ -91,7 +91,15 @@ def covariance(family: str, sq: np.ndarray, variance: float = 1.0) -> np.ndarray
     """Covariance at lengthscale-scaled squared distances ``sq``, prior variance ``variance``."""
     if family == SQUARED_EXPONENTIAL:
         return variance * np.exp(-0.5 * sq)
-    # Matern-5/2 in terms of the scaled distance r.
-    r = np.sqrt(np.maximum(sq, 0.0))
-    sqrt5_r = np.sqrt(5.0) * r
-    return variance * (1.0 + sqrt5_r + (5.0 / 3.0) * sq) * np.exp(-sqrt5_r)
+    # Matern-5/2 in terms of the scaled distance r:
+    # variance * (1 + sqrt(5) r + (5/3) sq) * exp(-sqrt(5) r), each operation
+    # in that order, with at most three arrays the size of sq alive besides it.
+    sqrt5_r = np.maximum(sq, 0.0)
+    np.sqrt(sqrt5_r, out=sqrt5_r)
+    sqrt5_r *= np.sqrt(5.0)
+    out = 1.0 + sqrt5_r
+    out += (5.0 / 3.0) * sq
+    out *= variance
+    np.negative(sqrt5_r, out=sqrt5_r)
+    out *= np.exp(sqrt5_r, out=sqrt5_r)
+    return out

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from . import __version__
-from .gp import GpModel
+from .gp import empty_models
 from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
 from .kernels import SQUARED_EXPONENTIAL, Kernel
 from .metrics import (
@@ -175,16 +175,17 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict) -> Algorit
 
     ``output_scale`` and ``noise_variance`` accept either a scalar or one
     value per output, since objective and constraints often live on very
-    different scales. The constructors check every value.
+    different scales. The constructors check every value. Outputs whose
+    kernel and noise are equal share one covariance part (see ``cego.gp``).
     """
     family = gp_config.get("family", SQUARED_EXPONENTIAL)
     lengthscales = tuple(gp_config.get("lengthscale_factor", 0.1) * problem.domain.widths)
     output_scales = _per_output(gp_config.get("output_scale", 1.0), problem.n_outputs)
     noise_variances = _per_output(gp_config.get("noise_variance", 1e-4), problem.n_outputs)
-    models = [
-        GpModel(Kernel(family, lengthscales, output_scales[i]), noise_variances[i])
+    models = empty_models(
+        (Kernel(family, lengthscales, output_scales[i]), noise_variances[i])
         for i in range(problem.n_outputs)
-    ]
+    )
     # A knob the spec leaves out keeps the default of AlgorithmState.
     knobs = {key: policy_spec[key] for key in _STATE_KNOBS if key in policy_spec}
     if policy_spec["name"] == "safeopt_lite" and "safe_seed" in policy_spec:
@@ -415,15 +416,18 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
     """Execute every (policy, seed) replication; returns the log paths.
 
     Replications are independent; with ``jobs > 1`` they run in separate
-    processes. A failed replication (e.g. external evaluator fault) does not
-    abort the others; its partial log is preserved and the error re-raised
-    at the end.
+    processes, at most one per replication. A failed replication (e.g.
+    external evaluator fault) does not abort the others; its partial log is
+    preserved and the error re-raised at the end.
     """
+    _check_int("jobs", jobs, minimum=1)
     tasks = [(spec, seed) for spec in config.policies for seed in config.seeds]
     paths: list[Path] = []
     failures: list[tuple[dict, int, Exception]] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool forks all its workers at the first submit.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(run_replication, config, spec, seed): (spec, seed)
                 for spec, seed in tasks

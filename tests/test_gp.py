@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cego.domain import Domain
-from cego.gp import GpModel
+from cego.gp import GpModel, empty_models
 from cego.grid_eval import evaluate_grid
+from cego.hyperfit import fit_hyperparameters
 from cego.kernels import Kernel
+from cego.policies import AlgorithmState, observe
 
 from conftest import random_model
 
@@ -272,7 +274,8 @@ def test_model_rebuilt_from_its_data_matches_incremental():
         )
 
 
-def test_lattice_step_costs_one_kernel_row(monkeypatch):
+def count_cross_entries(monkeypatch) -> list[int]:
+    """Make every ``Kernel.cross`` call append its entry count to the returned list."""
     entries = []
     cross = Kernel.cross
 
@@ -281,6 +284,11 @@ def test_lattice_step_costs_one_kernel_row(monkeypatch):
         return cross(kernel, a, b)
 
     monkeypatch.setattr(Kernel, "cross", counted_cross)
+    return entries
+
+
+def test_lattice_step_costs_one_kernel_row(monkeypatch):
+    entries = count_cross_entries(monkeypatch)
     rng = np.random.default_rng(31)
     domain = Domain([-2.0, -2.0], [2.0, 2.0], [20, 20])
     model = GpModel(Kernel("squared_exponential", [0.5, 0.5]), 1e-3).add([0.0, 0.0], 1.0)
@@ -295,6 +303,101 @@ def test_lattice_step_costs_one_kernel_row(monkeypatch):
     child = model.add([1.0, 1.0], 0.0)
     # The child's full Gram matrix, then one row against the lattice.
     assert entries == [child.n_observations**2, domain.grid_size]
+
+
+@pytest.mark.parametrize("scales, noises, groups", [
+    ((0.5, 0.5), (1e-3, 1e-3), 1),
+    ((70.0, 0.05), (1e-3, 1e-3), 2),
+    # The settings of configs/williams_otto.json: the two constraints share.
+    ((70.0, 0.05, 0.05), (0.5, 1e-6, 1e-6), 2),
+])
+def test_observe_costs_one_gram_and_row_per_group(monkeypatch, scales, noises, groups):
+    entries = count_cross_entries(monkeypatch)
+    rng = np.random.default_rng(37)
+    domain = Domain([-2.0, -2.0], [2.0, 2.0], [20, 20])
+    models = empty_models(
+        (Kernel("squared_exponential", [0.5, 0.5], scale), noise)
+        for scale, noise in zip(scales, noises)
+    )
+    state = AlgorithmState(policy="config", domain=domain, models=models)
+    for _ in range(4):
+        observe(state, rng.uniform(-2, 2, 2), rng.normal(size=len(scales)))
+        state.grid_bounds()
+    entries.clear()
+    observe(state, [1.0, 1.0], np.zeros(len(scales)))
+    assert entries == [state.t**2, domain.grid_size] * groups
+
+
+def assert_same_posteriors(shared, separate, domain, points):
+    for a, b in zip(shared, separate):
+        assert np.array_equal(a.points, points) and np.array_equal(b.points, points)
+        for got, want in zip(a.posterior_batch(domain.grid), b.posterior_batch(domain.grid)):
+            assert np.array_equal(got, want)
+
+
+def test_shared_covariance_matches_separate_models_bit_for_bit():
+    # Two outputs with equal settings step as one group on one side and as
+    # two groups of one on the other; both see the same queries in order.
+    rng = np.random.default_rng(41)
+    domain = Domain([-2.0, -2.0], [2.0, 2.0], [15, 15])
+    kernel = Kernel("squared_exponential", [0.6, 0.6], 1.5)
+    shared = empty_models([(kernel, 1e-3), (kernel, 1e-3)])
+    separate = [GpModel(kernel, 1e-3), GpModel(kernel, 1e-3)]
+
+    def step(pairs, points):
+        points.append(rng.uniform(-2, 2, 2))
+        x = points[-1]
+        values = (np.sin(3 * x[0]) + x[1], 50.0 * np.cos(2 * x[1]))
+        return [[model.add(x, value) for model, value in zip(models, values)]
+                for models in pairs]
+
+    main, branch, branches = [], [], []
+    for t in range(36):
+        shared, separate = step((shared, separate), main)
+        if t % 3 == 0:
+            queries = rng.uniform(-2, 2, (7, 2))  # writeable: uncached
+            for a, b in zip(shared, separate):
+                for got, want in zip(a.posterior_batch(queries), b.posterior_batch(queries)):
+                    assert np.array_equal(got, want)
+        if t == 12:
+            # A second child of each shared parent, stepped on its own branch.
+            branches, branch = [shared, separate], list(main)
+            shared, separate = step((shared, separate), main)
+        if t == 24:
+            # A refit gives each output hyperparameters of its own.
+            shared, separate = [
+                [fit_hyperparameters(m.points, m.values, domain) for m in models]
+                for models in (shared, separate)
+            ]
+            assert shared[0].kernel != shared[1].kernel
+        assert_same_posteriors(shared, separate, domain, main)
+        if branches and t < 20:
+            branches = step(branches, branch)
+            assert_same_posteriors(*branches, domain, branch)
+    assert_same_posteriors(*branches, domain, branch)
+
+
+def test_group_members_may_query_and_add_in_any_order():
+    # Members of one group that ask about other lattices, or ask between two
+    # members' adds of the same point, still get the posterior of their data.
+    rng = np.random.default_rng(43)
+    lattices = [Domain([-2.0, -2.0], [2.0, 2.0], [15, 15]), Domain([-1.0, -1.0], [1.0, 1.0], [9, 9])]
+    kernel = Kernel("matern52", [0.7, 0.7], 1.2)
+
+    def check(model, domain):
+        assert_posteriors_close(model.posterior_batch(domain.grid), fresh_lattice_posterior(model, domain))
+
+    for _ in range(12):
+        models = empty_models([(kernel, 1e-3)] * 2)
+        for t in range(6):
+            point = rng.uniform(-2, 2, 2)
+            for i in range(2):
+                for _ in range(int(rng.integers(0, 3)) if t else 0):
+                    check(models[rng.integers(2)], lattices[rng.integers(2)])
+                models[i] = models[i].add(point, rng.normal())
+        for model in models:
+            for domain in lattices:
+                check(model, domain)
 
 
 def test_cached_results_are_copies():

@@ -129,7 +129,7 @@ def test_cross_and_gram_match_difference_tensor_beyond_seven_dimensions(family, 
         np.testing.assert_allclose(kernel.gram(a), tensor_gram(kernel, a), rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("family, planes", [("squared_exponential", 3.5), ("matern52", 6.5)])
+@pytest.mark.parametrize("family, planes", [("squared_exponential", 3.5), ("matern52", 4.5)])
 def test_cross_peak_memory_in_lattice_planes(family, planes):
     # An (n, m, d) difference tensor and its square cost 2d planes of n x m
     # floats on top of the covariance's own temporaries.

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import cego.runner as runner_mod
+from cego.gp import GpModel
 from cego.metrics import best_so_far_series
 from cego.problems import (
     _SETTING_KINDS,
@@ -369,6 +371,62 @@ def test_parallel_jobs_match_serial(tmp_path):
     for s in sorted(serial_dir.glob("*.jsonl")):
         p = parallel_dir / s.name
         assert p.read_bytes() == s.read_bytes()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs each task in this process."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, sizes", [(64, [14]), (5, [5]), (1, [])])
+def test_process_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch, jobs, sizes):
+    created = []
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(created, max_workers))
+    config = small_config(tmp_path, policies=[{"name": "random"}, {"name": "config"}],
+                          budget=2, seeds=tuple(range(1, 8)))
+    assert len(run_experiment(config, jobs=jobs)) == 14
+    assert created == sizes
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 2.0, True, "2", None])
+def test_jobs_must_be_a_positive_int(tmp_path, monkeypatch, jobs):
+    created = []
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(created, max_workers))
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(small_config(tmp_path), jobs=jobs)
+    assert created == [] and list(tmp_path.iterdir()) == []
+
+
+def test_shared_covariance_keeps_every_log_byte(tmp_path, monkeypatch):
+    # Outputs with equal GP settings share one covariance part; stepping each
+    # output on its own must write the same bytes, refits included.
+    base = dict(
+        policies=[{"name": "config"}, {"name": "cei"}, {"name": "safeopt_lite"}],
+        budget=30, seeds=(2,), gp={**GP, "fit_every": 10},
+        problem={"name": "artificial", "g_thr": -0.6, "grid": [30, 30], "noise_std": 0.01},
+    )
+    shared = run_experiment(small_config(tmp_path / "shared", **base))
+    monkeypatch.setattr(runner_mod, "empty_models",
+                        lambda settings: [GpModel(k, noise) for k, noise in settings])
+    separate = run_experiment(small_config(tmp_path / "separate", **base))
+    assert [len(load_log(path)[1]) for path in shared] == [30, 30, 30]
+    for a, b in zip(shared, separate):
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_external_failure_aborts_only_that_replication(tmp_path):
