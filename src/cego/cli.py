@@ -13,8 +13,14 @@ from .runner import RunConfig, emit_metrics, run_experiment
 
 
 def _cmd_run(args) -> int:
-    config = RunConfig.from_json(args.config)
-    paths = run_experiment(config, jobs=args.jobs)
+    try:
+        config = RunConfig.from_json(args.config)
+        paths = run_experiment(config, jobs=args.jobs)
+    except ValueError as exc:
+        # A setting that fails its check, found before any replication
+        # starts; a failed replication raises RuntimeError instead.
+        print(f"cego run: {args.config}: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(path)
     return 0

@@ -2,9 +2,16 @@
 
 A model owns one scalar output (objective or a single constraint). Updates
 return a fresh model, so callers may treat any instance as immutable and
-query it concurrently between updates. ``add`` re-factorizes the Gram
-matrix in full: with a few hundred observations at most that is cheap, and
-it keeps every factor a deterministic function of the data alone.
+query it concurrently between updates. ``add`` borders the noise-free Gram
+matrix with the new point's kernel row, ``k(x_t, X)``, which is bit for bit
+the matrix ``Kernel.gram`` gives, and then re-factorizes it in full: with a
+few hundred observations at most that is cheap, and it keeps every factor a
+deterministic function of the data alone. ``alpha = (K + lam I)^{-1} y`` is
+solved when first read; the cached lattice path never reads it. Factors and
+solves call LAPACK's ``dpotrf``, ``dpotrs`` and ``dtrtrs`` directly, with the
+arguments and memory layout that ``scipy.linalg.cholesky``, ``cho_solve``
+and ``solve_triangular`` pass them, so the bits are theirs without the
+wrappers' per-call validation.
 
 Posterior formulas, for observations ``X, y`` with Gram matrix ``K``, noise
 variance ``lam`` and ``L L^T = K + lam I``::
@@ -57,9 +64,11 @@ import mmap
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .domain import as_point
 from .kernels import Kernel
@@ -91,6 +100,38 @@ def _mapped_rows(n_rows: int, width: int) -> np.ndarray:
 
 class GpNumericsError(RuntimeError):
     """Posterior variance fell below the tolerated floating-point floor."""
+
+
+def _checked(result, routine: str) -> np.ndarray:
+    """The array of a LAPACK ``(array, info)`` pair; ``LinAlgError`` when ``info > 0``."""
+    out, info = result
+    if info > 0:
+        raise LinAlgError(f"{routine} reported info={info}: matrix not positive definite or singular")
+    return out
+
+
+def _factor(gram: np.ndarray, noise_variance: float) -> np.ndarray:
+    """Lower Cholesky factor of ``gram + noise_variance I``, in Fortran order.
+
+    Raises ``LinAlgError`` on an ill-conditioned kernel/noise pair, and on
+    settings that overflow: a non-finite entry reaches the factor's diagonal.
+    """
+    a = np.array(gram, order="F")
+    a[np.diag_indices_from(a)] += noise_variance
+    chol = _checked(dpotrf(a, lower=1, clean=1, overwrite_a=1), "dpotrf")
+    if not np.isfinite(chol.diagonal()).all():
+        raise LinAlgError("Cholesky factor is not finite: kernel or noise settings overflow")
+    return chol
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``chol^{-1} b`` for a lower factor from :func:`_factor`."""
+    return _checked(dtrtrs(chol, b, lower=1), "dtrtrs")
+
+
+def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(chol chol^T)^{-1} b`` for a lower factor from :func:`_factor`."""
+    return _checked(dpotrs(chol, b, lower=1), "dpotrs")
 
 
 class _RowBuffer:
@@ -147,12 +188,14 @@ class _LatticeMean:
 class _Covariance:
     """The part of a posterior that depends on the inputs alone.
 
-    Kernel, noise variance, inputs ``X``, the lower Cholesky factor ``chol``
-    of ``K + lam I`` (None without data) and ``lattice``, the group's
-    lattice cache (None until a lattice query builds it).
+    Kernel, noise variance, inputs ``X``, their noise-free Gram matrix
+    ``gram`` (built from scratch when not given), the lower Cholesky factor
+    ``chol`` of ``K + lam I`` (None without data) and ``lattice``, the
+    group's lattice cache (None until a lattice query builds it).
     """
 
-    def __init__(self, kernel: Kernel, noise_variance: float, X: np.ndarray):
+    def __init__(self, kernel: Kernel, noise_variance: float, X: np.ndarray,
+                 gram: np.ndarray | None = None):
         self.kernel = kernel
         self.noise_variance = noise_variance
         self.X = X
@@ -160,11 +203,11 @@ class _Covariance:
         self.lattice: _LatticeRows | None = None
         # (point bytes, lattice extended, weakref to the child, its lattice rows)
         self._last_child = None
-        if len(X):
-            gram = kernel.gram(X)
-            gram[np.diag_indices_from(gram)] += noise_variance
-            # Raises scipy.linalg.LinAlgError on an ill-conditioned kernel/noise pair.
-            self.chol = cholesky(gram, lower=True)
+        if not len(X):
+            self.gram = np.empty((0, 0))
+            return
+        self.gram = kernel.gram(X) if gram is None else gram
+        self.chol = _factor(self.gram, noise_variance)
 
     def extend(self, point: np.ndarray, lattice: _LatticeRows | None):
         """The part for ``X`` plus ``point``, and ``lattice`` extended by its row.
@@ -180,10 +223,17 @@ class _Covariance:
             child = last[2]()
             if child is not None:
                 return child, last[3]
-        child = _Covariance(self.kernel, self.noise_variance, np.vstack([self.X, point[None, :]]))
+        # k(a, b) and k(b, a) come from (a - b)**2 and (b - a)**2, which are
+        # equal, and Kernel.gram's 0.5 * (v + v) is v: the bordered Gram is
+        # bit for bit the one Kernel.gram builds from scratch.
+        t = self.X.shape[0]
+        X = np.vstack([self.X, point[None, :]])
+        gram = np.empty((t + 1, t + 1))
+        gram[:t, :t] = self.gram
+        gram[t] = gram[:, t] = self.kernel.cross(point[None, :], X)[0]
+        child = _Covariance(self.kernel, self.noise_variance, X, gram)
         rows = None
         if lattice is not None:
-            t = self.X.shape[0]
             l, d = child.chol[t, :t], child.chol[t, t]
             k_row = self.kernel.cross(point[None, :], lattice.lattice)[0]
             row = (k_row - l @ lattice.buffer.data[:t]) / d
@@ -224,8 +274,12 @@ class GpModel:
         """Take ``cov`` as the covariance part and ``y`` as the targets at its inputs."""
         self._cov = cov
         self._y = y
-        self._alpha = cho_solve((cov.chol, True), y) if len(y) else None
         self._lattice: _LatticeMean | None = None
+
+    @cached_property
+    def _alpha(self) -> np.ndarray:
+        """``(K + lam I)^{-1} y``, solved when first read (never without data)."""
+        return _solve_gram(self._cov.chol, self._y)
 
     @property
     def kernel(self) -> Kernel:
@@ -305,12 +359,14 @@ class GpModel:
             if shared is not None:
                 variances = shared.var
             else:
-                v = solve_triangular(cov.chol, k_cross, lower=True)
-                variances = prior_var - np.sum(v * v, axis=0)
-                if _is_lattice(queries):
-                    shared = cov.lattice = _LatticeRows(queries, _RowBuffer(v), variances)
+                v = _solve_lower(cov.chol, k_cross)
+                buffer = _RowBuffer(v) if _is_lattice(queries) else None
+                v *= v  # in place, once the buffer holds V: one t x G array fewer at the peak
+                variances = prior_var - np.sum(v, axis=0)
+                if buffer is not None:
+                    shared = cov.lattice = _LatticeRows(queries, buffer, variances)
             if shared is not None:
-                z = solve_triangular(cov.chol, self._y, lower=True)
+                z = _solve_lower(cov.chol, self._y)
                 self._lattice = _LatticeMean(shared, z, means.copy())
         too_negative = variances < -_VARIANCE_CLAMP
         if np.any(too_negative):

@@ -7,13 +7,16 @@ fractions of the per-dimension domain width; output-scale and noise
 candidates scale with the sample standard deviation of the values, so the
 same factor grid serves problems of any magnitude.
 
+One fit serves every output of a problem: it takes the ``(t, m)`` matrix of
+values observed at the shared points and returns one model per column.
+
 Spectral screen. Every lengthscale candidate is ``f * width``, so the
-unit-scale Gram matrix ``U_f`` depends on the data only through the
-width-scaled squared distances ``S``, computed once per fit. One
-eigendecomposition ``U_f = Q diag(w) Q^T`` per lengthscale factor then
-scores every output scale ``s`` and noise ``lam`` in O(t) (Rasmussen &
-Williams 2006, §2.3 and §5.4.1), because ``s^2 U_f + lam I`` has the same
-eigenvectors::
+unit-scale Gram matrix ``U_f`` depends on the points alone, through the
+width-scaled squared distances ``S``, and not on the values. One batched
+eigendecomposition ``U_f = Q diag(w) Q^T`` per lengthscale factor, made
+once per fit for all outputs, then scores every output scale ``s`` and
+noise ``lam`` of each output in O(t) (Rasmussen & Williams 2006, §2.3 and
+§5.4.1), because ``s^2 U_f + lam I`` has the same eigenvectors::
 
     log|s^2 U_f + lam I|        = sum_i log(s^2 w_i + lam)
     y^T (s^2 U_f + lam I)^-1 y  = sum_i (q_i^T y)^2 / (s^2 w_i + lam)
@@ -60,14 +63,13 @@ def candidate_lengthscales(domain: Domain) -> list[tuple[float, ...]]:
     return [tuple(f * domain.widths) for f in LENGTHSCALE_FACTORS]
 
 
-def _screen(points, values, domain, family, value_scale):
-    """Approximate log marginal likelihoods of all candidates, and their error bounds.
+def _screen(spectrum, values, value_scale):
+    """Approximate log marginal likelihoods of all candidates for one output, and their error bounds.
 
-    Both arrays are flat in ``(lengthscale, scale, noise)`` order.
+    ``spectrum`` is the ``eigh`` of the unit-scale Grams, one per lengthscale
+    factor. Both arrays are flat in ``(lengthscale, scale, noise)`` order.
     """
-    sq = scaled_sq_distances(points, points, domain.widths)
-    factors = np.asarray(LENGTHSCALE_FACTORS)
-    eigvals, eigvecs = np.linalg.eigh(covariance(family, sq / (factors**2)[:, None, None]))
+    eigvals, eigvecs = spectrum
     proj = np.einsum("fij,i->fj", eigvecs, values) ** 2
     scales = (np.asarray(OUTPUT_SCALE_FACTORS) * value_scale) ** 2
     noises = np.asarray(NOISE_FACTORS) * value_scale**2
@@ -87,21 +89,24 @@ def fit_hyperparameters(
     values: np.ndarray,
     domain: Domain,
     family: str = SQUARED_EXPONENTIAL,
-) -> GpModel:
-    """The ``GpModel`` on the data whose hyperparameters maximize the exact marginal likelihood.
+) -> list[GpModel | None]:
+    """Per column of ``values``, the ``GpModel`` whose hyperparameters maximize the exact marginal likelihood.
 
-    The model is returned as it was confirmed, already factorized.
+    ``values`` has shape ``(t, m)``: column ``j`` holds output ``j`` at the
+    ``t`` rows of ``points``. Each model is returned as it was confirmed,
+    already factorized. Candidates whose Gram matrix fails to factorize are
+    skipped; a column for which every candidate fails gets ``None``.
 
-    Requires at least four observations. Candidates whose Gram matrix fails
-    to factorize are skipped; if every candidate fails the data is degenerate
-    and a ``LinAlgError`` is raised.
+    Requires at least four observations. ``LinAlgError`` from the shared
+    eigendecomposition (no convergence) reaches the caller.
     """
-    # Copies: the returned model keeps these arrays.
+    # Copies: the returned models keep these arrays.
     points = np.atleast_2d(np.array(points, dtype=float))
-    values = np.array(values, dtype=float).reshape(-1)
-    if points.shape[0] != values.shape[0]:
+    values = np.array(values, dtype=float)
+    if values.ndim != 2 or points.shape[0] != values.shape[0]:
         raise ValueError(
-            f"got {points.shape[0]} points but {values.shape[0]} values"
+            f"values must be ({points.shape[0]}, n_outputs) for {points.shape[0]} points, "
+            f"got shape {values.shape}"
         )
     if points.shape[0] < MIN_OBSERVATIONS:
         raise ValueError(
@@ -111,8 +116,17 @@ def fit_hyperparameters(
     if points.shape[1] != domain.dim:
         raise ValueError(f"points have dim {points.shape[1]}, domain has {domain.dim}")
 
+    sq = scaled_sq_distances(points, points, domain.widths)
+    factors = np.asarray(LENGTHSCALE_FACTORS)
+    spectrum = np.linalg.eigh(covariance(family, sq / (factors**2)[:, None, None]))
+    # Rows of the transposed copy: one contiguous array per output.
+    return [_confirm(points, column, domain, family, spectrum) for column in values.T.copy()]
+
+
+def _confirm(points, values, domain, family, spectrum) -> GpModel | None:
+    """The exact winner for one output among the candidates its screen cannot rule out."""
     value_scale = max(float(np.std(values)), 1e-8)
-    screened, size = _screen(points, values, domain, family, value_scale)
+    screened, size = _screen(spectrum, values, value_scale)
     # An upper bound on each candidate's exact likelihood; unknown when not finite.
     bound = np.where(np.isfinite(screened), screened + SCREEN_TOLERANCE * size, np.inf)
     lengthscales = candidate_lengthscales(domain)
@@ -135,6 +149,4 @@ def fit_hyperparameters(
             continue
         if best is None or (lml, -index) > (best[0], -best[1]):
             best = (lml, index, model)
-    if best is None:
-        raise LinAlgError("no hyperparameter candidate produced a valid factorization")
-    return best[2]
+    return None if best is None else best[2]

@@ -90,7 +90,11 @@ def scaled_sq_distances(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
 def covariance(family: str, sq: np.ndarray, variance: float = 1.0) -> np.ndarray:
     """Covariance at lengthscale-scaled squared distances ``sq``, prior variance ``variance``."""
     if family == SQUARED_EXPONENTIAL:
-        return variance * np.exp(-0.5 * sq)
+        # variance * exp(-0.5 * sq), in one array besides sq.
+        out = np.multiply(sq, -0.5)
+        np.exp(out, out=out)
+        out *= variance
+        return out
     # Matern-5/2 in terms of the scaled distance r:
     # variance * (1 + sqrt(5) r + (5/3) sq) * exp(-sqrt(5) r), each operation
     # in that order, with at most three arrays the size of sq alive besides it.

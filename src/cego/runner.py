@@ -389,8 +389,9 @@ def _advance_replication(
                 record = _record_dict(t + 1, theta, y, true if problem.pure else None)
                 fh.write(_dumps(record) + "\n")
                 fh.flush()
-            observe(state, theta, y)
-            _maybe_refit(state, fit_every)
+            if t + 1 < config.budget:  # nothing reads the state after the last record
+                observe(state, theta, y)
+                _maybe_refit(state, fit_every)
 
 
 def _policy_seed(seed: int, step: int):
@@ -400,16 +401,16 @@ def _policy_seed(seed: int, step: int):
 def _maybe_refit(state: AlgorithmState, fit_every: int):
     if fit_every <= 0 or state.t < MIN_OBSERVATIONS or state.t % fit_every:
         return
-    new_models = []
-    for model in state.models:
-        try:
-            model = fit_hyperparameters(
-                model.points, model.values, state.domain, family=model.kernel.family
-            )
-        except LinAlgError:
-            pass  # No candidate factorized: keep this output's current hyperparameters.
-        new_models.append(model)
-    state.models = new_models
+    # Every output is observed at the same points, so one fit serves them all.
+    values = np.column_stack([model.values for model in state.models])
+    try:
+        fitted = fit_hyperparameters(
+            state.models[0].points, values, state.domain, family=state.models[0].kernel.family
+        )
+    except LinAlgError:
+        return  # The shared eigendecomposition failed: keep every output's hyperparameters.
+    # An output for which no candidate factorized keeps its current hyperparameters.
+    state.models = [old if new is None else new for old, new in zip(state.models, fitted)]
 
 
 def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
@@ -418,7 +419,9 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
     Replications are independent; with ``jobs > 1`` they run in separate
     processes, at most one per replication. A failed replication (e.g.
     external evaluator fault) does not abort the others; its partial log is
-    preserved and the error re-raised at the end.
+    preserved. At the end one ``RuntimeError`` names every failed
+    replication, chained to the first error. A bad ``jobs`` value raises
+    ``ValueError`` before any replication starts.
     """
     _check_int("jobs", jobs, minimum=1)
     tasks = [(spec, seed) for spec in config.policies for seed in config.seeds]
@@ -444,11 +447,10 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
             except Exception as exc:  # noqa: BLE001
                 failures.append((spec, seed, exc))
     if failures:
-        spec, seed, exc = failures[0]
-        raise RuntimeError(
-            f"{len(failures)} replication(s) failed; first: "
-            f"policy={policy_label(spec)} seed={seed}: {exc}"
-        ) from exc
+        listed = "; ".join(
+            f"policy={policy_label(spec)} seed={seed}: {exc}" for spec, seed, exc in failures
+        )
+        raise RuntimeError(f"{len(failures)} replication(s) failed: {listed}") from failures[0][2]
     return paths
 
 

@@ -39,7 +39,7 @@ def test_tracer_records_a_span_for_every_layer(tmp_path):
         config = runner.RunConfig(
             problem={"name": "artificial", "grid": [8, 8]},
             policies=[{"name": "config"}, {"name": "cei"}],
-            budget=4,
+            budget=5,
             seeds=[1],
             output_dir=str(tmp_path),
             gp={"fit_every": 4},

@@ -97,3 +97,20 @@ def test_import_leaves_out_scipy_stats(module):
                             timeout=60, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CEGO_LOG_DIR", str(tmp_path / "logs"))
+    infeasible = Path(__file__).resolve().parent.parent / "configs" / "artificial_infeasible.json"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"problem": ')
+    for argv, phrase in (
+        (["--config", str(infeasible), "--jobs", "0"], "jobs must be an int >= 1"),
+        (["--config", str(malformed)], "Expecting value"),
+    ):
+        assert main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and phrase in captured.err
+        assert captured.err.startswith("cego run: ")
+    assert not (tmp_path / "logs").exists()

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cego import gp
 from cego.domain import Domain
 from cego.gp import GpModel, empty_models
 from cego.grid_eval import evaluate_grid
@@ -197,6 +201,45 @@ def test_ill_conditioned_factorization_signalled():
         model.add([0.0], 1.0)
 
 
+@pytest.mark.parametrize("family", ["squared_exponential", "matern52"])
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_bordered_gram_equals_gram_from_scratch(family, dim):
+    # Each add borders its parent's Gram with one kernel row; a repeated
+    # point and a second child of one parent take the same path.
+    rng = np.random.default_rng(100 + dim)
+    kernel = Kernel(family, rng.uniform(0.2, 2.0, dim), rng.uniform(0.5, 50.0))
+    chain = [GpModel(kernel, 1e-3)]
+    for t in range(25):
+        point = chain[-1].points[rng.integers(t)] if t % 6 == 5 else rng.uniform(-2, 2, dim)
+        chain.append(chain[-1].add(point, rng.normal()))
+    second = chain[10].add(rng.uniform(-2, 2, dim), rng.normal())
+    models = chain[1:] + [second, second.add(rng.uniform(-2, 2, dim), rng.normal())]
+    for model in models:
+        assert np.array_equal(model._cov.gram, kernel.gram(model.points))
+
+
+@pytest.mark.parametrize("t", [1, 5, 30, 100])
+def test_direct_lapack_calls_match_scipy_wrappers(t):
+    rng = np.random.default_rng(t)
+    gram = Kernel("matern52", [0.7, 0.7], 1.3).gram(rng.uniform(-2, 2, (t, 2)))
+    chol = gp._factor(gram, 1e-4)
+    expected = scipy.linalg.cholesky(gram + 1e-4 * np.eye(t), lower=True)
+    assert np.array_equal(chol, expected)
+    assert chol.flags.f_contiguous == expected.flags.f_contiguous
+    for b in (rng.normal(size=t), rng.normal(size=(t, 40))):
+        for got, want in (
+            (gp._solve_lower(chol, b), scipy.linalg.solve_triangular(expected, b, lower=True)),
+            (gp._solve_gram(chol, b), scipy.linalg.cho_solve((expected, True), b)),
+        ):
+            assert np.array_equal(got, want)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def test_non_positive_definite_gram_raises():
+    with pytest.raises(scipy.linalg.LinAlgError):
+        gp._factor(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)
+
+
 def test_add_returns_new_model():
     base = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01)
     grown = base.add([0.0], 1.0)
@@ -301,8 +344,8 @@ def test_lattice_step_costs_one_kernel_row(monkeypatch):
         assert entries == []
     entries.clear()
     child = model.add([1.0, 1.0], 0.0)
-    # The child's full Gram matrix, then one row against the lattice.
-    assert entries == [child.n_observations**2, domain.grid_size]
+    # One row bordering the Gram matrix, then one row against the lattice.
+    assert entries == [child.n_observations, domain.grid_size]
 
 
 @pytest.mark.parametrize("scales, noises, groups", [
@@ -325,7 +368,23 @@ def test_observe_costs_one_gram_and_row_per_group(monkeypatch, scales, noises, g
         state.grid_bounds()
     entries.clear()
     observe(state, [1.0, 1.0], np.zeros(len(scales)))
-    assert entries == [state.t**2, domain.grid_size] * groups
+    assert entries == [state.t, domain.grid_size] * groups
+
+
+def test_uncached_lattice_query_peaks_at_two_planes():
+    # k(X, lattice) and V = L^-1 k(X, lattice); V is squared in place once
+    # the row buffer (a private mapping, not traced) holds it.
+    t, domain = 100, Domain([0.0, 0.0], [1.0, 1.0], [100, 100])
+    model = GpModel(Kernel("squared_exponential", [0.1, 0.2]), 1e-2)
+    for point in np.random.default_rng(5).uniform(0, 1, (t, 2)):
+        model = model.add(point, 0.0)
+    tracemalloc.start()
+    try:
+        model.posterior_batch(domain.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (t * domain.grid_size * 8) <= 2.5
 
 
 def assert_same_posteriors(shared, separate, domain, points):
@@ -366,7 +425,7 @@ def test_shared_covariance_matches_separate_models_bit_for_bit():
         if t == 24:
             # A refit gives each output hyperparameters of its own.
             shared, separate = [
-                [fit_hyperparameters(m.points, m.values, domain) for m in models]
+                fit_hyperparameters(main, np.column_stack([m.values for m in models]), domain)
                 for models in (shared, separate)
             ]
             assert shared[0].kernel != shared[1].kernel

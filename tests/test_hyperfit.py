@@ -25,7 +25,7 @@ def gp_likelihood(points, values, kernel, noise_variance):
 def test_requires_four_observations():
     domain = Domain([0.0], [10.0], [5])
     with pytest.raises(ValueError):
-        fit_hyperparameters(np.zeros((3, 1)), np.zeros(3), domain)
+        fit_hyperparameters(np.zeros((3, 1)), np.zeros((3, 1)), domain)
 
 
 def test_recovers_known_lengthscale_within_grid_cell():
@@ -37,7 +37,7 @@ def test_recovers_known_lengthscale_within_grid_cell():
     cov = true_kernel.gram(pts) + 1e-8 * np.eye(50)
     values = np.linalg.cholesky(cov) @ rng.standard_normal(50)
 
-    kernel = fit_hyperparameters(pts, values, domain).kernel
+    kernel = fit_hyperparameters(pts, values[:, None], domain)[0].kernel
     candidates = np.asarray(LENGTHSCALE_FACTORS) * 10.0
     below = candidates[candidates <= 1.0].max()
     above = candidates[candidates >= 1.0].min()
@@ -49,7 +49,7 @@ def test_constant_data_selects_largest_lengthscale():
     domain = Domain([0.0], [10.0], [50])
     pts = rng.uniform(0, 10, size=(12, 1))
     values = np.full(12, 3.7)
-    kernel = fit_hyperparameters(pts, values, domain).kernel
+    kernel = fit_hyperparameters(pts, values[:, None], domain)[0].kernel
     assert kernel.lengthscales[0] == pytest.approx(max(LENGTHSCALE_FACTORS) * 10.0)
 
 
@@ -59,7 +59,7 @@ def test_selected_candidate_maximizes_likelihood():
     domain = Domain([0.0, 0.0], [5.0, 5.0], [10, 10])
     pts = rng.uniform(0, 5, size=(20, 2))
     values = np.sin(pts[:, 0]) + 0.1 * rng.standard_normal(20)
-    model = fit_hyperparameters(pts, values, domain)
+    (model,) = fit_hyperparameters(pts, values[:, None], domain)
     kernel, noise = model.kernel, model.noise_variance
     best = gp_likelihood(pts, values, kernel, noise)
     assert model.log_marginal_likelihood() == pytest.approx(best)
@@ -73,8 +73,8 @@ def test_deterministic_for_fixed_input():
     domain = Domain([0.0], [4.0], [10])
     pts = rng.uniform(0, 4, size=(8, 1))
     values = rng.standard_normal(8)
-    first = fit_hyperparameters(pts, values, domain)
-    second = fit_hyperparameters(pts, values, domain)
+    (first,) = fit_hyperparameters(pts, values[:, None], domain)
+    (second,) = fit_hyperparameters(pts, values[:, None], domain)
     assert first.kernel == second.kernel
     assert first.noise_variance == second.noise_variance
 
@@ -84,7 +84,7 @@ def test_fitted_model_usable():
     domain = Domain([0.0], [4.0], [10])
     pts = rng.uniform(0, 4, size=(10, 1))
     values = np.cos(pts[:, 0])
-    model = fit_hyperparameters(pts, values, domain)
+    (model,) = fit_hyperparameters(pts, values[:, None], domain)
     np.testing.assert_array_equal(model.points, pts)
     np.testing.assert_array_equal(model.values, values)
     mean, _ = model.posterior(pts[0])
@@ -134,7 +134,39 @@ def test_spectral_screen_matches_exhaustive_search(family, seed):
     # Without the exact confirmation, the screen alone picks a different
     # candidate for the squared-exponential case of seed 33.
     points, values, domain = random_case(seed)
-    model = fit_hyperparameters(points, values, domain, family)
+    (model,) = fit_hyperparameters(points, values[:, None], domain, family)
     expected_kernel, expected_noise = exhaustive_fit(points, values, domain, family)
     assert model.kernel == expected_kernel
     assert model.noise_variance == expected_noise
+
+
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN52])
+@pytest.mark.parametrize("seed", [3, 33])
+def test_one_fit_for_all_outputs_matches_one_column_fits(family, seed):
+    # One eigendecomposition serves every column. A column whose spread
+    # overflows leaves every candidate non-finite, so it gets no model.
+    points, values, domain = random_case(seed)
+    rng = np.random.default_rng(seed)
+    columns = np.column_stack([
+        values,
+        1e3 * np.cos(points @ rng.normal(size=domain.dim)),
+        np.full(len(values), 2.5),
+        1e160 * rng.normal(size=len(values)),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = fit_hyperparameters(points, columns, domain, family)
+        alone = [fit_hyperparameters(points, columns[:, [j]], domain, family)[0]
+                 for j in range(columns.shape[1])]
+    assert len(fitted) == columns.shape[1]
+    assert fitted[-1] is None and alone[-1] is None
+    for model, single, column in zip(fitted[:-1], alone[:-1], columns.T):
+        np.testing.assert_array_equal(model.values, column)
+        assert model.kernel == single.kernel
+        assert model.noise_variance == single.noise_variance
+        assert model.log_marginal_likelihood() == single.log_marginal_likelihood()
+
+
+def test_values_must_be_one_column_per_output():
+    domain = Domain([0.0], [1.0], [5])
+    with pytest.raises(ValueError, match="n_outputs"):
+        fit_hyperparameters(np.zeros((6, 1)), np.zeros(6), domain)

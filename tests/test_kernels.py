@@ -153,3 +153,8 @@ def test_cross_peak_memory_in_lattice_planes(family, planes):
 def test_matern52_cross_reuses_its_temporaries():
     # sq, r and sqrt5_r are overwritten in place: 4 planes, not 6.
     assert cross_peak_planes("matern52") <= 4.5
+
+
+def test_squared_exponential_cross_reuses_its_temporaries():
+    # sq and one output array overwritten in place: 2 planes, not 3.
+    assert cross_peak_planes("squared_exponential") <= 2.5

@@ -579,3 +579,46 @@ def test_refit_failure_keeps_previous_models(tmp_path, monkeypatch):
     path.write_bytes(b"\n".join(lines[:6]) + b"\n" + lines[6][:5])
     run_experiment(refit)
     assert path.read_bytes() == original
+
+
+def test_no_model_work_after_the_last_record(tmp_path, monkeypatch):
+    observed, fits = [], []
+    observe, fit = runner_mod.observe, runner_mod.fit_hyperparameters
+
+    def counted_observe(state, *args):
+        observed.append(state.t)
+        return observe(state, *args)
+
+    def counted_fit(points, *args, **kwargs):
+        fits.append(len(points))
+        return fit(points, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "observe", counted_observe)
+    monkeypatch.setattr(runner_mod, "fit_hyperparameters", counted_fit)
+    config = small_config(tmp_path, policies=[{"name": "config"}], budget=8, seeds=(2,),
+                          n_init_random=3, gp={**GP, "fit_every": 4})
+    (path,) = run_experiment(config)
+    assert len(load_log(path)[1]) == 8
+    assert observed == list(range(7))
+    assert fits == [4]  # one fit for all outputs, and none at t = 8
+
+
+def test_every_failed_replication_is_reported(tmp_path, monkeypatch):
+    advance = runner_mod._advance_replication
+
+    def fail_seed_4(config, spec, seed, *args):
+        if seed == 4:
+            raise RuntimeError(f"boom in {spec['name']}")
+        return advance(config, spec, seed, *args)
+
+    monkeypatch.setattr(runner_mod, "_advance_replication", fail_seed_4)
+    config = small_config(tmp_path, policies=[{"name": "random"}, {"name": "config"}],
+                          budget=2, seeds=(3, 4))
+    with pytest.raises(RuntimeError) as failed:
+        run_experiment(config)
+    message = str(failed.value)
+    assert message.startswith("2 replication(s) failed: ")
+    assert "policy=random seed=4: boom in random" in message
+    assert "policy=config seed=4: boom in config" in message
+    assert "seed=3" not in message
+    assert str(failed.value.__cause__) == "boom in random"
