@@ -16,9 +16,10 @@ def _cmd_run(args) -> int:
     try:
         config = RunConfig.from_json(args.config)
         paths = run_experiment(config, jobs=args.jobs)
-    except ValueError as exc:
-        # A setting that fails its check, found before any replication
-        # starts; a failed replication raises RuntimeError instead.
+    except (OSError, ValueError) as exc:
+        # A config file that cannot be read or a setting that fails its
+        # check, found before any replication starts; a failed replication
+        # raises RuntimeError instead.
         print(f"cego run: {args.config}: {exc}", file=sys.stderr)
         return 2
     for path in paths:

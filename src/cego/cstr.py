@@ -32,6 +32,7 @@ rare step where Newton stalls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,66 +112,60 @@ class CstrState:
         return self.mass_fractions[5]
 
 
-def _residual(x: np.ndarray, feed_a: float, feed_b: float, k: np.ndarray,
-              holdup: float) -> np.ndarray:
+def _residual(x, feed_a: float, feed_b: float, k, holdup: float) -> list[float]:
     f = feed_a + feed_b
     xa, xb, xc, xe, xp, xg = x
     r1 = k[0] * xa * xb
     r2 = k[1] * xb * xc
     r3 = k[2] * xc * xp
-    return np.array([
+    return [
         feed_a - f * xa - holdup * r1,
         feed_b - f * xb - holdup * (r1 + r2),
         -f * xc + holdup * (2.0 * r1 - 2.0 * r2 - r3),
         -f * xe + holdup * 2.0 * r2,
         -f * xp + holdup * (r2 - 0.5 * r3),
         -f * xg + holdup * 1.5 * r3,
-    ])
+    ]
 
 
-def _jacobian(x: np.ndarray, feed_a: float, feed_b: float, k: np.ndarray,
-              holdup: float) -> np.ndarray:
+def _jacobian(x, feed_a: float, feed_b: float, k, holdup: float) -> np.ndarray:
     f = feed_a + feed_b
     xa, xb, xc, xe, xp, xg = x
     w = holdup
-    jac = np.zeros((6, 6))
     # d r1 = k1*(xb, xa, 0, 0, 0, 0); d r2 = k2*(0, xc, xb, 0, 0, 0); d r3 = k3*(0, 0, xp, 0, xc, 0)
-    jac[0, 0] = -f - w * k[0] * xb
-    jac[0, 1] = -w * k[0] * xa
-    jac[1, 0] = -w * k[0] * xb
-    jac[1, 1] = -f - w * (k[0] * xa + k[1] * xc)
-    jac[1, 2] = -w * k[1] * xb
-    jac[2, 0] = 2.0 * w * k[0] * xb
-    jac[2, 1] = w * (2.0 * k[0] * xa - 2.0 * k[1] * xc)
-    jac[2, 2] = -f - w * (2.0 * k[1] * xb + k[2] * xp)
-    jac[2, 4] = -w * k[2] * xc
-    jac[3, 1] = 2.0 * w * k[1] * xc
-    jac[3, 2] = 2.0 * w * k[1] * xb
-    jac[3, 3] = -f
-    jac[4, 1] = w * k[1] * xc
-    jac[4, 2] = w * (k[1] * xb - 0.5 * k[2] * xp)
-    jac[4, 4] = -f - 0.5 * w * k[2] * xc
-    jac[5, 2] = 1.5 * w * k[2] * xp
-    jac[5, 4] = 1.5 * w * k[2] * xc
-    jac[5, 5] = -f
-    return jac
+    return np.array([
+        [-f - w * k[0] * xb, -w * k[0] * xa, 0.0, 0.0, 0.0, 0.0],
+        [-w * k[0] * xb, -f - w * (k[0] * xa + k[1] * xc), -w * k[1] * xb, 0.0, 0.0, 0.0],
+        [2.0 * w * k[0] * xb, w * (2.0 * k[0] * xa - 2.0 * k[1] * xc),
+         -f - w * (2.0 * k[1] * xb + k[2] * xp), 0.0, -w * k[2] * xc, 0.0],
+        [0.0, 2.0 * w * k[1] * xc, 2.0 * w * k[1] * xb, -f, 0.0, 0.0],
+        [0.0, w * k[1] * xc, w * (k[1] * xb - 0.5 * k[2] * xp), 0.0, -f - 0.5 * w * k[2] * xc, 0.0],
+        [0.0, 0.0, 1.5 * w * k[2] * xp, 0.0, 1.5 * w * k[2] * xc, -f],
+    ])
 
 
-def _substitution_sweep(x: np.ndarray, feed_a: float, feed_b: float, k: np.ndarray,
-                        holdup: float, damping: float = 0.5) -> np.ndarray:
+def _substitution_sweep(x, feed_a: float, feed_b: float, k, holdup: float,
+                        damping: float = 0.5) -> list[float]:
     """One damped successive-substitution step; each balance solved for its own fraction."""
     f = feed_a + feed_b
     w = holdup
     xa, xb, xc, xe, xp, xg = x
-    new = np.array([
+    new = [
         feed_a / (f + w * k[0] * xb),
         feed_b / (f + w * (k[0] * xa + k[1] * xc)),
         2.0 * w * k[0] * xa * xb / (f + w * (2.0 * k[1] * xb + k[2] * xp)),
         2.0 * w * k[1] * xb * xc / f,
         w * k[1] * xb * xc / (f + 0.5 * w * k[2] * xc),
         1.5 * w * k[2] * xc * xp / f,
-    ])
-    return (1.0 - damping) * x + damping * new
+    ]
+    return [(1.0 - damping) * old + damping * value for old, value in zip(x, new)]
+
+
+def _max_abs(values: list[float]) -> float:
+    """``max |v|``, NaN when any ``v`` is NaN, as ``np.max(np.abs(values))``."""
+    if any(v != v for v in values):
+        return math.nan
+    return max(map(abs, values))
 
 
 def cstr_steady_state(
@@ -184,7 +179,9 @@ def cstr_steady_state(
 
     Raises ``ValueError`` outside the admissible input box and
     :class:`ConvergenceError` if the residual fails to reach ``tol`` in
-    ``max_iter`` iterations.
+    ``max_iter`` iterations. The iteration runs on Python floats, six at a
+    time: each operation is the one, in the order, that the same update on
+    numpy arrays would make, without numpy's per-call cost on 6-vectors.
     """
     lo_b, hi_b = plant.feed_b_range
     lo_t, hi_t = plant.temperature_range
@@ -194,27 +191,30 @@ def cstr_steady_state(
         raise ValueError(
             f"temperature={temperature} outside admissible range [{lo_t}, {hi_t}]"
         )
-    k = plant.rate_constants(temperature)
+    feed_b, temperature = float(feed_b), float(temperature)
+    k = plant.rate_constants(temperature).tolist()
     feed_a = plant.feed_a
     f = feed_a + feed_b
-    x = np.array([feed_a / f, feed_b / f, 0.0, 0.0, 0.0, 0.0])
+    x = [feed_a / f, feed_b / f, 0.0, 0.0, 0.0, 0.0]
 
     resid = _residual(x, feed_a, feed_b, k, plant.holdup)
     for _ in range(max_iter):
-        norm = np.max(np.abs(resid))
+        norm = _max_abs(resid)
         if norm <= tol:
             break
         try:
-            step = np.linalg.solve(_jacobian(x, feed_a, feed_b, k, plant.holdup), -resid)
+            step = np.linalg.solve(
+                _jacobian(x, feed_a, feed_b, k, plant.holdup), [-r for r in resid]
+            ).tolist()
         except np.linalg.LinAlgError:
             step = None
         accepted = False
         if step is not None:
             scale = 1.0
             for _ in range(30):
-                trial = x + scale * step
+                trial = [xi + scale * si for xi, si in zip(x, step)]
                 trial_resid = _residual(trial, feed_a, feed_b, k, plant.holdup)
-                if np.max(np.abs(trial_resid)) < norm:
+                if _max_abs(trial_resid) < norm:
                     x, resid = trial, trial_resid
                     accepted = True
                     break
@@ -225,18 +225,18 @@ def cstr_steady_state(
     else:
         raise ConvergenceError(
             f"steady state not converged at (F_B={feed_b}, T_r={temperature}): "
-            f"residual {np.max(np.abs(resid)):.3e} after {max_iter} iterations"
+            f"residual {_max_abs(resid):.3e} after {max_iter} iterations"
         )
 
-    if np.any(np.asarray(x) < -1e-10):
+    if any(v < -1e-10 for v in x):
         raise ConvergenceError(
             f"steady state has negative mass fraction at (F_B={feed_b}, T_r={temperature}): {x}"
         )
     return CstrState(
-        mass_fractions=tuple(float(v) for v in x),
+        mass_fractions=tuple(x),
         feed_a=feed_a,
-        feed_b=float(feed_b),
-        temperature=float(temperature),
+        feed_b=feed_b,
+        temperature=temperature,
     )
 
 

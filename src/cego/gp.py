@@ -54,8 +54,18 @@ on the identity of a read-only array that owns its memory, such as
 cache alone. A group that is never asked about a lattice builds no cache,
 and a model built from scratch (e.g. after a hyperparameter refit) rebuilds
 it on its first lattice query. The cache holds ``t * G`` floats per group,
-in a buffer that doubles when full; one uncached query builds a ``t * G``
-cross-covariance on every call.
+in a buffer that doubles when full.
+
+Column blocks. An uncached query streams its points through blocks of
+about ``_BLOCK_BYTES`` of ``t``-float columns (:func:`column_blocks`). Each
+block computes its cross-covariance, means, ``V`` and variances, and
+writes its columns of ``V`` straight into the cache, so the cache is the
+only ``t * G`` array alive and no heap array reaches numpy's 4 MiB
+huge-page threshold. Every column goes through the same operations as in
+one product over all columns, so the bits are the same; a query that fits
+in one block is that product. (A BLAS that splits a product's rows among
+threads by its size may round the one-product mean differently in its last
+bits; on one BLAS thread the two are equal.)
 """
 
 from __future__ import annotations
@@ -80,6 +90,27 @@ _VARIANCE_CLAMP = 1e-9
 # Lattice-cache rows are allocated at least this many at a time.
 _ROW_CHUNK = 32
 _TIP_LOCK = threading.Lock()
+# Bytes of one column block of an uncached query: (rows x width) floats.
+# Well under numpy's 4 MiB huge-page threshold. Not much smaller: glibc
+# raises its mmap and trim thresholds only when a block that large is freed,
+# and blocks of about 0.25 MB left them low enough to roughly quadruple the
+# minor page faults of a benchmark pass.
+_BLOCK_BYTES = 1 << 20
+# Block widths are a multiple of this many columns. BLAS gemv computes the
+# last (m mod 4) rows of a product in another order than the others, so a
+# block that ended mid-group would change the bits of k^T alpha there.
+_BLOCK_ALIGN = 64
+
+
+def column_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Slices covering ``range(n_cols)``, about ``_BLOCK_BYTES`` of ``n_rows``-float columns each.
+
+    Widths are a positive multiple of ``_BLOCK_ALIGN``; one slice when all
+    columns fit.
+    """
+    width = _BLOCK_BYTES // (np.dtype(float).itemsize * max(n_rows, 1))
+    width = max(_BLOCK_ALIGN, width - width % _BLOCK_ALIGN)
+    return [slice(start, min(start + width, n_cols)) for start in range(0, n_cols, width)]
 
 
 def _mapped_rows(n_rows: int, width: int) -> np.ndarray:
@@ -137,16 +168,16 @@ def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _RowBuffer:
     """Rows of ``V``, grown geometrically and shared along a chain of ``add`` calls.
 
+    A new buffer holds ``n_rows`` rows, unwritten, with room for more.
     ``tip`` counts the rows some model has claimed. A model only reads its
     own first ``t`` rows, so the model whose cache ends at the tip may append
     in place; any other (a second child of one parent) gets a copy. Rows
     mapped but not yet written are not resident.
     """
 
-    def __init__(self, rows: np.ndarray):
-        self.tip = rows.shape[0]
-        self.data = _mapped_rows(self.tip + _ROW_CHUNK, rows.shape[1])
-        self.data[: self.tip] = rows
+    def __init__(self, n_rows: int, width: int):
+        self.tip = n_rows
+        self.data = _mapped_rows(n_rows + _ROW_CHUNK, width)
 
     def append(self, t: int, row: np.ndarray) -> "_RowBuffer":
         """A buffer whose first ``t + 1`` rows are ``self.data[:t]`` then ``row``."""
@@ -155,7 +186,10 @@ class _RowBuffer:
             if at_tip:
                 self.tip = t + 1
         if not at_tip:
-            return _RowBuffer(np.vstack([self.data[:t], row]))
+            copy = _RowBuffer(t + 1, self.data.shape[1])
+            copy.data[:t] = self.data[:t]
+            copy.data[t] = row
+            return copy
         if t == self.data.shape[0]:
             grown = _mapped_rows(t + max(t, _ROW_CHUNK), self.data.shape[1])
             grown[:t] = self.data[:t]
@@ -338,31 +372,29 @@ class GpModel:
     def posterior_batch(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at many points at once.
 
-        One triangular solve against all cross-covariance columns; this is the
-        hot path of every grid-based acquisition step. A read-only array that
-        owns its memory, such as ``Domain.grid``, is answered from the lattice
-        cache when it is the cached lattice, and becomes the cached lattice
-        otherwise (see the module docstring).
+        One triangular solve per column block of the cross-covariance; this
+        is the hot path of every grid-based acquisition step. A read-only
+        array that owns its memory, such as ``Domain.grid``, is answered from
+        the lattice cache when it is the cached lattice, and becomes the
+        cached lattice otherwise (see the module docstring).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        prior_var = np.full(queries.shape[0], self.kernel.prior_variance)
         if self.n_observations == 0:
-            return np.zeros(queries.shape[0]), prior_var
+            return np.zeros(queries.shape[0]), np.full(queries.shape[0], self.kernel.prior_variance)
         cov, own, shared = self._cov, self._lattice, self._cov.lattice
         if shared is not None and shared.lattice is not queries:
             shared = None
         if own is not None and own.shared is shared:
             means, variances = own.mean.copy(), shared.var
         else:
-            k_cross = self.kernel.cross(cov.X, queries)
-            means = k_cross.T @ self._alpha
             if shared is not None:
-                variances = shared.var
+                means, variances = self._streamed(queries, None), shared.var
             else:
-                v = _solve_lower(cov.chol, k_cross)
-                buffer = _RowBuffer(v) if _is_lattice(queries) else None
-                v *= v  # in place, once the buffer holds V: one t x G array fewer at the peak
-                variances = prior_var - np.sum(v, axis=0)
+                buffer = None
+                if _is_lattice(queries):
+                    buffer = _RowBuffer(cov.X.shape[0], queries.shape[0])
+                variances = np.full(queries.shape[0], self.kernel.prior_variance)
+                means = self._streamed(queries, variances, buffer)
                 if buffer is not None:
                     shared = cov.lattice = _LatticeRows(queries, buffer, variances)
             if shared is not None:
@@ -375,6 +407,28 @@ class GpModel:
                 "factorization is inconsistent with the kernel"
             )
         return means, np.maximum(variances, 0.0)
+
+    def _streamed(self, queries: np.ndarray, variances: np.ndarray | None,
+                  buffer: _RowBuffer | None = None) -> np.ndarray:
+        """Posterior means at ``queries``, computed one column block at a time.
+
+        With ``variances`` (the prior variance on entry), each block also
+        subtracts its ``sum(V**2)`` from them in place and, with ``buffer``,
+        writes its columns of ``V`` into the buffer's rows.
+        """
+        X = self._cov.X
+        means = np.empty(queries.shape[0])
+        for cols in column_blocks(X.shape[0], queries.shape[0]):
+            block = self.kernel.cross(X, queries[cols])
+            means[cols] = block.T @ self._alpha
+            if variances is not None:
+                block = _solve_lower(self._cov.chol, block)  # V; k(X, block) is freed
+                if buffer is not None:
+                    buffer.data[: X.shape[0], cols] = block
+                block *= block
+                variances[cols] -= np.sum(block, axis=0)
+            del block  # before the next block's cross-covariance
+        return means
 
     def log_marginal_likelihood(self) -> float:
         """Exact log marginal likelihood of the stored observations."""

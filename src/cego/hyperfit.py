@@ -94,8 +94,9 @@ def fit_hyperparameters(
 
     ``values`` has shape ``(t, m)``: column ``j`` holds output ``j`` at the
     ``t`` rows of ``points``. Each model is returned as it was confirmed,
-    already factorized. Candidates whose Gram matrix fails to factorize are
-    skipped; a column for which every candidate fails gets ``None``.
+    already factorized. Candidates whose output scale has an overflowing
+    square or whose Gram matrix fails to factorize are skipped; a column for
+    which every candidate fails gets ``None``.
 
     Requires at least four observations. ``LinAlgError`` from the shared
     eigendecomposition (no convergence) reaches the caller.
@@ -136,14 +137,14 @@ def _confirm(points, values, domain, family, spectrum) -> GpModel | None:
         if best is not None and bound[index] < best[0]:
             break
         ls_index, scale_index, noise_index = np.unravel_index(index, grid_shape)
-        kernel = Kernel(
-            family, lengthscales[ls_index], OUTPUT_SCALE_FACTORS[scale_index] * value_scale
-        )
         noise_variance = NOISE_FACTORS[noise_index] * value_scale**2
         try:
+            kernel = Kernel(
+                family, lengthscales[ls_index], OUTPUT_SCALE_FACTORS[scale_index] * value_scale
+            )
             model = GpModel(kernel, noise_variance, _X=points, _y=values)
-        except LinAlgError:
-            continue
+        except (LinAlgError, ValueError):
+            continue  # an output scale whose square overflows, or no factorization
         lml = model.log_marginal_likelihood()
         if not np.isfinite(lml):
             continue

@@ -14,6 +14,7 @@ numpy sums pairwise, so the last bit may differ there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ class Kernel:
             raise ValueError(f"lengthscales must be positive, got {lengthscales}")
         if not output_scale > 0:
             raise ValueError(f"output_scale must be positive, got {output_scale}")
+        if not math.isfinite(float(output_scale) * float(output_scale)):
+            raise ValueError(f"output_scale must have a finite square (the prior variance), "
+                             f"got {output_scale}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "lengthscales", lengthscales)
         object.__setattr__(self, "output_scale", float(output_scale))

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .domain import Domain, as_point
-from .gp import GpModel
+from .gp import GpModel, column_blocks
 from .grid_eval import GridEvaluation, constrained_argmin, evaluate_grid
 
 __all__ = [
@@ -300,13 +300,18 @@ def safeopt_lite_step(state: AlgorithmState) -> Decision:
 
     if state.n_constraints and np.isfinite(state.lipschitz):
         grid = state.domain.grid
-        worst_ucb = np.max(ev.ucb[1:], axis=0)
-        # L1 distances from each safe point to every lattice point, summed one
-        # plane per dimension in order (see kernels.scaled_sq_distances).
-        dist = np.abs(np.subtract.outer(grid[safe, 0], grid[:, 0]))
-        for k in range(1, state.domain.dim):
-            dist += np.abs(np.subtract.outer(grid[safe, k], grid[:, k]))
-        certified = np.min(worst_ucb[safe][:, None] + state.lipschitz * dist, axis=0) <= 0
+        safe_points = grid[safe]
+        safe_ucb = np.max(ev.ucb[1:], axis=0)[safe][:, None]
+        certified = np.empty(grid.shape[0], dtype=bool)
+        # L1 distances from each safe point to one block of lattice points at
+        # a time, summed one plane per dimension in order (see
+        # kernels.scaled_sq_distances).
+        for cols in column_blocks(safe.size, grid.shape[0]):
+            block = grid[cols]
+            dist = np.abs(np.subtract.outer(safe_points[:, 0], block[:, 0]))
+            for k in range(1, state.domain.dim):
+                dist += np.abs(np.subtract.outer(safe_points[:, k], block[:, k]))
+            certified[cols] = np.min(safe_ucb + state.lipschitz * dist, axis=0) <= 0
         safe = np.union1d(safe, np.flatnonzero(certified))
     state.safe_indices = safe
 

@@ -365,6 +365,8 @@ def _advance_replication(
 
     state = build_state(problem, policy_spec, config.gp)
     fit_every = config.gp.get("fit_every", 0)
+    # `random` never reads a model, so its replications make no GP update or refit.
+    updates = policy_spec["name"] != "random"
     with open(path, "a", encoding="utf-8") as fh:
         for t in range(config.budget):
             if t < len(init_points):
@@ -389,7 +391,7 @@ def _advance_replication(
                 record = _record_dict(t + 1, theta, y, true if problem.pure else None)
                 fh.write(_dumps(record) + "\n")
                 fh.flush()
-            if t + 1 < config.budget:  # nothing reads the state after the last record
+            if updates and t + 1 < config.budget:  # nothing reads the state after the last record
                 observe(state, theta, y)
                 _maybe_refit(state, fit_every)
 

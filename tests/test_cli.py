@@ -107,6 +107,7 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
     for argv, phrase in (
         (["--config", str(infeasible), "--jobs", "0"], "jobs must be an int >= 1"),
         (["--config", str(malformed)], "Expecting value"),
+        (["--config", str(tmp_path / "missing.json")], "No such file or directory"),
     ):
         assert main(["run", *argv]) == 2
         captured = capsys.readouterr()

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,20 +375,81 @@ def test_observe_costs_one_gram_and_row_per_group(monkeypatch, scales, noises, g
     assert entries == [state.t, domain.grid_size] * groups
 
 
-def test_uncached_lattice_query_peaks_at_two_planes():
-    # k(X, lattice) and V = L^-1 k(X, lattice); V is squared in place once
-    # the row buffer (a private mapping, not traced) holds it.
-    t, domain = 100, Domain([0.0, 0.0], [1.0, 1.0], [100, 100])
+def traced_peak_of_lattice_query(t, side):
+    """Traced peak bytes of one uncached ``posterior_batch`` on a ``side x side`` lattice."""
+    domain = Domain([0.0, 0.0], [1.0, 1.0], [side, side])
     model = GpModel(Kernel("squared_exponential", [0.1, 0.2]), 1e-2)
     for point in np.random.default_rng(5).uniform(0, 1, (t, 2)):
         model = model.add(point, 0.0)
     tracemalloc.start()
     try:
         model.posterior_batch(domain.grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (t * domain.grid_size * 8) <= 2.5
+
+
+def test_uncached_lattice_query_peaks_within_block_budget():
+    # One column block of k(X, lattice), its copy in dtrtrs and the cross's
+    # own temporaries; the cache V lives in an untraced private mapping.
+    t, side = 100, 100
+    assert traced_peak_of_lattice_query(t, side) / (t * side * side * 8) <= 0.5
+
+
+@pytest.mark.parametrize("t, side", [(100, 100), (300, 200)])
+def test_uncached_lattice_query_allocates_under_huge_page_threshold(t, side):
+    # numpy advises huge pages for allocations of 4 MiB or more. The peak
+    # bounds every single allocation, and does not grow with t x G (a t x G
+    # array is 8 MB and 96 MB here).
+    assert traced_peak_of_lattice_query(t, side) < 4 * 2**20
+
+
+def check_streamed_posterior_matches_one_shot():
+    """Means, variances and cached ``V`` equal the one-shot formulas, bit for bit.
+
+    Each case spans several column blocks, the last one partial.
+    """
+    rng = np.random.default_rng(43)
+    for family in ("squared_exponential", "matern52"):
+        for t, shape in ((1, (363, 364)), (7, (150, 151)), (100, (61, 67))):
+            domain = Domain([-2.0, -2.0], [2.0, 2.0], shape)
+            width = gp.column_blocks(t, domain.grid_size)[0].stop
+            assert 1 < len(gp.column_blocks(t, domain.grid_size)) and domain.grid_size % width
+            kernel = Kernel(family, [0.4, 0.7], 1.3)
+            first, second = empty_models([(kernel, 1e-3), (kernel, 1e-3)])
+            for _ in range(t):
+                point = rng.uniform(-2, 2, 2)
+                first, second = first.add(point, rng.normal()), second.add(point, rng.normal())
+            chol = first._cov.chol
+            k_cross = kernel.cross(first.points, domain.grid)
+            v = gp._solve_lower(chol, k_cross)
+            rows = v.copy()
+            v *= v
+            variances = np.maximum(kernel.prior_variance - np.sum(v, axis=0), 0.0)
+            for model in (first, second):
+                means = k_cross.T @ model._alpha
+                # Writeable copy: uncached. The lattice: builds the group's
+                # cache (first), or its own mean beside the group's (second).
+                for queries in (domain.grid.copy(), domain.grid):
+                    got_means, got_variances = model.posterior_batch(queries)
+                    assert np.array_equal(got_means, means), (family, t)
+                    assert np.array_equal(got_variances, variances), (family, t)
+            assert np.array_equal(first._cov.lattice.buffer.data[:t], rows), (family, t)
+
+
+def test_streamed_posterior_matches_one_shot_formulas():
+    # A threaded BLAS splits a product's rows among threads by its size, so
+    # the one-shot gemv's last bits depend on the thread count. Both sides
+    # run on one thread, in a fresh interpreter.
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))}
+    code = "import test_gp; test_gp.check_streamed_posterior_matches_one_shot()"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=300, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 def assert_same_posteriors(shared, separate, domain, points):

@@ -100,6 +100,9 @@ def test_invalid_parameters_rejected():
         Kernel("squared_exponential", [1.0], -1.0)
     with pytest.raises(ValueError):
         Kernel("cubic", [1.0], 1.0)
+    for scale in (1e200, float("inf")):  # the prior variance, scale**2, overflows
+        with pytest.raises(ValueError, match="output_scale"):
+            Kernel("squared_exponential", [1.0], scale)
 
 
 def test_zero_dimensions_rejected():

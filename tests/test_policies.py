@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from cego import gp
 from cego.domain import Domain
 from cego.gp import GpModel
 from cego.kernels import Kernel
@@ -383,6 +384,35 @@ def test_safeopt_expansion_matches_brute_force_l1():
             dist = sum(abs(float(grid[seed, k]) - float(grid[index, k])) for k in range(2))
             if max(ucb[1][seed], ucb[2][seed]) + 1.5 * dist <= 0:
                 expected.add(index)
+    safeopt_lite_step(state)
+    assert set(state.safe_indices) == expected
+    assert len(seeds) < len(expected) < domain.grid_size
+
+
+@pytest.mark.parametrize("shape, block_bytes", [((210, 210), None), ((16, 11), 8 * 3 * 64)])
+def test_safeopt_expansion_across_column_blocks_matches_brute_force(
+        monkeypatch, shape, block_bytes):
+    # The |S| x G distance planes are built one column block of the lattice
+    # at a time: the lattice spans several blocks, at the real budget and at
+    # one of 64 columns, and the certified points lie in more than one.
+    if block_bytes is not None:
+        monkeypatch.setattr(gp, "_BLOCK_BYTES", block_bytes)
+    domain = Domain([0.0, -1.0], [3.0, 1.0], shape)
+    seeds = np.array([0, domain.grid_size // 2 + shape[1] // 2, domain.grid_size - 1])
+    state = make_state("safeopt_lite", domain, n_constraints=2, lipschitz=1.5, noise=1e-6,
+                       safe_indices=seeds, lengthscale=0.4)
+    for index, value in zip(seeds, (-1.0, -2.0, -0.6)):
+        for _ in range(3):
+            observe(state, domain.point(index), [0.0, value, value - 0.2])
+    worst_ucb = np.max(state.grid_bounds().ucb[1:], axis=0)
+    grid = domain.grid
+    certified = np.zeros(domain.grid_size, dtype=bool)
+    for seed in seeds:
+        dist = np.abs(grid[:, 0] - grid[seed, 0]) + np.abs(grid[:, 1] - grid[seed, 1])
+        certified |= worst_ucb[seed] + 1.5 * dist <= 0
+    expected = set(seeds) | set(np.flatnonzero(certified))
+    blocks = gp.column_blocks(len(seeds), domain.grid_size)
+    assert len({i // blocks[0].stop for i in expected}) > 1
     safeopt_lite_step(state)
     assert set(state.safe_indices) == expected
     assert len(seeds) < len(expected) < domain.grid_size

@@ -242,12 +242,25 @@ def test_mistyped_policy_spec_rejected(tmp_path, spec):
            {"fit_every": 2.5}, {"fit_every": "5"}, {"fit_every": True},
            {"family": "rbf"}, {"lengthscale_factor": -1}, {"lengthscale_factor": "x"},
            {"output_scale": [0.5, 0.5, 0.5]}, {"noise_variance": float("nan")},
-           {"lengthscales": [1.0, 1.0]}]
+           {"lengthscales": [1.0, 1.0]},
+           # Its square, the prior variance, overflows: an OverflowError mid-run.
+           {"output_scale": 1e200}]
 )
 def test_mistyped_gp_settings_rejected(tmp_path, gp):
     # A misspelled fit_every would silently turn hyperparameter refits off.
     with pytest.raises(ValueError):
         small_config(tmp_path, gp={**GP, **gp})
+
+
+def test_random_makes_no_gp_update_or_refit(tmp_path, monkeypatch):
+    def read_a_model(*args, **kwargs):
+        raise AssertionError("random updated or refit a model")
+
+    monkeypatch.setattr(GpModel, "add", read_a_model)
+    monkeypatch.setattr(runner_mod, "fit_hyperparameters", read_a_model)
+    config = small_config(tmp_path, budget=12, n_init_random=2, gp={**GP, "fit_every": 4})
+    (path,) = run_experiment(config)
+    assert len(load_log(path)[1]) == 12
 
 
 def test_rejected_config_writes_nothing_and_its_fix_runs(tmp_path):
