@@ -45,7 +45,11 @@ def _cmd_metrics(args) -> int:
         if args.metric == "normalized" and sigmas is None:
             print("the normalized metric needs --problem to load sigmas", file=sys.stderr)
             return 1
-    table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas, out=args.out)
+    try:
+        table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas, out=args.out)
+    except ValueError as exc:  # a log that fails its check, named with its first bad line
+        print(f"cego metrics: {exc}", file=sys.stderr)
+        return 1
     if args.out is None:
         for row in table:
             print(",".join(str(v) for v in row))

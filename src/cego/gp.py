@@ -37,8 +37,8 @@ a group keeps ``V = L^{-1} k(X, lattice)`` and the unclamped variance on the
 last lattice one of its members was asked about, and each member keeps
 ``z = L^{-1} y`` and its mean there. The first query builds them with the
 formulas above, so its answer is the uncached one; a member that first asks
-about the group's lattice later computes its own mean with one
-cross-covariance and takes the group's variance. ``add`` then extends the
+about the group's lattice later makes the same uncached pass for its own
+mean and takes the group's variance. ``add`` then extends the
 cache by one row instead of dropping it (sequential Cholesky update;
 Rasmussen & Williams 2006, Alg. 2.1; Osborne 2010). With ``l, d`` the new
 last row and diagonal entry of the child's factor::
@@ -53,14 +53,23 @@ on the identity of a read-only array that owns its memory, such as
 ``Domain.grid``; any other query takes the uncached path and leaves the
 cache alone. A group that is never asked about a lattice builds no cache,
 and a model built from scratch (e.g. after a hyperparameter refit) rebuilds
-it on its first lattice query. The cache holds ``t * G`` floats per group,
-in a buffer that doubles when full.
+it on its first lattice query.
 
-Column blocks. An uncached query streams its points through blocks of
-about ``_BLOCK_BYTES`` of ``t``-float columns (:func:`column_blocks`). Each
-block computes its cross-covariance, means, ``V`` and variances, and
-writes its columns of ``V`` straight into the cache, so the cache is the
-only ``t * G`` array alive and no heap array reaches numpy's 4 MiB
+Row store. A group's ``V`` lives in the first ``t`` rows of a private
+mapping (``_LatticeRows.data``) with room for ``max(t, _ROW_CHUNK)`` more;
+mapped rows not yet written are not resident. A model reads only its own
+first ``t`` rows, so the first extension of a group's rows writes row ``t``
+in place while there is room. Any other extension (a second child of one
+parent, or one that finds the mapping full) copies the ``t`` rows into a new
+mapping of the same shape rule, so branching and growth are one path.
+
+Column blocks. Every query the cache cannot answer makes one pass,
+:meth:`GpModel._streamed`, that streams its points through blocks of about
+``_BLOCK_BYTES`` of ``t``-float columns (:func:`column_blocks`). Each block
+computes its cross-covariance, means (``k(X, block)^T alpha``, before the
+triangular solve), ``V`` and variances, and when the pass builds a cache it
+writes its columns of ``V`` straight into the row store, so the cache is
+the only ``t * G`` array alive and no heap array reaches numpy's 4 MiB
 huge-page threshold. Every column goes through the same operations as in
 one product over all columns, so the bits are the same; a query that fits
 in one block is that product. (A BLAS that splits a product's rows among
@@ -81,7 +90,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .domain import as_point
-from .kernels import Kernel
+from .kernels import Kernel, positive_real
 
 __all__ = ["GpModel", "empty_models"]
 
@@ -89,7 +98,8 @@ _VARIANCE_CLAMP = 1e-9
 
 # Lattice-cache rows are allocated at least this many at a time.
 _ROW_CHUNK = 32
-_TIP_LOCK = threading.Lock()
+# Guards the once-flag of _LatticeRows.extend.
+_EXTEND_LOCK = threading.Lock()
 # Bytes of one column block of an uncached query: (rows x width) floats.
 # Well under numpy's 4 MiB huge-page threshold. Not much smaller: glibc
 # raises its mmap and trim thresholds only when a block that large is freed,
@@ -165,49 +175,37 @@ def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _checked(dpotrs(chol, b, lower=1), "dpotrs")
 
 
-class _RowBuffer:
-    """Rows of ``V``, grown geometrically and shared along a chain of ``add`` calls.
-
-    A new buffer holds ``n_rows`` rows, unwritten, with room for more.
-    ``tip`` counts the rows some model has claimed. A model only reads its
-    own first ``t`` rows, so the model whose cache ends at the tip may append
-    in place; any other (a second child of one parent) gets a copy. Rows
-    mapped but not yet written are not resident.
-    """
-
-    def __init__(self, n_rows: int, width: int):
-        self.tip = n_rows
-        self.data = _mapped_rows(n_rows + _ROW_CHUNK, width)
-
-    def append(self, t: int, row: np.ndarray) -> "_RowBuffer":
-        """A buffer whose first ``t + 1`` rows are ``self.data[:t]`` then ``row``."""
-        with _TIP_LOCK:
-            at_tip = self.tip == t
-            if at_tip:
-                self.tip = t + 1
-        if not at_tip:
-            copy = _RowBuffer(t + 1, self.data.shape[1])
-            copy.data[:t] = self.data[:t]
-            copy.data[t] = row
-            return copy
-        if t == self.data.shape[0]:
-            grown = _mapped_rows(t + max(t, _ROW_CHUNK), self.data.shape[1])
-            grown[:t] = self.data[:t]
-            self.data = grown
-        self.data[t] = row
-        return self
+def _row_store(t: int, width: int) -> np.ndarray:
+    """A mapping for ``t`` rows of ``V`` and ``max(t, _ROW_CHUNK)`` more."""
+    return _mapped_rows(t + max(t, _ROW_CHUNK), width)
 
 
-@dataclass(frozen=True, eq=False)
 class _LatticeRows:
-    """A group's share of the posterior on one lattice.
+    """A group's share of the posterior on one lattice after ``t`` observations.
 
-    ``buffer.data[:t]`` is ``V``; ``var`` is not yet clamped.
+    ``data[:t]`` is ``V``, in a mapping with room for more rows; ``var`` is
+    not yet clamped. A model reads only its own first ``t`` rows, so the
+    first extension of these rows appends in place while the mapping has
+    room. Any other (a second child of one parent, or one that finds the
+    mapping full) copies them into a new mapping.
     """
 
-    lattice: np.ndarray
-    buffer: _RowBuffer
-    var: np.ndarray
+    def __init__(self, lattice: np.ndarray, data: np.ndarray, var: np.ndarray):
+        self.lattice = lattice
+        self.data = data
+        self.var = var
+        self._extended = False
+
+    def extend(self, t: int, row: np.ndarray) -> "_LatticeRows":
+        """The rows after one more observation, whose row of ``V`` is ``row``."""
+        with _EXTEND_LOCK:
+            first, self._extended = not self._extended, True
+        data = self.data
+        if not first or t == data.shape[0]:
+            data = _row_store(t, data.shape[1])
+            data[:t] = self.data[:t]
+        data[t] = row
+        return _LatticeRows(self.lattice, data, self.var - row * row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,12 +268,7 @@ class _Covariance:
         if lattice is not None:
             l, d = child.chol[t, :t], child.chol[t, t]
             k_row = self.kernel.cross(point[None, :], lattice.lattice)[0]
-            row = (k_row - l @ lattice.buffer.data[:t]) / d
-            rows = child.lattice = _LatticeRows(
-                lattice=lattice.lattice,
-                buffer=lattice.buffer.append(t, row),
-                var=lattice.var - row * row,
-            )
+            rows = child.lattice = lattice.extend(t, (k_row - l @ lattice.data[:t]) / d)
         self._last_child = (key, lattice, weakref.ref(child), rows)
         return child, rows
 
@@ -294,15 +287,14 @@ class GpModel:
     kernel:
         Covariance function; also fixes the input dimension.
     noise_variance:
-        i.i.d. Gaussian observation noise variance ``lam > 0``.
+        i.i.d. Gaussian observation noise variance, a finite ``lam > 0``.
     """
 
     def __init__(self, kernel: Kernel, noise_variance: float,
                  _X: np.ndarray | None = None, _y: np.ndarray | None = None):
-        if not noise_variance > 0:
-            raise ValueError(f"noise_variance must be positive, got {noise_variance}")
+        noise_variance = positive_real("noise_variance", noise_variance)
         X = np.empty((0, kernel.dim)) if _X is None else _X
-        self._hold(_Covariance(kernel, float(noise_variance), X), np.empty(0) if _y is None else _y)
+        self._hold(_Covariance(kernel, noise_variance, X), np.empty(0) if _y is None else _y)
 
     def _hold(self, cov: _Covariance, y: np.ndarray):
         """Take ``cov`` as the covariance part and ``y`` as the targets at its inputs."""
@@ -357,7 +349,7 @@ class GpModel:
             child._lattice = _LatticeMean(
                 shared=rows,
                 z=np.append(own.z, z_t),
-                mean=own.mean + z_t * rows.buffer.data[t],
+                mean=own.mean + z_t * rows.data[t],
             )
         return child
 
@@ -387,17 +379,14 @@ class GpModel:
         if own is not None and own.shared is shared:
             means, variances = own.mean.copy(), shared.var
         else:
+            data = None
+            if shared is None and _is_lattice(queries):
+                data = _row_store(cov.X.shape[0], queries.shape[0])
+            means, variances = self._streamed(queries, data)
+            if data is not None:
+                shared = cov.lattice = _LatticeRows(queries, data, variances)
             if shared is not None:
-                means, variances = self._streamed(queries, None), shared.var
-            else:
-                buffer = None
-                if _is_lattice(queries):
-                    buffer = _RowBuffer(cov.X.shape[0], queries.shape[0])
-                variances = np.full(queries.shape[0], self.kernel.prior_variance)
-                means = self._streamed(queries, variances, buffer)
-                if buffer is not None:
-                    shared = cov.lattice = _LatticeRows(queries, buffer, variances)
-            if shared is not None:
+                variances = shared.var
                 z = _solve_lower(cov.chol, self._y)
                 self._lattice = _LatticeMean(shared, z, means.copy())
         too_negative = variances < -_VARIANCE_CLAMP
@@ -408,27 +397,26 @@ class GpModel:
             )
         return means, np.maximum(variances, 0.0)
 
-    def _streamed(self, queries: np.ndarray, variances: np.ndarray | None,
-                  buffer: _RowBuffer | None = None) -> np.ndarray:
-        """Posterior means at ``queries``, computed one column block at a time.
+    def _streamed(self, queries: np.ndarray,
+                  rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and unclamped variances at ``queries``, one column block at a time.
 
-        With ``variances`` (the prior variance on entry), each block also
-        subtracts its ``sum(V**2)`` from them in place and, with ``buffer``,
-        writes its columns of ``V`` into the buffer's rows.
+        With ``rows``, each block also writes its columns of ``V`` into ``rows[:t]``.
         """
         X = self._cov.X
+        t = X.shape[0]
         means = np.empty(queries.shape[0])
-        for cols in column_blocks(X.shape[0], queries.shape[0]):
+        variances = np.full(queries.shape[0], self.kernel.prior_variance)
+        for cols in column_blocks(t, queries.shape[0]):
             block = self.kernel.cross(X, queries[cols])
             means[cols] = block.T @ self._alpha
-            if variances is not None:
-                block = _solve_lower(self._cov.chol, block)  # V; k(X, block) is freed
-                if buffer is not None:
-                    buffer.data[: X.shape[0], cols] = block
-                block *= block
-                variances[cols] -= np.sum(block, axis=0)
+            block = _solve_lower(self._cov.chol, block)  # V; k(X, block) is freed
+            if rows is not None:
+                rows[:t, cols] = block
+            block *= block
+            variances[cols] -= np.sum(block, axis=0)
             del block  # before the next block's cross-covariance
-        return means
+        return means, variances
 
     def log_marginal_likelihood(self) -> float:
         """Exact log marginal likelihood of the stored observations."""

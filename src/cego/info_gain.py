@@ -7,7 +7,9 @@ selection, which carries the usual ``1 - 1/e`` submodular guarantee and is
 reported as an approximation. The greedy increment for adding a point with
 posterior variance ``s2`` (conditioned on the points picked so far, noise
 ``lam``) is ``0.5 * log(1 + s2 / lam)``, so each round simply picks the
-highest-variance grid point.
+highest-variance grid point: a :class:`~cego.gp.GpModel` queried on the
+lattice and given each pick with value 0 (the variance does not depend on
+the values) does that bookkeeping.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from math import comb
 import numpy as np
 
 from .domain import Domain
-from .kernels import Kernel
+from .gp import GpModel, _factor
+from .kernels import Kernel, positive_real
 
 __all__ = ["max_info_gain"]
 
@@ -27,10 +30,9 @@ _EXACT_SUBSET_LIMIT = 20_000
 
 
 def _logdet_gain(kernel: Kernel, points: np.ndarray, noise_variance: float) -> float:
-    gram = kernel.gram(points)
-    m = gram.shape[0]
-    chol = np.linalg.cholesky(np.eye(m) + gram / noise_variance)
-    return float(np.sum(np.log(np.diag(chol))))
+    # 0.5 logdet(I + K / lam) = 0.5 logdet(K + lam I) - 0.5 m log(lam).
+    chol = _factor(kernel.gram(points), noise_variance)
+    return float(np.sum(np.log(np.diag(chol))) - 0.5 * len(points) * np.log(noise_variance))
 
 
 def _exact(kernel: Kernel, grid: np.ndarray, t: int, noise_variance: float) -> float:
@@ -41,19 +43,13 @@ def _exact(kernel: Kernel, grid: np.ndarray, t: int, noise_variance: float) -> f
 
 
 def _greedy(kernel: Kernel, grid: np.ndarray, t: int, noise_variance: float) -> float:
-    n = grid.shape[0]
-    variances = np.full(n, kernel.prior_variance)
-    # Incrementally conditioned covariance rows, one per chosen point.
-    conditioners = np.empty((t, n))
+    model = GpModel(kernel, noise_variance)
     gain = 0.0
-    for step in range(t):
+    for _ in range(t):
+        variances = model.posterior_batch(grid)[1]
         pick = int(np.argmax(variances))
         gain += 0.5 * np.log1p(variances[pick] / noise_variance)
-        cross = kernel.cross(grid[pick][None, :], grid)[0]
-        if step:
-            cross = cross - conditioners[:step].T @ conditioners[:step, pick]
-        conditioners[step] = cross / np.sqrt(variances[pick] + noise_variance)
-        variances = np.maximum(variances - conditioners[step] ** 2, 0.0)
+        model = model.add(grid[pick], 0.0)
     return gain
 
 
@@ -75,8 +71,7 @@ def max_info_gain(
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if noise_variance <= 0:
-        raise ValueError(f"noise_variance must be positive, got {noise_variance}")
+    noise_variance = positive_real("noise_variance", noise_variance)
     grid = domain.grid
     if t > grid.shape[0]:
         raise ValueError(f"t={t} exceeds grid size {grid.shape[0]}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -24,6 +25,14 @@ __all__ = ["Kernel", "SQUARED_EXPONENTIAL", "MATERN52"]
 SQUARED_EXPONENTIAL = "squared_exponential"
 MATERN52 = "matern52"
 _FAMILIES = (SQUARED_EXPONENTIAL, MATERN52)
+
+
+def positive_real(what: str, value) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a finite positive real and not a bool."""
+    real = isinstance(value, Real) and not isinstance(value, bool)  # np.bool_ is no Real
+    if not (real and math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -35,19 +44,18 @@ class Kernel:
     def __init__(self, family, lengthscales, output_scale=1.0):
         if family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {family!r}, expected one of {_FAMILIES}")
-        lengthscales = tuple(float(v) for v in np.atleast_1d(lengthscales))
+        # Element by element, so that a bool in a list is not made a float first.
+        lengthscales = lengthscales if np.ndim(lengthscales) else [lengthscales]
+        lengthscales = tuple(positive_real("lengthscales", v) for v in lengthscales)
         if not lengthscales:
             raise ValueError("a kernel needs at least one lengthscale")
-        if not all(ls > 0 for ls in lengthscales):
-            raise ValueError(f"lengthscales must be positive, got {lengthscales}")
-        if not output_scale > 0:
-            raise ValueError(f"output_scale must be positive, got {output_scale}")
-        if not math.isfinite(float(output_scale) * float(output_scale)):
+        output_scale = positive_real("output_scale", output_scale)
+        if not math.isfinite(output_scale * output_scale):
             raise ValueError(f"output_scale must have a finite square (the prior variance), "
                              f"got {output_scale}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "lengthscales", lengthscales)
-        object.__setattr__(self, "output_scale", float(output_scale))
+        object.__setattr__(self, "output_scale", output_scale)
 
     @property
     def dim(self) -> int:

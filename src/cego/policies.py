@@ -40,6 +40,7 @@ from scipy.special import ndtr
 from .domain import Domain, as_point
 from .gp import GpModel, column_blocks
 from .grid_eval import GridEvaluation, constrained_argmin, evaluate_grid
+from .kernels import positive_real
 
 __all__ = [
     "BetaSchedule",
@@ -92,8 +93,7 @@ class BetaSchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "log_growth"):
             raise ValueError(f"unknown beta mode {self.mode!r}")
-        if not self.value > 0:
-            raise ValueError(f"beta value must be positive, got {self.value}")
+        positive_real("beta value", self.value)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 

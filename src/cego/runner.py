@@ -1,11 +1,16 @@
 """Experiment orchestration: seeded replications, JSONL logs, resume, metrics tables.
 
 Reproducibility contract: a run configuration determines every byte of its
-logs. All randomness is drawn from named streams derived from the
-replication seed (start sampling, per-step measurement noise, per-step
-random-policy draws), so a replication can be resumed after truncation and
-will reproduce the original prefix exactly. Wall-clock timestamps live in a
-sidecar file, never in the log itself.
+logs for a given BLAS thread count. All randomness is drawn from named
+streams derived from the replication seed (start sampling, per-step
+measurement noise, per-step random-policy draws), so a replication can be
+resumed after truncation and will reproduce the original prefix exactly.
+Wall-clock timestamps live in a sidecar file, never in the log itself. A
+threaded BLAS may split a product's rows among its threads by the product's
+size and round the rows at each thread's edge differently, so a posterior
+mean, and through it a decision, can differ in its last bits between thread
+counts. Run with ``OPENBLAS_NUM_THREADS=1`` (as ``perfbench`` does) for logs
+that compare across machines.
 
 Log layout: one JSONL file per (policy, seed). The first line is a header
 object carrying the full effective configuration; every further line is a
@@ -19,7 +24,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +33,7 @@ from scipy.linalg import LinAlgError
 from . import __version__
 from .gp import empty_models
 from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
-from .kernels import SQUARED_EXPONENTIAL, Kernel
+from .kernels import SQUARED_EXPONENTIAL, Kernel, positive_real
 from .metrics import (
     RunRecord,
     best_so_far_series,
@@ -127,8 +132,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
+        """The configuration a JSON file holds; ``ValueError`` naming any unknown or missing key."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        _check_shape("a run configuration", raw, dict, "a JSON object")
+        _check_keys("configuration", raw, frozenset(f.name for f in fields(cls)))
+        missing = [f.name for f in fields(cls) if f.name not in raw and f.default is MISSING
+                   and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"configuration lacks keys {missing}")
         return cls(**raw)
 
 
@@ -179,7 +191,8 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict) -> Algorit
     kernel and noise are equal share one covariance part (see ``cego.gp``).
     """
     family = gp_config.get("family", SQUARED_EXPONENTIAL)
-    lengthscales = tuple(gp_config.get("lengthscale_factor", 0.1) * problem.domain.widths)
+    factor = positive_real("lengthscale_factor", gp_config.get("lengthscale_factor", 0.1))
+    lengthscales = tuple(factor * problem.domain.widths)
     output_scales = _per_output(gp_config.get("output_scale", 1.0), problem.n_outputs)
     noise_variances = _per_output(gp_config.get("noise_variance", 1e-4), problem.n_outputs)
     models = empty_models(
@@ -268,7 +281,10 @@ def _header(config: RunConfig, policy_spec: dict, seed: int) -> dict:
 def load_log(path) -> tuple[dict, list[RunRecord]]:
     """Parse a log file into its header and complete records.
 
-    A trailing line without a newline (truncated write) is ignored.
+    A trailing line without a newline (truncated write) is ignored. The
+    records must run ``t = 1, 2, ...`` with no gap or repeat, number at most
+    the header's ``budget``, and hold an ``infeasible`` marker only as the
+    last one; otherwise a ``ValueError`` names the log and the first bad line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -276,22 +292,36 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
     lines = text.split("\n")[:-1]
     if not lines:
         raise ValueError(f"log {path} has no header line")
-    header = json.loads(lines[0])
-    if header.get("kind") != "run_header":
-        raise ValueError(f"log {path} does not start with a run header")
-    records = []
-    for line in lines[1:]:
-        raw = json.loads(line)
-        records.append(
-            RunRecord(
-                t=raw["t"],
-                theta=None if raw["theta"] is None else tuple(raw["theta"]),
-                y=None if raw["y"] is None else tuple(raw["y"]),
-                true_values=None if raw["true"] is None else tuple(raw["true"]),
-                decision=raw["decision"],
-            )
-        )
+    records: list[RunRecord] = []
+    number = 1
+    try:
+        header = json.loads(lines[0])
+        if not isinstance(header, dict) or header.get("kind") != "run_header":
+            raise ValueError("not a run header")
+        budget = header["budget"]
+        for number, line in enumerate(lines[1:], start=2):
+            records.append(_next_record(json.loads(line), records, budget))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"log {path} line {number}: {exc}") from exc
     return header, records
+
+
+def _next_record(raw: dict, records: list[RunRecord], budget: int) -> RunRecord:
+    """The record that ``raw`` holds, if it may follow ``records`` in a log of ``budget`` steps."""
+    due = len(records) + 1
+    if raw["t"] != due:
+        raise ValueError(f"t={raw['t']} where t={due} was due")
+    if due > budget:
+        raise ValueError(f"a record beyond the budget of {budget}")
+    if records and records[-1].decision == "infeasible":
+        raise ValueError("a record after the infeasible marker")
+    return RunRecord(
+        t=raw["t"],
+        theta=None if raw["theta"] is None else tuple(raw["theta"]),
+        y=None if raw["y"] is None else tuple(raw["y"]),
+        true_values=None if raw["true"] is None else tuple(raw["true"]),
+        decision=raw["decision"],
+    )
 
 
 def _truncate_partial_line(path: Path):

@@ -47,6 +47,14 @@ def test_run_and_metrics_round_trip(tmp_path, capsys):
     assert rows[0] == "step,random_mean,random_std"
     assert len(rows) == 4
 
+    # A log whose records repeat a step is named in one line, not a traceback.
+    header, *records = logs[0].read_text().splitlines()
+    logs[0].write_text("\n".join([header, records[0], records[0]]) + "\n")
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(tmp_path / "logs"), "--metric", "best_so_far"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"cego metrics: log {logs[0]} line 3: t=1 where t=2 was due\n"
+
 
 def test_oracle_subcommand_writes_reference(tmp_path, capsys):
     out = tmp_path / "refs.json"
@@ -104,10 +112,21 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
     infeasible = Path(__file__).resolve().parent.parent / "configs" / "artificial_infeasible.json"
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"problem": ')
+    # Each of these ended in a TypeError from RunConfig(**raw).
+    shapes = {}
+    for name, raw in (("listed", [1, 2]),
+                      ("misspelled", {**json.loads(infeasible.read_text()), "budgett": 5}),
+                      ("budgetless", {"problem": {"name": "artificial"}, "policies": [],
+                                      "seeds": [1]})):
+        shapes[name] = tmp_path / f"{name}.json"
+        shapes[name].write_text(json.dumps(raw))
     for argv, phrase in (
         (["--config", str(infeasible), "--jobs", "0"], "jobs must be an int >= 1"),
         (["--config", str(malformed)], "Expecting value"),
         (["--config", str(tmp_path / "missing.json")], "No such file or directory"),
+        (["--config", str(shapes["listed"])], "must be a JSON object"),
+        (["--config", str(shapes["misspelled"])], "unknown configuration keys ['budgett']"),
+        (["--config", str(shapes["budgetless"])], "configuration lacks keys ['budget']"),
     ):
         assert main(["run", *argv]) == 2
         captured = capsys.readouterr()

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +197,13 @@ def test_observation_validates_finiteness():
         model.add([np.inf], 1.0)
 
 
+@pytest.mark.parametrize("noise", [0.0, -1e-3, np.nan, np.inf, 1e400, True, "0.01"])
+def test_noise_variance_must_be_a_finite_positive_real(noise):
+    # True ran as 1.0, and an infinite noise failed every replication mid-run.
+    with pytest.raises(ValueError, match="noise_variance"):
+        GpModel(Kernel("squared_exponential", [1.0], 1.0), noise)
+
+
 def test_ill_conditioned_factorization_signalled():
     # Duplicate points with essentially no noise make K + lam*I singular.
     import scipy.linalg
@@ -285,11 +294,63 @@ def test_incremental_lattice_posterior_matches_fresh():
             )
 
 
-def test_branching_adds_leave_parent_posterior_unchanged():
+@pytest.mark.parametrize("t", [3, 40], ids=["chunk", "doubling"])
+def test_lattice_rows_extend_in_place_once_while_there_is_room(t):
+    width = 5
+    rng = np.random.default_rng(t)
+    values, var = rng.normal(size=(t, width)), rng.uniform(1.0, 2.0, width)
+    rows = gp._LatticeRows(None, gp._row_store(t, width), var)
+    rows.data[:t] = values
+    first = rows.extend(t, np.full(width, 0.5))
+    assert first.data is rows.data
+    assert np.array_equal(first.var, var - 0.25)
+    full = gp._LatticeRows(None, gp._mapped_rows(t, width), var)
+    full.data[:] = values
+    # A second extension of one parent's rows, and one that finds its mapping full.
+    for child in (rows.extend(t, np.full(width, 0.75)), full.extend(t, np.full(width, 0.75))):
+        assert child.data is not rows.data and child.data is not full.data
+        assert child.data.shape == (t + max(t, 32), width)
+        assert np.array_equal(child.data[:t], values)
+        assert np.array_equal(child.data[t], np.full(width, 0.75))
+    assert np.array_equal(first.data[t], np.full(width, 0.5))
+
+
+def test_concurrent_extensions_of_one_parent_get_one_in_place():
+    # A lost update of the once-flag would let two children write row t of
+    # one mapping, and one of them would read the other's row.
+    t, width, workers = 4, 3, 8
+    values = np.arange(t * width, dtype=float).reshape(t, width)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rows = gp._LatticeRows(None, gp._row_store(t, width), np.ones(width))
+            rows.data[:t] = values
+            barrier = threading.Barrier(workers)
+
+            def extend(i):
+                barrier.wait(timeout=10)
+                return rows.extend(t, np.full(width, float(i)))
+
+            with ThreadPoolExecutor(workers) as pool:
+                children = list(pool.map(extend, range(workers), timeout=30))
+            assert sum(child.data is rows.data for child in children) == 1
+            for i, child in enumerate(children):
+                assert np.array_equal(child.data[:t], values)
+                assert np.array_equal(child.data[t], np.full(width, float(i)))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("t, mapped", [(10, 33), (33, 33), (34, 66)],
+                         ids=["room", "full-mapping", "after-growth"])
+def test_branching_adds_leave_parent_posterior_unchanged(t, mapped):
     rng = np.random.default_rng(23)
     model, domain = random_instance(rng)
-    for _ in range(10):
+    for _ in range(t):
         model = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+        model.posterior_batch(domain.grid)  # the cache starts at t = 1 and grows with it
+    assert model._cov.lattice.data.shape[0] == mapped
     parent = model.posterior_batch(domain.grid)
     first = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
     first.posterior_batch(domain.grid)
@@ -434,7 +495,7 @@ def check_streamed_posterior_matches_one_shot():
                     got_means, got_variances = model.posterior_batch(queries)
                     assert np.array_equal(got_means, means), (family, t)
                     assert np.array_equal(got_variances, variances), (family, t)
-            assert np.array_equal(first._cov.lattice.buffer.data[:t], rows), (family, t)
+            assert np.array_equal(first._cov.lattice.data[:t], rows), (family, t)
 
 
 def test_streamed_posterior_matches_one_shot_formulas():

@@ -85,3 +85,34 @@ def test_t_larger_than_grid_rejected():
     k = Kernel("squared_exponential", [1.0], 1.0)
     with pytest.raises(ValueError):
         max_info_gain(k, Domain([0.0], [1.0], [3]), 4, 0.01)
+
+
+def conditioner_greedy_gain(kernel, grid, t, lam):
+    """Greedy gain from explicitly conditioned covariance rows, one per pick."""
+    variances = np.full(len(grid), kernel.prior_variance)
+    conditioners = np.empty((t, len(grid)))
+    gain = 0.0
+    for step in range(t):
+        pick = int(np.argmax(variances))
+        gain += 0.5 * np.log1p(variances[pick] / lam)
+        cross = kernel.cross(grid[pick][None, :], grid)[0]
+        cross = cross - conditioners[:step].T @ conditioners[:step, pick]
+        conditioners[step] = cross / np.sqrt(variances[pick] + lam)
+        variances = np.maximum(variances - conditioners[step] ** 2, 0.0)
+    return gain
+
+
+@pytest.mark.parametrize("family", ["squared_exponential", "matern52"])
+def test_greedy_matches_conditioned_rows_on_a_2d_lattice(family):
+    k = Kernel(family, [0.3, 0.45], 1.2)
+    domain = Domain([0.0, 0.0], [1.0, 1.0], [15, 13])
+    for t in (1, 2, 7, 20, 40):
+        got = max_info_gain(k, domain, t, 0.01, method="greedy")
+        np.testing.assert_allclose(got, conditioner_greedy_gain(k, domain.grid, t, 0.01), rtol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.1, float("nan"), float("inf"), True])
+def test_noise_variance_must_be_finite_and_positive(lam):
+    k = Kernel("squared_exponential", [1.0], 1.0)
+    with pytest.raises(ValueError, match="noise_variance"):
+        max_info_gain(k, Domain([0.0], [1.0], [5]), 1, lam)

@@ -103,6 +103,13 @@ def test_invalid_parameters_rejected():
     for scale in (1e200, float("inf")):  # the prior variance, scale**2, overflows
         with pytest.raises(ValueError, match="output_scale"):
             Kernel("squared_exponential", [1.0], scale)
+    # A bool is not a scale, even where it would act as 1.0.
+    for scale in (True, np.True_, "1.0", float("nan")):
+        with pytest.raises(ValueError, match="output_scale"):
+            Kernel("squared_exponential", [1.0], scale)
+    for lengthscales in (True, [True], [1.0, True], [float("inf")], [float("nan")], "1"):
+        with pytest.raises(ValueError, match="lengthscales"):
+            Kernel("squared_exponential", lengthscales, 1.0)
 
 
 def test_zero_dimensions_rejected():

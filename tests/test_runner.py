@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import sys
 from concurrent.futures import Future
 from pathlib import Path
@@ -128,6 +129,48 @@ def test_completed_log_left_untouched(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_log_of_two_writers_is_named_on_resume_and_in_metrics(tmp_path):
+    # Two writers that each resume from the other's partial file leave a
+    # budget's worth of records with a repeated step: t = 1, 2, 2, 3.
+    config = small_config(tmp_path, budget=4, seeds=(9,))
+    (path,) = run_experiment(config)
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, *records[:2], records[1], records[2]]) + "\n",
+                    encoding="utf-8")
+    named = f"log {re.escape(str(path))} line 4: t=2 where t=3"
+    with pytest.raises(RuntimeError, match=f"cannot resume {re.escape(str(path))}: {named}"):
+        run_experiment(config)
+    with pytest.raises(ValueError, match=named):
+        emit_metrics([path], metric="best_so_far")
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda records: records[1:], "line 2: t=2 where t=1"),
+    (lambda records: records + [{**records[-1], "t": 5}], "line 6: a record beyond the budget"),
+    (lambda records: [records[0], {**records[1], "decision": "infeasible"}, records[2]],
+     "line 4: a record after the infeasible marker"),
+    (lambda records: [records[0], {"t": 2}], "line 3: 'theta'"),
+], ids=["gap", "over-budget", "after-infeasible", "missing-field"])
+def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
+    config = small_config(tmp_path, budget=4, seeds=(9,))
+    (path,) = run_experiment(config)
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    records = edit([json.loads(line) for line in records])
+    path.write_text("\n".join([header, *map(runner_mod._dumps, records)]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"log {re.escape(str(path))} {problem}"):
+        load_log(path)
+
+
+@pytest.mark.parametrize("header", ['{"kind": ', '[1]', '{"kind": "run_header"}'])
+def test_load_log_names_a_bad_header(tmp_path, header):
+    # emit_metrics used to fail on these with a JSON or lookup error naming no log.
+    path = tmp_path / "bad.jsonl"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"log {re.escape(str(path))} line 1: "):
+        emit_metrics([path], metric="best_so_far")
+
+
 def test_infeasible_variant_ends_with_marker(tmp_path):
     config = RunConfig(
         problem={"name": "artificial_infeasible", "grid": [20, 20], "noise_std": 0.01},
@@ -228,7 +271,9 @@ def test_mistyped_run_settings_rejected(tmp_path, settings, match):
              {"name": "primal_dual", "eta": 0.0}, {"name": "safeopt_lite", "lipschitz": -1.0},
              {"name": "config", "beta": {"mode": "linear"}},
              {"name": "config", "beta": {"value": "x"}}, {"name": "config", "beta": 2.0},
-             {"name": "safeopt_lite", "safe_seed": [[0.0]]}, "config"]
+             {"name": "safeopt_lite", "safe_seed": [[0.0]]}, "config",
+             {"name": "config", "beta": {"value": True}},
+             {"name": "config", "beta": {"value": 1e400}}]
 )
 def test_mistyped_policy_spec_rejected(tmp_path, spec):
     # A misspelled policy, knob or value must fail when the config is built,
@@ -244,7 +289,10 @@ def test_mistyped_policy_spec_rejected(tmp_path, spec):
            {"output_scale": [0.5, 0.5, 0.5]}, {"noise_variance": float("nan")},
            {"lengthscales": [1.0, 1.0]},
            # Its square, the prior variance, overflows: an OverflowError mid-run.
-           {"output_scale": 1e200}]
+           {"output_scale": 1e200},
+           # A bool ran as 1.0; an infinite noise failed every replication mid-run.
+           {"output_scale": True}, {"noise_variance": True}, {"lengthscale_factor": True},
+           {"lengthscale_factor": 1e400}, {"noise_variance": [1e-4, 1e400]}]
 )
 def test_mistyped_gp_settings_rejected(tmp_path, gp):
     # A misspelled fit_every would silently turn hyperparameter refits off.
