@@ -16,6 +16,8 @@ import threading
 
 import numpy as np
 
+from .domain import int_at_least, positive_real
+
 __all__ = ["ExternalBlackbox", "BlackboxError", "BlackboxTimeout", "BlackboxProtocolError"]
 
 
@@ -41,13 +43,13 @@ class ExternalBlackbox:
     """
 
     def __init__(self, command: list[str], n_constraints: int, timeout: float = 30.0):
-        if not command:
-            raise ValueError("external command must be non-empty")
-        if timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
+        # A string is a sequence too: "python" would run ['p', 'y', 't', ...].
+        if not (isinstance(command, (list, tuple)) and command
+                and all(isinstance(part, str) for part in command)):
+            raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
         self.command = list(command)
-        self.n_constraints = int(n_constraints)
-        self.timeout = float(timeout)
+        self.n_constraints = int_at_least("n_constraints", n_constraints, 0)
+        self.timeout = positive_real("timeout", timeout)
         self._proc: subprocess.Popen | None = None
         self._lines: queue.Queue = queue.Queue()
 

@@ -10,12 +10,41 @@ this ordering being stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
-__all__ = ["Domain", "as_point"]
+__all__ = ["Domain", "as_point", "finite_real", "positive_real", "int_at_least"]
+
+
+def _is_real(value) -> bool:
+    """A real number and not a bool (a bool is an int; ``np.bool_`` is no ``Real``)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def finite_real(what: str, value, minimum: float = -math.inf) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a finite real ``>= minimum``."""
+    if not (_is_real(value) and math.isfinite(value) and value >= minimum):
+        at_least = "" if minimum == -math.inf else f" >= {minimum}"
+        raise ValueError(f"{what} must be a finite number{at_least}, got {value!r}")
+    return float(value)
+
+
+def positive_real(what: str, value) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a finite real ``> 0``."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def int_at_least(what: str, value, minimum: int) -> int:
+    """``value``; ``ValueError`` unless it is a Python int ``>= minimum`` (no bool or numpy int)."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{what} must be an int >= {minimum}, got {value!r}")
+    return value
 
 
 def as_point(theta) -> np.ndarray:
@@ -46,17 +75,15 @@ class Domain:
     grid_counts: tuple[int, ...]
 
     def __init__(self, lower, upper, grid_counts):
-        lower = tuple(float(v) for v in np.atleast_1d(lower))
-        upper = tuple(float(v) for v in np.atleast_1d(upper))
-        grid_counts = tuple(int(c) for c in np.atleast_1d(grid_counts))
+        lower = tuple(finite_real("lower", v) for v in _entries(lower))
+        upper = tuple(finite_real("upper", v) for v in _entries(upper))
+        grid_counts = tuple(int_at_least("grid_counts", c, 2) for c in _entries(grid_counts))
         if not len(lower) == len(upper) == len(grid_counts):
             raise ValueError("lower, upper and grid_counts must have equal length")
         if not lower:
             raise ValueError("a domain needs at least one dimension")
         if any(lo >= hi for lo, hi in zip(lower, upper)):
             raise ValueError(f"need lower < upper per dimension, got {lower} / {upper}")
-        if any(c < 2 for c in grid_counts):
-            raise ValueError(f"grid_counts must all be >= 2, got {grid_counts}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "grid_counts", grid_counts)
@@ -99,10 +126,12 @@ class Domain:
         return self.grid[index].copy()
 
     def nearest_index(self, theta) -> int:
-        """Linear index of the lattice point closest to ``theta`` (per-dimension snap)."""
+        """Linear index of the lattice point closest to ``theta``, a point of the closed box."""
         theta = as_point(theta)
         if theta.shape[0] != self.dim:
             raise ValueError(f"point has dim {theta.shape[0]}, domain has {self.dim}")
+        if not self.contains(theta):
+            raise ValueError(f"point {theta} lies outside the box {self.lower} / {self.upper}")
         index = 0
         for d, (axis, count) in enumerate(zip(self.axes, self.grid_counts)):
             index = index * count + int(np.argmin(np.abs(axis - theta[d])))
@@ -122,3 +151,10 @@ class Domain:
     def sample_index(self, rng: np.random.Generator) -> int:
         """Uniform lattice index draw."""
         return int(rng.integers(self.grid_size))
+
+
+def _entries(values) -> list:
+    """The entries of a scalar, a list, a tuple or an array, as Python objects."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # numpy scalars become Python floats and ints
+    return list(values) if isinstance(values, (list, tuple)) else [values]

@@ -89,8 +89,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .domain import as_point
-from .kernels import Kernel, positive_real
+from .domain import as_point, positive_real
+from .kernels import Kernel
 
 __all__ = ["GpModel", "empty_models"]
 

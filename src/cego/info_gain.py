@@ -19,9 +19,9 @@ from math import comb
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, positive_real
 from .gp import GpModel, _factor
-from .kernels import Kernel, positive_real
+from .kernels import Kernel
 
 __all__ = ["max_info_gain"]
 

@@ -16,23 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
+
+from .domain import positive_real
 
 __all__ = ["Kernel", "SQUARED_EXPONENTIAL", "MATERN52"]
 
 SQUARED_EXPONENTIAL = "squared_exponential"
 MATERN52 = "matern52"
 _FAMILIES = (SQUARED_EXPONENTIAL, MATERN52)
-
-
-def positive_real(what: str, value) -> float:
-    """``value`` as a float; ``ValueError`` unless it is a finite positive real and not a bool."""
-    real = isinstance(value, Real) and not isinstance(value, bool)  # np.bool_ is no Real
-    if not (real and math.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be a finite positive number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)

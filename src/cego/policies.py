@@ -31,16 +31,15 @@ minimize the objective LCB plus a constraint term with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 from scipy.special import ndtr
 
-from .domain import Domain, as_point
+from .domain import Domain, as_point, finite_real, positive_real
 from .gp import GpModel, column_blocks
 from .grid_eval import GridEvaluation, constrained_argmin, evaluate_grid
-from .kernels import positive_real
 
 __all__ = [
     "BetaSchedule",
@@ -133,6 +132,7 @@ class AlgorithmState:
     """Mutable per-run state: one GP per output plus policy bookkeeping.
 
     ``models[0]`` tracks the objective; ``models[i]`` tracks constraint ``i``.
+    The dual variables of ``primal_dual`` start at zero, one per constraint.
     Stepping is strictly sequential within a run; independent runs share
     nothing mutable.
     """
@@ -144,7 +144,7 @@ class AlgorithmState:
     t: int = 0
     rho: float = 1.0
     eta: float = 1.0
-    duals: np.ndarray | None = None
+    duals: np.ndarray = field(init=False)
     lipschitz: float = 1.0
     safe_indices: np.ndarray | None = None
 
@@ -156,22 +156,13 @@ class AlgorithmState:
         for model in self.models:
             if model.kernel.dim != self.domain.dim:
                 raise ValueError("model dimension does not match the domain")
-        for knob in ("rho", "eta", "lipschitz"):
-            value = getattr(self, knob)
-            if isinstance(value, bool) or not isinstance(value, Real) or not value >= 0:
-                raise ValueError(f"{knob} must be a nonnegative number, got {value!r}")
-        # An infinite Lipschitz constant confines sampling to the seeds; an
-        # infinite rho or eta would turn scores or duals into NaN.
-        if not (0 < self.eta < np.inf and self.rho < np.inf):
-            raise ValueError(f"need a finite rho and a finite positive eta, got "
-                             f"rho={self.rho!r}, eta={self.eta!r}")
-        if self.duals is None:
-            self.duals = np.zeros(self.n_constraints)
-        self.duals = np.asarray(self.duals, dtype=float)
-        if self.duals.shape != (self.n_constraints,):
-            raise ValueError(f"need {self.n_constraints} duals, got shape {self.duals.shape}")
-        if np.any(self.duals < 0):
-            raise ValueError("dual variables must be nonnegative")
+        # An infinite rho or eta would turn scores or duals into NaN; an
+        # infinite Lipschitz constant confines sampling to the seeds.
+        self.rho = finite_real("rho", self.rho, minimum=0.0)
+        self.eta = positive_real("eta", self.eta)
+        if self.lipschitz != math.inf:
+            self.lipschitz = finite_real("lipschitz", self.lipschitz, minimum=0.0)
+        self.duals = np.zeros(self.n_constraints)
         if self.safe_indices is not None:
             self.safe_indices = np.unique(np.asarray(self.safe_indices, dtype=int))
             if self.safe_indices.size and (

@@ -11,16 +11,14 @@ generator so that the underlying oracle stays deterministic and replayable.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
 
 from .blackbox import ExternalBlackbox
 from .cstr import WILLIAMS_OTTO_PLANT, CstrPlant, cstr_steady_state, williams_otto_profit
-from .domain import Domain, as_point
+from .domain import Domain, as_point, finite_real
 
 __all__ = [
     "Problem",
@@ -61,8 +59,8 @@ class Problem:
             raise ValueError(
                 f"need {self.n_constraints + 1} noise levels, got {len(self.noise_std)}"
             )
-        if any(s < 0 for s in self.noise_std):
-            raise ValueError(f"noise_std entries must be nonnegative: {self.noise_std}")
+        for std in self.noise_std:
+            finite_real("noise_std", std, minimum=0.0)
 
     @property
     def n_outputs(self) -> int:
@@ -136,7 +134,7 @@ def artificial_problem(
     noise_std: float = DEFAULT_ARTIFICIAL_NOISE,
 ) -> Problem:
     """The artificial benchmark on ``[-10, 10]^2``; ``g_thr`` must lie strictly in ``(-1, 1)``."""
-    if not -1.0 < g_thr < 1.0:
+    if not -1.0 < finite_real("g_thr", g_thr) < 1.0:
         raise ValueError(f"g_thr must lie in (-1, 1), got {g_thr}")
     return _artificial("artificial", g_thr, grid, noise_std)
 
@@ -221,37 +219,13 @@ PROBLEM_BUILDERS: dict[str, Callable[..., Problem]] = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _list_of(check: Callable[[object], bool]) -> Callable[[object], bool]:
-    return lambda value: isinstance(value, (list, tuple)) and all(check(v) for v in value)
-
-
-# The JSON value each builder keyword accepts, by keyword name.
-_SETTING_KINDS: dict[str, tuple[str, Callable[[object], bool]]] = {
-    "g_thr": ("a finite number", _is_number),
-    "noise_std": ("a finite number", _is_number),
-    "timeout": ("a finite number", _is_number),
-    "n_constraints": ("an int", _is_int),
-    "grid": ("a list of ints", _list_of(_is_int)),
-    "lower": ("a list of finite numbers", _list_of(_is_number)),
-    "upper": ("a list of finite numbers", _list_of(_is_number)),
-    "command": ("a list of strings", _list_of(lambda v: isinstance(v, str))),
-}
-
-
 def problem_from_config(config: dict) -> Problem:
     """Instantiate a registered problem from ``{"name": .., **params}``.
 
-    ``params`` are the builder's keyword arguments; an unknown or missing one,
-    or one whose value is not of the kind that keyword takes, raises a
-    ``ValueError`` that names it.
+    ``params`` are the builder's keyword arguments; an unknown or missing one
+    raises a ``ValueError`` that names it. Each value is checked by the
+    constructor that takes it (``Domain``, ``Problem``, ``ExternalBlackbox``
+    or the builder), whose ``ValueError`` names the setting.
     """
     if not isinstance(config, dict):
         raise ValueError(f"problem must be an object with a 'name', got {config!r}")
@@ -264,8 +238,4 @@ def problem_from_config(config: dict) -> Problem:
         inspect.signature(builder).bind(**params)
     except TypeError as exc:
         raise ValueError(f"problem {name!r}: {exc}") from None
-    for key, value in params.items():
-        kind, check = _SETTING_KINDS[key]
-        if not check(value):
-            raise ValueError(f"problem {name!r}: setting {key!r} must be {kind}, got {value!r}")
     return builder(**params)

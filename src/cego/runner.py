@@ -31,9 +31,10 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from . import __version__
+from .domain import int_at_least, positive_real
 from .gp import empty_models
 from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
-from .kernels import SQUARED_EXPONENTIAL, Kernel, positive_real
+from .kernels import SQUARED_EXPONENTIAL, Kernel
 from .metrics import (
     RunRecord,
     best_so_far_series,
@@ -98,13 +99,14 @@ class RunConfig:
         for spec in self.policies:
             _check_shape("policy spec", spec, dict, "an object with a 'name'")
         _check_shape("seeds", self.seeds, (list, tuple), "a list of ints")
-        _check_int("budget", self.budget, minimum=1)
-        _check_int("n_init_random", self.n_init_random, minimum=0)
-        _check_int("gp fit_every", self.gp.get("fit_every", 0), minimum=0)
+        _check_shape("output_dir", self.output_dir, str, "a path string")
+        int_at_least("budget", self.budget, 1)
+        int_at_least("n_init_random", self.n_init_random, 0)
+        int_at_least("gp fit_every", self.gp.get("fit_every", 0), 0)
         if not self.seeds:
             raise ValueError("need at least one replication seed")
         for seed in self.seeds:
-            _check_int("replication seed", seed, minimum=0)
+            int_at_least("replication seed", seed, 0)
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("replication seeds must be distinct")
         if self.start not in ("feasible", "uniform", "none"):
@@ -116,6 +118,10 @@ class RunConfig:
                 raise ValueError(f"policy spec needs a 'name' out of {POLICIES}: {spec}")
             _check_keys("policy", spec, POLICY_KEYS)
             label = policy_label(spec)
+            # The label names the log file, which `cego metrics` finds in output_dir.
+            if not (isinstance(label, str) and label) or "/" in label or "\\" in label:
+                raise ValueError(f"policy label must be a non-empty string with no path "
+                                 f"separator, got {label!r}")
             seedless = spec["name"] == "safeopt_lite" and "safe_seed" not in spec
             if seedless and self.start != "feasible":
                 raise ValueError(
@@ -142,12 +148,6 @@ class RunConfig:
         if missing:
             raise ValueError(f"configuration lacks keys {missing}")
         return cls(**raw)
-
-
-def _check_int(what: str, value, minimum: int):
-    # bool is an int subclass, and a float seed would be truncated by int().
-    if type(value) is not int or value < minimum:
-        raise ValueError(f"{what} must be an int >= {minimum}, got {value!r}")
 
 
 def _check_shape(what: str, value, kinds, expected: str):
@@ -324,6 +324,11 @@ def _next_record(raw: dict, records: list[RunRecord], budget: int) -> RunRecord:
     )
 
 
+def _finished(records: list[RunRecord], budget: int) -> bool:
+    """Whether a log's records end its run: the whole budget, or an infeasibility declaration."""
+    return len(records) >= budget or (bool(records) and records[-1].decision == "infeasible")
+
+
 def _truncate_partial_line(path: Path):
     data = path.read_bytes()
     if data and not data.endswith(b"\n"):
@@ -363,12 +368,8 @@ def _run_replication(config: RunConfig, policy_spec: dict, seed: int, problem: P
     else:
         path.write_text(_dumps(header) + "\n", encoding="utf-8")
 
-    done = bool(existing) and (
-        existing[-1].decision == "infeasible" or len(existing) >= config.budget
-    )
-
     started = time.time()
-    if not done:
+    if not _finished(existing, config.budget):
         _advance_replication(config, policy_spec, seed, problem, path, existing)
     meta = {
         "log": path.name,
@@ -455,7 +456,7 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
     replication, chained to the first error. A bad ``jobs`` value raises
     ``ValueError`` before any replication starts.
     """
-    _check_int("jobs", jobs, minimum=1)
+    int_at_least("jobs", jobs, 1)
     tasks = [(spec, seed) for spec in config.policies for seed in config.seeds]
     paths: list[Path] = []
     failures: list[tuple[dict, int, Exception]] = []
@@ -516,14 +517,18 @@ def emit_metrics(
 
     One row per step: ``step, <label>_mean, <label>_std, ...`` with the
     sample standard deviation (n-1 denominator; 0.0 for a single
-    replication). Runs that stopped early (infeasibility declarations) are
-    padded with their last value so every row aggregates the same
-    replications.
+    replication). Runs that stopped early with an infeasibility declaration
+    are padded with their last value so every row aggregates the same
+    replications; any other log short of its budget (an unfinished run)
+    raises a ``ValueError`` that names it.
     """
     by_label: dict[str, list[np.ndarray]] = {}
     budget = 0
     for path in log_paths:
         header, records = load_log(path)
+        if not _finished(records, header["budget"]):
+            raise ValueError(f"log {path} is unfinished: {len(records)} records of a "
+                             f"budget of {header['budget']}")
         label = policy_label(header["policy"])
         series = _series_for(records, metric, j_star, sigmas)
         if series.size == 0:

@@ -85,3 +85,20 @@ def test_close_is_idempotent():
     box.evaluate([1.0, 2.0])
     box.close()
     box.close()
+
+
+@pytest.mark.parametrize(
+    "kwargs, setting",
+    [({"command": "python"}, "command"), ({"command": []}, "command"),
+     ({"command": [sys.executable, 1]}, "command"), ({"n_constraints": 1.7}, "n_constraints"),
+     ({"n_constraints": -1}, "n_constraints"), ({"n_constraints": True}, "n_constraints"),
+     ({"timeout": float("nan")}, "timeout"), ({"timeout": 0.0}, "timeout")],
+    ids=["command-string", "command-empty", "command-not-text", "n_constraints-fraction",
+         "n_constraints-negative", "n_constraints-bool", "timeout-nan", "timeout-zero"],
+)
+def test_mistyped_settings_rejected(kwargs, setting):
+    # A string command ran as its letters, 1.7 constraints as 1 and -1 as a
+    # problem with no outputs; no child process is started for any of them.
+    settings = {"command": ECHO_STUB, "n_constraints": 1, **kwargs}
+    with pytest.raises(ValueError, match=setting):
+        ExternalBlackbox(**settings)

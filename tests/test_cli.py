@@ -55,6 +55,12 @@ def test_run_and_metrics_round_trip(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"cego metrics: log {logs[0]} line 3: t=1 where t=2 was due\n"
 
+    # So is a log cut short of its budget, which used to be tabulated as finished.
+    logs[0].write_text("\n".join([header, *records[:2]]) + "\n")
+    assert main(["metrics", "--logs", str(tmp_path / "logs"), "--metric", "best_so_far"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"cego metrics: log {logs[0]} is unfinished: 2 records of a budget of 3\n"
+
 
 def test_oracle_subcommand_writes_reference(tmp_path, capsys):
     out = tmp_path / "refs.json"
@@ -114,10 +120,15 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
     malformed.write_text('{"problem": ')
     # Each of these ended in a TypeError from RunConfig(**raw).
     shapes = {}
+    base = json.loads(infeasible.read_text())
     for name, raw in (("listed", [1, 2]),
-                      ("misspelled", {**json.loads(infeasible.read_text()), "budgett": 5}),
+                      ("misspelled", {**base, "budgett": 5}),
                       ("budgetless", {"problem": {"name": "artificial"}, "policies": [],
-                                      "seeds": [1]})):
+                                      "seeds": [1]}),
+                      # A list label escaped as a TypeError from set(labels); a number
+                      # as output_dir failed every replication.
+                      ("listlabel", {**base, "policies": [{"name": "config", "label": ["a"]}]}),
+                      ("numberdir", {**base, "output_dir": 5})):
         shapes[name] = tmp_path / f"{name}.json"
         shapes[name].write_text(json.dumps(raw))
     for argv, phrase in (
@@ -127,6 +138,8 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
         (["--config", str(shapes["listed"])], "must be a JSON object"),
         (["--config", str(shapes["misspelled"])], "unknown configuration keys ['budgett']"),
         (["--config", str(shapes["budgetless"])], "configuration lacks keys ['budget']"),
+        (["--config", str(shapes["listlabel"])], "policy label must be a non-empty string"),
+        (["--config", str(shapes["numberdir"])], "output_dir must be a path string, got 5"),
     ):
         assert main(["run", *argv]) == 2
         captured = capsys.readouterr()

@@ -17,6 +17,24 @@ def test_validation():
         Domain([], [], [])
 
 
+@pytest.mark.parametrize(
+    "lower, upper, counts, setting",
+    [([0.0, 0.0], [1.0, 1.0], [10.5, 3], "grid_counts"),
+     ([0.0], [1.0], [True], "grid_counts"),
+     ([0.0], [1.0], [np.int64(3)], "grid_counts"),
+     ([False, 0.0], [1.0, 1.0], [3, 3], "lower"),
+     ([0.0], [np.nan], [3], "upper"),
+     ([-np.inf], [1.0], [3], "lower"),
+     ([0.0], ["1"], [3], "upper")],
+    ids=["count-fraction", "count-bool", "count-numpy-int", "bound-bool", "bound-nan",
+         "bound-inf", "bound-text"],
+)
+def test_mistyped_bounds_and_counts_rejected(lower, upper, counts, setting):
+    # A fraction was truncated (10.5 became 10 points) and a bool or text bound converted.
+    with pytest.raises(ValueError, match=setting):
+        Domain(lower, upper, counts)
+
+
 def test_corners_on_lattice():
     d = Domain([-1.0, 2.0], [1.0, 4.0], [3, 5])
     np.testing.assert_array_equal(d.point(0), [-1.0, 2.0])
@@ -33,6 +51,15 @@ def test_nearest_index_snaps():
     d = Domain([0.0], [1.0], [5])  # lattice 0, .25, .5, .75, 1
     assert d.nearest_index([0.3]) == 1
     assert d.nearest_index([0.4]) == 2
+
+
+def test_nearest_index_refuses_points_outside_the_box():
+    # It used to snap (100, 100) to the corner (1, 1); the closed box's edge is inside.
+    d = Domain([0.0, 0.0], [1.0, 1.0], [3, 3])
+    assert d.nearest_index([1.0, 0.0]) == 6
+    for outside in ([100.0, 100.0], [0.5, -1e-9]):
+        with pytest.raises(ValueError, match="outside the box"):
+            d.nearest_index(outside)
 
 
 def test_contains():

@@ -47,6 +47,18 @@ def test_domain_violation_rejected():
         artificial_problem(g_thr=-1.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, setting",
+    [({"noise_std": float("nan")}, "noise_std"), ({"noise_std": -0.1}, "noise_std"),
+     ({"noise_std": "0.1"}, "noise_std"), ({"g_thr": float("nan")}, "g_thr"),
+     ({"g_thr": "a"}, "g_thr")],
+)
+def test_mistyped_artificial_settings_rejected(kwargs, setting):
+    # A NaN noise level was taken, and made every measurement NaN.
+    with pytest.raises(ValueError, match=setting):
+        artificial_problem(**kwargs)
+
+
 def test_purity_bit_identical():
     rng = np.random.default_rng(0)
     thetas = rng.uniform(-10, 10, size=(1_000_000, 2))

@@ -1,5 +1,4 @@
 import importlib.util
-import inspect
 import json
 import os
 import re
@@ -15,8 +14,6 @@ import cego.runner as runner_mod
 from cego.gp import GpModel
 from cego.metrics import best_so_far_series
 from cego.problems import (
-    _SETTING_KINDS,
-    PROBLEM_BUILDERS,
     artificial_infeasible_problem,
     artificial_problem,
     problem_from_config,
@@ -43,9 +40,8 @@ def small_config(tmp_path, policies=None, budget=5, seeds=(1,), problem=None, gp
         policies=policies or [{"name": "random"}],
         budget=budget,
         seeds=seeds,
-        output_dir=str(tmp_path),
         gp=gp or GP,
-        **kwargs,
+        **{"output_dir": str(tmp_path), **kwargs},
     )
 
 
@@ -142,6 +138,27 @@ def test_log_of_two_writers_is_named_on_resume_and_in_metrics(tmp_path):
         run_experiment(config)
     with pytest.raises(ValueError, match=named):
         emit_metrics([path], metric="best_so_far")
+
+
+@pytest.mark.parametrize("kept, tabulated", [(2, False), (3, True)],
+                         ids=["cut-short", "declared-infeasible"])
+def test_emit_metrics_refuses_an_unfinished_log(tmp_path, kept, tabulated):
+    # A run cut after two records was padded with its last value and averaged
+    # as if finished; only an infeasibility declaration may end a run early.
+    config = small_config(tmp_path, budget=6, seeds=(9,))
+    (path,) = run_experiment(config)
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in records[:2]]
+    if tabulated:
+        records.append(runner_mod._record_dict(3, None, None, None))
+    path.write_text("\n".join([header, *map(runner_mod._dumps, records)]) + "\n",
+                    encoding="utf-8")
+    if tabulated:
+        assert len(emit_metrics([path], metric="best_so_far")) == 1 + 6
+    else:
+        with pytest.raises(ValueError, match=f"log {re.escape(str(path))} is unfinished: "
+                                             "2 records of a budget of 6"):
+            emit_metrics([path], metric="best_so_far")
 
 
 @pytest.mark.parametrize("edit, problem", [
@@ -251,10 +268,16 @@ def test_distinct_seeds_required(tmp_path):
      ({"seeds": (1, 1.5)}, "must be an int"), ({"seeds": (1, True)}, "must be an int"),
      ({"seeds": (2, True)}, "must be an int"), ({"seeds": (-1,)}, "must be an int"),
      ({"seeds": 3}, "seeds must be a list"), ({"gp": 5}, "gp must be an object"),
-     ({"policies": {"name": "config"}}, "policies must be a list")],
+     ({"policies": {"name": "config"}}, "policies must be a list"),
+     # Both go into the JSON header, and json.dumps refuses numpy ints.
+     ({"seeds": [np.int64(1)]}, "must be an int"),
+     ({"gp": {**GP, "fit_every": np.int64(5)}}, "fit_every must be an int"),
+     # Every replication then failed on opening its log.
+     ({"output_dir": 5}, "output_dir must be a path string")],
     ids=["budget-fraction", "budget-zero", "n_init-fraction", "n_init-bool",
          "seed-fraction", "seed-true-as-1", "seed-bool", "seed-negative",
-         "seeds-not-a-list", "gp-not-an-object", "policies-not-a-list"],
+         "seeds-not-a-list", "gp-not-an-object", "policies-not-a-list", "seed-numpy-int",
+         "fit_every-numpy-int", "output_dir-not-text"],
 )
 def test_mistyped_run_settings_rejected(tmp_path, settings, match):
     # The streams key on int(seed), so seeds 2 and True would run the same
@@ -273,7 +296,14 @@ def test_mistyped_run_settings_rejected(tmp_path, settings, match):
              {"name": "config", "beta": {"value": "x"}}, {"name": "config", "beta": 2.0},
              {"name": "safeopt_lite", "safe_seed": [[0.0]]}, "config",
              {"name": "config", "beta": {"value": True}},
-             {"name": "config", "beta": {"value": 1e400}}]
+             {"name": "config", "beta": {"value": 1e400}},
+             # An unhashable label escaped as a TypeError; a separator put the
+             # log where `cego metrics` never looks, or outside output_dir.
+             {"name": "config", "label": ["a"]}, {"name": "config", "label": ""},
+             {"name": "config", "label": "a/b"}, {"name": "config", "label": "x/../../../y"},
+             {"name": "config", "label": "a\\b"},
+             # Snapped to the corner (10, 10), a point the oracle refuses.
+             {"name": "safeopt_lite", "safe_seed": [[100.0, 100.0]]}]
 )
 def test_mistyped_policy_spec_rejected(tmp_path, spec):
     # A misspelled policy, knob or value must fail when the config is built,
@@ -342,23 +372,22 @@ def test_rejected_config_writes_nothing_and_its_fix_runs(tmp_path):
        "grid": [5], "n_constraints": 1}, "command"),
      ({"name": "external", "command": ["python"], "lower": [0.0], "upper": [1.0],
        "grid": [5], "n_constraints": "1"}, "n_constraints"),
-     ("artificial", "problem")],
+     ("artificial", "problem"),
+     ({"name": "external", "command": ["python"], "lower": [0.0], "upper": [1.0],
+       "grid": [5], "n_constraints": -1}, "n_constraints"),
+     ({"name": "external", "command": ["python"], "lower": [float("nan")], "upper": [1.0],
+       "grid": [5], "n_constraints": 1}, "lower"),
+     ({"name": "external", "command": ["python"], "lower": [0.0], "upper": [1.0],
+       "grid": [5], "n_constraints": 1, "timeout": float("nan")}, "timeout")],
     ids=["misspelled", "not-a-setting", "not-a-plant-setting", "missing", "g_thr-text",
          "noise-text", "noise-nan", "grid-text", "grid-fraction", "grid-bool",
-         "command-string", "n_constraints-text", "not-an-object"],
+         "command-string", "n_constraints-text", "not-an-object", "n_constraints-negative",
+         "lower-nan", "timeout-nan"],
 )
 def test_mistyped_problem_settings_rejected(tmp_path, problem, key):
     # A dropped key would silently run the default problem instead.
     with pytest.raises(ValueError, match=key):
         small_config(tmp_path, problem=problem)
-
-
-def test_every_problem_setting_has_a_kind():
-    # A builder keyword without a kind would fail the lookup instead of
-    # checking its value. A config's "name" picks the builder and never
-    # reaches it as a keyword.
-    for builder in PROBLEM_BUILDERS.values():
-        assert set(inspect.signature(builder).parameters) - {"name"} <= set(_SETTING_KINDS)
 
 
 def test_shipped_and_benchmark_configs_construct(tmp_path, monkeypatch):
