@@ -86,6 +86,8 @@ class ExternalBlackbox:
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
+            # An unresponsive child gets no grace period: kill it before close() reaps it.
+            self._proc.kill()
             self.close()
             raise BlackboxTimeout(
                 f"no response within {self.timeout:.1f}s from {self.command!r}"

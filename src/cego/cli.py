@@ -32,13 +32,23 @@ def _cmd_metrics(args) -> int:
     if not logs:
         print(f"no .jsonl logs under {args.logs}", file=sys.stderr)
         return 1
-    j_star, sigmas = args.j_star, None
+    j_star, sigmas, problem = args.j_star, None, None
     if args.metric in ("constrained_regret", "normalized"):
         if args.problem is not None:
-            ref = get_reference(args.problem, path=args.references)
+            try:
+                ref = get_reference(args.problem, path=args.references)
+            except (KeyError, OSError) as exc:  # no such entry, or no readable reference file
+                # str() of a KeyError quotes its message.
+                print(f"cego metrics: {exc.args[0] if isinstance(exc, KeyError) else exc}",
+                      file=sys.stderr)
+                return 1
             if j_star is None:
                 j_star = ref["j_star"]
             sigmas = ref["sigmas"]
+            # The logs must be of the problem and settings the entry was computed for.
+            problem = {"name": args.problem}
+            if "g_thr" in ref:
+                problem["g_thr"] = ref["g_thr"]
         if args.metric == "constrained_regret" and j_star is None:
             print("need --problem (for the frozen reference) or --j-star", file=sys.stderr)
             return 1
@@ -46,7 +56,8 @@ def _cmd_metrics(args) -> int:
             print("the normalized metric needs --problem to load sigmas", file=sys.stderr)
             return 1
     try:
-        table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas, out=args.out)
+        table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas,
+                             out=args.out, problem=problem)
     except ValueError as exc:  # a log that fails its check, named with its first bad line
         print(f"cego metrics: {exc}", file=sys.stderr)
         return 1
@@ -65,10 +76,12 @@ def _cmd_list_problems(_args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    grid = None
-    if args.grid is not None:
-        grid = tuple(int(v) for v in args.grid.split("x"))
-    entry = write_reference(args.problem, grid=grid, path=args.out)
+    try:
+        grid = None if args.grid is None else tuple(int(v) for v in args.grid.split("x"))
+        entry = write_reference(args.problem, grid=grid, path=args.out)
+    except (OSError, ValueError) as exc:  # a bad --grid, or an --out that cannot be written
+        print(f"cego oracle: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(entry, indent=2, sort_keys=True))
     return 0
 

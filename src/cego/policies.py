@@ -1,11 +1,15 @@
 """Acquisition policies mapping surrogate state to the next sample.
 
-All policies share the same mechanics: evaluate every model's posterior over
-the domain lattice, derive a per-point score, and pick an extremizer with
-ties broken by the smallest linear grid index. They differ in how constraint
-information enters the score. ``config``, ``epbo`` and ``primal_dual`` all
-minimize the objective LCB plus a constraint term with
-:func:`~cego.grid_eval.constrained_argmin`, ``config`` under a mask:
+:func:`propose` is the one step and :func:`observe` the one update. A step
+of every policy but ``random`` evaluates every model's posterior over the
+domain lattice once, hands that :class:`~cego.grid_eval.GridEvaluation` to
+the policy's private scorer, and turns the lattice index it returns into the
+:class:`Decision`. Every scorer
+picks an extremizer of a per-point score with ties broken by the smallest
+linear grid index; they differ in how constraint information enters the
+score. ``config``, ``epbo`` and ``primal_dual`` all minimize the objective
+LCB plus a constraint term with :func:`~cego.grid_eval.constrained_argmin`,
+``config`` under a mask:
 
 ``config``
     Optimism for both objective and constraints: minimize the objective LCB
@@ -18,15 +22,15 @@ minimize the objective LCB plus a constraint term with
     Objective LCB plus a fixed penalty ``rho`` times summed positive parts
     of the constraint LCBs.
 ``primal_dual``
-    Lagrangian LCB score with multiplier updates driven by measured
-    violations.
+    Lagrangian LCB score with multiplier updates, made in :func:`observe`,
+    driven by measured violations.
 ``safeopt_lite``
     Never samples outside a certified safe set grown from feasible seeds by
     Lipschitz extrapolation of the constraint UCBs. Deliberately simplified
     relative to the published SafeOpt machinery; it exists to reproduce the
     conservative, locally-stuck behavior of safe methods.
 ``random``
-    Uniform lattice draw, seeded.
+    Uniform lattice draw from the step's seed; no lattice evaluation.
 """
 
 from __future__ import annotations
@@ -41,21 +45,7 @@ from .domain import Domain, as_point, finite_real, positive_real
 from .gp import GpModel, column_blocks
 from .grid_eval import GridEvaluation, constrained_argmin, evaluate_grid
 
-__all__ = [
-    "BetaSchedule",
-    "AlgorithmState",
-    "Decision",
-    "POLICIES",
-    "config_step",
-    "cei_step",
-    "epbo_step",
-    "primal_dual_step",
-    "safeopt_lite_step",
-    "random_step",
-    "propose",
-    "observe",
-    "updated_duals",
-]
+__all__ = ["BetaSchedule", "AlgorithmState", "Decision", "POLICIES", "propose", "observe"]
 
 POLICIES = ("config", "cei", "epbo", "primal_dual", "safeopt_lite", "random")
 
@@ -112,15 +102,6 @@ class Decision:
     kind: str  # "sample" | "infeasible"
     point: np.ndarray | None = None
     index: int | None = None
-
-    @classmethod
-    def sample(cls, domain: Domain, index: int) -> "Decision":
-        """Sample the lattice point with linear index ``index``."""
-        return cls(kind="sample", point=domain.point(index), index=int(index))
-
-    @classmethod
-    def infeasible(cls) -> "Decision":
-        return cls(kind="infeasible")
 
     @property
     def is_infeasible(self) -> bool:
@@ -180,7 +161,7 @@ class AlgorithmState:
         return evaluate_grid(self.models, beta_sqrt, self.domain)
 
 
-def config_step(state: AlgorithmState) -> Decision:
+def _config(state: AlgorithmState, ev: GridEvaluation) -> int | None:
     """Optimistic constrained step: minimize LCB(objective) where all constraint LCBs <= 0.
 
     Declares infeasibility when some constraint's LCB is positive at every
@@ -188,29 +169,29 @@ def config_step(state: AlgorithmState) -> Decision:
     single constraint certifying infeasibility, falls back to the point with
     the smallest total positive-part constraint LCB.
     """
-    lcb = state.grid_bounds().lcb
+    lcb = ev.lcb
     if np.any(np.min(lcb[1:], axis=1) > 0):
-        return Decision.infeasible()
+        return None
     idx = constrained_argmin(lcb[0], np.all(lcb[1:] <= 0, axis=0))
     if idx is None:
         idx = constrained_argmin(_violation(lcb))
-    return Decision.sample(state.domain, idx)
+    return idx
 
 
-def epbo_step(state: AlgorithmState) -> Decision:
+def _epbo(state: AlgorithmState, ev: GridEvaluation) -> int:
     """Penalty step: minimize LCB(objective) + rho * sum of positive-part constraint LCBs."""
-    lcb = state.grid_bounds().lcb
-    return Decision.sample(state.domain, constrained_argmin(lcb[0] + state.rho * _violation(lcb)))
+    lcb = ev.lcb
+    return constrained_argmin(lcb[0] + state.rho * _violation(lcb))
 
 
-def primal_dual_step(state: AlgorithmState) -> Decision:
+def _primal_dual(state: AlgorithmState, ev: GridEvaluation) -> int:
     """Lagrangian step: minimize LCB(objective) + sum_i dual_i * LCB(constraint_i).
 
     The dual variables themselves are updated in :func:`observe` once the
     sampled point's constraint measurements are available.
     """
-    lcb = state.grid_bounds().lcb
-    return Decision.sample(state.domain, constrained_argmin(lcb[0] + state.duals @ lcb[1:]))
+    lcb = ev.lcb
+    return constrained_argmin(lcb[0] + state.duals @ lcb[1:])
 
 
 def _violation(lcb: np.ndarray) -> np.ndarray:
@@ -225,7 +206,7 @@ def _constraint_probability(means: np.ndarray, sigmas: np.ndarray) -> np.ndarray
     return np.where(sigmas > 0, p, (means <= 0).astype(float))
 
 
-def cei_step(state: AlgorithmState) -> Decision:
+def _cei(state: AlgorithmState, ev: GridEvaluation) -> int:
     """Constrained expected improvement: EI times the feasibility probability.
 
     The feasibility probability is the product over constraints of
@@ -237,12 +218,11 @@ def cei_step(state: AlgorithmState) -> Decision:
     objective = state.models[0]
     if objective.n_observations == 0:
         raise ValueError("cei needs at least one objective observation for the incumbent")
-    ev = state.grid_bounds()
     feas_prob = np.prod(_constraint_probability(ev.means[1:], ev.sigmas[1:]), axis=0)
 
     incumbent = _cei_incumbent(state)
     if incumbent is None:
-        return Decision.sample(state.domain, np.argmax(feas_prob))
+        return np.argmax(feas_prob)
 
     mean, sigma = ev.means[0], ev.sigmas[0]
     improvement = incumbent - mean
@@ -253,7 +233,7 @@ def cei_step(state: AlgorithmState) -> Decision:
         improvement * ndtr(z) + sigma * _normal_pdf(z),
         np.maximum(improvement, 0.0),
     )
-    return Decision.sample(state.domain, np.argmax(ei * feas_prob))
+    return np.argmax(ei * feas_prob)
 
 
 def _cei_incumbent(state: AlgorithmState) -> float | None:
@@ -270,12 +250,7 @@ def _cei_incumbent(state: AlgorithmState) -> float | None:
     return float(np.min(objective.values[feasible]))
 
 
-def updated_duals(duals: np.ndarray, constraint_values: np.ndarray, eta: float) -> np.ndarray:
-    """Projected dual ascent: ``max(0, dual + eta * measured_value)`` per constraint."""
-    return np.maximum(0.0, np.asarray(duals, dtype=float) + eta * np.asarray(constraint_values, dtype=float))
-
-
-def safeopt_lite_step(state: AlgorithmState) -> Decision:
+def _safeopt_lite(state: AlgorithmState, ev: GridEvaluation) -> int:
     """Safe step: expand the certified set by Lipschitz extrapolation, then sample in it.
 
     A lattice point joins the safe set when some already-safe point ``s``
@@ -286,7 +261,6 @@ def safeopt_lite_step(state: AlgorithmState) -> Decision:
     """
     if state.safe_indices is None or state.safe_indices.size == 0:
         raise ValueError("safeopt_lite requires a non-empty feasible seed set")
-    ev = state.grid_bounds()
     safe = state.safe_indices
 
     if state.n_constraints and np.isfinite(state.lipschitz):
@@ -310,38 +284,44 @@ def safeopt_lite_step(state: AlgorithmState) -> Decision:
     best = lcb0 == np.min(lcb0)
     sigma0 = ev.sigmas[0][safe]
     widest = sigma0 == np.max(sigma0[best])
-    return Decision.sample(state.domain, safe[np.flatnonzero(best & widest)[0]])
+    return safe[np.flatnonzero(best & widest)[0]]
 
 
-def random_step(state: AlgorithmState, rng_seed) -> Decision:
-    """Uniform draw over the lattice, deterministic for a given seed."""
-    rng = np.random.default_rng(rng_seed)
-    return Decision.sample(state.domain, state.domain.sample_index(rng))
-
-
+# Each scorer maps the step's lattice evaluation to a lattice index, or to
+# None when ``config`` declares infeasibility.
 _STEPS = {
-    "config": config_step,
-    "cei": cei_step,
-    "epbo": epbo_step,
-    "primal_dual": primal_dual_step,
-    "safeopt_lite": safeopt_lite_step,
+    "config": _config,
+    "cei": _cei,
+    "epbo": _epbo,
+    "primal_dual": _primal_dual,
+    "safeopt_lite": _safeopt_lite,
 }
 
 
 def propose(state: AlgorithmState, rng_seed=None) -> Decision:
-    """Dispatch to the state's policy step."""
+    """The state's policy step: the next lattice point, or a declaration of infeasibility.
+
+    ``random`` draws its index uniformly from ``rng_seed``, deterministic for
+    a given seed. Every other policy scores one evaluation of the lattice
+    posterior (:meth:`AlgorithmState.grid_bounds`) with its scorer.
+    """
     if state.policy == "random":
         if rng_seed is None:
             raise ValueError("random policy needs an rng_seed")
-        return random_step(state, rng_seed)
-    return _STEPS[state.policy](state)
+        index = state.domain.sample_index(np.random.default_rng(rng_seed))
+    else:
+        index = _STEPS[state.policy](state, state.grid_bounds())
+    if index is None:
+        return Decision(kind="infeasible")
+    return Decision(kind="sample", point=state.domain.point(index), index=int(index))
 
 
 def observe(state: AlgorithmState, theta, values) -> AlgorithmState:
     """Fold a full measurement vector ``(y_0 .. y_N)`` into the state.
 
-    Every model gains the observation, the step counter advances, and
-    policy-specific bookkeeping (primal-dual multipliers) is refreshed.
+    Every model gains the observation and the step counter advances. A
+    ``primal_dual`` state then takes one projected dual-ascent step,
+    ``dual_i = max(0, dual_i + eta * y_i)`` for each constraint ``i``.
     """
     theta = as_point(theta)
     values = np.asarray(values, dtype=float).reshape(-1)
@@ -350,5 +330,5 @@ def observe(state: AlgorithmState, theta, values) -> AlgorithmState:
     state.models = [model.add(theta, value) for model, value in zip(state.models, values)]
     state.t += 1
     if state.policy == "primal_dual" and state.n_constraints:
-        state.duals = updated_duals(state.duals, values[1:], state.eta)
+        state.duals = np.maximum(0.0, state.duals + state.eta * values[1:])
     return state

@@ -20,6 +20,7 @@ step record ``{"t", "theta", "y", "true", "decision"}``.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import time
@@ -42,7 +43,7 @@ from .metrics import (
     regret_contribution,
 )
 from .policies import POLICIES, AlgorithmState, BetaSchedule, observe, propose
-from .problems import Problem, problem_from_config
+from .problems import PROBLEM_BUILDERS, Problem, problem_from_config
 
 __all__ = [
     "RunConfig",
@@ -506,34 +507,56 @@ def _series_for(records: list[RunRecord], metric: str, j_star, sigmas) -> np.nda
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _check_problem(path, logged: dict, expected: dict):
+    """Raise unless a log's problem holds every setting of ``expected``, defaults filled in."""
+    if logged.get("name") == expected["name"]:
+        parameters = inspect.signature(PROBLEM_BUILDERS[logged["name"]]).parameters
+        logged = {**{key: p.default for key, p in parameters.items()}, **logged}
+    for key, value in expected.items():
+        if logged.get(key) != value:
+            raise ValueError(f"log {path} has problem {key}={logged.get(key)!r}; "
+                             f"the reference has {key}={value!r}")
+
+
 def emit_metrics(
     log_paths: list,
     metric: str = "constrained_regret",
     j_star: float | None = None,
     sigmas=None,
     out=None,
+    problem: dict | None = None,
 ) -> list[list]:
     """Aggregate per-policy metric series into a CSV-shaped table.
 
     One row per step: ``step, <label>_mean, <label>_std, ...`` with the
     sample standard deviation (n-1 denominator; 0.0 for a single
-    replication). Runs that stopped early with an infeasibility declaration
-    are padded with their last value so every row aggregates the same
-    replications; any other log short of its budget (an unfinished run)
-    raises a ``ValueError`` that names it.
+    replication). All logs must share one ``budget``. Runs that stopped
+    early with an infeasibility declaration are padded with their last value
+    so every row aggregates the same replications. ``problem``, when given,
+    holds the settings (``name`` and any others) that ``j_star`` and
+    ``sigmas`` were computed for; a setting a log leaves out counts at its
+    default. A ``ValueError`` names the first log that is unfinished (short
+    of its budget without an infeasibility declaration), differs in budget
+    from the logs before it, or differs from ``problem``.
     """
     by_label: dict[str, list[np.ndarray]] = {}
-    budget = 0
+    budget = None
     for path in log_paths:
         header, records = load_log(path)
-        if not _finished(records, header["budget"]):
+        if budget is None:
+            budget = header["budget"]
+        if header["budget"] != budget:
+            raise ValueError(f"log {path} has a budget of {header['budget']}, the logs before "
+                             f"it {budget}")
+        if problem is not None:
+            _check_problem(path, header.get("problem", {}), problem)
+        if not _finished(records, budget):
             raise ValueError(f"log {path} is unfinished: {len(records)} records of a "
-                             f"budget of {header['budget']}")
+                             f"budget of {budget}")
         label = policy_label(header["policy"])
         series = _series_for(records, metric, j_star, sigmas)
         if series.size == 0:
             raise ValueError(f"log {path} has no sampled records to aggregate")
-        budget = max(budget, header["budget"])
         by_label.setdefault(label, []).append(series)
 
     labels = sorted(by_label)
@@ -544,7 +567,7 @@ def emit_metrics(
         ])
         for lab, series_list in by_label.items()
     }
-    for step in range(budget):
+    for step in range(budget or 0):
         row: list = [step + 1]
         for lab in labels:
             column = padded[lab][:, step]

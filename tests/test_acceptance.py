@@ -17,7 +17,7 @@ from cego.gp import GpModel
 from cego.info_gain import max_info_gain
 from cego.kernels import Kernel
 from cego.metrics import best_so_far_series, normalized_regret_violation, regret_contribution
-from cego.policies import AlgorithmState, BetaSchedule, config_step, epbo_step, observe
+from cego.policies import AlgorithmState, BetaSchedule, observe, propose
 from cego.problems import artificial_problem, williams_otto_problem
 from cego.cstr import CstrPlant, cstr_steady_state
 from cego.references import get_reference
@@ -236,11 +236,11 @@ def test_criterion_6_epbo_limit_equivalence():
         feasible = np.all(ev.lcb[1:] <= 0, axis=0)
         if not np.any(feasible):
             continue
-        epbo_decision = epbo_step(epbo_state)
+        epbo_decision = propose(epbo_state)
         if not feasible[epbo_decision.index]:
             continue
         checked += 1
-        config_decision = config_step(config_state)
+        config_decision = propose(config_state)
         if config_decision.kind == "sample" and config_decision.index == epbo_decision.index:
             agreements += 1
     passed = checked == 50 and agreements == 50

@@ -147,3 +147,55 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
         assert captured.err.count("\n") == 1 and phrase in captured.err
         assert captured.err.startswith("cego run: ")
     assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize("grid, phrase", [("10.5x5", "invalid literal for int()"),
+                                          ("1x5", "grid_counts must be an int >= 2, got 1")])
+def test_oracle_bad_grid_is_one_line(tmp_path, capsys, grid, phrase):
+    out = tmp_path / "refs.json"
+    assert main(["oracle", "--problem", "artificial", "--grid", grid, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cego oracle: ") and captured.err.count("\n") == 1
+    assert phrase in captured.err
+    assert not out.exists()
+
+
+def run_small(tmp_path, problem, name="logs"):
+    config = {"problem": {**problem, "grid": [10, 10]}, "policies": [{"name": "random"}],
+              "budget": 2, "seeds": [1], "output_dir": str(tmp_path / name), "start": "none",
+              "gp": {"lengthscale_factor": 0.05, "output_scale": 0.5, "noise_variance": 1e-4}}
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    return tmp_path / name
+
+
+def test_metrics_unknown_reference_is_one_line(tmp_path, capsys):
+    logs = run_small(tmp_path, {"name": "artificial"})
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(logs), "--problem", "nosuch"]) == 1
+    assert capsys.readouterr().err == (
+        "cego metrics: no reference entry for 'nosuch'; run the oracle subcommand\n")
+
+
+def test_metrics_checks_logs_against_the_reference(tmp_path, capsys):
+    # The packaged artificial entry is the optimum for g_thr = -0.6; logs of
+    # g_thr = 0.4, or of another problem, were tabulated against it.
+    other_thr = run_small(tmp_path, {"name": "artificial", "g_thr": 0.4}, "thr")
+    (log,) = other_thr.glob("*.jsonl")
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(other_thr), "--problem", "artificial"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"cego metrics: log {log} has problem g_thr=0.4; "
+                            "the reference has g_thr=-0.6\n")
+    for metric in ("constrained_regret", "normalized"):
+        assert main(["metrics", "--logs", str(other_thr), "--problem", "williams_otto",
+                     "--metric", metric]) == 1
+        assert capsys.readouterr().err == (f"cego metrics: log {log} has problem "
+                                           "name='artificial'; the reference has "
+                                           "name='williams_otto'\n")
+    # A log that leaves g_thr out ran at the default the reference was computed for.
+    default_thr = run_small(tmp_path, {"name": "artificial"}, "default")
+    assert main(["metrics", "--logs", str(default_thr), "--problem", "artificial"]) == 0

@@ -3,26 +3,21 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from cego import gp
+from cego import gp, policies
 from cego.domain import Domain
 from cego.gp import GpModel
+from cego.grid_eval import evaluate_grid
 from cego.kernels import Kernel
 from cego.policies import (
     CEI_INCUMBENT_THRESHOLD,
+    POLICIES,
     AlgorithmState,
     BetaSchedule,
     _cei_incumbent,
     _constraint_probability,
     _normal_pdf,
-    cei_step,
-    config_step,
-    epbo_step,
     observe,
-    primal_dual_step,
     propose,
-    random_step,
-    safeopt_lite_step,
-    updated_duals,
 )
 
 
@@ -66,7 +61,7 @@ def reference_config_decision(state):
 
 def test_config_symmetric_prior_returns_first_grid_point():
     state = make_state("config", Domain([0.0, 0.0], [1.0, 1.0], [3, 3]))
-    decision = config_step(state)
+    decision = propose(state)
     assert decision.kind == "sample"
     assert decision.index == 0
     np.testing.assert_array_equal(decision.point, [0.0, 0.0])
@@ -79,7 +74,7 @@ def test_config_declares_infeasibility_from_trained_constraint():
     state = make_state("config", domain, beta=0.1, noise=1e-4)
     for idx in range(domain.grid_size):
         observe(state, domain.point(idx), [0.0, 10.0])
-    decision = config_step(state)
+    decision = propose(state)
     assert decision.is_infeasible
 
 
@@ -91,7 +86,7 @@ def test_config_respects_constraint_mask():
         for _ in range(int(rng.integers(1, 8))):
             theta = domain.point(int(rng.integers(domain.grid_size)))
             observe(state, theta, rng.normal(size=2))
-        decision = config_step(state)
+        decision = propose(state)
         if decision.is_infeasible:
             continue
         lcb_g = pointwise_bound(state.models[1], decision.point, -state.beta.value)
@@ -115,7 +110,7 @@ def test_config_matches_two_loop_reference():
             theta = domain.point(int(rng.integers(domain.grid_size)))
             observe(state, theta, rng.normal(size=len(state.models)))
         kind_ref, idx_ref = reference_config_decision(state)
-        decision = config_step(state)
+        decision = propose(state)
         assert decision.kind == kind_ref
         if kind_ref == "sample" and idx_ref is not None:
             assert decision.index == idx_ref
@@ -131,7 +126,7 @@ def test_config_infeasible_iff_single_constraint_positive_everywhere():
             observe(state, theta, rng.normal(loc=1.0, size=3))
         ev = state.grid_bounds()
         line2 = np.max(np.min(ev.lcb[1:], axis=1)) > 0
-        assert config_step(state).is_infeasible == line2
+        assert propose(state).is_infeasible == line2
 
 
 # -- cei ----------------------------------------------------------------------
@@ -139,8 +134,8 @@ def test_config_infeasible_iff_single_constraint_positive_everywhere():
 
 def test_cei_requires_objective_observation():
     state = make_state("cei", Domain([0.0], [1.0], [3]))
-    with pytest.raises(ValueError):
-        cei_step(state)
+    with pytest.raises(ValueError, match="cei needs at least one objective observation"):
+        propose(state)
 
 
 def test_cei_zero_variance_everywhere_ties_to_first_point():
@@ -149,7 +144,7 @@ def test_cei_zero_variance_everywhere_ties_to_first_point():
     state = make_state("cei", domain, n_constraints=0, noise=1e-12)
     for idx in range(domain.grid_size):
         observe(state, domain.point(idx), [1.0])
-    decision = cei_step(state)
+    decision = propose(state)
     assert decision.index == 0
 
 
@@ -175,7 +170,7 @@ def test_cei_reduces_to_ei_argmax_without_constraints():
         closed = (incumbent - mean) * norm.cdf(z) + sigma * norm.pdf(z)
         assert closed == pytest.approx(mc_ei[idx], abs=1e-3)
 
-    assert cei_step(state).index == int(np.argmax(mc_ei))
+    assert propose(state).index == int(np.argmax(mc_ei))
 
 
 SPECIAL_Z = [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 38.5, -38.5, 1e-300, -1e-300, np.nan]
@@ -216,7 +211,7 @@ def test_cei_prefers_probably_feasible_point():
     ev_a = state.models[0].posterior([-1.0])
     ev_b = state.models[0].posterior([1.0])
     assert ev_a == pytest.approx(ev_b)  # symmetric EI by construction
-    decision = cei_step(state)
+    decision = propose(state)
     np.testing.assert_array_equal(decision.point, [-1.0])
 
 
@@ -227,7 +222,7 @@ def test_cei_falls_back_to_feasibility_maximization():
     state = make_state("cei", domain, noise=1e-4, lengthscale=0.4)
     for _ in range(5):
         observe(state, domain.point(4), [0.0, 2.0])
-    decision = cei_step(state)
+    decision = propose(state)
     probs = []
     for idx in range(domain.grid_size):
         mean, var = state.models[1].posterior(domain.point(idx))
@@ -264,12 +259,12 @@ def test_epbo_zero_penalty_ignores_constraints():
     for _ in range(5):
         observe(state, domain.point(int(rng.integers(10))), rng.normal(size=2))
     ev = state.grid_bounds()
-    assert epbo_step(state).index == int(np.argmin(ev.lcb[0]))
+    assert propose(state).index == int(np.argmin(ev.lcb[0]))
 
 
 def test_epbo_no_observations_ties_to_first_point():
     state = make_state("epbo", Domain([0.0, 0.0], [1.0, 1.0], [4, 4]), rho=1.0)
-    assert epbo_step(state).index == 0
+    assert propose(state).index == 0
 
 
 def test_epbo_large_penalty_recovers_config_choice():
@@ -286,13 +281,13 @@ def test_epbo_large_penalty_recovers_config_choice():
         for theta, y in obs:
             observe(epbo_state, theta, y)
             observe(config_state, theta, y)
-        config_decision = config_step(config_state)
+        config_decision = propose(config_state)
         if config_decision.is_infeasible:
             continue
         ev = config_state.grid_bounds()
         if not np.any(np.all(ev.lcb[1:] <= 0, axis=0)):
             continue  # lcb-feasible set empty: limit equivalence not claimed
-        epbo_decision = epbo_step(epbo_state)
+        epbo_decision = propose(epbo_state)
         if np.all(ev.lcb[1:, epbo_decision.index] <= 0):
             assert epbo_decision.index == config_decision.index
             matches += 1
@@ -311,15 +306,23 @@ def test_primal_dual_zero_duals_is_unconstrained_argmin():
     # observe() on a primal_dual state updates duals; reset them for the check
     state.duals = np.zeros(1)
     ev = state.grid_bounds()
-    assert primal_dual_step(state).index == int(np.argmin(ev.lcb[0]))
+    assert propose(state).index == int(np.argmin(ev.lcb[0]))
 
 
 def test_dual_update_clamps_at_zero():
-    np.testing.assert_allclose(updated_duals(np.array([0.5]), np.array([-1.0]), 1.0), [0.0])
+    domain = Domain([0.0], [1.0], [5])
+    state = make_state("primal_dual", domain, eta=1.0)
+    state.duals = np.array([0.5])
+    observe(state, domain.point(0), [0.0, -1.0])
+    np.testing.assert_allclose(state.duals, [0.0])
 
 
 def test_dual_update_accumulates_violation():
-    np.testing.assert_allclose(updated_duals(np.array([0.5]), np.array([0.2]), 1.0), [0.7])
+    domain = Domain([0.0], [1.0], [5])
+    state = make_state("primal_dual", domain, eta=1.0)
+    state.duals = np.array([0.5])
+    observe(state, domain.point(0), [0.0, 0.2])
+    np.testing.assert_allclose(state.duals, [0.7])
 
 
 def test_observe_updates_duals_for_primal_dual_policy():
@@ -336,8 +339,8 @@ def test_observe_updates_duals_for_primal_dual_policy():
 
 def test_safeopt_requires_seed():
     state = make_state("safeopt_lite", Domain([0.0], [1.0], [5]))
-    with pytest.raises(ValueError):
-        safeopt_lite_step(state)
+    with pytest.raises(ValueError, match="non-empty feasible seed set"):
+        propose(state)
 
 
 def test_safeopt_infinite_lipschitz_confines_to_seed():
@@ -345,7 +348,7 @@ def test_safeopt_infinite_lipschitz_confines_to_seed():
     state = make_state("safeopt_lite", domain, lipschitz=np.inf,
                        safe_indices=np.array([2, 3]))
     for _ in range(5):
-        decision = safeopt_lite_step(state)
+        decision = propose(state)
         assert decision.index in (2, 3)
         observe(state, decision.point, [0.0, -1.0])
     np.testing.assert_array_equal(state.safe_indices, [2, 3])
@@ -359,7 +362,7 @@ def test_safeopt_expansion_certificate():
                        safe_indices=np.array([0]), lengthscale=0.5)
     for _ in range(8):
         observe(state, domain.point(0), [0.0, -3.0])
-    safeopt_lite_step(state)
+    propose(state)
     ucb_seed = pointwise_bound(state.models[1], domain.point(0), state.beta.value)
     grid = domain.grid[:, 0]
     expected = set(np.flatnonzero(ucb_seed + 1.0 * np.abs(grid - grid[0]) <= 0)) | {0}
@@ -384,7 +387,7 @@ def test_safeopt_expansion_matches_brute_force_l1():
             dist = sum(abs(float(grid[seed, k]) - float(grid[index, k])) for k in range(2))
             if max(ucb[1][seed], ucb[2][seed]) + 1.5 * dist <= 0:
                 expected.add(index)
-    safeopt_lite_step(state)
+    propose(state)
     assert set(state.safe_indices) == expected
     assert len(seeds) < len(expected) < domain.grid_size
 
@@ -413,7 +416,7 @@ def test_safeopt_expansion_across_column_blocks_matches_brute_force(
     expected = set(seeds) | set(np.flatnonzero(certified))
     blocks = gp.column_blocks(len(seeds), domain.grid_size)
     assert len({i // blocks[0].stop for i in expected}) > 1
-    safeopt_lite_step(state)
+    propose(state)
     assert set(state.safe_indices) == expected
     assert len(seeds) < len(expected) < domain.grid_size
 
@@ -425,7 +428,7 @@ def test_safeopt_never_samples_outside_safe_set():
                        safe_indices=np.array([12]), lengthscale=0.5)
     for _ in range(10):
         before = set(state.safe_indices)
-        decision = safeopt_lite_step(state)
+        decision = propose(state)
         after = set(state.safe_indices)
         assert before <= after  # the safe set only grows
         assert decision.index in after
@@ -443,7 +446,7 @@ def test_safeopt_tie_break_prefers_wider_sigma():
     sig2 = state.models[0].posterior(domain.point(2))
     assert sig0 == pytest.approx(sig2)
     state.models[0] = state.models[0].add(domain.point(0), 0.0)
-    decision = safeopt_lite_step(state)
+    decision = propose(state)
     assert decision.index == 2
 
 
@@ -453,15 +456,15 @@ def test_safeopt_tie_break_prefers_wider_sigma():
 def test_random_deterministic_given_seed():
     domain = Domain([0.0, 0.0], [1.0, 1.0], [10, 10])
     state = make_state("random", domain)
-    a = random_step(state, 1234)
-    b = random_step(state, 1234)
+    a = propose(state, 1234)
+    b = propose(state, 1234)
     assert a.index == b.index
 
 
 def test_random_single_point_grid():
     domain = Domain([0.0], [1.0], [2])
     state = make_state("random", domain)
-    assert random_step(state, 7).index in (0, 1)
+    assert propose(state, 7).index in (0, 1)
 
 
 def test_random_uniform_frequencies():
@@ -470,7 +473,7 @@ def test_random_uniform_frequencies():
     counts = np.zeros(4)
     n = 10_000
     for s in range(n):
-        counts[random_step(state, s).index] += 1
+        counts[propose(state, s).index] += 1
     freqs = counts / n
     tol = 3 * np.sqrt(0.25 * 0.75 / n)
     np.testing.assert_allclose(freqs, 0.25, atol=tol)
@@ -479,11 +482,31 @@ def test_random_uniform_frequencies():
 def test_propose_dispatch_and_seed_requirement():
     domain = Domain([0.0], [1.0], [4])
     state = make_state("random", domain)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="random policy needs an rng_seed"):
         propose(state)
     assert propose(state, rng_seed=3).kind == "sample"
     config_state = make_state("config", domain)
     assert propose(config_state).kind == "sample"
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_propose_evaluates_the_lattice_once(monkeypatch, policy):
+    # Every scoring policy reads one lattice evaluation per step; random
+    # draws its index without one.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_grid(*args)
+
+    monkeypatch.setattr(policies, "evaluate_grid", counting)
+    domain = Domain([0.0], [1.0], [5])
+    seeds = np.array([2]) if policy == "safeopt_lite" else None
+    state = make_state(policy, domain, safe_indices=seeds)
+    observe(state, domain.point(1), [0.3, -0.5])
+    decision = propose(state, rng_seed=3)
+    assert decision.kind == "sample"
+    assert len(calls) == (0 if policy == "random" else 1)
 
 
 # -- shared machinery ---------------------------------------------------------------

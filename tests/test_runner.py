@@ -433,6 +433,17 @@ def test_emit_metrics_mean_and_sample_std(tmp_path):
         assert row[2] == pytest.approx(np.sqrt(2.0))
 
 
+def test_emit_metrics_refuses_logs_of_different_budgets(tmp_path):
+    # The budget-3 run used to be padded to 5 steps with its last value and
+    # averaged with the budget-5 run without a word.
+    short = run_experiment(small_config(tmp_path / "short", budget=3, seeds=(1,)))
+    long = run_experiment(small_config(tmp_path / "long", budget=5, seeds=(2,)))
+    assert emit_metrics(long + long, metric="best_so_far")[-1][0] == 5
+    with pytest.raises(ValueError, match=re.escape(
+            f"log {long[0]} has a budget of 5, the logs before it 3")):
+        emit_metrics(short + long, metric="best_so_far")
+
+
 def test_emit_metrics_regret_needs_reference(tmp_path):
     config = small_config(tmp_path, budget=2, seeds=(4,))
     paths = run_experiment(config)
