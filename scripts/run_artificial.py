@@ -27,7 +27,9 @@ def main():
     if args.quick:
         config.seeds = config.seeds[:5]
     paths = run_experiment(config, jobs=args.jobs)
-    print(f"{len(paths)} replication logs in {Path(config.output_dir).resolve()}")
+    # CEGO_LOG_DIR, when set, overrides config.output_dir.
+    log_dirs = sorted({str(path.parent.resolve()) for path in paths})
+    print(f"{len(paths)} replication logs in {', '.join(log_dirs)}")
 
     ref = get_reference("artificial", g_thr=config.problem["g_thr"])
     emit_metrics(paths, metric="constrained_regret", j_star=ref["j_star"], out=args.out)

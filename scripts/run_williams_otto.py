@@ -26,7 +26,9 @@ def main():
     if args.quick:
         config.seeds = config.seeds[:5]
     paths = run_experiment(config, jobs=args.jobs)
-    print(f"{len(paths)} replication logs in {Path(config.output_dir).resolve()}")
+    # CEGO_LOG_DIR, when set, overrides config.output_dir.
+    log_dirs = sorted({str(path.parent.resolve()) for path in paths})
+    print(f"{len(paths)} replication logs in {', '.join(log_dirs)}")
 
     ref = get_reference("williams_otto")
     emit_metrics(paths, metric="normalized", j_star=ref["j_star"], sigmas=ref["sigmas"],

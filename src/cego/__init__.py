@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .domain import Domain
 from .gp import GpModel
-from .grid_eval import GridEvaluation, constrained_argmin, evaluate_grid
 from .hyperfit import fit_hyperparameters
 from .info_gain import max_info_gain
 from .kernels import Kernel
@@ -43,9 +42,6 @@ __all__ = [
     "GpModel",
     "max_info_gain",
     "fit_hyperparameters",
-    "GridEvaluation",
-    "evaluate_grid",
-    "constrained_argmin",
     "BetaSchedule",
     "AlgorithmState",
     "Decision",

@@ -2,13 +2,13 @@
 
 :func:`propose` is the one step and :func:`observe` the one update. A step
 of every policy but ``random`` evaluates every model's posterior over the
-domain lattice once, hands that :class:`~cego.grid_eval.GridEvaluation` to
-the policy's private scorer, and turns the lattice index it returns into the
-:class:`Decision`. Every scorer
-picks an extremizer of a per-point score with ties broken by the smallest
-linear grid index; they differ in how constraint information enters the
-score. ``config``, ``epbo`` and ``primal_dual`` all minimize the objective
-LCB plus a constraint term with :func:`~cego.grid_eval.constrained_argmin`,
+domain lattice once (:func:`evaluate_grid`), hands that
+:class:`GridEvaluation` to the policy's private scorer, and turns the lattice
+index it returns into the :class:`Decision`. Every scorer picks an
+extremizer of a per-point score with ties broken by the smallest linear grid
+index, the first one ``np.argmin`` and ``np.argmax`` return; they differ in
+how constraint information enters the score. ``config``, ``epbo`` and
+``primal_dual`` all minimize the objective LCB plus a constraint term,
 ``config`` under a mask:
 
 ``config``
@@ -43,11 +43,20 @@ from scipy.special import ndtr
 
 from .domain import Domain, as_point, finite_real, positive_real
 from .gp import GpModel, column_blocks
-from .grid_eval import GridEvaluation, constrained_argmin, evaluate_grid
 
 __all__ = ["BetaSchedule", "AlgorithmState", "Decision", "POLICIES", "propose", "observe"]
 
-POLICIES = ("config", "cei", "epbo", "primal_dual", "safeopt_lite", "random")
+# The keys of a run configuration's policy spec that each policy reads,
+# besides its ``name`` and ``label``.
+SPEC_KEYS = {
+    "config": ("beta",),
+    "cei": (),
+    "epbo": ("beta", "rho"),
+    "primal_dual": ("beta", "eta"),
+    "safeopt_lite": ("beta", "lipschitz", "safe_seed"),
+    "random": (),
+}
+POLICIES = tuple(SPEC_KEYS)
 
 # Incumbent rule for constrained EI: an observed point counts as feasible
 # when each constraint on its own holds with posterior probability >= 1/2
@@ -93,6 +102,43 @@ class BetaSchedule:
         return self.value * np.sqrt(
             2.0 * np.log(grid_size * t**2 * np.pi**2 / (6.0 * self.delta))
         )
+
+
+@dataclass(frozen=True)
+class GridEvaluation:
+    """Per-lattice-point posterior summaries for a stack of models.
+
+    Arrays are shaped ``(n_models, grid_size)`` and indexed by the domain's
+    row-major linear grid index.
+    """
+
+    means: np.ndarray
+    sigmas: np.ndarray
+    beta_sqrt: float
+
+    @property
+    def lcb(self) -> np.ndarray:
+        return self.means - self.beta_sqrt * self.sigmas
+
+    @property
+    def ucb(self) -> np.ndarray:
+        return self.means + self.beta_sqrt * self.sigmas
+
+
+def evaluate_grid(models: list[GpModel], beta_sqrt: float, domain: Domain) -> GridEvaluation:
+    """Each model's posterior over the whole lattice, under one confidence weight.
+
+    ``beta_sqrt`` weighs every model's sigma. Batched values agree with
+    pointwise posterior calls to 1e-12.
+    """
+    grid = domain.grid
+    means = np.empty((len(models), grid.shape[0]))
+    sigmas = np.empty_like(means)
+    for i, model in enumerate(models):
+        mean, var = model.posterior_batch(grid)
+        means[i] = mean
+        sigmas[i] = np.sqrt(var)
+    return GridEvaluation(means=means, sigmas=sigmas, beta_sqrt=float(beta_sqrt))
 
 
 @dataclass(frozen=True)
@@ -172,16 +218,16 @@ def _config(state: AlgorithmState, ev: GridEvaluation) -> int | None:
     lcb = ev.lcb
     if np.any(np.min(lcb[1:], axis=1) > 0):
         return None
-    idx = constrained_argmin(lcb[0], np.all(lcb[1:] <= 0, axis=0))
-    if idx is None:
-        idx = constrained_argmin(_violation(lcb))
-    return idx
+    feasible = np.flatnonzero(np.all(lcb[1:] <= 0, axis=0))
+    if feasible.size == 0:
+        return int(np.argmin(_violation(lcb)))
+    return int(feasible[np.argmin(lcb[0][feasible])])
 
 
 def _epbo(state: AlgorithmState, ev: GridEvaluation) -> int:
     """Penalty step: minimize LCB(objective) + rho * sum of positive-part constraint LCBs."""
     lcb = ev.lcb
-    return constrained_argmin(lcb[0] + state.rho * _violation(lcb))
+    return int(np.argmin(lcb[0] + state.rho * _violation(lcb)))
 
 
 def _primal_dual(state: AlgorithmState, ev: GridEvaluation) -> int:
@@ -191,7 +237,7 @@ def _primal_dual(state: AlgorithmState, ev: GridEvaluation) -> int:
     sampled point's constraint measurements are available.
     """
     lcb = ev.lcb
-    return constrained_argmin(lcb[0] + state.duals @ lcb[1:])
+    return int(np.argmin(lcb[0] + state.duals @ lcb[1:]))
 
 
 def _violation(lcb: np.ndarray) -> np.ndarray:

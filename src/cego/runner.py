@@ -42,7 +42,7 @@ from .metrics import (
     normalized_regret_violation,
     regret_contribution,
 )
-from .policies import POLICIES, AlgorithmState, BetaSchedule, observe, propose
+from .policies import POLICIES, SPEC_KEYS, AlgorithmState, BetaSchedule, observe, propose
 from .problems import PROBLEM_BUILDERS, Problem, problem_from_config
 
 __all__ = [
@@ -66,8 +66,6 @@ MAX_START_REJECTIONS = 100_000
 
 # Policy knobs a spec passes straight to ``AlgorithmState``.
 _STATE_KNOBS = ("rho", "eta", "lipschitz")
-# Keys a policy spec may carry: its name, its log label and the policy knobs.
-POLICY_KEYS = frozenset({"name", "label", "beta", "safe_seed", *_STATE_KNOBS})
 # Keys of the experiment's ``gp`` settings.
 GP_KEYS = frozenset({"family", "lengthscale_factor", "output_scale", "noise_variance", "fit_every"})
 
@@ -117,7 +115,6 @@ class RunConfig:
         for spec in self.policies:
             if spec.get("name") not in POLICIES:
                 raise ValueError(f"policy spec needs a 'name' out of {POLICIES}: {spec}")
-            _check_keys("policy", spec, POLICY_KEYS)
             label = policy_label(spec)
             # The label names the log file, which `cego metrics` finds in output_dir.
             if not (isinstance(label, str) and label) or "/" in label or "\\" in label:
@@ -130,6 +127,9 @@ class RunConfig:
                     "unless start='feasible'"
                 )
             try:
+                # A key the policy never reads would be logged but not used.
+                _check_keys(f"{spec['name']} policy", spec,
+                            {"name", "label", *SPEC_KEYS[spec["name"]]})
                 build_state(problem, spec, self.gp)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"policy {label!r}: {exc}") from exc
@@ -156,7 +156,7 @@ def _check_shape(what: str, value, kinds, expected: str):
         raise ValueError(f"{what} must be {expected}, got {value!r}")
 
 
-def _check_keys(what: str, settings: dict, allowed: frozenset):
+def _check_keys(what: str, settings: dict, allowed):
     unknown = sorted(set(settings) - allowed)
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown} in {settings}")
@@ -330,11 +330,16 @@ def _finished(records: list[RunRecord], budget: int) -> bool:
     return len(records) >= budget or (bool(records) and records[-1].decision == "infeasible")
 
 
-def _truncate_partial_line(path: Path):
+def _cut_torn_line(path: Path) -> int:
+    """Cut a last line that lacks its newline (a torn write) off the log, in place.
+
+    Returns the log's length after the cut: 0 when it held no complete line.
+    """
     data = path.read_bytes()
-    if data and not data.endswith(b"\n"):
-        cut = data.rfind(b"\n")
-        path.write_bytes(data[: cut + 1] if cut >= 0 else b"")
+    size = data.rfind(b"\n") + 1
+    if size < len(data):
+        os.truncate(path, size)
+    return size
 
 
 # -- replication loop ---------------------------------------------------------------
@@ -355,8 +360,8 @@ def _run_replication(config: RunConfig, policy_spec: dict, seed: int, problem: P
     header = _header(config, policy_spec, seed)
 
     existing: list[RunRecord] = []
-    if path.exists() and path.stat().st_size > 0:
-        _truncate_partial_line(path)
+    # A log with no complete line, not even its header, starts afresh.
+    if path.exists() and _cut_torn_line(path):
         try:
             old_header, existing = load_log(path)
         except (ValueError, json.JSONDecodeError) as exc:

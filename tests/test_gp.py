@@ -13,10 +13,9 @@ import scipy.linalg
 from cego import gp
 from cego.domain import Domain
 from cego.gp import GpModel, empty_models
-from cego.grid_eval import evaluate_grid
 from cego.hyperfit import fit_hyperparameters
 from cego.kernels import Kernel
-from cego.policies import AlgorithmState, observe
+from cego.policies import AlgorithmState, evaluate_grid, observe
 
 from conftest import random_model
 

@@ -3,8 +3,8 @@ import pytest
 
 from cego.domain import Domain
 from cego.gp import GpModel
-from cego.grid_eval import constrained_argmin, evaluate_grid
 from cego.kernels import Kernel
+from cego.policies import BetaSchedule, evaluate_grid
 
 from conftest import random_model
 
@@ -39,20 +39,6 @@ def test_grid_ordering_convention():
     np.testing.assert_array_equal(domain.point(1), [0.0, 1.0])
 
 
-def test_argmin_none_when_all_masked():
-    assert constrained_argmin(np.array([1.0, 2.0]), np.array([False, False])) is None
-
-
-def test_argmin_tie_break_smallest_index():
-    assert constrained_argmin(np.zeros(5)) == 0
-    assert constrained_argmin(np.array([2.0, 1.0, 1.0]), np.array([True, True, True])) == 1
-
-
-def test_argmin_simple():
-    assert constrained_argmin(np.array([3.0, 1.0, 2.0])) == 1
-    assert constrained_argmin(np.array([3.0, 1.0, 2.0]), np.array([True, False, True])) == 2
-
-
 def test_beta_broadcasting_and_validation():
     # One beta_sqrt weighs every model's sigma.
     domain = Domain([0.0], [1.0], [3])
@@ -60,6 +46,7 @@ def test_beta_broadcasting_and_validation():
     ev = evaluate_grid(models, 1.5, domain)
     np.testing.assert_allclose(ev.lcb[0], -1.5)
     np.testing.assert_allclose(ev.lcb[1], -3.0)
+    # A step's beta comes from its schedule, which refuses a bad one.
     for beta in (-1.0, float("nan")):
         with pytest.raises(ValueError):
-            evaluate_grid(models, beta, domain)
+            BetaSchedule(value=beta)

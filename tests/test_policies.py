@@ -6,16 +6,17 @@ from scipy.stats import norm
 from cego import gp, policies
 from cego.domain import Domain
 from cego.gp import GpModel
-from cego.grid_eval import evaluate_grid
 from cego.kernels import Kernel
 from cego.policies import (
     CEI_INCUMBENT_THRESHOLD,
     POLICIES,
     AlgorithmState,
     BetaSchedule,
+    GridEvaluation,
     _cei_incumbent,
     _constraint_probability,
     _normal_pdf,
+    evaluate_grid,
     observe,
     propose,
 )
@@ -297,7 +298,7 @@ def test_epbo_large_penalty_recovers_config_choice():
 # -- primal-dual -----------------------------------------------------------------
 
 
-def test_primal_dual_zero_duals_is_unconstrained_argmin():
+def test_primal_dual_zero_duals_minimizes_the_objective_lcb():
     rng = np.random.default_rng(8)
     domain = Domain([0.0], [1.0], [12])
     state = make_state("primal_dual", domain, noise=1e-3)
@@ -507,6 +508,52 @@ def test_propose_evaluates_the_lattice_once(monkeypatch, policy):
     decision = propose(state, rng_seed=3)
     assert decision.kind == "sample"
     assert len(calls) == (0 if policy == "random" else 1)
+
+
+def state_on_bounds(monkeypatch, policy, lcb, **kwargs):
+    """A state of ``policy`` whose every lattice evaluation has the given LCB rows.
+
+    The sigmas are zero, so each row is that model's LCB and UCB.
+    """
+    lcb = np.asarray(lcb, dtype=float)
+    ev = GridEvaluation(means=lcb, sigmas=np.zeros_like(lcb), beta_sqrt=2.0)
+    monkeypatch.setattr(policies, "evaluate_grid", lambda *args: ev)
+    domain = Domain([0.0], [1.0], [lcb.shape[1]])
+    return make_state(policy, domain, n_constraints=lcb.shape[0] - 1, **kwargs)
+
+
+def test_config_picks_the_first_tied_minimum_inside_the_mask(monkeypatch):
+    # The global objective minimizer (index 0) violates the constraint; the
+    # feasible minimum 1.0 is tied at indices 2 and 4.
+    state = state_on_bounds(monkeypatch, "config", [[0.0, 3.0, 1.0, 2.0, 1.0],
+                                                    [1.0, -1.0, 0.0, 1.0, -0.5]])
+    decision = propose(state)
+    assert decision.kind == "sample" and decision.index == 2
+
+
+def test_config_falls_back_to_the_least_violation(monkeypatch):
+    # Each constraint holds somewhere, so infeasibility is not declared, but
+    # never both at once. The summed positive parts (2, 0.5, 1, 0.5, 5) are
+    # least at indices 1 and 3, whatever the objective says.
+    state = state_on_bounds(monkeypatch, "config", [[0.0, 3.0, -1.0, 2.0, -2.0],
+                                                    [-1.0, 0.25, 1.0, 0.25, 2.0],
+                                                    [2.0, 0.25, -1.0, 0.25, 3.0]])
+    decision = propose(state)
+    assert decision.kind == "sample" and decision.index == 1
+
+
+@pytest.mark.parametrize("policy, lcb, knobs, duals, expected", [
+    # 3 + 2*0, 0 + 2*1, 2 + 0, 1 + 0, 1 + 0: tied at 3 and 4.
+    ("epbo", [[3.0, 0.0, 2.0, 1.0, 1.0], [0.0, 1.0, -1.0, 0.0, 0.0]], {"rho": 2.0}, None, 3),
+    # 3 + 0, 0 + 0.5*2, 2 + 0, 1 + 0, 2 - 0.5*2: tied at 1, 3 and 4.
+    ("primal_dual", [[3.0, 0.0, 2.0, 1.0, 2.0], [0.0, 2.0, 0.0, 0.0, -2.0]], {}, [0.5], 1),
+], ids=["epbo", "primal_dual"])
+def test_penalty_scores_pick_the_first_tied_minimum(monkeypatch, policy, lcb, knobs, duals,
+                                                     expected):
+    state = state_on_bounds(monkeypatch, policy, lcb, **knobs)
+    if duals is not None:
+        state.duals = np.array(duals)
+    assert propose(state).index == expected
 
 
 # -- shared machinery ---------------------------------------------------------------

@@ -94,6 +94,18 @@ def test_truncate_and_resume_reproduces_prefix(tmp_path, kept, torn):
     assert path.read_bytes() == original
 
 
+def test_torn_header_resumes_to_the_clean_run(tmp_path):
+    # A log cut inside its header holds no complete line: the run starts over
+    # from t = 1 instead of refusing to resume.
+    config = small_config(tmp_path, policies=[{"name": "config"}], budget=3,
+                          problem={"name": "artificial", "grid": [8, 8]})
+    (path,) = run_experiment(config)
+    original = path.read_bytes()
+    path.write_bytes(original[:20])
+    run_experiment(config)
+    assert path.read_bytes() == original
+
+
 @pytest.mark.parametrize("step", [2, 5], ids=["initial", "proposed"])
 def test_resume_rejects_a_tampered_record(tmp_path, step):
     # Steps 1-3 are the initial points, later ones the policy's proposals.
@@ -303,13 +315,30 @@ def test_mistyped_run_settings_rejected(tmp_path, settings, match):
              {"name": "config", "label": "a/b"}, {"name": "config", "label": "x/../../../y"},
              {"name": "config", "label": "a\\b"},
              # Snapped to the corner (10, 10), a point the oracle refuses.
-             {"name": "safeopt_lite", "safe_seed": [[100.0, 100.0]]}]
+             {"name": "safeopt_lite", "safe_seed": [[100.0, 100.0]]},
+             # Keys of other policies, which this one would run without.
+             {"name": "config", "rho": 5.0, "eta": 3.0, "lipschitz": 2.0,
+              "safe_seed": [[0.0, 0.0]]},
+             {"name": "random", "label": "r", "beta": {"value": 9.0}},
+             {"name": "cei", "beta": {"mode": "log_growth"}}]
 )
 def test_mistyped_policy_spec_rejected(tmp_path, spec):
     # A misspelled policy, knob or value must fail when the config is built,
     # not after the other replications have run (or never, for a knob).
     with pytest.raises(ValueError):
         small_config(tmp_path, policies=[{"name": "random"}, spec])
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"name": "random", "label": "r", "beta": {"value": 9.0}}, "beta"),
+    ({"name": "epbo", "eta": 1.0}, "eta"),
+    ({"name": "primal_dual", "lipschitz": 1.0}, "lipschitz"),
+    ({"name": "safeopt_lite", "rho": 1.0}, "rho"),
+])
+def test_unread_policy_key_named_with_its_label(tmp_path, spec, key):
+    label = spec.get("label", spec["name"])
+    with pytest.raises(ValueError, match=rf"policy '{label}': .* \['{key}'\]"):
+        small_config(tmp_path, policies=[spec])
 
 
 @pytest.mark.parametrize(

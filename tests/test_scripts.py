@@ -1,6 +1,7 @@
 """The shipped scripts run against the current API."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,13 @@ def run_script(name, *args):
     )
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_external_blackbox_demo_runs_to_completion():
     result = run_script("demo_external_blackbox.py")
     assert result.returncode == 0, result.stderr
@@ -28,9 +36,7 @@ def test_external_blackbox_demo_runs_to_completion():
 
 
 def test_external_blackbox_demo_closes_its_problem(monkeypatch):
-    spec = importlib.util.spec_from_file_location("demo", SCRIPTS / "demo_external_blackbox.py")
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
+    demo = load_script("demo_external_blackbox.py")
     build, problems = demo.external_problem, []
 
     def recording_problem(*args, **kwargs):
@@ -48,3 +54,21 @@ def test_experiment_script_help(name):
     result = run_script(name, "--help")
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
+
+
+@pytest.mark.parametrize("name, config", [("run_artificial.py", "artificial.json"),
+                                          ("run_williams_otto.py", "williams_otto.json")])
+def test_experiment_script_names_the_log_directory(tmp_path, monkeypatch, capsys, name, config):
+    # CEGO_LOG_DIR overrides the configuration's output_dir, and the script
+    # must name the directory the logs went to.
+    settings = json.loads((ROOT / "configs" / config).read_text(encoding="utf-8"))
+    settings["problem"]["grid"] = [8, 8]
+    settings.update(budget=3, seeds=[1], output_dir=str(tmp_path / "unused"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(settings), encoding="utf-8")
+    monkeypatch.setenv("CEGO_LOG_DIR", str(tmp_path / "logs"))
+    monkeypatch.setattr(sys, "argv", [name, "--config", str(config_path),
+                                      "--out", str(tmp_path / "table.csv")])
+    load_script(name).main()
+    assert f"replication logs in {(tmp_path / 'logs').resolve()}\n" in capsys.readouterr().out
+    assert (tmp_path / "table.csv").exists() and not (tmp_path / "unused").exists()
