@@ -18,10 +18,13 @@ def _cmd_run(args) -> int:
         paths = run_experiment(config, jobs=args.jobs)
     except (OSError, ValueError) as exc:
         # A config file that cannot be read or a setting that fails its
-        # check, found before any replication starts; a failed replication
-        # raises RuntimeError instead.
+        # check, found before any replication starts.
         print(f"cego run: {args.config}: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # One or more replications failed; run_experiment names each one.
+        print(f"cego run: {exc}", file=sys.stderr)
+        return 1
     for path in paths:
         print(path)
     return 0

@@ -13,6 +13,17 @@ arguments and memory layout that ``scipy.linalg.cholesky``, ``cho_solve``
 and ``solve_triangular`` pass them, so the bits are theirs without the
 wrappers' per-call validation.
 
+The three routines come from ``scipy.linalg._flapack``, the compiled f2py
+module that ``scipy.linalg.lapack`` re-exports, linked against scipy's own
+LAPACK. :func:`_scipy_flapack` loads that file by itself, under its real
+name, so ``import cego`` runs the ``scipy`` package init but not that of
+``scipy.linalg``, whose Python layers (through ``scipy._lib._util`` and
+``array_api_compat``) cost more than half of the import time and of the
+memory resident after it. A later ``import scipy.linalg`` finds the module in
+``sys.modules`` and reuses it, so ``scipy.linalg.lapack.dpotrf`` is
+``gp.dpotrf`` whichever is imported first. ``LinAlgError`` is numpy's, which
+``scipy.linalg`` re-exports.
+
 Posterior formulas, for observations ``X, y`` with Gram matrix ``K``, noise
 variance ``lam`` and ``L L^T = K + lam I``::
 
@@ -79,20 +90,51 @@ bits; on one BLAS thread the two are equal.)
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import mmap
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+import scipy
+from numpy.linalg import LinAlgError
 
 from .domain import as_point, positive_real
 from .kernels import Kernel
 
 __all__ = ["GpModel", "empty_models"]
+
+
+def _scipy_flapack():
+    """``scipy.linalg._flapack``, loaded from its file without ``scipy.linalg``'s package init.
+
+    ``scipy`` itself is imported first: its init is small, and on some
+    platforms it is what makes scipy's bundled libraries loadable. An entry
+    already in ``sys.modules`` (``scipy.linalg`` was imported first) is
+    reused, so there is only ever one module of that name.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = Path(scipy.__file__).parent / "linalg"
+    # The import system's own file search: the first of this interpreter's
+    # extension suffixes that exists in the folder.
+    spec = importlib.machinery.PathFinder.find_spec(name, [str(folder)])
+    if spec is None:
+        raise ImportError(f"no {name} extension in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _scipy_flapack()
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 _VARIANCE_CLAMP = 1e-9
 

@@ -39,7 +39,7 @@ candidates out of 180 on average, and never more than 2.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from .domain import Domain
 from .gp import GpModel

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .domain import Domain, as_point, finite_real, positive_real
 from .gp import GpModel, column_blocks
@@ -64,7 +63,7 @@ POLICIES = tuple(SPEC_KEYS)
 # the joint probability does.
 CEI_INCUMBENT_THRESHOLD = 0.5
 
-# The standard normal CDF is ``ndtr`` and the density below is
+# The standard normal CDF is ``scipy.special.ndtr`` and the density below is
 # ``exp(-z**2/2) / sqrt(2*pi)``: the formulas behind ``scipy.stats.norm.cdf``
 # and ``norm.pdf``, so scores keep their bits without importing scipy.stats.
 _SQRT_2PI = np.sqrt(2 * np.pi)
@@ -73,6 +72,23 @@ _SQRT_2PI = np.sqrt(2 * np.pi)
 def _normal_pdf(z: np.ndarray) -> np.ndarray:
     """Standard normal density, elementwise."""
     return np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise: ``scipy.special.ndtr``.
+
+    Imported here, not at module level, because only ``cei`` reads it and
+    ``scipy.special``'s package init pulls in scipy's array-API layers, the
+    largest part of what ``import cego`` used to cost. This defers that
+    import to the first ``cei`` step of a process; it does not remove it.
+    ``ndtr`` cannot be loaded from its file as ``cego.gp`` loads LAPACK
+    (``scipy.special._ufuncs`` imports its own package back), and a numpy
+    formula would change bits: ``np.exp`` and libm's ``exp`` differ in the
+    last bit on about 5 % of inputs.
+    """
+    from scipy.special import ndtr
+
+    return ndtr(z)
 
 
 @dataclass(frozen=True)
@@ -248,7 +264,7 @@ def _violation(lcb: np.ndarray) -> np.ndarray:
 def _constraint_probability(means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Elementwise posterior ``P[g <= 0]``; a point mass where ``sigma`` is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = ndtr(np.where(sigmas > 0, -means / np.where(sigmas > 0, sigmas, 1.0), 0.0))
+        p = _normal_cdf(np.where(sigmas > 0, -means / np.where(sigmas > 0, sigmas, 1.0), 0.0))
     return np.where(sigmas > 0, p, (means <= 0).astype(float))
 
 
@@ -276,7 +292,7 @@ def _cei(state: AlgorithmState, ev: GridEvaluation) -> int:
         z = np.where(sigma > 0, improvement / np.where(sigma > 0, sigma, 1.0), 0.0)
     ei = np.where(
         sigma > 0,
-        improvement * ndtr(z) + sigma * _normal_pdf(z),
+        improvement * _normal_cdf(z) + sigma * _normal_pdf(z),
         np.maximum(improvement, 0.0),
     )
     return np.argmax(ei * feas_prob)

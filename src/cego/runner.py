@@ -14,12 +14,16 @@ that compare across machines.
 
 Log layout: one JSONL file per (policy, seed). The first line is a header
 object carrying the full effective configuration; every further line is a
-step record ``{"t", "theta", "y", "true", "decision"}``.
+step record ``{"t", "theta", "y", "true", "decision"}``. A replication holds
+an exclusive ``flock`` on its log from before it reads the log until its last
+write, so a second run on the same output directory stops that replication
+with an error naming the log instead of interleaving records with the first.
 """
 
 from __future__ import annotations
 
 import csv
+import fcntl
 import inspect
 import json
 import os
@@ -27,9 +31,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .domain import int_at_least, positive_real
@@ -359,32 +364,52 @@ def _run_replication(config: RunConfig, policy_spec: dict, seed: int, problem: P
     path.parent.mkdir(parents=True, exist_ok=True)
     header = _header(config, policy_spec, seed)
 
-    existing: list[RunRecord] = []
-    # A log with no complete line, not even its header, starts afresh.
-    if path.exists() and _cut_torn_line(path):
-        try:
-            old_header, existing = load_log(path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise RuntimeError(f"cannot resume {path}: {exc}") from exc
-        if old_header != header:
-            raise RuntimeError(
-                f"existing log {path} was produced by a different configuration; "
-                "move it aside or change output_dir"
-            )
-    else:
-        path.write_text(_dumps(header) + "\n", encoding="utf-8")
+    # Append mode creates a missing log and never truncates one, so a writer
+    # that finds the log locked leaves it as it was.
+    with open(path, "a", encoding="utf-8") as fh:
+        _lock_log(fh, path)
+        existing: list[RunRecord] = []
+        # A log with no complete line, not even its header, starts afresh.
+        if _cut_torn_line(path):
+            try:
+                old_header, existing = load_log(path)
+            except (ValueError, json.JSONDecodeError) as exc:
+                raise RuntimeError(f"cannot resume {path}: {exc}") from exc
+            if old_header != header:
+                raise RuntimeError(
+                    f"existing log {path} was produced by a different configuration; "
+                    "move it aside or change output_dir"
+                )
+        else:
+            fh.write(_dumps(header) + "\n")
+            fh.flush()
 
-    started = time.time()
-    if not _finished(existing, config.budget):
-        _advance_replication(config, policy_spec, seed, problem, path, existing)
-    meta = {
-        "log": path.name,
-        "resumed_at_step": len(existing),
-        "started_at": started,
-        "finished_at": time.time(),
-    }
-    path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+        started = time.time()
+        if not _finished(existing, config.budget):
+            _advance_replication(config, policy_spec, seed, problem, fh, existing)
+        meta = {
+            "log": path.name,
+            "resumed_at_step": len(existing),
+            "started_at": started,
+            "finished_at": time.time(),
+        }
+        path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
     return path
+
+
+def _lock_log(fh: TextIO, path: Path):
+    """Take the log's exclusive lock for this replication, or raise ``RuntimeError`` naming it.
+
+    One writer per log: two runs appending to one log interleave their
+    records. The lock is ``flock``'s, on the open file, so the kernel drops it
+    when the file is closed or its process dies and no stale lock is left.
+    """
+    try:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        raise RuntimeError(
+            f"log {path} is being written by another run; wait for it or change output_dir"
+        ) from None
 
 
 def _advance_replication(
@@ -392,7 +417,7 @@ def _advance_replication(
     policy_spec: dict,
     seed: int,
     problem: Problem,
-    path: Path,
+    fh: TextIO,
     existing: list[RunRecord],
 ):
     init_points = _initial_points(problem, config, seed)
@@ -404,33 +429,32 @@ def _advance_replication(
     fit_every = config.gp.get("fit_every", 0)
     # `random` never reads a model, so its replications make no GP update or refit.
     updates = policy_spec["name"] != "random"
-    with open(path, "a", encoding="utf-8") as fh:
-        for t in range(config.budget):
-            if t < len(init_points):
-                theta = init_points[t]
-            else:
-                decision = propose(state, rng_seed=_policy_seed(seed, t + 1))
-                theta = None if decision.is_infeasible else decision.point
-            if t < len(existing):
-                # A logged step must be re-derived exactly; its measurement is reused.
-                logged = existing[t]
-                if theta is None or logged.theta is None or list(theta) != list(logged.theta):
-                    raise RuntimeError(
-                        f"resume mismatch at t={t + 1} in {path}: the configuration "
-                        "or code no longer reproduces the logged decision"
-                    )
-                y = np.asarray(logged.y)
-            elif theta is None:
-                fh.write(_dumps(_record_dict(t + 1, None, None, None)) + "\n")
-                return
-            else:
-                y, true = problem.evaluate_noisy(theta, _stream(seed, _STREAM_NOISE, t + 1))
-                record = _record_dict(t + 1, theta, y, true if problem.pure else None)
-                fh.write(_dumps(record) + "\n")
-                fh.flush()
-            if updates and t + 1 < config.budget:  # nothing reads the state after the last record
-                observe(state, theta, y)
-                _maybe_refit(state, fit_every)
+    for t in range(config.budget):
+        if t < len(init_points):
+            theta = init_points[t]
+        else:
+            decision = propose(state, rng_seed=_policy_seed(seed, t + 1))
+            theta = None if decision.is_infeasible else decision.point
+        if t < len(existing):
+            # A logged step must be re-derived exactly; its measurement is reused.
+            logged = existing[t]
+            if theta is None or logged.theta is None or list(theta) != list(logged.theta):
+                raise RuntimeError(
+                    f"resume mismatch at t={t + 1} in {fh.name}: the configuration "
+                    "or code no longer reproduces the logged decision"
+                )
+            y = np.asarray(logged.y)
+        elif theta is None:
+            fh.write(_dumps(_record_dict(t + 1, None, None, None)) + "\n")
+            return
+        else:
+            y, true = problem.evaluate_noisy(theta, _stream(seed, _STREAM_NOISE, t + 1))
+            record = _record_dict(t + 1, theta, y, true if problem.pure else None)
+            fh.write(_dumps(record) + "\n")
+            fh.flush()
+        if updates and t + 1 < config.budget:  # nothing reads the state after the last record
+            observe(state, theta, y)
+            _maybe_refit(state, fit_every)
 
 
 def _policy_seed(seed: int, step: int):

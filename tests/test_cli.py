@@ -97,20 +97,59 @@ def test_write_reference_merges_entries(tmp_path):
     assert after["artificial"]["grid"] == [60, 60]
 
 
-@pytest.mark.parametrize("module", ["cego", "cego.cli"])
-def test_import_leaves_out_scipy_stats(module):
-    # scipy.stats (and the scipy.optimize it pulls in) would double the cold
-    # start of every interpreter that imports cego: the CLI, each script and
-    # each benchmark child. Only a fresh interpreter shows what an import loads.
+# Modules a fresh interpreter must not load. scipy.stats (and the
+# scipy.optimize it pulls in) would double the cold start of every interpreter
+# that imports cego: the CLI, each script and each benchmark child.
+# scipy.linalg's and scipy.special's package inits (through scipy._lib._util
+# and scipy's array-API layers) would add as much again; cego.gp loads only the
+# LAPACK extension, and cego.policies imports scipy.special at the first cei step.
+_LEFT_OUT = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special", "scipy._lib._util")
+
+
+def run_fresh(probe: str) -> str:
+    """Run ``probe`` in a fresh interpreter that finds ``src`` first; its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
-    probe = (f"import sys, {module}; "
-             "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             timeout=60, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == []
+    return result.stdout
+
+
+# Probe code that prints which of those modules the interpreter has loaded.
+_PRINT_LOADED = f"print(' '.join(m for m in {_LEFT_OUT!r} if m in sys.modules))"
+
+
+@pytest.mark.parametrize("module", ["cego", "cego.cli"])
+def test_import_leaves_out_scipy_stats(module):
+    # Only a fresh interpreter shows what an import loads.
+    assert run_fresh(f"import sys, {module}; {_PRINT_LOADED}").split() == []
+
+
+def test_config_replication_leaves_out_scipy_linalg_and_special(tmp_path):
+    # A whole config replication (GP updates, lattice posteriors, the LCB
+    # step) needs only the LAPACK extension. cei is the one policy that loads
+    # scipy.special.
+    config = {"problem": {"name": "artificial", "grid": [10, 10]},
+              "policies": [{"name": "config"}], "budget": 3, "seeds": [1],
+              "output_dir": str(tmp_path / "logs"), "start": "none", "n_init_random": 1}
+    probe = ("import sys; from cego import RunConfig, run_experiment; "
+             f"run_experiment(RunConfig(**{config!r})); {_PRINT_LOADED}")
+    assert run_fresh(probe).split() == []
+    (log,) = (tmp_path / "logs").glob("*.jsonl")
+    assert len(log.read_text().splitlines()) == 4  # the header and three records
+
+
+@pytest.mark.parametrize("first, second", [("cego.gp", "scipy.linalg.lapack"),
+                                           ("scipy.linalg.lapack", "cego.gp")])
+def test_lapack_module_is_scipys_in_either_import_order(first, second):
+    # cego.gp registers the extension under its own name, so scipy.linalg
+    # reuses it when imported later, and cego.gp reuses scipy's otherwise.
+    probe = (f"import {first}, {second}, sys, scipy.linalg.lapack as lapack, cego.gp as gp; "
+             "print(lapack.dpotrf is gp.dpotrf, lapack.dtrtrs is gp.dtrtrs, "
+             "sys.modules['scipy.linalg._flapack'] is gp._flapack)")
+    assert run_fresh(probe).split() == ["True", "True", "True"]
 
 
 def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
@@ -147,6 +186,25 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
         assert captured.err.count("\n") == 1 and phrase in captured.err
         assert captured.err.startswith("cego run: ")
     assert not (tmp_path / "logs").exists()
+
+
+def test_run_failed_replication_is_one_line(tmp_path, monkeypatch, capsys):
+    # A replication that fails (here an external evaluator that exits at
+    # once) escaped as a RuntimeError traceback. It exits 1, not the 2 of a
+    # configuration error, and the line names the replication.
+    monkeypatch.setenv("CEGO_LOG_DIR", str(tmp_path / "logs"))
+    exits = [sys.executable, "-c", "raise SystemExit(3)"]
+    config = {"problem": {"name": "external", "command": exits, "lower": [0.0], "upper": [1.0],
+                          "grid": [5], "n_constraints": 1},
+              "policies": [{"name": "random"}], "budget": 2, "seeds": [1], "start": "none"}
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cego run: 1 replication(s) failed: policy=random seed=1: ")
+    assert "external evaluator exited" in captured.err
 
 
 @pytest.mark.parametrize("grid, phrase", [("10.5x5", "invalid literal for int()"),
