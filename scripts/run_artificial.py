@@ -9,7 +9,7 @@ a 5-seed sanity run.
 import argparse
 from pathlib import Path
 
-from cego.references import get_reference
+from cego.references import get_reference, reference_problem
 from cego.runner import RunConfig, emit_metrics, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,8 +31,9 @@ def main():
     log_dirs = sorted({str(path.parent.resolve()) for path in paths})
     print(f"{len(paths)} replication logs in {', '.join(log_dirs)}")
 
-    ref = get_reference("artificial", g_thr=config.problem["g_thr"])
-    emit_metrics(paths, metric="constrained_regret", j_star=ref["j_star"], out=args.out)
+    ref = get_reference("artificial")
+    emit_metrics(paths, metric="constrained_regret", j_star=ref["j_star"], out=args.out,
+                 problem=reference_problem("artificial", ref))
     print(f"regret table -> {args.out} (reference optimum {ref['j_star']:.6f} "
           f"from a {ref['grid'][0]}x{ref['grid'][1]} grid)")
 

@@ -8,7 +8,7 @@ points and writes the best normalized regret+violation per step to a CSV.
 import argparse
 from pathlib import Path
 
-from cego.references import get_reference
+from cego.references import get_reference, reference_problem
 from cego.runner import RunConfig, emit_metrics, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +32,7 @@ def main():
 
     ref = get_reference("williams_otto")
     emit_metrics(paths, metric="normalized", j_star=ref["j_star"], sigmas=ref["sigmas"],
-                 out=args.out)
+                 out=args.out, problem=reference_problem("williams_otto", ref))
     print(f"normalized metric table -> {args.out}")
 
 

@@ -51,11 +51,13 @@ class ExternalBlackbox:
         self.n_constraints = int_at_least("n_constraints", n_constraints, 0)
         self.timeout = positive_real("timeout", timeout)
         self._proc: subprocess.Popen | None = None
+        self._reader: threading.Thread | None = None
         self._lines: queue.Queue = queue.Queue()
 
     def _ensure_started(self):
         if self._proc is not None and self._proc.poll() is None:
             return
+        self.close()
         self._proc = subprocess.Popen(
             self.command,
             stdin=subprocess.PIPE,
@@ -64,13 +66,15 @@ class ExternalBlackbox:
             bufsize=1,
         )
         self._lines = queue.Queue()
-        thread = threading.Thread(target=self._pump, args=(self._proc,), daemon=True)
-        thread.start()
+        self._reader = threading.Thread(target=self._pump, args=(self._proc,), daemon=True)
+        self._reader.start()
 
     def _pump(self, proc: subprocess.Popen):
+        """Queue the child's lines, then close its stdout once output ends."""
         assert proc.stdout is not None
-        for line in proc.stdout:
-            self._lines.put(line)
+        with proc.stdout:
+            for line in proc.stdout:
+                self._lines.put(line)
         self._lines.put(None)  # EOF marker
 
     def evaluate(self, theta) -> np.ndarray:
@@ -93,9 +97,10 @@ class ExternalBlackbox:
                 f"no response within {self.timeout:.1f}s from {self.command!r}"
             ) from None
         if line is None:
-            code = self._proc.poll()
+            proc = self._proc
+            self.close()  # reaps the child, so its exit code is known
             raise BlackboxError(
-                f"external evaluator exited (code {code}) before answering"
+                f"external evaluator exited (code {proc.returncode}) before answering"
             )
         return self._parse_response(line)
 
@@ -119,19 +124,22 @@ class ExternalBlackbox:
         return np.array([objective, *constraints])
 
     def close(self):
-        if self._proc is None:
+        """Close stdin, reap the child (killed after 2 s) and let the reader close stdout."""
+        proc, self._proc = self._proc, None
+        if proc is None:
             return
-        if self._proc.stdin is not None:
+        if proc.stdin is not None:
             try:
-                self._proc.stdin.close()
+                proc.stdin.close()
             except OSError:
                 pass
         try:
-            self._proc.wait(timeout=2.0)
+            proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-        self._proc = None
+            proc.kill()
+            proc.wait()
+        if self._reader is not None:
+            self._reader.join(timeout=2.0)
 
     def __enter__(self):
         self._ensure_started()

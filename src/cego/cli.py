@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .problems import PROBLEM_BUILDERS
-from .references import DEFAULT_ORACLE_GRIDS, get_reference, write_reference
+from .references import DEFAULT_ORACLE_GRIDS, get_reference, reference_problem, write_reference
 from .runner import RunConfig, emit_metrics, run_experiment
 
 
@@ -49,9 +49,7 @@ def _cmd_metrics(args) -> int:
                 j_star = ref["j_star"]
             sigmas = ref["sigmas"]
             # The logs must be of the problem and settings the entry was computed for.
-            problem = {"name": args.problem}
-            if "g_thr" in ref:
-                problem["g_thr"] = ref["g_thr"]
+            problem = reference_problem(args.problem, ref)
         if args.metric == "constrained_regret" and j_star is None:
             print("need --problem (for the frozen reference) or --j-star", file=sys.stderr)
             return 1

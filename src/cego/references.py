@@ -23,6 +23,7 @@ __all__ = [
     "compute_reference",
     "load_references",
     "get_reference",
+    "reference_problem",
     "packaged_references_path",
     "DEFAULT_ORACLE_GRIDS",
 ]
@@ -47,18 +48,18 @@ def load_references(path=None) -> dict:
         return json.load(fh)
 
 
-def get_reference(name: str, path=None, g_thr: float | None = None) -> dict:
-    """Reference entry for a problem; validates the g_thr it was computed for."""
+def get_reference(name: str, path=None) -> dict:
+    """Reference entry for a problem."""
     refs = load_references(path)
     if name not in refs:
         raise KeyError(f"no reference entry for {name!r}; run the oracle subcommand")
-    entry = refs[name]
-    if g_thr is not None and not np.isclose(entry.get("g_thr", g_thr), g_thr):
-        raise ValueError(
-            f"reference for {name!r} was computed with g_thr={entry.get('g_thr')}, "
-            f"requested {g_thr}"
-        )
-    return entry
+    return refs[name]
+
+
+def reference_problem(name: str, entry: dict) -> dict:
+    """Settings ``entry`` was computed for, in the form ``emit_metrics(problem=...)`` takes."""
+    return {"name": name, **{key: entry[key] for key in REFERENCE_PARAMS.get(name, {})
+                             if key in entry}}
 
 
 def _dense_feasible_optimum(problem: Problem) -> dict:

@@ -23,7 +23,7 @@ from cego.cstr import CstrPlant, cstr_steady_state
 from cego.references import get_reference
 from cego.runner import RunConfig, load_log, run_experiment
 
-ARTIFICIAL_REF = get_reference("artificial", g_thr=-0.6)
+ARTIFICIAL_REF = get_reference("artificial")
 WO_REF = get_reference("williams_otto")
 
 SEEDS_30 = list(range(1, 31))

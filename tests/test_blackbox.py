@@ -76,8 +76,23 @@ def test_timeout_raises():
 
 def test_child_exit_raises():
     with ExternalBlackbox(EXITING_STUB, n_constraints=0, timeout=5.0) as box:
-        with pytest.raises(BlackboxError):
+        with pytest.raises(BlackboxError, match="code 3"):
             box.evaluate([1.0])
+
+
+@pytest.mark.parametrize("stub, error", [(ECHO_STUB, None), (SLEEPY_STUB, BlackboxTimeout),
+                                         (EXITING_STUB, BlackboxError)],
+                         ids=["close", "timeout-kill", "child-exit"])
+def test_child_pipes_closed(stub, error):
+    # Each child's pipes are closed once it is reaped, not left to the garbage collector.
+    box = ExternalBlackbox(stub, n_constraints=1, timeout=0.5)
+    with box:
+        proc = box._proc
+        if error is not None:
+            with pytest.raises(error):
+                box.evaluate([1.0, 2.0])
+    assert proc.poll() is not None
+    assert proc.stdin.closed and proc.stdout.closed
 
 
 def test_close_is_idempotent():

@@ -72,7 +72,7 @@ def test_oracle_subcommand_writes_reference(tmp_path, capsys):
 
 def test_packaged_reference_matches_recomputation():
     # The frozen artificial entry must equal a fresh dense-grid enumeration.
-    ref = get_reference("artificial", g_thr=-0.6)
+    ref = get_reference("artificial")
     from cego.problems import artificial_problem
 
     problem = artificial_problem(g_thr=-0.6, grid=tuple(ref["grid"]), noise_std=0.0)
@@ -80,11 +80,6 @@ def test_packaged_reference_matches_recomputation():
     feasible = values[:, 1] <= 0
     j_star = values[feasible, 0].min()
     assert ref["j_star"] == pytest.approx(j_star, abs=0)
-
-
-def test_reference_g_thr_mismatch_rejected():
-    with pytest.raises(ValueError):
-        get_reference("artificial", g_thr=0.4)
 
 
 def test_write_reference_merges_entries(tmp_path):
@@ -235,6 +230,21 @@ def test_metrics_unknown_reference_is_one_line(tmp_path, capsys):
     assert main(["metrics", "--logs", str(logs), "--problem", "nosuch"]) == 1
     assert capsys.readouterr().err == (
         "cego metrics: no reference entry for 'nosuch'; run the oracle subcommand\n")
+
+
+def test_metrics_missing_inputs_are_one_line(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["metrics", "--logs", str(empty)]) == 1
+    assert capsys.readouterr().err == f"no .jsonl logs under {empty}\n"
+    logs = run_small(tmp_path, {"name": "artificial"})
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(logs)]) == 1
+    assert capsys.readouterr().err == "need --problem (for the frozen reference) or --j-star\n"
+    assert main(["metrics", "--logs", str(logs), "--metric", "normalized", "--j-star", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "the normalized metric needs --problem to load sigmas\n"
 
 
 def test_metrics_checks_logs_against_the_reference(tmp_path, capsys):

@@ -74,6 +74,15 @@ def test_non_convergence_signalled():
         cstr_steady_state(5.0, 85.0, max_iter=1)
 
 
+def test_singular_jacobian_signalled(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ConvergenceError, match=r"^singular Jacobian at \(F_B=5.0, T_r=85.0\)$"):
+        cstr_steady_state(5.0, 85.0)
+
+
 def test_residual_mass_fraction_constraints():
     # One row per operating point, in order.
     values = williams_otto_values(np.array([[5.0, 85.0], [4.0, 70.0]]))

@@ -584,6 +584,22 @@ def test_parallel_jobs_match_serial(tmp_path):
         assert p.read_bytes() == s.read_bytes()
 
 
+def test_parallel_failure_names_only_its_replication(tmp_path):
+    # With no start point cei has no incumbent and fails at its first step;
+    # config runs, in its own worker, to the bytes it writes at jobs=1.
+    base = dict(policies=[{"name": "cei"}, {"name": "config"}], budget=3, start="none")
+    logs = {}
+    for jobs in (1, 2):
+        config = small_config(tmp_path / f"jobs{jobs}", **base)
+        with pytest.raises(RuntimeError) as failed:
+            run_experiment(config, jobs=jobs)
+        assert str(failed.value) == ("1 replication(s) failed: policy=cei seed=1: cei needs at "
+                                     "least one objective observation for the incumbent")
+        logs[jobs] = log_path(config, {"name": "config"}, 1).read_bytes()
+    assert logs[2] == logs[1]
+    assert len(logs[1].splitlines()) == 4  # header and 3 records
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs each task in this process."""
 

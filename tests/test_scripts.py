@@ -72,3 +72,24 @@ def test_experiment_script_names_the_log_directory(tmp_path, monkeypatch, capsys
     load_script(name).main()
     assert f"replication logs in {(tmp_path / 'logs').resolve()}\n" in capsys.readouterr().out
     assert (tmp_path / "table.csv").exists() and not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("name, problem, reference", [
+    ("run_artificial.py", {"g_thr": 0.4}, "g_thr=-0.6"),
+    ("run_williams_otto.py", {}, "name='williams_otto'"),
+], ids=["artificial-other-g_thr", "williams_otto-other-problem"])
+def test_experiment_script_checks_logs_against_the_reference(tmp_path, monkeypatch, name,
+                                                             problem, reference):
+    # The table is refused when the logs are not of the problem and settings
+    # the packaged reference was computed for.
+    settings = json.loads((ROOT / "configs" / "artificial.json").read_text(encoding="utf-8"))
+    settings["problem"].update(grid=[8, 8], **problem)
+    settings.update(budget=3, seeds=[1], policies=[{"name": "random"}])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(settings), encoding="utf-8")
+    monkeypatch.setenv("CEGO_LOG_DIR", str(tmp_path / "logs"))
+    monkeypatch.setattr(sys, "argv", [name, "--config", str(config_path),
+                                      "--out", str(tmp_path / "table.csv")])
+    with pytest.raises(ValueError, match=f"the reference has {reference}$"):
+        load_script(name).main()
+    assert not (tmp_path / "table.csv").exists()
