@@ -33,7 +33,7 @@ def _cmd_run(args) -> int:
 def _cmd_metrics(args) -> int:
     logs = sorted(Path(args.logs).glob("*.jsonl"))
     if not logs:
-        print(f"no .jsonl logs under {args.logs}", file=sys.stderr)
+        print(f"cego metrics: no .jsonl logs under {args.logs}", file=sys.stderr)
         return 1
     j_star, sigmas, problem = args.j_star, None, None
     if args.metric in ("constrained_regret", "normalized"):
@@ -51,10 +51,12 @@ def _cmd_metrics(args) -> int:
             # The logs must be of the problem and settings the entry was computed for.
             problem = reference_problem(args.problem, ref)
         if args.metric == "constrained_regret" and j_star is None:
-            print("need --problem (for the frozen reference) or --j-star", file=sys.stderr)
+            print("cego metrics: need --problem (for the frozen reference) or --j-star",
+                  file=sys.stderr)
             return 1
         if args.metric == "normalized" and sigmas is None:
-            print("the normalized metric needs --problem to load sigmas", file=sys.stderr)
+            print("cego metrics: the normalized metric needs --problem to load sigmas",
+                  file=sys.stderr)
             return 1
     try:
         table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas,

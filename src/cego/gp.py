@@ -15,7 +15,7 @@ wrappers' per-call validation.
 
 The three routines come from ``scipy.linalg._flapack``, the compiled f2py
 module that ``scipy.linalg.lapack`` re-exports, linked against scipy's own
-LAPACK. :func:`_scipy_flapack` loads that file by itself, under its real
+LAPACK. :func:`_scipy_extension` loads that file by itself, under its real
 name, so ``import cego`` runs the ``scipy`` package init but not that of
 ``scipy.linalg``, whose Python layers (through ``scipy._lib._util`` and
 ``array_api_compat``) cost more than half of the import time and of the
@@ -110,30 +110,32 @@ from .kernels import Kernel
 __all__ = ["GpModel", "empty_models"]
 
 
-def _scipy_flapack():
-    """``scipy.linalg._flapack``, loaded from its file without ``scipy.linalg``'s package init.
+def _scipy_extension(subpackage: str, name: str):
+    """Compiled extension ``scipy.<subpackage>.<name>``, loaded without the subpackage's init.
 
     ``scipy`` itself is imported first: its init is small, and on some
     platforms it is what makes scipy's bundled libraries loadable. An entry
-    already in ``sys.modules`` (``scipy.linalg`` was imported first) is
-    reused, so there is only ever one module of that name.
+    already in ``sys.modules`` (the subpackage was imported first) is reused,
+    and a later import of the subpackage reuses this one, so there is only
+    ever one module of that name. Raises ``ImportError`` when scipy ships no
+    such file.
     """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    folder = Path(scipy.__file__).parent / "linalg"
+    qualified = f"scipy.{subpackage}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    folder = Path(scipy.__file__).parent / subpackage
     # The import system's own file search: the first of this interpreter's
     # extension suffixes that exists in the folder.
-    spec = importlib.machinery.PathFinder.find_spec(name, [str(folder)])
+    spec = importlib.machinery.PathFinder.find_spec(qualified, [str(folder)])
     if spec is None:
-        raise ImportError(f"no {name} extension in {folder}")
+        raise ImportError(f"no {qualified} extension in {folder}")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+    sys.modules[qualified] = module
     spec.loader.exec_module(module)
     return module
 
 
-_flapack = _scipy_flapack()
+_flapack = _scipy_extension("linalg", "_flapack")
 dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 _VARIANCE_CLAMP = 1e-9

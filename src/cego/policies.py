@@ -35,13 +35,14 @@ how constraint information enters the score. ``config``, ``epbo`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import Domain, as_point, finite_real, positive_real
-from .gp import GpModel, column_blocks
+from .gp import GpModel, _scipy_extension, column_blocks
 
 __all__ = ["BetaSchedule", "AlgorithmState", "Decision", "POLICIES", "propose", "observe"]
 
@@ -63,9 +64,10 @@ POLICIES = tuple(SPEC_KEYS)
 # the joint probability does.
 CEI_INCUMBENT_THRESHOLD = 0.5
 
-# The standard normal CDF is ``scipy.special.ndtr`` and the density below is
+# The standard normal CDF is scipy's ``ndtr`` ufunc and the density below is
 # ``exp(-z**2/2) / sqrt(2*pi)``: the formulas behind ``scipy.stats.norm.cdf``
-# and ``norm.pdf``, so scores keep their bits without importing scipy.stats.
+# and ``norm.pdf``, so scores keep their bits without importing scipy.stats
+# or scipy.special.
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
 
@@ -74,21 +76,29 @@ def _normal_pdf(z: np.ndarray) -> np.ndarray:
     return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, elementwise: ``scipy.special.ndtr``.
+@functools.cache
+def _ndtr():
+    """``scipy.special.ndtr``, loaded once per process at its first call.
 
-    Imported here, not at module level, because only ``cei`` reads it and
-    ``scipy.special``'s package init pulls in scipy's array-API layers, the
-    largest part of what ``import cego`` used to cost. This defers that
-    import to the first ``cei`` step of a process; it does not remove it.
-    ``ndtr`` cannot be loaded from its file as ``cego.gp`` loads LAPACK
-    (``scipy.special._ufuncs`` imports its own package back), and a numpy
-    formula would change bits: ``np.exp`` and libm's ``exp`` differ in the
-    last bit on about 5 % of inputs.
+    It is the ufunc of the compiled ``scipy.special._special_ufuncs``, which
+    :func:`~cego.gp._scipy_extension` loads by itself, as ``cego.gp`` loads
+    LAPACK: ``scipy.special``'s package init pulls in scipy's array-API
+    layers, about 0.2 s and 21 MB resident, and only ``cei`` reads the CDF.
+    A scipy that ships no such module, or one without ``ndtr``, gets the
+    package import instead. A numpy formula would change bits: ``np.exp``
+    and libm's ``exp`` differ in the last bit on about 5 % of inputs.
     """
-    from scipy.special import ndtr
+    try:
+        return _scipy_extension("special", "_special_ufuncs").ndtr
+    except (ImportError, AttributeError):
+        from scipy.special import ndtr
 
-    return ndtr(z)
+        return ndtr
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise: ``scipy.special.ndtr``."""
+    return _ndtr()(z)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ import inspect
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import TextIO
@@ -493,6 +492,9 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
     # The pool forks all its workers at the first submit.
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a jobs=1 run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(run_replication, config, spec, seed): (spec, seed)

@@ -97,8 +97,12 @@ def test_write_reference_merges_entries(tmp_path):
 # that imports cego: the CLI, each script and each benchmark child.
 # scipy.linalg's and scipy.special's package inits (through scipy._lib._util
 # and scipy's array-API layers) would add as much again; cego.gp loads only the
-# LAPACK extension, and cego.policies imports scipy.special at the first cei step.
-_LEFT_OUT = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special", "scipy._lib._util")
+# LAPACK extension, and cego.policies, at the first cei step, only the
+# scipy.special extension that holds ndtr. The process pool
+# (concurrent.futures.process and the multiprocessing it imports) is loaded
+# only by a run with jobs > 1.
+_LEFT_OUT = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special", "scipy._lib._util",
+             "concurrent.futures.process", "multiprocessing")
 
 
 def run_fresh(probe: str) -> str:
@@ -122,18 +126,30 @@ def test_import_leaves_out_scipy_stats(module):
     assert run_fresh(f"import sys, {module}; {_PRINT_LOADED}").split() == []
 
 
-def test_config_replication_leaves_out_scipy_linalg_and_special(tmp_path):
-    # A whole config replication (GP updates, lattice posteriors, the LCB
-    # step) needs only the LAPACK extension. cei is the one policy that loads
-    # scipy.special.
+def run_fresh_replication(tmp_path, policy: str, probe: str) -> str:
+    """Run a budget-3 replication of ``policy`` with ``jobs=1`` in a fresh
+    interpreter, then ``probe``; its stdout."""
     config = {"problem": {"name": "artificial", "grid": [10, 10]},
-              "policies": [{"name": "config"}], "budget": 3, "seeds": [1],
+              "policies": [{"name": policy}], "budget": 3, "seeds": [1],
               "output_dir": str(tmp_path / "logs"), "start": "none", "n_init_random": 1}
-    probe = ("import sys; from cego import RunConfig, run_experiment; "
-             f"run_experiment(RunConfig(**{config!r})); {_PRINT_LOADED}")
-    assert run_fresh(probe).split() == []
+    out = run_fresh("import sys; from cego import RunConfig, run_experiment; "
+                    f"run_experiment(RunConfig(**{config!r}), jobs=1); {probe}")
     (log,) = (tmp_path / "logs").glob("*.jsonl")
     assert len(log.read_text().splitlines()) == 4  # the header and three records
+    return out
+
+
+def test_config_replication_leaves_out_scipy_linalg_and_special(tmp_path):
+    # A whole config replication (GP updates, lattice posteriors, the LCB
+    # step) needs only the LAPACK extension, and a jobs=1 run no process pool.
+    assert run_fresh_replication(tmp_path, "config", _PRINT_LOADED).split() == []
+
+
+def test_cei_replication_leaves_out_scipy_special(tmp_path):
+    # cei's normal CDF comes from scipy.special's compiled extension, loaded
+    # by itself at the first cei step; the package init stays out.
+    probe = f"{_PRINT_LOADED}; print('scipy.special._special_ufuncs' in sys.modules)"
+    assert run_fresh_replication(tmp_path, "cei", probe).split() == ["True"]
 
 
 @pytest.mark.parametrize("first, second", [("cego.gp", "scipy.linalg.lapack"),
@@ -145,6 +161,21 @@ def test_lapack_module_is_scipys_in_either_import_order(first, second):
              "print(lapack.dpotrf is gp.dpotrf, lapack.dtrtrs is gp.dtrtrs, "
              "sys.modules['scipy.linalg._flapack'] is gp._flapack)")
     assert run_fresh(probe).split() == ["True", "True", "True"]
+
+
+@pytest.mark.parametrize("cego_first", [True, False], ids=["cego-first", "scipy-first"])
+def test_ndtr_is_scipys_in_either_import_order(cego_first):
+    # cego.policies registers scipy.special's extension under its own name,
+    # so scipy.special reuses it when imported later, and cego reuses
+    # scipy's otherwise.
+    name = "scipy.special._special_ufuncs"
+    steps = ["import cego.policies as policies; ndtr = policies._ndtr()", "import scipy.special"]
+    first, second = steps if cego_first else steps[::-1]
+    probe = (f"import sys; {first}; loaded = sys.modules[{name!r}]; "
+             f"print('scipy.special' in sys.modules); {second}; "
+             f"print(ndtr is scipy.special.ndtr, sys.modules[{name!r}] is loaded, "
+             "loaded.ndtr is ndtr)")
+    assert run_fresh(probe).split() == [str(not cego_first), "True", "True", "True"]
 
 
 def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
@@ -236,15 +267,16 @@ def test_metrics_missing_inputs_are_one_line(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["metrics", "--logs", str(empty)]) == 1
-    assert capsys.readouterr().err == f"no .jsonl logs under {empty}\n"
+    assert capsys.readouterr().err == f"cego metrics: no .jsonl logs under {empty}\n"
     logs = run_small(tmp_path, {"name": "artificial"})
     capsys.readouterr()
     assert main(["metrics", "--logs", str(logs)]) == 1
-    assert capsys.readouterr().err == "need --problem (for the frozen reference) or --j-star\n"
+    assert capsys.readouterr().err == (
+        "cego metrics: need --problem (for the frozen reference) or --j-star\n")
     assert main(["metrics", "--logs", str(logs), "--metric", "normalized", "--j-star", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "the normalized metric needs --problem to load sigmas\n"
+    assert captured.err == "cego metrics: the normalized metric needs --problem to load sigmas\n"
 
 
 def test_metrics_checks_logs_against_the_reference(tmp_path, capsys):

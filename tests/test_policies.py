@@ -1,6 +1,7 @@
+import types
+
 import numpy as np
 import pytest
-from scipy.special import ndtr
 from scipy.stats import norm
 
 from cego import gp, policies
@@ -15,6 +16,7 @@ from cego.policies import (
     GridEvaluation,
     _cei_incumbent,
     _constraint_probability,
+    _normal_cdf,
     _normal_pdf,
     evaluate_grid,
     observe,
@@ -178,13 +180,38 @@ SPECIAL_Z = [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 38.5, -38.5, 1e-300, -1e-3
 
 
 def test_normal_cdf_pdf_bit_identical_to_scipy_stats():
-    # The cEI score and the feasibility probability use ndtr and _normal_pdf
-    # in place of scipy.stats.norm; logs stay byte-identical only if every
-    # bit agrees, tails, signed zeros, infinities and NaN included.
+    # The cEI score and the feasibility probability use _normal_cdf and
+    # _normal_pdf in place of scipy.stats.norm; logs stay byte-identical only
+    # if every bit agrees, tails, signed zeros, infinities and NaN included.
     draws = np.random.default_rng(2024).standard_normal(10**6)
     z = np.concatenate([draws, 10.0 * draws, SPECIAL_Z])
-    assert np.array_equal(ndtr(z), norm.cdf(z), equal_nan=True)
+    assert np.array_equal(_normal_cdf(z), norm.cdf(z), equal_nan=True)
     assert np.array_equal(_normal_pdf(z), norm.pdf(z), equal_nan=True)
+
+
+def no_extension_file(subpackage, name):
+    raise ImportError(f"no scipy.{subpackage}.{name} extension")
+
+
+def extension_without_ndtr(subpackage, name):
+    return types.ModuleType(f"scipy.{subpackage}.{name}")
+
+
+@pytest.mark.parametrize("loader", [no_extension_file, extension_without_ndtr])
+def test_normal_cdf_falls_back_to_scipy_special(monkeypatch, loader):
+    # A scipy that ships no _special_ufuncs file, or one without ndtr, gets
+    # scipy.special's ndtr, with the same bits.
+    calls = []
+    monkeypatch.setattr(policies, "_scipy_extension",
+                        lambda *args: calls.append(args) or loader(*args))
+    policies._ndtr.cache_clear()
+    try:
+        draws = np.random.default_rng(2025).standard_normal(10**4)
+        z = np.concatenate([draws, 10.0 * draws, SPECIAL_Z])
+        assert np.array_equal(_normal_cdf(z), norm.cdf(z), equal_nan=True)
+        assert calls == [("special", "_special_ufuncs")]
+    finally:
+        policies._ndtr.cache_clear()
 
 
 def test_constraint_probability_bit_identical_to_scipy_stats():

@@ -621,7 +621,7 @@ class RecordingPool:
 @pytest.mark.parametrize("jobs, sizes", [(64, [14]), (5, [5]), (1, [])])
 def test_process_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypatch, jobs, sizes):
     created = []
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(created, max_workers))
     config = small_config(tmp_path, policies=[{"name": "random"}, {"name": "config"}],
                           budget=2, seeds=tuple(range(1, 8)))
@@ -632,7 +632,7 @@ def test_process_pool_has_at_most_one_worker_per_replication(tmp_path, monkeypat
 @pytest.mark.parametrize("jobs", [0, -2, 2.0, True, "2", None])
 def test_jobs_must_be_a_positive_int(tmp_path, monkeypatch, jobs):
     created = []
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(created, max_workers))
     with pytest.raises(ValueError, match="jobs"):
         run_experiment(small_config(tmp_path), jobs=jobs)
