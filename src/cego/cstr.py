@@ -211,8 +211,9 @@ def cstr_steady_state(
     )
 
 
-def williams_otto_profit(state: CstrState, plant: CstrPlant = WILLIAMS_OTTO_PLANT) -> float:
-    """Operating profit of a converged state (positive is good)."""
+def williams_otto_profit(state: CstrState) -> float:
+    """Operating profit of a converged state of the classical plant (positive is good)."""
+    plant = WILLIAMS_OTTO_PLANT
     f = state.feed_a + state.feed_b
     return (
         plant.profit_p * state.x_p * f

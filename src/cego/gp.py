@@ -399,12 +399,6 @@ class GpModel:
 
     # -- posterior queries ----------------------------------------------------
 
-    def posterior(self, query) -> tuple[float, float]:
-        """Posterior ``(mean, variance)`` at a single point."""
-        query = as_point(query)
-        means, variances = self.posterior_batch(query[None, :])
-        return float(means[0]), float(variances[0])
-
     def posterior_batch(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at many points at once.
 

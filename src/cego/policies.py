@@ -154,8 +154,8 @@ class GridEvaluation:
 def evaluate_grid(models: list[GpModel], beta_sqrt: float, domain: Domain) -> GridEvaluation:
     """Each model's posterior over the whole lattice, under one confidence weight.
 
-    ``beta_sqrt`` weighs every model's sigma. Batched values agree with
-    pointwise posterior calls to 1e-12.
+    ``beta_sqrt`` weighs every model's sigma. The lattice values agree with
+    one-point ``posterior_batch`` queries to 1e-12.
     """
     grid = domain.grid
     means = np.empty((len(models), grid.shape[0]))
@@ -273,8 +273,7 @@ def _violation(lcb: np.ndarray) -> np.ndarray:
 
 def _constraint_probability(means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Elementwise posterior ``P[g <= 0]``; a point mass where ``sigma`` is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = _normal_cdf(np.where(sigmas > 0, -means / np.where(sigmas > 0, sigmas, 1.0), 0.0))
+    p = _normal_cdf(-means / np.where(sigmas > 0, sigmas, 1.0))
     return np.where(sigmas > 0, p, (means <= 0).astype(float))
 
 
@@ -298,8 +297,7 @@ def _cei(state: AlgorithmState, ev: GridEvaluation) -> int:
 
     mean, sigma = ev.means[0], ev.sigmas[0]
     improvement = incumbent - mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sigma > 0, improvement / np.where(sigma > 0, sigma, 1.0), 0.0)
+    z = improvement / np.where(sigma > 0, sigma, 1.0)
     ei = np.where(
         sigma > 0,
         improvement * _normal_cdf(z) + sigma * _normal_pdf(z),

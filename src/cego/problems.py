@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .blackbox import ExternalBlackbox
-from .cstr import WILLIAMS_OTTO_PLANT, CstrPlant, cstr_steady_state, williams_otto_profit
+from .cstr import WILLIAMS_OTTO_PLANT, cstr_steady_state, williams_otto_profit
 from .domain import Domain, as_point, finite_real
 
 __all__ = [
@@ -153,15 +153,15 @@ X_A_LIMIT = 0.12
 X_G_LIMIT = 0.08
 
 
-def williams_otto_values(thetas: np.ndarray, plant: CstrPlant = WILLIAMS_OTTO_PLANT) -> np.ndarray:
+def williams_otto_values(thetas: np.ndarray) -> np.ndarray:
     """Negative profit and residual-fraction constraints, one steady-state solve per row.
 
     Each row of ``thetas`` is an operating point ``(F_B, T_r)``.
     """
     rows = []
     for feed_b, temperature in thetas:
-        state = cstr_steady_state(feed_b, temperature, plant=plant)
-        profit = williams_otto_profit(state, plant=plant)
+        state = cstr_steady_state(feed_b, temperature)
+        profit = williams_otto_profit(state)
         rows.append((-profit, state.x_a - X_A_LIMIT, state.x_g - X_G_LIMIT))
     return np.array(rows, dtype=float)
 

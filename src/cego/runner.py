@@ -287,7 +287,8 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
     """Parse a log file into its header and complete records.
 
     A trailing line without a newline (truncated write) is ignored. The
-    records must run ``t = 1, 2, ...`` with no gap or repeat, number at most
+    header must carry ``budget``, ``seed`` and ``policy``, and the records
+    must run ``t = 1, 2, ...`` with no gap or repeat, number at most
     the header's ``budget``, and hold an ``infeasible`` marker only as the
     last one; otherwise a ``ValueError`` names the log and the first bad line.
     """
@@ -304,6 +305,7 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
         if not isinstance(header, dict) or header.get("kind") != "run_header":
             raise ValueError("not a run header")
         budget = header["budget"]
+        header["seed"], header["policy"]  # emit_metrics reads both
         for number, line in enumerate(lines[1:], start=2):
             records.append(_next_record(json.loads(line), records, budget))
     except (KeyError, TypeError, ValueError) as exc:
@@ -566,11 +568,14 @@ def emit_metrics(
     so every row aggregates the same replications. ``problem``, when given,
     holds the settings (``name`` and any others) that ``j_star`` and
     ``sigmas`` were computed for; a setting a log leaves out counts at its
-    default. A ``ValueError`` names the first log that is unfinished (short
-    of its budget without an infeasibility declaration), differs in budget
-    from the logs before it, or differs from ``problem``.
+    default. Each label's replications are averaged in ascending header
+    ``seed`` (ties by path), so the table does not depend on the order of
+    ``log_paths``. A ``ValueError`` names the first log, in the given order,
+    that is unfinished (short of its budget without an infeasibility
+    declaration), differs in budget from the logs before it, or differs from
+    ``problem``.
     """
-    by_label: dict[str, list[np.ndarray]] = {}
+    by_label: dict[str, list[tuple[int, str, np.ndarray]]] = {}
     budget = None
     for path in log_paths:
         header, records = load_log(path)
@@ -588,15 +593,16 @@ def emit_metrics(
         series = _series_for(records, metric, j_star, sigmas)
         if series.size == 0:
             raise ValueError(f"log {path} has no sampled records to aggregate")
-        by_label.setdefault(label, []).append(series)
+        by_label.setdefault(label, []).append((header["seed"], str(path), series))
 
     labels = sorted(by_label)
     table: list[list] = [["step"] + [f"{lab}_{s}" for lab in labels for s in ("mean", "std")]]
     padded = {
         lab: np.stack([
-            np.concatenate([s, np.full(budget - s.size, s[-1])]) for s in series_list
+            np.concatenate([s, np.full(budget - s.size, s[-1])])
+            for _, _, s in sorted(runs, key=lambda run: run[:2])
         ])
-        for lab, series_list in by_label.items()
+        for lab, runs in by_label.items()
     }
     for step in range(budget or 0):
         row: list = [step + 1]

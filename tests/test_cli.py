@@ -20,7 +20,7 @@ def test_list_problems(capsys):
     assert "external" in out
 
 
-def test_run_and_metrics_round_trip(tmp_path, capsys):
+def test_run_and_metrics_round_trip(tmp_path, capsys, monkeypatch):
     config = {
         "problem": {"name": "artificial", "g_thr": -0.6, "grid": [10, 10], "noise_std": 0.01},
         "policies": [{"name": "random"}],
@@ -60,6 +60,13 @@ def test_run_and_metrics_round_trip(tmp_path, capsys):
     assert main(["metrics", "--logs", str(tmp_path / "logs"), "--metric", "best_so_far"]) == 1
     err = capsys.readouterr().err
     assert err == f"cego metrics: log {logs[0]} is unfinished: 2 records of a budget of 3\n"
+
+    # CEGO_LOG_DIR overrides output_dir, and `cego run` prints each log path in it.
+    monkeypatch.setenv("CEGO_LOG_DIR", str(tmp_path / "elsewhere"))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    moved = sorted((tmp_path / "elsewhere").glob("*.jsonl"))
+    assert len(moved) == 2
+    assert capsys.readouterr().out == "".join(f"{path}\n" for path in moved)
 
 
 def test_oracle_subcommand_writes_reference(tmp_path, capsys):

@@ -34,7 +34,7 @@ def dense_posterior(model, query):
 
 def test_empty_model_returns_prior():
     model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01)
-    mean, var = model.posterior([0.3])
+    (mean,), (var,) = model.posterior_batch([[0.3]])
     assert mean == 0.0
     assert var == pytest.approx(1.0, rel=1e-12)
 
@@ -42,7 +42,7 @@ def test_empty_model_returns_prior():
 def test_single_observation_closed_form():
     # One observation y=1 at the query point: mean k/(k+lam), var k*lam/(k+lam).
     model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01).add([0.0], 1.0)
-    mean, var = model.posterior([0.0])
+    (mean,), (var,) = model.posterior_batch([[0.0]])
     assert mean == pytest.approx(1.0 / 1.01, rel=1e-12)
     assert var == pytest.approx(1.0 - 1.0 / 1.01, rel=1e-10)
 
@@ -56,7 +56,7 @@ def test_near_noiseless_interpolation():
     for p, v in zip(pts, vals):
         model = model.add(p, v)
     for p, v in zip(pts, vals):
-        mean, _ = model.posterior(p)
+        (mean,), _ = model.posterior_batch([p])
         assert mean == pytest.approx(v, abs=1e-3)
 
 
@@ -64,14 +64,14 @@ def test_variance_after_five_points_near_noise_floor():
     rng = np.random.default_rng(3)
     model = random_model(rng, Kernel("squared_exponential", [1.0], 1.0), 0.01, 5)
     for p in model.points:
-        _, var = model.posterior(p)
+        _, (var,) = model.posterior_batch([p])
         assert var <= 0.01 * 1.01
 
 
 def test_rank_one_variance_drop():
     lam, prior = 0.01, 1.0
     model = GpModel(Kernel("squared_exponential", [1.0], 1.0), lam).add([0.4], 2.0)
-    _, var = model.posterior([0.4])
+    _, (var,) = model.posterior_batch([[0.4]])
     assert var == pytest.approx(prior * lam / (prior + lam), rel=1e-10)
 
 
@@ -79,8 +79,8 @@ def test_repeated_observation_shrinks_mean_toward_value():
     model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.1)
     model1 = model.add([0.0], 1.0)
     model2 = model1.add([0.0], 1.0)
-    m1, _ = model1.posterior([0.0])
-    m2, _ = model2.posterior([0.0])
+    (m1,), _ = model1.posterior_batch([[0.0]])
+    (m2,), _ = model2.posterior_batch([[0.0]])
     assert abs(1.0 - m2) < abs(1.0 - m1)
 
 
@@ -93,7 +93,7 @@ def test_posterior_matches_dense_inverse_on_random_instances():
         model = random_model(rng, kernel, 10 ** rng.uniform(-4, -1), int(rng.integers(1, 51)))
         for _ in range(5):
             q = rng.uniform(-2, 2, dim)
-            mean, var = model.posterior(q)
+            (mean,), (var,) = model.posterior_batch([q])
             mean_ref, var_ref = dense_posterior(model, q)
             assert mean == pytest.approx(mean_ref, rel=1e-8, abs=1e-10)
             assert var == pytest.approx(var_ref, rel=1e-8, abs=1e-10)
@@ -183,7 +183,7 @@ def test_prior_bounds_without_data():
 def test_single_observation_lcb_composition():
     model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01).add([0.0], 1.0)
     ev, _, _ = lattice_bounds(model, 1.0)  # lattice index 4 is the observed point 0.0
-    mean, var = model.posterior([0.0])
+    (mean,), (var,) = model.posterior_batch([[0.0]])
     assert ev.lcb[0, 4] == pytest.approx(mean - np.sqrt(var), rel=1e-12)
     assert ev.lcb[0, 4] == pytest.approx(1 / 1.01 - np.sqrt(1 - 1 / 1.01), rel=1e-6)
 

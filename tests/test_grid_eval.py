@@ -26,7 +26,7 @@ def test_batched_matches_scalar_path():
     model = random_model(rng, kernel, 1e-3, 10, lo=-1, hi=1)
     ev = evaluate_grid([model], 1.7, domain)
     for idx in range(domain.grid_size):
-        mean, var = model.posterior(domain.point(idx))
+        (mean,), (var,) = model.posterior_batch([domain.point(idx)])
         assert abs(ev.means[0, idx] - mean) <= 1e-12
         assert abs(ev.sigmas[0, idx] - np.sqrt(var)) <= 1e-12
 

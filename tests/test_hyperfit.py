@@ -87,7 +87,7 @@ def test_fitted_model_usable():
     (model,) = fit_hyperparameters(pts, values[:, None], domain)
     np.testing.assert_array_equal(model.points, pts)
     np.testing.assert_array_equal(model.values, values)
-    mean, _ = model.posterior(pts[0])
+    (mean,), _ = model.posterior_batch(pts[:1])
     assert mean == pytest.approx(values[0], abs=0.2)
 
 

@@ -36,7 +36,7 @@ def make_state(policy, domain, n_constraints=1, beta=2.0, noise=1e-2, output_sca
 
 def pointwise_bound(model, point, beta):
     """``mean + beta * std`` from a single-point posterior (beta < 0 gives the LCB)."""
-    mean, var = model.posterior(point)
+    (mean,), (var,) = model.posterior_batch([point])
     return mean + beta * np.sqrt(var)
 
 
@@ -164,7 +164,7 @@ def test_cei_reduces_to_ei_argmax_without_constraints():
     draws = rng.standard_normal(400_000)
     mc_ei = np.empty(domain.grid_size)
     for idx in range(domain.grid_size):
-        mean, var = model.posterior(domain.point(idx))
+        (mean,), (var,) = model.posterior_batch([domain.point(idx)])
         samples = mean + np.sqrt(var) * draws
         mc_ei[idx] = np.mean(np.maximum(incumbent - samples, 0.0))
         # closed form agrees with the Monte-Carlo estimate
@@ -236,9 +236,8 @@ def test_cei_prefers_probably_feasible_point():
     for _ in range(5):
         state.models[1] = state.models[1].add([-1.0], -3.0).add([1.0], 3.0)
 
-    ev_a = state.models[0].posterior([-1.0])
-    ev_b = state.models[0].posterior([1.0])
-    assert ev_a == pytest.approx(ev_b)  # symmetric EI by construction
+    (mean_a, mean_b), (var_a, var_b) = state.models[0].posterior_batch([[-1.0], [1.0]])
+    assert (mean_a, var_a) == pytest.approx((mean_b, var_b))  # symmetric EI by construction
     decision = propose(state)
     np.testing.assert_array_equal(decision.point, [-1.0])
 
@@ -253,7 +252,7 @@ def test_cei_falls_back_to_feasibility_maximization():
     decision = propose(state)
     probs = []
     for idx in range(domain.grid_size):
-        mean, var = state.models[1].posterior(domain.point(idx))
+        (mean,), (var,) = state.models[1].posterior_batch([domain.point(idx)])
         probs.append(norm.cdf(-mean / np.sqrt(var)) if var > 0 else float(mean <= 0))
     assert decision.index == int(np.argmax(probs))
 
@@ -270,7 +269,7 @@ def test_cei_incumbent_rule_is_per_constraint():
     observe(state, domain.point(1), [0.7, y, y])
     probabilities = []
     for model in state.models[1:]:
-        mean, var = model.posterior(domain.point(1))
+        (mean,), (var,) = model.posterior_batch([domain.point(1)])
         probabilities.append(norm.cdf(-mean / np.sqrt(var)))
     assert probabilities == pytest.approx([0.6, 0.6])
     assert np.prod(probabilities) < CEI_INCUMBENT_THRESHOLD
@@ -470,9 +469,8 @@ def test_safeopt_tie_break_prefers_wider_sigma():
     state = make_state("safeopt_lite", domain, safe_indices=np.array([0, 2]),
                        lipschitz=np.inf)
     observe(state, domain.point(1), [0.0, -1.0])  # symmetric midpoint evidence
-    sig0 = state.models[0].posterior(domain.point(0))
-    sig2 = state.models[0].posterior(domain.point(2))
-    assert sig0 == pytest.approx(sig2)
+    (mean0, mean2), (var0, var2) = state.models[0].posterior_batch(domain.grid[[0, 2]])
+    assert (mean0, var0) == pytest.approx((mean2, var2))
     state.models[0] = state.models[0].add(domain.point(0), 0.0)
     decision = propose(state)
     assert decision.index == 2

@@ -272,7 +272,8 @@ def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
         load_log(path)
 
 
-@pytest.mark.parametrize("header", ['{"kind": ', '[1]', '{"kind": "run_header"}'])
+@pytest.mark.parametrize("header", ['{"kind": ', '[1]', '{"kind": "run_header"}',
+                                    '{"kind": "run_header", "budget": 1, "policy": {}}'])
 def test_load_log_names_a_bad_header(tmp_path, header):
     # emit_metrics used to fail on these with a JSON or lookup error naming no log.
     path = tmp_path / "bad.jsonl"
@@ -523,9 +524,9 @@ def test_emit_metrics_single_log_zero_std(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
 
 
-def test_emit_metrics_mean_and_sample_std(tmp_path):
-    # Synthetic two-replication logs with constant series [1,1] and [3,3].
-    for seed, value in ((1, 1.0), (2, 3.0)):
+def write_constant_logs(directory, values_by_seed):
+    """One two-step ``random`` log per seed whose every sample is ``(value, -1)``."""
+    for seed, value in values_by_seed.items():
         lines = [
             json.dumps({"kind": "run_header", "policy": {"name": "random"}, "budget": 2, "seed": seed})
         ]
@@ -535,12 +536,25 @@ def test_emit_metrics_mean_and_sample_std(tmp_path):
                     {"t": t, "theta": [0.0], "y": [value, -1.0], "true": [value, -1.0], "decision": "sample"}
                 )
             )
-        (tmp_path / f"x__random__seed{seed}.jsonl").write_text("\n".join(lines) + "\n")
-    paths = sorted(tmp_path.glob("*.jsonl"))
+        (directory / f"x__random__seed{seed}.jsonl").write_text("\n".join(lines) + "\n")
+    return sorted(directory.glob("*.jsonl"))
+
+
+def test_emit_metrics_mean_and_sample_std(tmp_path):
+    # Synthetic two-replication logs with constant series [1,1] and [3,3].
+    paths = write_constant_logs(tmp_path, {1: 1.0, 2: 3.0})
     table = emit_metrics(paths, metric="constrained_regret", j_star=0.0)
     for row in table[1:]:
         assert row[1] == pytest.approx(2.0)
         assert row[2] == pytest.approx(np.sqrt(2.0))
+
+
+def test_emit_metrics_does_not_depend_on_log_order(tmp_path):
+    # A float sum depends on its order: 1e16 + 1.0 rounds back to 1e16. The
+    # file names sort seed10 before seed2, so a mean taken in argument order
+    # differs between the two orders.
+    paths = write_constant_logs(tmp_path, {1: 1e16, 2: 1.0, 10: -1e16})
+    assert emit_metrics(paths, metric="best_so_far") == emit_metrics(paths[::-1], metric="best_so_far")
 
 
 def test_emit_metrics_refuses_logs_of_different_budgets(tmp_path):
