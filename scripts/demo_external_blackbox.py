@@ -9,7 +9,7 @@ simulator: replace STUB with your own executable.
 
 import sys
 
-from cego.gp import GpModel
+from cego.gp import empty_models
 from cego.kernels import Kernel
 from cego.policies import AlgorithmState, BetaSchedule, observe, propose
 from cego.problems import external_problem
@@ -37,7 +37,7 @@ def main():
     state = AlgorithmState(
         policy="config",
         domain=problem.domain,
-        models=[GpModel(kernel, 1e-4) for _ in range(2)],
+        models=empty_models([(kernel, 1e-4)] * 2),
         beta=BetaSchedule(value=2.0),
     )
     try:

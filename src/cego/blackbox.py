@@ -10,9 +10,10 @@ simulators that are too heavy to run in-process.
 from __future__ import annotations
 
 import json
-import queue
+import os
+import select
 import subprocess
-import threading
+import time
 
 import numpy as np
 
@@ -51,31 +52,18 @@ class ExternalBlackbox:
         self.n_constraints = int_at_least("n_constraints", n_constraints, 0)
         self.timeout = positive_real("timeout", timeout)
         self._proc: subprocess.Popen | None = None
-        self._reader: threading.Thread | None = None
-        self._lines: queue.Queue = queue.Queue()
+        self._poll = None
+        self._pending = b""  # bytes read past the last line returned
 
     def _ensure_started(self):
         if self._proc is not None and self._proc.poll() is None:
             return
         self.close()
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
-        self._lines = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, args=(self._proc,), daemon=True)
-        self._reader.start()
-
-    def _pump(self, proc: subprocess.Popen):
-        """Queue the child's lines, then close its stdout once output ends."""
-        assert proc.stdout is not None
-        with proc.stdout:
-            for line in proc.stdout:
-                self._lines.put(line)
-        self._lines.put(None)  # EOF marker
+        self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        # poll, unlike select, takes descriptors >= 1024.
+        self._poll = select.poll()
+        self._poll.register(self._proc.stdout, select.POLLIN)
+        self._pending = b""
 
     def evaluate(self, theta) -> np.ndarray:
         """One request/response round trip; returns ``[objective, g_1 .. g_N]``."""
@@ -83,19 +71,11 @@ class ExternalBlackbox:
         assert self._proc is not None and self._proc.stdin is not None
         request = json.dumps({"theta": [float(v) for v in np.atleast_1d(theta)]})
         try:
-            self._proc.stdin.write(request + "\n")
+            self._proc.stdin.write(request.encode() + b"\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise BlackboxError(f"external evaluator pipe closed: {exc}") from exc
-        try:
-            line = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
-            # An unresponsive child gets no grace period: kill it before close() reaps it.
-            self._proc.kill()
-            self.close()
-            raise BlackboxTimeout(
-                f"no response within {self.timeout:.1f}s from {self.command!r}"
-            ) from None
+        line = self._read_line()
         if line is None:
             proc = self._proc
             self.close()  # reaps the child, so its exit code is known
@@ -104,18 +84,37 @@ class ExternalBlackbox:
             )
         return self._parse_response(line)
 
+    def _read_line(self) -> bytes | None:
+        """The child's next line within ``timeout`` seconds; ``None`` at end of output."""
+        deadline = time.monotonic() + self.timeout
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._poll.poll(remaining * 1000):
+                # An unresponsive child gets no grace period: kill it before close() reaps it.
+                self._proc.kill()
+                self.close()
+                raise BlackboxTimeout(
+                    f"no response within {self.timeout:.1f}s from {self.command!r}"
+                )
+            chunk = os.read(self._proc.stdout.fileno(), 65536)
+            if not chunk:
+                return None
+            self._pending += chunk
+        line, self._pending = self._pending.split(b"\n", 1)
+        return line
+
     def __call__(self, thetas) -> np.ndarray:
         """Rows ``[objective, g_1 .. g_N]``, one round trip per row of ``thetas``, in order."""
         return np.array([self.evaluate(theta) for theta in thetas])
 
-    def _parse_response(self, line: str) -> np.ndarray:
+    def _parse_response(self, line: bytes) -> np.ndarray:
         try:
             payload = json.loads(line)
             objective = float(payload["objective"])
             constraints = [float(v) for v in payload["constraints"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise BlackboxProtocolError(
-                f"malformed response line {line.strip()!r}: {exc}"
+                f"malformed response line {line.decode(errors='replace').strip()!r}: {exc}"
             ) from exc
         if len(constraints) != self.n_constraints:
             raise BlackboxProtocolError(
@@ -124,22 +123,20 @@ class ExternalBlackbox:
         return np.array([objective, *constraints])
 
     def close(self):
-        """Close stdin, reap the child (killed after 2 s) and let the reader close stdout."""
+        """Close stdin, reap the child (killed after 2 s), then close its stdout."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        if proc.stdin is not None:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
         try:
             proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        if self._reader is not None:
-            self._reader.join(timeout=2.0)
+        proc.stdout.close()
 
     def __enter__(self):
         self._ensure_started()

@@ -149,21 +149,21 @@ def _max_abs(values: list[float]) -> float:
     return max(map(abs, values))
 
 
+TOLERANCE = 1e-10
+MAX_ITERATIONS = 200
+
+
 def cstr_steady_state(
-    feed_b: float,
-    temperature: float,
-    plant: CstrPlant = WILLIAMS_OTTO_PLANT,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    feed_b: float, temperature: float, plant: CstrPlant = WILLIAMS_OTTO_PLANT
 ) -> CstrState:
     """Solve the reactor steady state at inputs ``(F_B, T_r)``.
 
     Raises ``ValueError`` outside the admissible input box and
     :class:`ConvergenceError` if a Jacobian is singular or the residual fails
-    to reach ``tol`` in ``max_iter`` iterations. The iteration runs on Python
-    floats, six at a time: each operation is the one, in the order, that the
-    same update on numpy arrays would make, without numpy's per-call cost on
-    6-vectors.
+    to reach ``TOLERANCE`` in ``MAX_ITERATIONS`` iterations. The iteration
+    runs on Python floats, six at a time: each operation is the one, in the
+    order, that the same update on numpy arrays would make, without numpy's
+    per-call cost on 6-vectors.
     """
     lo_b, hi_b = plant.feed_b_range
     lo_t, hi_t = plant.temperature_range
@@ -180,8 +180,8 @@ def cstr_steady_state(
     x = [feed_a / f, feed_b / f, 0.0, 0.0, 0.0, 0.0]
 
     resid = _residual(x, feed_a, feed_b, k, plant.holdup)
-    for _ in range(max_iter):
-        if _max_abs(resid) <= tol:
+    for _ in range(MAX_ITERATIONS):
+        if _max_abs(resid) <= TOLERANCE:
             break
         try:
             step = np.linalg.solve(
@@ -196,7 +196,7 @@ def cstr_steady_state(
     else:
         raise ConvergenceError(
             f"steady state not converged at (F_B={feed_b}, T_r={temperature}): "
-            f"residual {_max_abs(resid):.3e} after {max_iter} iterations"
+            f"residual {_max_abs(resid):.3e} after {MAX_ITERATIONS} iterations"
         )
 
     if any(v < -1e-10 for v in x):

@@ -130,6 +130,11 @@ class RunConfig:
                     f"policy {label!r}: safeopt_lite needs an explicit safe_seed "
                     "unless start='feasible'"
                 )
+            if spec["name"] == "cei" and self.start == "none" and self.n_init_random == 0:
+                raise ValueError(
+                    f"policy {label!r}: cei needs an initial point for its incumbent, "
+                    "so start='none' needs n_init_random >= 1"
+                )
             try:
                 # A key the policy never reads would be logged but not used.
                 _check_keys(f"{spec['name']} policy", spec,
@@ -290,7 +295,9 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
     header must carry ``budget``, ``seed`` and ``policy``, and the records
     must run ``t = 1, 2, ...`` with no gap or repeat, number at most
     the header's ``budget``, and hold an ``infeasible`` marker only as the
-    last one; otherwise a ``ValueError`` names the log and the first bad line.
+    last one. A ``sample`` record holds lists ``theta`` and ``y`` and a list
+    or null ``true``; the marker holds null for all three. Otherwise a
+    ``ValueError`` names the log and the first bad line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -322,12 +329,23 @@ def _next_record(raw: dict, records: list[RunRecord], budget: int) -> RunRecord:
         raise ValueError(f"a record beyond the budget of {budget}")
     if records and records[-1].decision == "infeasible":
         raise ValueError("a record after the infeasible marker")
+    theta, y, true, decision = raw["theta"], raw["y"], raw["true"], raw["decision"]
+    if decision == "sample":
+        if not (isinstance(theta, list) and isinstance(y, list)
+                and (true is None or isinstance(true, list))):
+            raise ValueError("a sample record needs lists for theta and y, "
+                             "and a list or null for true")
+    elif decision == "infeasible":
+        if (theta, y, true) != (None, None, None):
+            raise ValueError("an infeasible marker needs null theta, y and true")
+    else:
+        raise ValueError(f"decision {decision!r} is neither 'sample' nor 'infeasible'")
     return RunRecord(
         t=raw["t"],
-        theta=None if raw["theta"] is None else tuple(raw["theta"]),
-        y=None if raw["y"] is None else tuple(raw["y"]),
-        true_values=None if raw["true"] is None else tuple(raw["true"]),
-        decision=raw["decision"],
+        theta=None if theta is None else tuple(theta),
+        y=None if y is None else tuple(y),
+        true_values=None if true is None else tuple(true),
+        decision=decision,
     )
 
 

@@ -1,4 +1,8 @@
+import os
+import signal
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +48,22 @@ SLEEPY_STUB = [
 
 EXITING_STUB = [sys.executable, "-c", "import sys; sys.exit(3)"]
 
+# Answers once; on the next request it starts a helper that inherits its
+# stdout, writes the helper's pid to the file named by its argument and exits.
+HELPER_STUB = [
+    sys.executable,
+    "-c",
+    (
+        "import subprocess, sys\n"
+        "sys.stdin.readline()\n"
+        "print('{\"objective\": 1.0, \"constraints\": []}', flush=True)\n"
+        "sys.stdin.readline()\n"
+        "helper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+        "with open(sys.argv[1], 'w') as fh:\n"
+        "    fh.write(str(helper.pid))\n"
+    ),
+]
+
 
 def test_echo_round_trip():
     with ExternalBlackbox(ECHO_STUB, n_constraints=1) as box:
@@ -72,6 +92,40 @@ def test_timeout_raises():
     with ExternalBlackbox(SLEEPY_STUB, n_constraints=0, timeout=0.5) as box:
         with pytest.raises(BlackboxTimeout):
             box.evaluate([1.0])
+
+
+def test_non_utf8_response_raises_protocol_error():
+    stub = [sys.executable, "-c",
+            "import sys\nfor line in sys.stdin:\n"
+            "    sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()\n"]
+    with ExternalBlackbox(stub, n_constraints=0) as box:
+        with pytest.raises(BlackboxProtocolError, match="malformed response line"):
+            box.evaluate([0.0])
+
+
+def test_timeout_not_delayed_by_helper_holding_stdout(tmp_path):
+    # The helper keeps the pipe open after the child exits, so no end of
+    # output arrives: the timeout must fire on time and leave no thread or
+    # open pipe behind.
+    pid_file = tmp_path / "helper.pid"
+    threads = threading.active_count()
+    box = ExternalBlackbox([*HELPER_STUB, str(pid_file)], n_constraints=0, timeout=1.0)
+    try:
+        np.testing.assert_allclose(box.evaluate([1.0]), [1.0])
+        proc = box._proc
+        started = time.monotonic()
+        with pytest.raises(BlackboxTimeout):
+            box.evaluate([2.0])
+        assert time.monotonic() - started < box.timeout + 0.5
+        assert proc.stdout.closed
+        assert threading.active_count() == threads
+    finally:
+        box.close()
+        if pid_file.exists():
+            try:
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_child_exit_raises():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cego.cstr as cstr_mod
 from cego.cstr import (
     WILLIAMS_OTTO_PLANT,
     ConvergenceError,
@@ -69,9 +70,10 @@ def test_out_of_range_inputs_rejected():
         cstr_steady_state(5.0, 105.0)
 
 
-def test_non_convergence_signalled():
+def test_non_convergence_signalled(monkeypatch):
+    monkeypatch.setattr(cstr_mod, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
-        cstr_steady_state(5.0, 85.0, max_iter=1)
+        cstr_steady_state(5.0, 85.0)
 
 
 def test_singular_jacobian_signalled(monkeypatch):

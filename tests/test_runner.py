@@ -257,10 +257,17 @@ def test_emit_metrics_refuses_an_unfinished_log(tmp_path, kept, tabulated):
 @pytest.mark.parametrize("edit, problem", [
     (lambda records: records[1:], "line 2: t=2 where t=1"),
     (lambda records: records + [{**records[-1], "t": 5}], "line 6: a record beyond the budget"),
-    (lambda records: [records[0], {**records[1], "decision": "infeasible"}, records[2]],
+    (lambda records: [records[0], runner_mod._record_dict(2, None, None, None), records[2]],
      "line 4: a record after the infeasible marker"),
     (lambda records: [records[0], {"t": 2}], "line 3: 'theta'"),
-], ids=["gap", "over-budget", "after-infeasible", "missing-field"])
+    (lambda records: [records[0], {**records[1], "decision": "foo"}, records[2]],
+     "line 3: decision 'foo' is neither 'sample' nor 'infeasible'"),
+    (lambda records: [records[0], {**records[1], "theta": None, "y": None}],
+     "line 3: a sample record needs lists for theta and y"),
+    (lambda records: [records[0], {**records[1], "decision": "infeasible"}],
+     "line 3: an infeasible marker needs null theta, y and true"),
+], ids=["gap", "over-budget", "after-infeasible", "missing-field", "unknown-decision",
+        "sample-without-values", "infeasible-with-values"])
 def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
     config = small_config(tmp_path, budget=4, seeds=(9,))
     (path,) = run_experiment(config)
@@ -598,18 +605,33 @@ def test_parallel_jobs_match_serial(tmp_path):
         assert p.read_bytes() == s.read_bytes()
 
 
+# Answers every request, but exits with code 3 when asked for the lattice's
+# lower corner: the point that config samples first from zero data.
+CORNER_EXIT_STUB = (
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    t = json.loads(line)['theta']\n"
+    "    if t == [0.0, 0.0]:\n"
+    "        sys.exit(3)\n"
+    "    print(json.dumps({'objective': t[0], 'constraints': [t[1] - 1.0]}), flush=True)\n"
+)
+
+
 def test_parallel_failure_names_only_its_replication(tmp_path):
-    # With no start point cei has no incumbent and fails at its first step;
-    # config runs, in its own worker, to the bytes it writes at jobs=1.
-    base = dict(policies=[{"name": "cei"}, {"name": "config"}], budget=3, start="none")
+    # config fails at its first step; random runs, in its own worker, to the
+    # bytes it writes at jobs=1.
+    problem = {"name": "external", "command": [sys.executable, "-c", CORNER_EXIT_STUB],
+               "lower": [0.0, 0.0], "upper": [1.0, 1.0], "grid": [12, 12], "n_constraints": 1}
+    base = dict(policies=[{"name": "config"}, {"name": "random"}], budget=3, start="none",
+                problem=problem)
     logs = {}
     for jobs in (1, 2):
         config = small_config(tmp_path / f"jobs{jobs}", **base)
         with pytest.raises(RuntimeError) as failed:
             run_experiment(config, jobs=jobs)
-        assert str(failed.value) == ("1 replication(s) failed: policy=cei seed=1: cei needs at "
-                                     "least one objective observation for the incumbent")
-        logs[jobs] = log_path(config, {"name": "config"}, 1).read_bytes()
+        assert str(failed.value) == ("1 replication(s) failed: policy=config seed=1: external "
+                                     "evaluator exited (code 3) before answering")
+        logs[jobs] = log_path(config, {"name": "random"}, 1).read_bytes()
     assert logs[2] == logs[1]
     assert len(logs[1].splitlines()) == 4  # header and 3 records
 
@@ -735,6 +757,14 @@ def test_safeopt_requires_seed_or_feasible_start(tmp_path):
         with pytest.raises(ValueError, match="policy 'safeopt_lite'.*safe_seed"):
             small_config(tmp_path, policies=[{"name": "safeopt_lite"}], start=start)
     assert not any(tmp_path.iterdir())
+
+
+def test_cei_requires_an_initial_point(tmp_path):
+    # With no initial point cei has no incumbent for its first step.
+    with pytest.raises(ValueError, match="policy 'cei': cei needs an initial point"):
+        small_config(tmp_path, policies=[{"name": "cei"}], start="none", n_init_random=0)
+    assert not any(tmp_path.iterdir())
+    small_config(tmp_path, policies=[{"name": "cei"}], start="none", n_init_random=1)
 
 
 def test_safeopt_without_seed_starts_from_the_feasible_start(tmp_path):
