@@ -27,6 +27,8 @@ STUB = [
     ),
 ]
 
+STEPS = 15  # policy steps; the models' lattice rows are mapped for this many
+
 
 def main():
     problem = external_problem(
@@ -37,11 +39,11 @@ def main():
     state = AlgorithmState(
         policy="config",
         domain=problem.domain,
-        models=empty_models([(kernel, 1e-4)] * 2),
+        models=empty_models([(kernel, 1e-4)] * 2, capacity=STEPS),
         beta=BetaSchedule(value=2.0),
     )
     try:
-        for _ in range(15):
+        for _ in range(STEPS):
             decision = propose(state)
             if decision.is_infeasible:
                 print("declared infeasible")

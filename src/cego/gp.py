@@ -67,12 +67,18 @@ and a model built from scratch (e.g. after a hyperparameter refit) rebuilds
 it on its first lattice query.
 
 Row store. A group's ``V`` lives in the first ``t`` rows of a private
-mapping (``_LatticeRows.data``) with room for ``max(t, _ROW_CHUNK)`` more;
-mapped rows not yet written are not resident. A model reads only its own
-first ``t`` rows, so the first extension of a group's rows writes row ``t``
-in place while there is room. Any other extension (a second child of one
-parent, or one that finds the mapping full) copies the ``t`` rows into a new
-mapping of the same shape rule, so branching and growth are one path.
+mapping (``_LatticeRows.data``) of ``max(capacity, 2 t)`` rows, with ``t``
+the observations when it is mapped and ``capacity`` the number the group was
+built for (:func:`empty_models`; the runner passes its budget), 0 for a
+model built any other way. Mapped rows not yet written are not resident,
+so a mapping sized for the whole run costs nothing up front (under strict
+overcommit accounting it does count against the commit limit from the
+start). A model reads only its own first ``t`` rows, so the first extension
+of a group's rows writes row ``t`` in place while there is room: a run that
+stays within its capacity maps its rows once and never copies them. Any
+other extension (a second child of one parent, or one past the mapping's
+end) copies the ``t`` rows into a new mapping by the same rule, with the old
+mapping's rows as its capacity, so branching and growth are one path.
 
 Column blocks. Every query the cache cannot answer makes one pass,
 :meth:`GpModel._streamed`, that streams its points through blocks of about
@@ -104,7 +110,7 @@ import numpy as np
 import scipy
 from numpy.linalg import LinAlgError
 
-from .domain import as_point, positive_real
+from .domain import as_point, int_at_least, positive_real
 from .kernels import Kernel
 
 __all__ = ["GpModel", "empty_models"]
@@ -140,8 +146,6 @@ dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 _VARIANCE_CLAMP = 1e-9
 
-# Lattice-cache rows are allocated at least this many at a time.
-_ROW_CHUNK = 32
 # Guards the once-flag of _LatticeRows.extend.
 _EXTEND_LOCK = threading.Lock()
 # Bytes of one column block of an uncached query: (rows x width) floats.
@@ -219,19 +223,24 @@ def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _checked(dpotrs(chol, b, lower=1), "dpotrs")
 
 
-def _row_store(t: int, width: int) -> np.ndarray:
-    """A mapping for ``t`` rows of ``V`` and ``max(t, _ROW_CHUNK)`` more."""
-    return _mapped_rows(t + max(t, _ROW_CHUNK), width)
+def _row_store(t: int, width: int, capacity: int = 0) -> np.ndarray:
+    """A mapping for the ``t`` rows of ``V`` so far: ``max(capacity, 2 t)`` rows.
+
+    Doubling past the capacity keeps the rows copied per extension bounded
+    by one on average.
+    """
+    return _mapped_rows(max(capacity, 2 * t), width)
 
 
 class _LatticeRows:
     """A group's share of the posterior on one lattice after ``t`` observations.
 
-    ``data[:t]`` is ``V``, in a mapping with room for more rows; ``var`` is
-    not yet clamped. A model reads only its own first ``t`` rows, so the
-    first extension of these rows appends in place while the mapping has
-    room. Any other (a second child of one parent, or one that finds the
-    mapping full) copies them into a new mapping.
+    ``data[:t]`` is ``V``, in a mapping of at least ``t`` rows (see
+    :func:`_row_store`); ``var`` is not yet clamped. A model reads only its
+    own first ``t`` rows, so the first extension of these rows appends in
+    place while the mapping has room. Any other (a second child of one
+    parent, or one past the mapping's end) copies them into a new mapping
+    with at least as many rows as this one.
     """
 
     def __init__(self, lattice: np.ndarray, data: np.ndarray, var: np.ndarray):
@@ -246,7 +255,7 @@ class _LatticeRows:
             first, self._extended = not self._extended, True
         data = self.data
         if not first or t == data.shape[0]:
-            data = _row_store(t, data.shape[1])
+            data = _row_store(t, data.shape[1], capacity=data.shape[0])
             data[:t] = self.data[:t]
         data[t] = row
         return _LatticeRows(self.lattice, data, self.var - row * row)
@@ -266,15 +275,18 @@ class _Covariance:
 
     Kernel, noise variance, inputs ``X``, their noise-free Gram matrix
     ``gram`` (built from scratch when not given), the lower Cholesky factor
-    ``chol`` of ``K + lam I`` (None without data) and ``lattice``, the
-    group's lattice cache (None until a lattice query builds it).
+    ``chol`` of ``K + lam I`` (None without data), ``lattice``, the
+    group's lattice cache (None until a lattice query builds it), and
+    ``capacity``, the rows its first lattice query maps at least (see
+    :func:`_row_store`), which its children keep.
     """
 
     def __init__(self, kernel: Kernel, noise_variance: float, X: np.ndarray,
-                 gram: np.ndarray | None = None):
+                 gram: np.ndarray | None = None, capacity: int = 0):
         self.kernel = kernel
         self.noise_variance = noise_variance
         self.X = X
+        self.capacity = capacity
         self.chol = None
         self.lattice: _LatticeRows | None = None
         # (point bytes, lattice extended, weakref to the child, its lattice rows)
@@ -307,7 +319,7 @@ class _Covariance:
         gram = np.empty((t + 1, t + 1))
         gram[:t, :t] = self.gram
         gram[t] = gram[:, t] = self.kernel.cross(point[None, :], X)[0]
-        child = _Covariance(self.kernel, self.noise_variance, X, gram)
+        child = _Covariance(self.kernel, self.noise_variance, X, gram, self.capacity)
         rows = None
         if lattice is not None:
             l, d = child.chol[t, :t], child.chol[t, t]
@@ -419,7 +431,7 @@ class GpModel:
         else:
             data = None
             if shared is None and _is_lattice(queries):
-                data = _row_store(cov.X.shape[0], queries.shape[0])
+                data = _row_store(cov.X.shape[0], queries.shape[0], cov.capacity)
             means, variances = self._streamed(queries, data)
             if data is not None:
                 shared = cov.lattice = _LatticeRows(queries, data, variances)
@@ -473,16 +485,21 @@ class GpModel:
         )
 
 
-def empty_models(settings) -> list[GpModel]:
+def empty_models(settings, capacity: int = 0) -> list[GpModel]:
     """One model without data per ``(kernel, noise_variance)`` pair, in order.
 
     Pairs that are equal share one covariance part, so while their models
     see the same inputs each step factorizes and extends the lattice cache
-    once for all of them (see the module docstring).
+    once for all of them (see the module docstring). ``capacity`` is the
+    number of observations the models are expected to reach, such as a
+    run's budget: a lattice cache maps rows for that many at once, so it is
+    never copied before then. It bounds nothing; a model may grow past it.
     """
+    capacity = int_at_least("capacity", capacity, 0)
     models, groups = [], {}
     for kernel, noise_variance in settings:
         model = GpModel(kernel, noise_variance)
+        model._cov.capacity = capacity
         model._hold(groups.setdefault((kernel, model.noise_variance), model._cov), model._y)
         models.append(model)
     return models

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .domain import Domain, positive_real
-from .gp import GpModel, _factor
+from .gp import _factor, empty_models
 from .kernels import Kernel
 
 __all__ = ["max_info_gain"]
@@ -43,7 +43,8 @@ def _exact(kernel: Kernel, grid: np.ndarray, t: int, noise_variance: float) -> f
 
 
 def _greedy(kernel: Kernel, grid: np.ndarray, t: int, noise_variance: float) -> float:
-    model = GpModel(kernel, noise_variance)
+    # Room for all t picks: the lattice rows are mapped once.
+    model = empty_models([(kernel, noise_variance)], capacity=int(t))[0]
     gain = 0.0
     for _ in range(t):
         variances = model.posterior_batch(grid)[1]

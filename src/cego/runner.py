@@ -139,7 +139,7 @@ class RunConfig:
                 # A key the policy never reads would be logged but not used.
                 _check_keys(f"{spec['name']} policy", spec,
                             {"name", "label", *SPEC_KEYS[spec["name"]]})
-                build_state(problem, spec, self.gp)
+                build_state(problem, spec, self.gp, self.budget)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"policy {label!r}: {exc}") from exc
         labels = [policy_label(p) for p in self.policies]
@@ -192,13 +192,15 @@ def _per_output(value, n_outputs: int) -> list:
     return [value] * n_outputs
 
 
-def build_state(problem: Problem, policy_spec: dict, gp_config: dict) -> AlgorithmState:
-    """Fresh algorithm state for one replication.
+def build_state(problem: Problem, policy_spec: dict, gp_config: dict,
+                budget: int) -> AlgorithmState:
+    """Fresh algorithm state for one replication of ``budget`` steps.
 
     ``output_scale`` and ``noise_variance`` accept either a scalar or one
     value per output, since objective and constraints often live on very
     different scales. The constructors check every value. Outputs whose
-    kernel and noise are equal share one covariance part (see ``cego.gp``).
+    kernel and noise are equal share one covariance part, whose lattice rows
+    are mapped once for the ``budget`` observations (see ``cego.gp``).
     """
     family = gp_config.get("family", SQUARED_EXPONENTIAL)
     factor = positive_real("lengthscale_factor", gp_config.get("lengthscale_factor", 0.1))
@@ -206,8 +208,9 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict) -> Algorit
     output_scales = _per_output(gp_config.get("output_scale", 1.0), problem.n_outputs)
     noise_variances = _per_output(gp_config.get("noise_variance", 1e-4), problem.n_outputs)
     models = empty_models(
-        (Kernel(family, lengthscales, output_scales[i]), noise_variances[i])
-        for i in range(problem.n_outputs)
+        ((Kernel(family, lengthscales, output_scales[i]), noise_variances[i])
+         for i in range(problem.n_outputs)),
+        capacity=budget,
     )
     # A knob the spec leaves out keeps the default of AlgorithmState.
     knobs = {key: policy_spec[key] for key in _STATE_KNOBS if key in policy_spec}
@@ -215,6 +218,8 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict) -> Algorit
         knobs["safe_indices"] = [
             problem.domain.nearest_index(point) for point in policy_spec["safe_seed"]
         ]
+        if not knobs["safe_indices"]:
+            raise ValueError("safeopt_lite needs a non-empty safe_seed")
     return AlgorithmState(
         policy=policy_spec["name"],
         domain=problem.domain,
@@ -444,7 +449,7 @@ def _advance_replication(
         # RunConfig made sure the start is feasible: it seeds the safe set.
         policy_spec = {**policy_spec, "safe_seed": [[float(v) for v in init_points[0]]]}
 
-    state = build_state(problem, policy_spec, config.gp)
+    state = build_state(problem, policy_spec, config.gp, config.budget)
     fit_every = config.gp.get("fit_every", 0)
     # `random` never reads a model, so its replications make no GP update or refit.
     updates = policy_spec["name"] != "random"

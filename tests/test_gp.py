@@ -293,22 +293,25 @@ def test_incremental_lattice_posterior_matches_fresh():
             )
 
 
-@pytest.mark.parametrize("t", [3, 40], ids=["chunk", "doubling"])
-def test_lattice_rows_extend_in_place_once_while_there_is_room(t):
+@pytest.mark.parametrize("t, capacity", [(3, 40), (40, 0)], ids=["capacity", "doubling"])
+def test_lattice_rows_extend_in_place_once_while_there_is_room(t, capacity):
     width = 5
     rng = np.random.default_rng(t)
     values, var = rng.normal(size=(t, width)), rng.uniform(1.0, 2.0, width)
-    rows = gp._LatticeRows(None, gp._row_store(t, width), var)
+    rows = gp._LatticeRows(None, gp._row_store(t, width, capacity), var)
+    assert rows.data.shape == (max(capacity, 2 * t), width)
     rows.data[:t] = values
     first = rows.extend(t, np.full(width, 0.5))
     assert first.data is rows.data
     assert np.array_equal(first.var, var - 0.25)
     full = gp._LatticeRows(None, gp._mapped_rows(t, width), var)
     full.data[:] = values
-    # A second extension of one parent's rows, and one that finds its mapping full.
-    for child in (rows.extend(t, np.full(width, 0.75)), full.extend(t, np.full(width, 0.75))):
+    # A second extension of one parent's rows keeps the size of their
+    # mapping; one past the end of its mapping doubles it.
+    for child, mapped in ((rows.extend(t, np.full(width, 0.75)), rows.data.shape[0]),
+                          (full.extend(t, np.full(width, 0.75)), 2 * t)):
         assert child.data is not rows.data and child.data is not full.data
-        assert child.data.shape == (t + max(t, 32), width)
+        assert child.data.shape == (mapped, width)
         assert np.array_equal(child.data[:t], values)
         assert np.array_equal(child.data[t], np.full(width, 0.75))
     assert np.array_equal(first.data[t], np.full(width, 0.5))
@@ -341,7 +344,9 @@ def test_concurrent_extensions_of_one_parent_get_one_in_place():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("t, mapped", [(10, 33), (33, 33), (34, 66)],
+# A model without a capacity maps 2 rows at t = 1 and doubles them when full;
+# at t = 16 both children are extended past the end of the mapping.
+@pytest.mark.parametrize("t, mapped", [(10, 16), (16, 16), (17, 32)],
                          ids=["room", "full-mapping", "after-growth"])
 def test_branching_adds_leave_parent_posterior_unchanged(t, mapped):
     rng = np.random.default_rng(23)

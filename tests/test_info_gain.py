@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cego import gp
 from cego.domain import Domain
 from cego.info_gain import max_info_gain
 from cego.kernels import Kernel
@@ -109,6 +110,23 @@ def test_greedy_matches_conditioned_rows_on_a_2d_lattice(family):
     for t in (1, 2, 7, 20, 40):
         got = max_info_gain(k, domain, t, 0.01, method="greedy")
         np.testing.assert_allclose(got, conditioner_greedy_gain(k, domain.grid, t, 0.01), rtol=1e-12)
+
+
+def test_greedy_maps_its_lattice_rows_once(monkeypatch):
+    # The model is built for its t picks, so its rows of V are never copied
+    # into a larger mapping.
+    calls = []
+    mapped_rows = gp._mapped_rows
+
+    def counted(n_rows, width):
+        calls.append((n_rows, width))
+        return mapped_rows(n_rows, width)
+
+    monkeypatch.setattr(gp, "_mapped_rows", counted)
+    domain = Domain([0.0, 0.0], [1.0, 1.0], [15, 13])
+    max_info_gain(Kernel("squared_exponential", [0.3, 0.45], 1.2), domain, 40, 0.01,
+                  method="greedy")
+    assert calls == [(40, domain.grid_size)]
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.1, float("nan"), float("inf"), True])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+import cego.gp as gp_mod
 import cego.runner as runner_mod
 from cego.gp import GpModel
 from cego.metrics import best_so_far_series
@@ -685,7 +686,7 @@ def test_shared_covariance_keeps_every_log_byte(tmp_path, monkeypatch):
     )
     shared = run_experiment(small_config(tmp_path / "shared", **base))
     monkeypatch.setattr(runner_mod, "empty_models",
-                        lambda settings: [GpModel(k, noise) for k, noise in settings])
+                        lambda settings, capacity: [GpModel(k, noise) for k, noise in settings])
     separate = run_experiment(small_config(tmp_path / "separate", **base))
     assert [len(load_log(path)[1]) for path in shared] == [30, 30, 30]
     for a, b in zip(shared, separate):
@@ -757,6 +758,33 @@ def test_safeopt_requires_seed_or_feasible_start(tmp_path):
         with pytest.raises(ValueError, match="policy 'safeopt_lite'.*safe_seed"):
             small_config(tmp_path, policies=[{"name": "safeopt_lite"}], start=start)
     assert not any(tmp_path.iterdir())
+
+
+def test_safeopt_refuses_an_empty_safe_seed(tmp_path):
+    # Accepted, the empty seed set failed every replication at its first
+    # policy step, after its log was written.
+    spec = {"name": "safeopt_lite", "label": "safe", "safe_seed": []}
+    with pytest.raises(ValueError, match="policy 'safe': safeopt_lite needs a non-empty safe_seed"):
+        run_experiment(small_config(tmp_path, policies=[spec], budget=3))
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_replication_maps_its_lattice_rows_once(tmp_path, monkeypatch):
+    # The runner builds its models for the budget, so the group's rows of V
+    # (t x G floats) are mapped at the first lattice query and never copied.
+    calls = []
+    mapped_rows = gp_mod._mapped_rows
+
+    def counted(n_rows, width):
+        calls.append((n_rows, width))
+        return mapped_rows(n_rows, width)
+
+    monkeypatch.setattr(gp_mod, "_mapped_rows", counted)
+    config = small_config(tmp_path, policies=[{"name": "config"}], budget=100,
+                          problem={"name": "artificial", "grid": [100, 100]})
+    (path,) = run_experiment(config)
+    assert len(load_log(path)[1]) == 100
+    assert calls == [(100, 100 * 100)]
 
 
 def test_cei_requires_an_initial_point(tmp_path):
