@@ -36,7 +36,7 @@ negative indicates a broken factorization and raises.
 Groups. The posterior covariance depends on the inputs, the kernel and the
 noise, never on the targets (Rasmussen & Williams 2006, §2.2). So a model
 holds two parts: a covariance part with the kernel, the noise, ``X``, ``L``
-and the lattice rows below, and its own targets ``y`` with what depends on
+and the lattice cache below, and its own targets ``y`` with what depends on
 them. Outputs observed at the same inputs under equal kernel and noise can
 hold one covariance part, a group: :func:`empty_models` starts one per
 distinct ``(kernel, noise_variance)``, and when each member of a group
@@ -44,41 +44,44 @@ distinct ``(kernel, noise_variance)``, and when each member of a group
 it. A model built any other way, such as a refit, is a group of one.
 
 Lattice cache. Every policy step asks each model about the same lattice, so
-a group keeps ``V = L^{-1} k(X, lattice)`` and the unclamped variance on the
-last lattice one of its members was asked about, and each member keeps
-``z = L^{-1} y`` and its mean there. The first query builds them with the
-formulas above, so its answer is the uncached one; a member that first asks
-about the group's lattice later makes the same uncached pass for its own
-mean and takes the group's variance. ``add`` then extends the
+a covariance part caches ``V = L^{-1} k(X, lattice)`` and the unclamped
+variance on the first lattice any member asks about, and each model keeps
+``z = L^{-1} y`` and its mean there. A part caches one lattice and never
+replaces it: any other query, a second lattice included, is answered by the
+uncached pass below and leaves the cache alone. The first query builds the
+cache with the formulas above, so its answer is the uncached one; a member
+that first asks about the part's lattice later makes the same uncached pass
+for its own mean and takes the part's variance. ``add`` then extends the
 cache by one row instead of dropping it (sequential Cholesky update;
-Rasmussen & Williams 2006, Alg. 2.1; Osborne 2010). With ``l, d`` the new
-last row and diagonal entry of the child's factor::
+Rasmussen & Williams 2006, Alg. 2.1; Osborne 2010), and the child part
+caches the same lattice. With ``l, d`` the new last row and diagonal entry
+of the child's factor::
 
     row  = (k(x_t, lattice) - l^T V) / d     once per group
     var -= row**2                            once per group
     z_t  = (y_t - l . z) / d
     mean += z_t * row
 
-which costs O(t G) per step instead of O(t G d + t^2 G). The cache is keyed
-on the identity of a read-only array that owns its memory, such as
-``Domain.grid``; any other query takes the uncached path and leaves the
-cache alone. A group that is never asked about a lattice builds no cache,
-and a model built from scratch (e.g. after a hyperparameter refit) rebuilds
-it on its first lattice query.
+which costs O(t G) per step instead of O(t G d + t^2 G). A lattice is a
+read-only array that owns its memory, such as ``Domain.grid``, and is
+recognized by identity. A part that is never asked about a lattice builds
+no cache, and a model built from scratch (e.g. after a hyperparameter refit)
+builds one on its first lattice query.
 
-Row store. A group's ``V`` lives in the first ``t`` rows of a private
-mapping (``_LatticeRows.data``) of ``max(capacity, 2 t)`` rows, with ``t``
+Row store. A part's ``V`` lives in the first ``t`` rows of a private
+mapping (``_Covariance.rows``) of ``max(capacity, 2 t)`` rows, with ``t``
 the observations when it is mapped and ``capacity`` the number the group was
 built for (:func:`empty_models`; the runner passes its budget), 0 for a
 model built any other way. Mapped rows not yet written are not resident,
-so a mapping sized for the whole run costs nothing up front (under strict
-overcommit accounting it does count against the commit limit from the
-start). A model reads only its own first ``t`` rows, so the first extension
-of a group's rows writes row ``t`` in place while there is room: a run that
-stays within its capacity maps its rows once and never copies them. Any
-other extension (a second child of one parent, or one past the mapping's
-end) copies the ``t`` rows into a new mapping by the same rule, with the old
-mapping's rows as its capacity, so branching and growth are one path.
+so a mapping sized for the whole run costs nothing up front, but the
+kernel's overcommit check counts all of it: the rows reserved for
+``capacity`` are capped at ``_RESERVE_BYTES`` (1 GiB), and a run past them
+grows by doubling. A model reads only its own first ``t`` rows, so the
+first child of a part writes row ``t`` in place while there is room: a run
+that stays within its capacity maps its rows once and never copies them.
+Any other extension (a second child of one part, or one past the mapping's
+end) copies the ``t`` rows into a new mapping by the same rule, with the
+old mapping's rows as its capacity, so branching and growth are one path.
 
 Column blocks. Every query the cache cannot answer makes one pass,
 :meth:`GpModel._streamed`, that streams its points through blocks of about
@@ -102,7 +105,6 @@ import mmap
 import sys
 import threading
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -146,8 +148,13 @@ dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 _VARIANCE_CLAMP = 1e-9
 
-# Guards the once-flag of _LatticeRows.extend.
+# Guards the once-flag of _Covariance.extend and the setting of a lattice cache.
 _EXTEND_LOCK = threading.Lock()
+# Bytes a row store reserves at most for its capacity (see _row_store). The
+# kernel's overcommit check counts a whole mapping, though rows not yet
+# written are not resident: a budget of 10^6 on a 10^4-point lattice would
+# reserve 80 GB.
+_RESERVE_BYTES = 1 << 30
 # Bytes of one column block of an uncached query: (rows x width) floats.
 # Well under numpy's 4 MiB huge-page threshold. Not much smaller: glibc
 # raises its mmap and trim thresholds only when a block that large is freed,
@@ -226,48 +233,12 @@ def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _row_store(t: int, width: int, capacity: int = 0) -> np.ndarray:
     """A mapping for the ``t`` rows of ``V`` so far: ``max(capacity, 2 t)`` rows.
 
-    Doubling past the capacity keeps the rows copied per extension bounded
-    by one on average.
+    The rows reserved for ``capacity`` are capped at ``_RESERVE_BYTES``; past
+    them, doubling keeps the rows copied per extension bounded by one on
+    average.
     """
+    capacity = min(capacity, _RESERVE_BYTES // (np.dtype(float).itemsize * max(width, 1)))
     return _mapped_rows(max(capacity, 2 * t), width)
-
-
-class _LatticeRows:
-    """A group's share of the posterior on one lattice after ``t`` observations.
-
-    ``data[:t]`` is ``V``, in a mapping of at least ``t`` rows (see
-    :func:`_row_store`); ``var`` is not yet clamped. A model reads only its
-    own first ``t`` rows, so the first extension of these rows appends in
-    place while the mapping has room. Any other (a second child of one
-    parent, or one past the mapping's end) copies them into a new mapping
-    with at least as many rows as this one.
-    """
-
-    def __init__(self, lattice: np.ndarray, data: np.ndarray, var: np.ndarray):
-        self.lattice = lattice
-        self.data = data
-        self.var = var
-        self._extended = False
-
-    def extend(self, t: int, row: np.ndarray) -> "_LatticeRows":
-        """The rows after one more observation, whose row of ``V`` is ``row``."""
-        with _EXTEND_LOCK:
-            first, self._extended = not self._extended, True
-        data = self.data
-        if not first or t == data.shape[0]:
-            data = _row_store(t, data.shape[1], capacity=data.shape[0])
-            data[:t] = self.data[:t]
-        data[t] = row
-        return _LatticeRows(self.lattice, data, self.var - row * row)
-
-
-@dataclass(frozen=True, eq=False)
-class _LatticeMean:
-    """One output's share of the posterior on the lattice of ``shared``."""
-
-    shared: _LatticeRows
-    z: np.ndarray
-    mean: np.ndarray
 
 
 class _Covariance:
@@ -275,10 +246,13 @@ class _Covariance:
 
     Kernel, noise variance, inputs ``X``, their noise-free Gram matrix
     ``gram`` (built from scratch when not given), the lower Cholesky factor
-    ``chol`` of ``K + lam I`` (None without data), ``lattice``, the
-    group's lattice cache (None until a lattice query builds it), and
-    ``capacity``, the rows its first lattice query maps at least (see
-    :func:`_row_store`), which its children keep.
+    ``chol`` of ``K + lam I`` (None without data), and ``capacity``, the
+    rows its first lattice query maps at least (see :func:`_row_store`),
+    which its children keep. The lattice cache: ``lattice``, the read-only
+    array it answers (None until the first lattice query or the parent sets
+    it, and never replaced), ``rows``, a private mapping whose first ``t``
+    rows are ``V``, and ``var``, the unclamped variance there. ``lattice`` is
+    set last, so whoever reads it set also reads ``rows`` and ``var``.
     """
 
     def __init__(self, kernel: Kernel, noise_variance: float, X: np.ndarray,
@@ -288,8 +262,9 @@ class _Covariance:
         self.X = X
         self.capacity = capacity
         self.chol = None
-        self.lattice: _LatticeRows | None = None
-        # (point bytes, lattice extended, weakref to the child, its lattice rows)
+        self.lattice = self.rows = self.var = None
+        self._extended = False
+        # (point bytes, rows as read, weakref to the child)
         self._last_child = None
         if not len(X):
             self.gram = np.empty((0, 0))
@@ -297,20 +272,24 @@ class _Covariance:
         self.gram = kernel.gram(X) if gram is None else gram
         self.chol = _factor(self.gram, noise_variance)
 
-    def extend(self, point: np.ndarray, lattice: _LatticeRows | None):
-        """The part for ``X`` plus ``point``, and ``lattice`` extended by its row.
+    def extend(self, point: np.ndarray) -> "_Covariance":
+        """The part for ``X`` plus ``point``, with the lattice cache extended by its row.
 
-        ``lattice`` is this part's lattice cache as the caller read it. The
-        members of a group call this in turn with the same arguments; while
-        the first one's child lives, the others get the same pair back. Two
-        calls that race both build a child, and either is correct.
+        The members of a group call this in turn with the same point; while
+        the first one's child lives, the others get it back. Two calls that
+        race both build a child, and either is correct. The first child of a
+        part writes its row of ``V`` in place; any other (a second child, or
+        one past the mapping's end) copies the rows into a new mapping with
+        at least as many rows.
         """
         key = point.tobytes()
+        lattice = self.lattice
+        rows = None if lattice is None else self.rows
         last = self._last_child
-        if last is not None and last[0] == key and last[1] is lattice:
+        if last is not None and last[0] == key and last[1] is rows:
             child = last[2]()
             if child is not None:
-                return child, last[3]
+                return child
         # k(a, b) and k(b, a) come from (a - b)**2 and (b - a)**2, which are
         # equal, and Kernel.gram's 0.5 * (v + v) is v: the bordered Gram is
         # bit for bit the one Kernel.gram builds from scratch.
@@ -320,18 +299,26 @@ class _Covariance:
         gram[:t, :t] = self.gram
         gram[t] = gram[:, t] = self.kernel.cross(point[None, :], X)[0]
         child = _Covariance(self.kernel, self.noise_variance, X, gram, self.capacity)
-        rows = None
-        if lattice is not None:
+        if rows is not None:
             l, d = child.chol[t, :t], child.chol[t, t]
-            k_row = self.kernel.cross(point[None, :], lattice.lattice)[0]
-            rows = child.lattice = lattice.extend(t, (k_row - l @ lattice.data[:t]) / d)
-        self._last_child = (key, lattice, weakref.ref(child), rows)
-        return child, rows
+            row = (self.kernel.cross(point[None, :], lattice)[0] - l @ rows[:t]) / d
+            with _EXTEND_LOCK:
+                first, self._extended = not self._extended, True
+            store = rows
+            if not first or t == rows.shape[0]:
+                store = _row_store(t, rows.shape[1], capacity=rows.shape[0])
+                store[:t] = rows[:t]
+            store[t] = row
+            child.rows, child.var = store, self.var - row * row
+            child.lattice = lattice
+        self._last_child = (key, rows, weakref.ref(child))
+        return child
 
 
 def _is_lattice(queries: np.ndarray) -> bool:
     # A read-only view (say one row of Domain.grid) is a new object each time
-    # it is made, so caching it would only evict the lattice cache.
+    # it is made: a cache on it would never be read, and would keep the part
+    # from caching the lattice itself.
     return queries.base is None and not queries.flags.writeable
 
 
@@ -356,7 +343,8 @@ class GpModel:
         """Take ``cov`` as the covariance part and ``y`` as the targets at its inputs."""
         self._cov = cov
         self._y = y
-        self._lattice: _LatticeMean | None = None
+        # z = L^{-1} y and the mean on self._cov.lattice, once a query builds them
+        self._z = self._mean = None
 
     @cached_property
     def _alpha(self) -> np.ndarray:
@@ -393,20 +381,15 @@ class GpModel:
         if not np.isfinite(value):
             raise ValueError(f"observation value must be finite, got {value}")
         value = float(value)
-        shared = self._cov.lattice
-        cov, rows = self._cov.extend(point, shared)
+        cov = self._cov.extend(point)
         child = object.__new__(GpModel)
         child._hold(cov, np.append(self._y, value))
-        own = self._lattice
-        if own is not None and own.shared is shared:
+        if self._mean is not None:
             t = self.n_observations
             l, d = cov.chol[t, :t], cov.chol[t, t]
-            z_t = (value - l @ own.z) / d
-            child._lattice = _LatticeMean(
-                shared=rows,
-                z=np.append(own.z, z_t),
-                mean=own.mean + z_t * rows.data[t],
-            )
+            z_t = (value - l @ self._z) / d
+            child._z = np.append(self._z, z_t)
+            child._mean = self._mean + z_t * cov.rows[t]
         return child
 
     # -- posterior queries ----------------------------------------------------
@@ -418,27 +401,29 @@ class GpModel:
         is the hot path of every grid-based acquisition step. A read-only
         array that owns its memory, such as ``Domain.grid``, is answered from
         the lattice cache when it is the cached lattice, and becomes the
-        cached lattice otherwise (see the module docstring).
+        cached lattice when there is none yet; any other query is answered
+        uncached (see the module docstring).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         if self.n_observations == 0:
             return np.zeros(queries.shape[0]), np.full(queries.shape[0], self.kernel.prior_variance)
-        cov, own, shared = self._cov, self._lattice, self._cov.lattice
-        if shared is not None and shared.lattice is not queries:
-            shared = None
-        if own is not None and own.shared is shared:
-            means, variances = own.mean.copy(), shared.var
+        cov = self._cov
+        if self._mean is not None and cov.lattice is queries:
+            means, variances = self._mean.copy(), cov.var
         else:
-            data = None
-            if shared is None and _is_lattice(queries):
-                data = _row_store(cov.X.shape[0], queries.shape[0], cov.capacity)
-            means, variances = self._streamed(queries, data)
-            if data is not None:
-                shared = cov.lattice = _LatticeRows(queries, data, variances)
-            if shared is not None:
-                variances = shared.var
-                z = _solve_lower(cov.chol, self._y)
-                self._lattice = _LatticeMean(shared, z, means.copy())
+            rows = None
+            if cov.lattice is None and _is_lattice(queries):
+                rows = _row_store(cov.X.shape[0], queries.shape[0], cov.capacity)
+            means, variances = self._streamed(queries, rows)
+            if rows is not None:
+                with _EXTEND_LOCK:
+                    if cov.lattice is None:
+                        cov.rows, cov.var = rows, variances
+                        cov.lattice = queries
+            if cov.lattice is queries:
+                variances = cov.var
+                self._z = _solve_lower(cov.chol, self._y)
+                self._mean = means.copy()
         too_negative = variances < -_VARIANCE_CLAMP
         if np.any(too_negative):
             raise GpNumericsError(
@@ -492,8 +477,9 @@ def empty_models(settings, capacity: int = 0) -> list[GpModel]:
     see the same inputs each step factorizes and extends the lattice cache
     once for all of them (see the module docstring). ``capacity`` is the
     number of observations the models are expected to reach, such as a
-    run's budget: a lattice cache maps rows for that many at once, so it is
-    never copied before then. It bounds nothing; a model may grow past it.
+    run's budget: a lattice cache maps rows for that many at once (up to
+    ``_RESERVE_BYTES``), so it is never copied before then. It bounds
+    nothing; a model may grow past it.
     """
     capacity = int_at_least("capacity", capacity, 0)
     models, groups = [], {}

@@ -193,13 +193,12 @@ def external_problem(
     n_constraints: int,
     timeout: float = 30.0,
     noise_std: float = 0.0,
-    name: str = "external",
 ) -> Problem:
     """Problem whose oracle lives in a child process behind the line protocol."""
     box = ExternalBlackbox(command, n_constraints=n_constraints, timeout=timeout)
     domain = Domain(lower, upper, grid)
     return Problem(
-        name=name,
+        name="external",
         domain=domain,
         n_constraints=n_constraints,
         oracle=box,

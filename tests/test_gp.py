@@ -293,55 +293,82 @@ def test_incremental_lattice_posterior_matches_fresh():
             )
 
 
+def part_with_rows(t, width, store, seed=0):
+    """A covariance part on ``t`` inputs whose lattice cache keeps arbitrary rows in ``store``."""
+    rng = np.random.default_rng(seed)
+    part = gp._Covariance(Kernel("squared_exponential", [0.5, 0.5]), 1e-3,
+                          rng.uniform(-1, 1, (t, 2)))
+    lattice = rng.uniform(-1, 1, (width, 2))
+    lattice.flags.writeable = False
+    store[:t] = rng.normal(size=(t, width))
+    part.rows, part.var, part.lattice = store, rng.uniform(1.0, 2.0, width), lattice
+    return part
+
+
+def extension_row(parent, child):
+    """The row of ``V`` that extending ``parent`` to ``child`` appends."""
+    t = parent.X.shape[0]
+    k_row = parent.kernel.cross(child.X[t:], parent.lattice)[0]
+    return (k_row - child.chol[t, :t] @ parent.rows[:t]) / child.chol[t, t]
+
+
 @pytest.mark.parametrize("t, capacity", [(3, 40), (40, 0)], ids=["capacity", "doubling"])
 def test_lattice_rows_extend_in_place_once_while_there_is_room(t, capacity):
     width = 5
     rng = np.random.default_rng(t)
-    values, var = rng.normal(size=(t, width)), rng.uniform(1.0, 2.0, width)
-    rows = gp._LatticeRows(None, gp._row_store(t, width, capacity), var)
-    assert rows.data.shape == (max(capacity, 2 * t), width)
-    rows.data[:t] = values
-    first = rows.extend(t, np.full(width, 0.5))
-    assert first.data is rows.data
-    assert np.array_equal(first.var, var - 0.25)
-    full = gp._LatticeRows(None, gp._mapped_rows(t, width), var)
-    full.data[:] = values
-    # A second extension of one parent's rows keeps the size of their
-    # mapping; one past the end of its mapping doubles it.
-    for child, mapped in ((rows.extend(t, np.full(width, 0.75)), rows.data.shape[0]),
-                          (full.extend(t, np.full(width, 0.75)), 2 * t)):
-        assert child.data is not rows.data and child.data is not full.data
-        assert child.data.shape == (mapped, width)
-        assert np.array_equal(child.data[:t], values)
-        assert np.array_equal(child.data[t], np.full(width, 0.75))
-    assert np.array_equal(first.data[t], np.full(width, 0.5))
+    parent = part_with_rows(t, width, gp._row_store(t, width, capacity))
+    assert parent.rows.shape == (max(capacity, 2 * t), width)
+    first = parent.extend(rng.uniform(-1, 1, 2))
+    row = extension_row(parent, first)
+    assert first.rows is parent.rows and first.lattice is parent.lattice
+    assert np.array_equal(first.rows[t], row)
+    assert np.array_equal(first.var, parent.var - row * row)
+    full = part_with_rows(t, width, gp._mapped_rows(t, width))
+    # A second child of one part keeps the size of its mapping; a child past
+    # the end of its mapping doubles it.
+    for own, mapped in ((parent, parent.rows.shape[0]), (full, 2 * t)):
+        child = own.extend(rng.uniform(-1, 1, 2))
+        assert child.rows is not own.rows
+        assert child.rows.shape == (mapped, width)
+        assert np.array_equal(child.rows[:t], own.rows[:t])
+        assert np.array_equal(child.rows[t], extension_row(own, child))
+    assert np.array_equal(first.rows[t], row)
 
 
 def test_concurrent_extensions_of_one_parent_get_one_in_place():
     # A lost update of the once-flag would let two children write row t of
     # one mapping, and one of them would read the other's row.
     t, width, workers = 4, 3, 8
-    values = np.arange(t * width, dtype=float).reshape(t, width)
+    points = np.random.default_rng(5).uniform(-1, 1, (workers, 2))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            rows = gp._LatticeRows(None, gp._row_store(t, width), np.ones(width))
-            rows.data[:t] = values
+            parent = part_with_rows(t, width, gp._row_store(t, width))
+            values = parent.rows[:t].copy()
             barrier = threading.Barrier(workers)
 
             def extend(i):
                 barrier.wait(timeout=10)
-                return rows.extend(t, np.full(width, float(i)))
+                return parent.extend(points[i])
 
             with ThreadPoolExecutor(workers) as pool:
                 children = list(pool.map(extend, range(workers), timeout=30))
-            assert sum(child.data is rows.data for child in children) == 1
-            for i, child in enumerate(children):
-                assert np.array_equal(child.data[:t], values)
-                assert np.array_equal(child.data[t], np.full(width, float(i)))
+            assert sum(child.rows is parent.rows for child in children) == 1
+            for child in children:
+                assert np.array_equal(child.rows[:t], values)
+                assert np.array_equal(child.rows[t], extension_row(parent, child))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_row_store_caps_the_rows_reserved_for_capacity(monkeypatch):
+    # 1 GiB of 10^4-float rows; at a budget of 10^6 the whole capacity is 80 GB.
+    assert gp._row_store(1, 10_000, capacity=10**6).shape == (13_421, 10_000)
+    monkeypatch.setattr(gp, "_RESERVE_BYTES", 800)  # 10 rows of 10 floats
+    assert gp._row_store(3, 10, capacity=100).shape == (10, 10)
+    assert gp._row_store(8, 10, capacity=100).shape == (16, 10)  # 2 t is not capped
+    assert gp._row_store(3, 10, capacity=4).shape == (6, 10)
 
 
 # A model without a capacity maps 2 rows at t = 1 and doubles them when full;
@@ -354,7 +381,7 @@ def test_branching_adds_leave_parent_posterior_unchanged(t, mapped):
     for _ in range(t):
         model = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
         model.posterior_batch(domain.grid)  # the cache starts at t = 1 and grows with it
-    assert model._cov.lattice.data.shape[0] == mapped
+    assert model._cov.rows.shape[0] == mapped
     parent = model.posterior_batch(domain.grid)
     first = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
     first.posterior_batch(domain.grid)
@@ -415,6 +442,21 @@ def test_lattice_step_costs_one_kernel_row(monkeypatch):
     child = model.add([1.0, 1.0], 0.0)
     # One row bordering the Gram matrix, then one row against the lattice.
     assert entries == [child.n_observations, domain.grid_size]
+
+
+def test_second_lattice_leaves_the_first_lattice_cache_alone(monkeypatch):
+    entries = count_cross_entries(monkeypatch)
+    rng = np.random.default_rng(41)
+    model = random_model(rng, Kernel("squared_exponential", [0.5, 0.5]), 1e-3, 5)
+    lattice = Domain([-2.0, -2.0], [2.0, 2.0], [15, 15]).grid
+    first = model.posterior_batch(lattice)
+    other = Domain([-1.0, -1.0], [1.0, 1.0], [9, 9]).grid
+    model.posterior_batch(other)
+    assert entries[-1] == 5 * other.shape[0]  # uncached
+    entries.clear()
+    for before, after in zip(first, model.posterior_batch(lattice)):
+        assert np.array_equal(before, after)
+    assert entries == []
 
 
 @pytest.mark.parametrize("scales, noises, groups", [
@@ -499,7 +541,7 @@ def check_streamed_posterior_matches_one_shot():
                     got_means, got_variances = model.posterior_batch(queries)
                     assert np.array_equal(got_means, means), (family, t)
                     assert np.array_equal(got_variances, variances), (family, t)
-            assert np.array_equal(first._cov.lattice.data[:t], rows), (family, t)
+            assert np.array_equal(first._cov.rows[:t], rows), (family, t)
 
 
 def test_streamed_posterior_matches_one_shot_formulas():

@@ -307,6 +307,24 @@ def test_infeasible_variant_ends_with_marker(tmp_path):
     assert all(r.decision == "sample" for r in records[:-1])
 
 
+def test_huge_budget_reserves_bounded_lattice_rows(tmp_path):
+    # A row store sized for 10^6 steps on 10^4 points is 80 GB; mapped whole,
+    # it failed the replication with ENOMEM at its first lattice query.
+    config = RunConfig(
+        problem={"name": "artificial_infeasible", "grid": [100, 100]},
+        policies=[{"name": "config"}],
+        budget=10**6,
+        seeds=[1],
+        output_dir=str(tmp_path),
+        start="none",
+        gp={"lengthscale_factor": 0.125, "output_scale": 0.5, "noise_variance": 1e-4},
+    )
+    (path,) = run_experiment(config)
+    _, records = load_log(path)
+    assert len(records) == 31
+    assert records[-1].decision == "infeasible"
+
+
 def test_record_schema(tmp_path):
     config = small_config(tmp_path, budget=2, seeds=(2,))
     (path,) = run_experiment(config)
