@@ -94,7 +94,7 @@ class Domain:
 
     @property
     def grid_size(self) -> int:
-        return int(np.prod(self.grid_counts))
+        return math.prod(self.grid_counts)
 
     @cached_property
     def widths(self) -> np.ndarray:

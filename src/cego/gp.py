@@ -15,14 +15,15 @@ wrappers' per-call validation.
 
 The three routines come from ``scipy.linalg._flapack``, the compiled f2py
 module that ``scipy.linalg.lapack`` re-exports, linked against scipy's own
-LAPACK. :func:`_scipy_extension` loads that file by itself, under its real
-name, so ``import cego`` runs the ``scipy`` package init but not that of
-``scipy.linalg``, whose Python layers (through ``scipy._lib._util`` and
-``array_api_compat``) cost more than half of the import time and of the
-memory resident after it. A later ``import scipy.linalg`` finds the module in
-``sys.modules`` and reuses it, so ``scipy.linalg.lapack.dpotrf`` is
-``gp.dpotrf`` whichever is imported first. ``LinAlgError`` is numpy's, which
-``scipy.linalg`` re-exports.
+LAPACK. :func:`_lapack` loads that file through :func:`_scipy_extension`, by
+itself and under its real name, at the process's first factorization or
+solve: ``import cego`` maps no LAPACK and runs neither the ``scipy`` package
+init nor that of ``scipy.linalg``, whose Python layers (through
+``scipy._lib._util`` and ``array_api_compat``) cost more than half of the
+import time and of the memory resident after it. A later ``import
+scipy.linalg`` finds the module in ``sys.modules`` and reuses it, so
+``scipy.linalg.lapack.dpotrf`` is ``gp._lapack().dpotrf`` whichever is
+loaded first. ``LinAlgError`` is numpy's, which ``scipy.linalg`` re-exports.
 
 Posterior formulas, for observations ``X, y`` with Gram matrix ``K``, noise
 variance ``lam`` and ``L L^T = K + lam I``::
@@ -105,11 +106,9 @@ import mmap
 import sys
 import threading
 import weakref
-from functools import cached_property
-from pathlib import Path
+from functools import cache, cached_property
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 from .domain import as_point, int_at_least, positive_real
@@ -118,33 +117,49 @@ from .kernels import Kernel
 __all__ = ["GpModel", "empty_models"]
 
 
-def _scipy_extension(subpackage: str, name: str):
-    """Compiled extension ``scipy.<subpackage>.<name>``, loaded without the subpackage's init.
+# Serializes loads in _scipy_extension: threads that query models at once
+# load an extension once.
+_LOAD_LOCK = threading.Lock()
 
-    ``scipy`` itself is imported first: its init is small, and on some
-    platforms it is what makes scipy's bundled libraries loadable. An entry
-    already in ``sys.modules`` (the subpackage was imported first) is reused,
-    and a later import of the subpackage reuses this one, so there is only
-    ever one module of that name. Raises ``ImportError`` when scipy ships no
-    such file.
+
+def _scipy_extension(subpackage: str, name: str):
+    """Compiled extension ``scipy.<subpackage>.<name>``, loaded without any scipy package init.
+
+    scipy's folder comes from the import system's search for ``scipy``,
+    which runs no code of scipy. Its package init is not needed: on POSIX,
+    which cego requires (``fcntl``, ``select.poll``), an extension finds
+    scipy's bundled libraries through its own run path, and scipy's init
+    adds library folders only on Windows. An entry already in
+    ``sys.modules`` (the subpackage was imported first) is reused, and a
+    later import of the subpackage reuses this one, so there is only ever one
+    module of that name. Callers load at first use, so a process maps only
+    the extensions it runs. Raises ``ImportError`` when scipy is missing or
+    ships no such file.
     """
     qualified = f"scipy.{subpackage}.{name}"
-    if qualified in sys.modules:
-        return sys.modules[qualified]
-    folder = Path(scipy.__file__).parent / subpackage
-    # The import system's own file search: the first of this interpreter's
-    # extension suffixes that exists in the folder.
-    spec = importlib.machinery.PathFinder.find_spec(qualified, [str(folder)])
-    if spec is None:
-        raise ImportError(f"no {qualified} extension in {folder}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[qualified] = module
-    spec.loader.exec_module(module)
-    return module
+    with _LOAD_LOCK:
+        if qualified in sys.modules:
+            return sys.modules[qualified]
+        package = importlib.util.find_spec("scipy")
+        if package is None or not package.submodule_search_locations:
+            raise ImportError("scipy is not installed")
+        folders = [f"{folder}/{subpackage}" for folder in package.submodule_search_locations]
+        # The import system's own file search: the first of this
+        # interpreter's extension suffixes that exists in the folder.
+        spec = importlib.machinery.PathFinder.find_spec(qualified, folders)
+        if spec is None:
+            raise ImportError(f"no {qualified} extension in {folders}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        spec.loader.exec_module(module)
+        return module
 
 
-_flapack = _scipy_extension("linalg", "_flapack")
-dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+@cache
+def _lapack():
+    """``scipy.linalg._flapack``, loaded once per process at its first factorization or solve."""
+    return _scipy_extension("linalg", "_flapack")
+
 
 _VARIANCE_CLAMP = 1e-9
 
@@ -214,7 +229,7 @@ def _factor(gram: np.ndarray, noise_variance: float) -> np.ndarray:
     """
     a = np.array(gram, order="F")
     a[np.diag_indices_from(a)] += noise_variance
-    chol = _checked(dpotrf(a, lower=1, clean=1, overwrite_a=1), "dpotrf")
+    chol = _checked(_lapack().dpotrf(a, lower=1, clean=1, overwrite_a=1), "dpotrf")
     if not np.isfinite(chol.diagonal()).all():
         raise LinAlgError("Cholesky factor is not finite: kernel or noise settings overflow")
     return chol
@@ -222,12 +237,12 @@ def _factor(gram: np.ndarray, noise_variance: float) -> np.ndarray:
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``chol^{-1} b`` for a lower factor from :func:`_factor`."""
-    return _checked(dtrtrs(chol, b, lower=1), "dtrtrs")
+    return _checked(_lapack().dtrtrs(chol, b, lower=1), "dtrtrs")
 
 
 def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``(chol chol^T)^{-1} b`` for a lower factor from :func:`_factor`."""
-    return _checked(dpotrs(chol, b, lower=1), "dpotrs")
+    return _checked(_lapack().dpotrs(chol, b, lower=1), "dpotrs")
 
 
 def _row_store(t: int, width: int, capacity: int = 0) -> np.ndarray:

@@ -82,7 +82,8 @@ def _ndtr():
 
     It is the ufunc of the compiled ``scipy.special._special_ufuncs``, which
     :func:`~cego.gp._scipy_extension` loads by itself, as ``cego.gp`` loads
-    LAPACK: ``scipy.special``'s package init pulls in scipy's array-API
+    LAPACK at its first factorization, and with neither the ``scipy`` nor the
+    ``scipy.special`` package init: the latter pulls in scipy's array-API
     layers, about 0.2 s and 21 MB resident, and only ``cei`` reads the CDF.
     A scipy that ships no such module, or one without ``ndtr``, gets the
     package import instead. A numpy formula would change bits: ``np.exp``
@@ -217,11 +218,14 @@ class AlgorithmState:
             self.lipschitz = finite_real("lipschitz", self.lipschitz, minimum=0.0)
         self.duals = np.zeros(self.n_constraints)
         if self.safe_indices is not None:
-            self.safe_indices = np.unique(np.asarray(self.safe_indices, dtype=int))
-            if self.safe_indices.size and (
-                self.safe_indices[0] < 0 or self.safe_indices[-1] >= self.domain.grid_size
-            ):
+            seeds = np.asarray(self.safe_indices, dtype=int)
+            if seeds.size and (seeds.min() < 0 or seeds.max() >= self.domain.grid_size):
                 raise ValueError("safe seed indices outside the grid")
+            # Sorted and unique, as np.unique gives them; a lattice mask keeps
+            # np.unique (which loads numpy.ma in numpy >= 2.3) out of the run.
+            seed_mask = np.zeros(self.domain.grid_size, dtype=bool)
+            seed_mask[seeds] = True
+            self.safe_indices = np.flatnonzero(seed_mask)
 
     @property
     def n_constraints(self) -> int:
@@ -347,7 +351,11 @@ def _safeopt_lite(state: AlgorithmState, ev: GridEvaluation) -> int:
             for k in range(1, state.domain.dim):
                 dist += np.abs(np.subtract.outer(safe_points[:, k], block[:, k]))
             certified[cols] = np.min(safe_ucb + state.lipschitz * dist, axis=0) <= 0
-        safe = np.union1d(safe, np.flatnonzero(certified))
+        # The set only grows: a safe point stays safe whether or not it
+        # certifies itself. A mask, not np.union1d, which loads numpy.ma in
+        # numpy >= 2.3.
+        certified[safe] = True
+        safe = np.flatnonzero(certified)
     state.safe_indices = safe
 
     lcb0 = ev.lcb[0][safe]

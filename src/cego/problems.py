@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .blackbox import ExternalBlackbox
 from .cstr import WILLIAMS_OTTO_PLANT, cstr_steady_state, williams_otto_profit
 from .domain import Domain, as_point, finite_real
 
@@ -195,6 +194,10 @@ def external_problem(
     noise_std: float = 0.0,
 ) -> Problem:
     """Problem whose oracle lives in a child process behind the line protocol."""
+    # Imported here: only this problem needs the child-process machinery
+    # (``subprocess``, ``select``).
+    from .blackbox import ExternalBlackbox
+
     box = ExternalBlackbox(command, n_constraints=n_constraints, timeout=timeout)
     domain = Domain(lower, upper, grid)
     return Problem(

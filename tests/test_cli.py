@@ -112,6 +112,14 @@ _LEFT_OUT = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special", "
              "concurrent.futures.process", "multiprocessing")
 
 
+# Modules that only some steps need, each loaded at the first step that runs
+# it: scipy's package init (cego loads scipy's extensions from their files),
+# its LAPACK (at the first factorization), the child-process machinery of the
+# external problem, and numpy.ma, which np.unique loads in numpy >= 2.3.
+_AT_FIRST_USE = ("scipy", "scipy.linalg._flapack", "subprocess", "cego.blackbox", "numpy.ma")
+ARTIFICIAL_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "artificial.json"
+
+
 def run_fresh(probe: str) -> str:
     """Run ``probe`` in a fresh interpreter that finds ``src`` first; its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -123,8 +131,12 @@ def run_fresh(probe: str) -> str:
     return result.stdout
 
 
-# Probe code that prints which of those modules the interpreter has loaded.
-_PRINT_LOADED = f"print(' '.join(m for m in {_LEFT_OUT!r} if m in sys.modules))"
+def print_loaded(modules: tuple[str, ...]) -> str:
+    """Probe code that prints which of ``modules`` the interpreter has loaded."""
+    return f"print(' '.join(m for m in {modules!r} if m in sys.modules))"
+
+
+_PRINT_LOADED = print_loaded(_LEFT_OUT)
 
 
 @pytest.mark.parametrize("module", ["cego", "cego.cli"])
@@ -133,11 +145,22 @@ def test_import_leaves_out_scipy_stats(module):
     assert run_fresh(f"import sys, {module}; {_PRINT_LOADED}").split() == []
 
 
-def run_fresh_replication(tmp_path, policy: str, probe: str) -> str:
-    """Run a budget-3 replication of ``policy`` with ``jobs=1`` in a fresh
-    interpreter, then ``probe``; its stdout."""
+@pytest.mark.parametrize("setup", [
+    "import cego", "import cego.cli",
+    f"from cego import RunConfig; RunConfig.from_json({str(ARTIFICIAL_CONFIG)!r})",
+], ids=["cego", "cego.cli", "run-config"])
+def test_startup_loads_nothing_a_step_loads(setup):
+    # Importing cego and checking a run configuration factor nothing, run no
+    # child process and dedupe no safe set.
+    assert run_fresh(f"import sys; {setup}; {print_loaded(_AT_FIRST_USE)}").split() == []
+
+
+def run_fresh_replication(tmp_path, policy: str, probe: str, **spec) -> str:
+    """Run a budget-3 replication of ``policy`` (with the policy ``spec``
+    settings) with ``jobs=1`` in a fresh interpreter, then ``probe``; its
+    stdout."""
     config = {"problem": {"name": "artificial", "grid": [10, 10]},
-              "policies": [{"name": policy}], "budget": 3, "seeds": [1],
+              "policies": [{"name": policy, **spec}], "budget": 3, "seeds": [1],
               "output_dir": str(tmp_path / "logs"), "start": "none", "n_init_random": 1}
     out = run_fresh("import sys; from cego import RunConfig, run_experiment; "
                     f"run_experiment(RunConfig(**{config!r}), jobs=1); {probe}")
@@ -152,6 +175,18 @@ def test_config_replication_leaves_out_scipy_linalg_and_special(tmp_path):
     assert run_fresh_replication(tmp_path, "config", _PRINT_LOADED).split() == []
 
 
+def test_config_replication_loads_lapack_without_scipy_init(tmp_path):
+    probe = print_loaded(("scipy", "scipy.linalg._flapack"))
+    assert run_fresh_replication(tmp_path, "config", probe).split() == ["scipy.linalg._flapack"]
+
+
+def test_safeopt_lite_replication_leaves_out_numpy_ma(tmp_path):
+    # The safe set is kept with a lattice mask, not np.unique or np.union1d.
+    probe = print_loaded(("numpy.ma",))
+    out = run_fresh_replication(tmp_path, "safeopt_lite", probe, safe_seed=[[6.0, 9.0]])
+    assert out.split() == []
+
+
 def test_cei_replication_leaves_out_scipy_special(tmp_path):
     # cei's normal CDF comes from scipy.special's compiled extension, loaded
     # by itself at the first cei step; the package init stays out.
@@ -162,11 +197,14 @@ def test_cei_replication_leaves_out_scipy_special(tmp_path):
 @pytest.mark.parametrize("first, second", [("cego.gp", "scipy.linalg.lapack"),
                                            ("scipy.linalg.lapack", "cego.gp")])
 def test_lapack_module_is_scipys_in_either_import_order(first, second):
-    # cego.gp registers the extension under its own name, so scipy.linalg
-    # reuses it when imported later, and cego.gp reuses scipy's otherwise.
-    probe = (f"import {first}, {second}, sys, scipy.linalg.lapack as lapack, cego.gp as gp; "
-             "print(lapack.dpotrf is gp.dpotrf, lapack.dtrtrs is gp.dtrtrs, "
-             "sys.modules['scipy.linalg._flapack'] is gp._flapack)")
+    # cego.gp registers the extension under its own name at its first
+    # factorization, so scipy.linalg reuses it when imported later, and
+    # cego.gp reuses scipy's otherwise.
+    steps = {"cego.gp": "import cego.gp as gp, numpy as np; gp._factor(np.eye(2), 1.0)",
+             "scipy.linalg.lapack": "import scipy.linalg.lapack as lapack"}
+    probe = (f"import sys; {steps[first]}; {steps[second]}; flapack = gp._lapack(); "
+             "print(lapack.dpotrf is flapack.dpotrf, lapack.dtrtrs is flapack.dtrtrs, "
+             "sys.modules['scipy.linalg._flapack'] is flapack)")
     assert run_fresh(probe).split() == ["True", "True", "True"]
 
 

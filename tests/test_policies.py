@@ -370,6 +370,19 @@ def test_safeopt_requires_seed():
         propose(state)
 
 
+def test_safeopt_seeds_are_sorted_unique_lattice_indices():
+    # The state keeps its seeds as np.unique gives them, and refuses any that
+    # lie off the lattice.
+    domain = Domain([0.0], [1.0], [6])
+    seeds = [3, 0, 5, 3, 0, 3]
+    state = make_state("safeopt_lite", domain, safe_indices=seeds)
+    np.testing.assert_array_equal(state.safe_indices, np.unique(seeds))
+    assert state.safe_indices.dtype == np.unique(seeds).dtype
+    for outside in (-1, domain.grid_size):
+        with pytest.raises(ValueError, match="safe seed indices outside the grid"):
+            make_state("safeopt_lite", domain, safe_indices=[2, outside, 2])
+
+
 def test_safeopt_infinite_lipschitz_confines_to_seed():
     domain = Domain([0.0], [1.0], [6])
     state = make_state("safeopt_lite", domain, lipschitz=np.inf,
@@ -396,6 +409,29 @@ def test_safeopt_expansion_certificate():
     assert set(state.safe_indices) == expected
 
 
+def test_safeopt_keeps_seeds_it_cannot_certify():
+    # A seed whose own constraint UCB is positive certifies nothing, not even
+    # itself, and still stays in the set: the step returns the sorted union
+    # of the old set and the certified points, as np.union1d gives it.
+    domain = Domain([0.0], [10.0], [11])
+    state = make_state("safeopt_lite", domain, lipschitz=1.0, noise=1e-6,
+                       safe_indices=[10, 0], lengthscale=0.5)
+    for _ in range(8):
+        observe(state, domain.point(0), [0.0, -3.0])
+        observe(state, domain.point(10), [0.0, 1.0])
+    ucb = state.grid_bounds().ucb[1]
+    grid = domain.grid[:, 0]
+    certified = np.zeros(domain.grid_size, dtype=bool)
+    for seed in (0, 10):
+        certified |= ucb[seed] + np.abs(grid - grid[seed]) <= 0
+    assert certified[0] and not certified[10] and certified.sum() > 1
+    old = state.safe_indices
+    propose(state)
+    expected = np.union1d(old, np.flatnonzero(certified))
+    np.testing.assert_array_equal(state.safe_indices, expected)
+    assert state.safe_indices.dtype == expected.dtype
+
+
 def test_safeopt_expansion_matches_brute_force_l1():
     # Three spread seeds, two constraints: a lattice point is certified when
     # some seed's worst UCB plus L times its L1 distance is <= 0.
@@ -408,14 +444,19 @@ def test_safeopt_expansion_matches_brute_force_l1():
             observe(state, domain.point(index), [0.0, value, value - 0.2])
     ucb = state.grid_bounds().ucb
     grid = domain.grid
-    expected = set(seeds)
+    certified = np.zeros(domain.grid_size, dtype=bool)
     for index in range(domain.grid_size):
         for seed in seeds:
             dist = sum(abs(float(grid[seed, k]) - float(grid[index, k])) for k in range(2))
             if max(ucb[1][seed], ucb[2][seed]) + 1.5 * dist <= 0:
-                expected.add(index)
+                certified[index] = True
+    old = state.safe_indices
     propose(state)
-    assert set(state.safe_indices) == expected
+    # The grown set is exactly the sorted union of the old set and the
+    # certified points, as np.union1d gives it.
+    expected = np.union1d(old, np.flatnonzero(certified))
+    np.testing.assert_array_equal(state.safe_indices, expected)
+    assert state.safe_indices.dtype == expected.dtype
     assert len(seeds) < len(expected) < domain.grid_size
 
 
