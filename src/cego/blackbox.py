@@ -105,7 +105,8 @@ class ExternalBlackbox:
 
     def __call__(self, thetas) -> np.ndarray:
         """Rows ``[objective, g_1 .. g_N]``, one round trip per row of ``thetas``, in order."""
-        return np.array([self.evaluate(theta) for theta in thetas])
+        rows = [self.evaluate(theta) for theta in thetas]
+        return np.array(rows).reshape(-1, 1 + self.n_constraints)  # (0, 1 + N) for no rows
 
     def _parse_response(self, line: bytes) -> np.ndarray:
         try:

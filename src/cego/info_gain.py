@@ -25,7 +25,7 @@ from .kernels import Kernel
 
 __all__ = ["max_info_gain"]
 
-# Exhaustive enumeration is used below this many candidate subsets.
+# Exhaustive enumeration is used up to this many candidate subsets.
 _EXACT_SUBSET_LIMIT = 20_000
 
 
@@ -54,21 +54,11 @@ def _greedy(kernel: Kernel, grid: np.ndarray, t: int, noise_variance: float) -> 
     return gain
 
 
-def max_info_gain(
-    kernel: Kernel,
-    domain: Domain,
-    t: int,
-    noise_variance: float,
-    method: str = "auto",
-) -> float:
+def max_info_gain(kernel: Kernel, domain: Domain, t: int, noise_variance: float) -> float:
     """Worst-case mutual information between ``t`` lattice observations and the GP.
 
-    Parameters
-    ----------
-    method:
-        ``"exact"`` enumerates all subsets, ``"greedy"`` runs submodular
-        greedy selection, ``"auto"`` enumerates when the subset count is
-        small enough and is greedy otherwise.
+    Enumerates the size-``t`` subsets of the lattice when there are at most
+    ``_EXACT_SUBSET_LIMIT`` (20,000) of them, and is greedy otherwise.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -78,14 +68,6 @@ def max_info_gain(
         raise ValueError(f"t={t} exceeds grid size {grid.shape[0]}")
     if t == 0:
         return 0.0
-    if method not in ("auto", "exact", "greedy"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "exact" if comb(grid.shape[0], t) <= _EXACT_SUBSET_LIMIT else "greedy"
-    if method == "exact":
-        if comb(grid.shape[0], t) > _EXACT_SUBSET_LIMIT:
-            raise ValueError(
-                f"exact enumeration over C({grid.shape[0]}, {t}) subsets is too large"
-            )
+    if comb(grid.shape[0], t) <= _EXACT_SUBSET_LIMIT:
         return _exact(kernel, grid, t, noise_variance)
     return _greedy(kernel, grid, t, noise_variance)

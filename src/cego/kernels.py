@@ -70,10 +70,8 @@ class Kernel:
         return covariance(self.family, sq, self.prior_variance)
 
     def gram(self, points: np.ndarray) -> np.ndarray:
-        """Symmetric Gram matrix of a point set."""
-        gram = self.cross(points, points)
-        # Enforce exact symmetry; float noise here would leak into Cholesky checks.
-        return 0.5 * (gram + gram.T)
+        """Gram matrix of a point set, exactly symmetric since ``(a - b)**2 == (b - a)**2``."""
+        return self.cross(points, points)
 
 
 def scaled_sq_distances(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:

@@ -337,10 +337,12 @@ def _safeopt_lite(state: AlgorithmState, ev: GridEvaluation) -> int:
         raise ValueError("safeopt_lite requires a non-empty feasible seed set")
     safe = state.safe_indices
 
-    if state.n_constraints and np.isfinite(state.lipschitz):
+    # A set that holds the whole lattice has nothing left to certify.
+    if np.isfinite(state.lipschitz) and safe.size < state.domain.grid_size:
         grid = state.domain.grid
         safe_points = grid[safe]
-        safe_ucb = np.max(ev.ucb[1:], axis=0)[safe][:, None]
+        # -inf with no constraint: every point is certified, vacuously.
+        safe_ucb = np.max(ev.ucb[1:], axis=0, initial=-np.inf)[safe][:, None]
         certified = np.empty(grid.shape[0], dtype=bool)
         # L1 distances from each safe point to one block of lattice points at
         # a time, summed one plane per dimension in order (see

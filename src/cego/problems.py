@@ -162,7 +162,7 @@ def williams_otto_values(thetas: np.ndarray) -> np.ndarray:
         state = cstr_steady_state(feed_b, temperature)
         profit = williams_otto_profit(state)
         rows.append((-profit, state.x_a - X_A_LIMIT, state.x_g - X_G_LIMIT))
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float).reshape(-1, 3)  # (0, 3) for no rows
 
 
 def williams_otto_problem(grid: tuple[int, int] = (50, 50)) -> Problem:

@@ -11,6 +11,7 @@ suite read.
 from __future__ import annotations
 
 import json
+import os
 from importlib import resources
 from pathlib import Path
 
@@ -95,13 +96,17 @@ def compute_reference(name: str, grid=None) -> dict:
 def write_reference(name: str, grid=None, path=None) -> dict:
     """Compute and merge one problem's entry into the reference file."""
     target = Path(path) if path is not None else packaged_references_path()
-    refs = {}
-    if target.exists():
-        with open(target, "r", encoding="utf-8") as fh:
-            refs = json.load(fh)
+    refs = load_references(target) if target.exists() else {}
     refs[name] = compute_reference(name, grid)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump(refs, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # Written beside the target and renamed over it, so that a write that
+    # fails midway leaves the old file whole.
+    partial = target.with_name(f".{target.name}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            json.dump(refs, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
     return refs[name]

@@ -28,6 +28,7 @@ import inspect
 import json
 import os
 import time
+from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import TextIO
@@ -106,6 +107,8 @@ class RunConfig:
         int_at_least("budget", self.budget, 1)
         int_at_least("n_init_random", self.n_init_random, 0)
         int_at_least("gp fit_every", self.gp.get("fit_every", 0), 0)
+        if not self.policies:
+            raise ValueError("policies must list at least one policy spec")
         if not self.seeds:
             raise ValueError("need at least one replication seed")
         for seed in self.seeds:
@@ -376,21 +379,14 @@ def _cut_torn_line(path: Path) -> int:
 
 def run_replication(config: RunConfig, policy_spec: dict, seed: int) -> Path:
     """Run (or resume) one (policy, seed) replication; returns the log path."""
-    problem = problem_from_config(config.problem)
-    try:
-        return _run_replication(config, policy_spec, seed, problem)
-    finally:
-        problem.close()
-
-
-def _run_replication(config: RunConfig, policy_spec: dict, seed: int, problem: Problem) -> Path:
     path = log_path(config, policy_spec, seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = _header(config, policy_spec, seed)
 
     # Append mode creates a missing log and never truncates one, so a writer
     # that finds the log locked leaves it as it was.
-    with open(path, "a", encoding="utf-8") as fh:
+    with (open(path, "a", encoding="utf-8") as fh,
+          closing(problem_from_config(config.problem)) as problem):
         _lock_log(fh, path)
         existing: list[RunRecord] = []
         # A log with no complete line, not even its header, starts afresh.
@@ -500,20 +496,31 @@ def _maybe_refit(state: AlgorithmState, fit_every: int):
     state.models = [old if new is None else new for old, new in zip(state.models, fitted)]
 
 
+def _attempt(config: RunConfig, policy_spec: dict, seed: int) -> Exception | None:
+    """Run one replication; the exception that stopped it, or ``None``."""
+    try:
+        run_replication(config, policy_spec, seed)
+    except Exception as exc:  # noqa: BLE001 - reported by run_experiment
+        return exc
+    return None
+
+
 def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
     """Execute every (policy, seed) replication; returns the log paths.
 
     Replications are independent; with ``jobs > 1`` they run in separate
-    processes, at most one per replication. A failed replication (e.g.
-    external evaluator fault) does not abort the others; its partial log is
-    preserved. At the end one ``RuntimeError`` names every failed
-    replication, chained to the first error. A bad ``jobs`` value raises
-    ``ValueError`` before any replication starts.
+    processes, at most one per replication. An error raised in a
+    replication (e.g. external evaluator fault) fails only that replication;
+    its partial log is preserved. A worker process that dies (killed, or a
+    crash in native code) breaks the whole pool instead: every replication
+    not finished by then is reported failed, and those that were running
+    keep the log they had written (ROADMAP item 2). At the end one
+    ``RuntimeError`` names every failed replication, chained to the first
+    error. A bad ``jobs`` value raises ``ValueError`` before any replication
+    starts.
     """
     int_at_least("jobs", jobs, 1)
     tasks = [(spec, seed) for spec in config.policies for seed in config.seeds]
-    paths: list[Path] = []
-    failures: list[tuple[dict, int, Exception]] = []
     # The pool forks all its workers at the first submit.
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -521,27 +528,18 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(run_replication, config, spec, seed): (spec, seed)
-                for spec, seed in tasks
-            }
-            for future, (spec, seed) in futures.items():
-                try:
-                    paths.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - collected and re-raised
-                    failures.append((spec, seed, exc))
+            futures = [pool.submit(_attempt, config, spec, seed) for spec, seed in tasks]
+            # A dead worker sets its futures' exception, not their result.
+            errors = [future.exception() or future.result() for future in futures]
     else:
-        for spec, seed in tasks:
-            try:
-                paths.append(run_replication(config, spec, seed))
-            except Exception as exc:  # noqa: BLE001
-                failures.append((spec, seed, exc))
+        errors = [_attempt(config, spec, seed) for spec, seed in tasks]
+    failures = [(spec, seed, exc) for (spec, seed), exc in zip(tasks, errors) if exc is not None]
     if failures:
         listed = "; ".join(
             f"policy={policy_label(spec)} seed={seed}: {exc}" for spec, seed, exc in failures
         )
         raise RuntimeError(f"{len(failures)} replication(s) failed: {listed}") from failures[0][2]
-    return paths
+    return [log_path(config, spec, seed) for spec, seed in tasks]
 
 
 # -- metric tables -------------------------------------------------------------------

@@ -294,7 +294,7 @@ def test_criterion_8_information_gain_sanity():
     monotone = True
     for kernel, domain in zip(kernels, domains):
         lam = 0.05
-        gains = [max_info_gain(kernel, domain, t, lam, method="exact") for t in range(4)]
+        gains = [max_info_gain(kernel, domain, t, lam) for t in range(4)]
         monotone &= all(b >= a - 1e-12 for a, b in zip(gains, gains[1:]))
         for t in (1, 2, 3):
             best = -np.inf

@@ -99,6 +99,22 @@ def test_write_reference_merges_entries(tmp_path):
     assert after["artificial"]["grid"] == [60, 60]
 
 
+def test_failed_reference_write_leaves_the_file_as_it_was(tmp_path, monkeypatch):
+    out = tmp_path / "refs.json"
+    write_reference("artificial", grid=(50, 50), path=out)
+    before = out.read_bytes()
+
+    def dump_half(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:100])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="No space left"):
+        write_reference("artificial", grid=(60, 60), path=out)
+    assert out.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["refs.json"]
+
+
 # Modules a fresh interpreter must not load. scipy.stats (and the
 # scipy.optimize it pulls in) would double the cold start of every interpreter
 # that imports cego: the CLI, each script and each benchmark child.
@@ -238,7 +254,9 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
                       # A list label escaped as a TypeError from set(labels); a number
                       # as output_dir failed every replication.
                       ("listlabel", {**base, "policies": [{"name": "config", "label": ["a"]}]}),
-                      ("numberdir", {**base, "output_dir": 5})):
+                      ("numberdir", {**base, "output_dir": 5}),
+                      # It ran no replication, wrote nothing and exited 0.
+                      ("policyless", {**base, "policies": []})):
         shapes[name] = tmp_path / f"{name}.json"
         shapes[name].write_text(json.dumps(raw))
     for argv, phrase in (
@@ -250,6 +268,7 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
         (["--config", str(shapes["budgetless"])], "configuration lacks keys ['budget']"),
         (["--config", str(shapes["listlabel"])], "policy label must be a non-empty string"),
         (["--config", str(shapes["numberdir"])], "output_dir must be a path string, got 5"),
+        (["--config", str(shapes["policyless"])], "policies must list at least one"),
     ):
         assert main(["run", *argv]) == 2
         captured = capsys.readouterr()

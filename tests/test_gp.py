@@ -227,7 +227,10 @@ def test_bordered_gram_equals_gram_from_scratch(family, dim):
     second = chain[10].add(rng.uniform(-2, 2, dim), rng.normal())
     models = chain[1:] + [second, second.add(rng.uniform(-2, 2, dim), rng.normal())]
     for model in models:
-        assert np.array_equal(model._cov.gram, kernel.gram(model.points))
+        gram = kernel.gram(model.points)
+        # Exactly symmetric as built: each plane's (a - b)**2 equals (b - a)**2.
+        assert np.array_equal(gram, gram.T)
+        assert np.array_equal(model._cov.gram, gram)
 
 
 @pytest.mark.parametrize("t", [1, 5, 30, 100])

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cego import gp
+from cego import gp, info_gain
 from cego.domain import Domain
 from cego.info_gain import max_info_gain
 from cego.kernels import Kernel
@@ -51,7 +51,7 @@ def test_two_point_domain_exact():
 def test_matches_enumeration_on_small_grids(family, n, t):
     k = Kernel(family, [0.4], 1.0)
     domain = Domain([0.0], [2.0], [n])
-    got = max_info_gain(k, domain, t, 0.05, method="exact")
+    got = info_gain._exact(k, domain.grid, t, 0.05)
     want = brute_force_gain(k, domain, t, 0.05)
     assert got == pytest.approx(want, abs=1e-9)
 
@@ -59,8 +59,8 @@ def test_matches_enumeration_on_small_grids(family, n, t):
 def test_non_decreasing_in_t():
     k = Kernel("squared_exponential", [0.5, 0.5], 1.0)
     domain = Domain([0.0, 0.0], [1.0, 1.0], [4, 3])
-    for method in ("exact", "greedy"):
-        gains = [max_info_gain(k, domain, t, 0.01, method=method) for t in range(0, 5)]
+    for method in (info_gain._exact, info_gain._greedy):
+        gains = [0.0] + [method(k, domain.grid, t, 0.01) for t in range(1, 5)]
         assert all(b >= a - 1e-12 for a, b in zip(gains, gains[1:]))
 
 
@@ -68,8 +68,8 @@ def test_greedy_within_submodular_certificate():
     k = Kernel("squared_exponential", [0.6], 1.0)
     domain = Domain([0.0], [3.0], [12])
     for t in (1, 2, 3):
-        exact = max_info_gain(k, domain, t, 0.05, method="exact")
-        greedy = max_info_gain(k, domain, t, 0.05, method="greedy")
+        exact = info_gain._exact(k, domain.grid, t, 0.05)
+        greedy = info_gain._greedy(k, domain.grid, t, 0.05)
         assert greedy <= exact + 1e-9
         assert greedy >= (1 - 1 / np.e) * exact - 1e-9
 
@@ -77,9 +77,20 @@ def test_greedy_within_submodular_certificate():
 def test_greedy_first_step_matches_exact():
     k = Kernel("matern52", [0.7], 1.3)
     domain = Domain([-1.0], [1.0], [9])
-    assert max_info_gain(k, domain, 1, 0.02, method="greedy") == pytest.approx(
-        max_info_gain(k, domain, 1, 0.02, method="exact"), rel=1e-12
+    assert info_gain._greedy(k, domain.grid, 1, 0.02) == pytest.approx(
+        info_gain._exact(k, domain.grid, 1, 0.02), rel=1e-12
     )
+
+
+def test_enumerates_up_to_the_subset_limit(monkeypatch):
+    # C(12, 2) = 66 subsets are enumerated, C(12, 3) = 220 are not.
+    monkeypatch.setattr(info_gain, "_EXACT_SUBSET_LIMIT", 66)
+    k = Kernel("squared_exponential", [0.6], 1.0)
+    domain = Domain([0.0], [3.0], [12])
+    assert max_info_gain(k, domain, 2, 0.05) == info_gain._exact(k, domain.grid, 2, 0.05)
+    greedy = info_gain._greedy(k, domain.grid, 3, 0.05)
+    assert greedy < info_gain._exact(k, domain.grid, 3, 0.05)
+    assert max_info_gain(k, domain, 3, 0.05) == greedy
 
 
 def test_t_larger_than_grid_rejected():
@@ -108,7 +119,7 @@ def test_greedy_matches_conditioned_rows_on_a_2d_lattice(family):
     k = Kernel(family, [0.3, 0.45], 1.2)
     domain = Domain([0.0, 0.0], [1.0, 1.0], [15, 13])
     for t in (1, 2, 7, 20, 40):
-        got = max_info_gain(k, domain, t, 0.01, method="greedy")
+        got = info_gain._greedy(k, domain.grid, t, 0.01)
         np.testing.assert_allclose(got, conditioner_greedy_gain(k, domain.grid, t, 0.01), rtol=1e-12)
 
 
@@ -124,8 +135,7 @@ def test_greedy_maps_its_lattice_rows_once(monkeypatch):
 
     monkeypatch.setattr(gp, "_mapped_rows", counted)
     domain = Domain([0.0, 0.0], [1.0, 1.0], [15, 13])
-    max_info_gain(Kernel("squared_exponential", [0.3, 0.45], 1.2), domain, 40, 0.01,
-                  method="greedy")
+    max_info_gain(Kernel("squared_exponential", [0.3, 0.45], 1.2), domain, 40, 0.01)
     assert calls == [(40, domain.grid_size)]
 
 

@@ -394,6 +394,26 @@ def test_safeopt_infinite_lipschitz_confines_to_seed():
     np.testing.assert_array_equal(state.safe_indices, [2, 3])
 
 
+def test_safeopt_without_constraints_certifies_the_whole_lattice(monkeypatch):
+    # "Every constraint" holds vacuously with none: the first step certifies
+    # every point, so the seed does not sample itself forever. Later steps
+    # measure no distances, since a full set has nothing left to certify.
+    passes = []
+    monkeypatch.setattr(policies, "column_blocks",
+                        lambda *args: passes.append(args) or gp.column_blocks(*args))
+    domain = Domain([0.0, 0.0], [1.0, 1.0], [11, 11])
+    state = make_state("safeopt_lite", domain, n_constraints=0, lipschitz=1.0,
+                       safe_indices=[60], lengthscale=0.3)
+    picks = []
+    for _ in range(5):
+        decision = propose(state)
+        np.testing.assert_array_equal(state.safe_indices, np.arange(domain.grid_size))
+        picks.append(decision.index)
+        observe(state, decision.point, [float(np.sum(decision.point))])
+    assert len(set(picks)) == 5
+    assert passes == [(1, domain.grid_size)]
+
+
 def test_safeopt_expansion_certificate():
     # One seed, strongly negative constraint there: points within
     # ucb(seed) + L*d <= 0 join the safe set, others stay out.

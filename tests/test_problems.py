@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cego.problems import (
+    PROBLEM_BUILDERS,
     artificial_infeasible_problem,
     artificial_problem,
     artificial_values,
@@ -117,3 +120,30 @@ def test_problem_registry_round_trip():
     np.testing.assert_allclose(problem.evaluate([0.0, 0.0]), [1.0, 1.3])
     with pytest.raises(ValueError):
         problem_from_config({"name": "unheard_of"})
+
+
+# Answers each request with two constraint values.
+TWO_CONSTRAINT_STUB = (
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    t = json.loads(line)['theta']\n"
+    "    print(json.dumps({'objective': t[0], 'constraints': [t[1], -1.0]}), flush=True)\n"
+)
+SETTINGS = {"external": {"command": [sys.executable, "-c", TWO_CONSTRAINT_STUB],
+                         "lower": [0.0, 0.0], "upper": [1.0, 1.0], "grid": [5, 5],
+                         "n_constraints": 2}}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_BUILDERS))
+def test_every_oracle_answers_a_batch_of_any_size(name):
+    # One oracle signature: (n, d) -> (n, 1 + N), for n = 0 as for any other n.
+    problem = problem_from_config({"name": name, **SETTINGS.get(name, {})})
+    try:
+        for n in (0, 1, 3):
+            points = problem.domain.grid[:n]
+            values = problem.evaluate_batch(points)
+            assert values.shape == (n, problem.n_outputs)
+            for point, row in zip(points, values):
+                np.testing.assert_array_equal(problem.evaluate(point), row)
+    finally:
+        problem.close()

@@ -1,11 +1,13 @@
 import fcntl
 import importlib.util
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -611,17 +613,19 @@ def test_emit_metrics_writes_csv(tmp_path):
     assert len(rows) == 4
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    serial_dir = tmp_path / "serial"
-    parallel_dir = tmp_path / "parallel"
-    base = dict(budget=4, seeds=(1, 2), policies=[{"name": "config"}, {"name": "random"}])
-    serial = small_config(serial_dir, **base)
-    parallel = small_config(parallel_dir, **base)
-    run_experiment(serial, jobs=1)
-    run_experiment(parallel, jobs=2)
-    for s in sorted(serial_dir.glob("*.jsonl")):
-        p = parallel_dir / s.name
-        assert p.read_bytes() == s.read_bytes()
+def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
+    # The same bytes, and the same paths in task order, at either jobs.
+    config = small_config(tmp_path / "configured", budget=4, seeds=(2, 1),
+                          policies=[{"name": "config"}, {"name": "random"}])
+    names = [log_path(config, spec, seed).name for spec in config.policies for seed in config.seeds]
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        monkeypatch.setenv(LOG_DIR_ENV, str(out))
+        assert run_experiment(config, jobs=jobs) == [out / name for name in names]
+        assert sorted(out.glob("*.jsonl")) == sorted(out / name for name in names)
+    for name in names:
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
+    assert not (tmp_path / "configured").exists()
 
 
 # Answers every request, but exits with code 3 when asked for the lattice's
@@ -653,6 +657,30 @@ def test_parallel_failure_names_only_its_replication(tmp_path):
         logs[jobs] = log_path(config, {"name": "random"}, 1).read_bytes()
     assert logs[2] == logs[1]
     assert len(logs[1].splitlines()) == 4  # header and 3 records
+
+
+def test_dead_worker_fails_with_one_error_naming_its_replication(tmp_path, monkeypatch):
+    # A worker that dies (an OOM kill, a segfault) breaks the pool: the
+    # replications it takes down are reported by name in one RuntimeError.
+    advance = runner_mod._advance_replication
+
+    def die_on_seed_2(config, spec, seed, *args):
+        if seed == 2:
+            os._exit(9)
+        return advance(config, spec, seed, *args)
+
+    monkeypatch.setattr(runner_mod, "_advance_replication", die_on_seed_2)
+    # Forked workers run the patched module.
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: ProcessPoolExecutor(max_workers, mp_context=fork))
+    config = small_config(tmp_path, budget=2, seeds=(1, 2, 3))
+    with pytest.raises(RuntimeError) as failed:
+        run_experiment(config, jobs=2)
+    assert type(failed.value) is RuntimeError
+    assert re.match(r"\d replication\(s\) failed: ", str(failed.value))
+    assert "policy=random seed=2: " in str(failed.value)
+    assert isinstance(failed.value.__cause__, BrokenProcessPool)
 
 
 class RecordingPool:
