@@ -39,8 +39,10 @@ class ExternalBlackbox:
 
     Single-in-flight: callers must not issue concurrent evaluations against
     the same instance. Calling the instance on an ``(n, d)`` array of points
-    is the problem oracle: one round trip per row, in order. Usable as a
-    context manager; ``close`` terminates the child.
+    is the problem oracle: one round trip per row, in order. The first
+    evaluation starts the child and ``close`` stops it. A child that has
+    exited is not replaced: the next evaluation raises ``BlackboxError``
+    naming its exit code.
     """
 
     def __init__(self, command: list[str], n_constraints: int, timeout: float = 30.0):
@@ -56,9 +58,8 @@ class ExternalBlackbox:
         self._pending = b""  # bytes read past the last line returned
 
     def _ensure_started(self):
-        if self._proc is not None and self._proc.poll() is None:
+        if self._proc is not None:
             return
-        self.close()
         self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         # poll, unlike select, takes descriptors >= 1024.
         self._poll = select.poll()
@@ -73,9 +74,10 @@ class ExternalBlackbox:
         try:
             self._proc.stdin.write(request.encode() + b"\n")
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise BlackboxError(f"external evaluator pipe closed: {exc}") from exc
-        line = self._read_line()
+        except OSError:  # the child has exited and closed its end of the pipe
+            line = None
+        else:
+            line = self._read_line()
         if line is None:
             proc = self._proc
             self.close()  # reaps the child, so its exit code is known
@@ -138,10 +140,3 @@ class ExternalBlackbox:
             proc.kill()
             proc.wait()
         proc.stdout.close()
-
-    def __enter__(self):
-        self._ensure_started()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()

@@ -66,25 +66,17 @@ def regret_contribution(record: RunRecord, j_star: float) -> float:
 
 def normalized_regret_violation(
     record: RunRecord,
-    j_star: float | None,
+    j_star: float,
     sigmas: Sequence[float],
 ) -> float:
-    """Scale-free quality of one record.
-
-    With a known optimum: ``[J - J*]^+ / sigma_J + sum_i [g_i]^+ / sigma_i``.
-    With ``j_star=None`` (black-box mode, no reference optimum) the first
-    term becomes ``J / sigma_J``.
-    """
+    """Scale-free quality of one record: ``[J - J*]^+ / sigma_J + sum_i [g_i]^+ / sigma_i``."""
     values = record.outputs()
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.shape[0] != values.shape[0]:
         raise ValueError(f"need {values.shape[0]} sigmas, got {sigmas.shape[0]}")
     if np.any(sigmas <= 0):
         raise ValueError(f"sigmas must be positive, got {sigmas}")
-    if j_star is None:
-        total = values[0] / sigmas[0]
-    else:
-        total = max(values[0] - j_star, 0.0) / sigmas[0]
+    total = max(values[0] - j_star, 0.0) / sigmas[0]
     total += float(np.sum(np.maximum(values[1:], 0.0) / sigmas[1:]))
     return float(total)
 

@@ -300,10 +300,11 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
     """Parse a log file into its header and complete records.
 
     A trailing line without a newline (truncated write) is ignored. The
-    header must carry ``budget``, ``seed`` and ``policy``, and the records
-    must run ``t = 1, 2, ...`` with no gap or repeat, number at most
-    the header's ``budget``, and hold an ``infeasible`` marker only as the
-    last one. A ``sample`` record holds lists ``theta`` and ``y`` and a list
+    header must carry an int ``budget`` >= 1, an int ``seed`` >= 0 and a
+    ``policy`` object with a string ``name`` (and ``label``, if any), and
+    the records must run ``t = 1, 2, ...`` with no gap or repeat, number at
+    most the header's ``budget``, and hold an ``infeasible`` marker only as
+    the last one. A ``sample`` record holds lists ``theta`` and ``y`` and a list
     or null ``true``; the marker holds null for all three. Otherwise a
     ``ValueError`` names the log and the first bad line.
     """
@@ -319,8 +320,13 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
         header = json.loads(lines[0])
         if not isinstance(header, dict) or header.get("kind") != "run_header":
             raise ValueError("not a run header")
-        budget = header["budget"]
-        header["seed"], header["policy"]  # emit_metrics reads both
+        budget = int_at_least("budget", header["budget"], 1)
+        int_at_least("seed", header["seed"], 0)
+        policy = header["policy"]
+        if not (isinstance(policy, dict) and isinstance(policy.get("name"), str)
+                and isinstance(policy_label(policy), str)):
+            raise ValueError(f"policy must be an object with a string 'name' and, if any, "
+                             f"'label', got {policy!r}")
         for number, line in enumerate(lines[1:], start=2):
             records.append(_next_record(json.loads(line), records, budget))
     except (KeyError, TypeError, ValueError) as exc:
@@ -546,9 +552,9 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
 
 
 def _series_for(records: list[RunRecord], metric: str, j_star, sigmas) -> np.ndarray:
+    if metric in ("constrained_regret", "normalized") and j_star is None:
+        raise ValueError(f"{metric} needs a reference optimum j_star")
     if metric == "constrained_regret":
-        if j_star is None:
-            raise ValueError("constrained_regret needs a reference optimum j_star")
         return best_so_far_series(records, lambda r: regret_contribution(r, j_star))
     if metric == "normalized":
         if sigmas is None:

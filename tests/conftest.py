@@ -1,3 +1,5 @@
+import subprocess
+
 import hypothesis
 import numpy as np
 import pytest
@@ -8,6 +10,20 @@ from cego.kernels import Kernel
 
 hypothesis.settings.register_profile("ci", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("ci")
+
+
+@pytest.fixture
+def started_children(monkeypatch):
+    """Every process the test starts through ``subprocess.Popen``, in order."""
+    procs = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return procs
 
 
 @pytest.fixture

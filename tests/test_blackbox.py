@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 import time
+from contextlib import closing, nullcontext
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ HELPER_STUB = [
 
 
 def test_echo_round_trip():
-    with ExternalBlackbox(ECHO_STUB, n_constraints=1) as box:
+    with closing(ExternalBlackbox(ECHO_STUB, n_constraints=1)) as box:
         values = box.evaluate([0.25, -1.5])
         np.testing.assert_allclose(values, [0.25, -1.5])
         values = box.evaluate([2.0, 0.5])
@@ -77,19 +78,19 @@ def test_echo_round_trip():
 
 
 def test_malformed_response_raises_protocol_error():
-    with ExternalBlackbox(GARBAGE_STUB, n_constraints=1) as box:
+    with closing(ExternalBlackbox(GARBAGE_STUB, n_constraints=1)) as box:
         with pytest.raises(BlackboxProtocolError):
             box.evaluate([0.0, 0.0])
 
 
 def test_wrong_constraint_count_raises_protocol_error():
-    with ExternalBlackbox(ECHO_STUB, n_constraints=2) as box:
+    with closing(ExternalBlackbox(ECHO_STUB, n_constraints=2)) as box:
         with pytest.raises(BlackboxProtocolError):
             box.evaluate([0.0, 0.0])
 
 
 def test_timeout_raises():
-    with ExternalBlackbox(SLEEPY_STUB, n_constraints=0, timeout=0.5) as box:
+    with closing(ExternalBlackbox(SLEEPY_STUB, n_constraints=0, timeout=0.5)) as box:
         with pytest.raises(BlackboxTimeout):
             box.evaluate([1.0])
 
@@ -98,7 +99,7 @@ def test_non_utf8_response_raises_protocol_error():
     stub = [sys.executable, "-c",
             "import sys\nfor line in sys.stdin:\n"
             "    sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()\n"]
-    with ExternalBlackbox(stub, n_constraints=0) as box:
+    with closing(ExternalBlackbox(stub, n_constraints=0)) as box:
         with pytest.raises(BlackboxProtocolError, match="malformed response line"):
             box.evaluate([0.0])
 
@@ -129,7 +130,7 @@ def test_timeout_not_delayed_by_helper_holding_stdout(tmp_path):
 
 
 def test_child_exit_raises():
-    with ExternalBlackbox(EXITING_STUB, n_constraints=0, timeout=5.0) as box:
+    with closing(ExternalBlackbox(EXITING_STUB, n_constraints=0, timeout=5.0)) as box:
         with pytest.raises(BlackboxError, match="code 3"):
             box.evaluate([1.0])
 
@@ -137,14 +138,12 @@ def test_child_exit_raises():
 @pytest.mark.parametrize("stub, error", [(ECHO_STUB, None), (SLEEPY_STUB, BlackboxTimeout),
                                          (EXITING_STUB, BlackboxError)],
                          ids=["close", "timeout-kill", "child-exit"])
-def test_child_pipes_closed(stub, error):
+def test_child_pipes_closed(stub, error, started_children):
     # Each child's pipes are closed once it is reaped, not left to the garbage collector.
-    box = ExternalBlackbox(stub, n_constraints=1, timeout=0.5)
-    with box:
-        proc = box._proc
-        if error is not None:
-            with pytest.raises(error):
-                box.evaluate([1.0, 2.0])
+    with closing(ExternalBlackbox(stub, n_constraints=1, timeout=0.5)) as box:
+        with nullcontext() if error is None else pytest.raises(error):
+            box.evaluate([1.0, 2.0])
+    (proc,) = started_children
     assert proc.poll() is not None
     assert proc.stdin.closed and proc.stdout.closed
 

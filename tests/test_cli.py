@@ -354,7 +354,7 @@ def test_metrics_checks_logs_against_the_reference(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"cego metrics: log {log} has problem g_thr=0.4; "
                             "the reference has g_thr=-0.6\n")
-    for metric in ("constrained_regret", "normalized"):
+    for metric in ("constrained_regret", "normalized", "best_so_far"):
         assert main(["metrics", "--logs", str(other_thr), "--problem", "williams_otto",
                      "--metric", metric]) == 1
         assert capsys.readouterr().err == (f"cego metrics: log {log} has problem "

@@ -57,11 +57,6 @@ def test_normalized_unit_suboptimality():
     assert normalized_regret_violation(r, 1.0, [2.0, 1.0]) == pytest.approx(1.0)
 
 
-def test_normalized_blackbox_mode_without_optimum():
-    r = record(3.0, [0.5])
-    assert normalized_regret_violation(r, None, [2.0, 0.5]) == pytest.approx(3.0 / 2.0 + 1.0)
-
-
 @given(
     j=st.floats(-3, 3), g=st.floats(-3, 3),
     sj=st.floats(0.1, 5), sg=st.floats(0.1, 5),

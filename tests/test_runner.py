@@ -16,6 +16,7 @@ from scipy.linalg import LinAlgError
 
 import cego.gp as gp_mod
 import cego.runner as runner_mod
+from cego.blackbox import ExternalBlackbox
 from cego.gp import GpModel
 from cego.metrics import best_so_far_series
 from cego.problems import (
@@ -282,10 +283,20 @@ def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
         load_log(path)
 
 
-@pytest.mark.parametrize("header", ['{"kind": ', '[1]', '{"kind": "run_header"}',
-                                    '{"kind": "run_header", "budget": 1, "policy": {}}'])
+@pytest.mark.parametrize("header", [
+    '{"kind": ', '[1]', '{"kind": "run_header"}',
+    '{"kind": "run_header", "budget": 1, "policy": {}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": "config"}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {"name": 7}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {"name": "random", "label": 7}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1.0, "policy": {"name": "random"}}',
+    '{"kind": "run_header", "budget": 0, "seed": 1, "policy": {"name": "random"}}',
+    '{"kind": "run_header", "budget": "2", "seed": 1, "policy": {"name": "random"}}',
+])
 def test_load_log_names_a_bad_header(tmp_path, header):
-    # emit_metrics used to fail on these with a JSON or lookup error naming no log.
+    # emit_metrics used to fail on these with a JSON, lookup or attribute
+    # error naming no log, or to name the log but not its header.
     path = tmp_path / "bad.jsonl"
     path.write_text(header + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"log {re.escape(str(path))} line 1: "):
@@ -550,6 +561,13 @@ def test_emit_metrics_single_log_zero_std(tmp_path):
     assert all(row[2] == 0.0 for row in table[1:])
     means = [row[1] for row in table[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
+
+
+@pytest.mark.parametrize("metric", ["constrained_regret", "normalized"])
+def test_emit_metrics_needs_a_reference_optimum(tmp_path, metric):
+    (path,) = run_experiment(small_config(tmp_path, budget=2))
+    with pytest.raises(ValueError, match=f"{metric} needs a reference optimum j_star"):
+        emit_metrics([path], metric=metric, sigmas=[1.0, 1.0])
 
 
 def write_constant_logs(directory, values_by_seed):
@@ -900,6 +918,51 @@ def test_no_external_child_survives_run_experiment(tmp_path, jobs):
     pids = [int(line) for line in pid_file.read_text().split()]
     assert len(pids) == 2  # one child per replication
     assert not [pid for pid in pids if _alive(pid)]
+
+
+# Answers one request and exits with code 5.
+ONE_ANSWER_STUB = (
+    "import json, sys\n"
+    "t = json.loads(sys.stdin.readline())['theta']\n"
+    "print(json.dumps({'objective': t[0], 'constraints': [t[1] - 1.0]}), flush=True)\n"
+    "sys.exit(5)\n"
+)
+
+
+def test_child_that_exits_between_requests_fails_its_replication(tmp_path, monkeypatch,
+                                                                   started_children):
+    # A child is never replaced within a replication: a simulator that loses
+    # its state between steps must not be restarted unseen.
+    evaluate = ExternalBlackbox.evaluate
+
+    def evaluate_once_exited(box, theta):
+        if box._proc is not None:  # wait, without reaping it, until the child has exited
+            os.waitid(os.P_PID, box._proc.pid, os.WEXITED | os.WNOWAIT)
+        return evaluate(box, theta)
+
+    monkeypatch.setattr(ExternalBlackbox, "evaluate", evaluate_once_exited)
+    problem = {"name": "external", "command": [sys.executable, "-c", ONE_ANSWER_STUB],
+               "lower": [0.0, 0.0], "upper": [1.0, 1.0], "grid": [4, 4], "n_constraints": 1}
+    config = small_config(tmp_path / "logs", budget=3, start="none", problem=problem)
+    with pytest.raises(RuntimeError) as failed:
+        run_experiment(config)
+    assert str(failed.value) == ("1 replication(s) failed: policy=random seed=1: external "
+                                 "evaluator exited (code 5) before answering")
+    assert len(load_log(log_path(config, {"name": "random"}, 1))[1]) == 1  # failed at t = 2
+    (proc,) = started_children
+    assert proc.poll() == 5
+
+
+def test_external_toy_config_runs_to_its_budget(tmp_path, started_children):
+    raw = json.loads((CONFIGS / "external_toy.json").read_text(encoding="utf-8"))
+    _, script = raw["problem"]["command"]
+    raw["problem"]["command"] = [sys.executable, str(ROOT / script)]
+    (path,) = run_experiment(RunConfig(**{**raw, "output_dir": str(tmp_path)}))
+    _, records = load_log(path)
+    assert [r.t for r in records] == list(range(1, 16))
+    assert all(r.decision == "sample" for r in records)
+    (proc,) = started_children
+    assert proc.poll() is not None
 
 
 def test_refit_failure_keeps_previous_models(tmp_path, monkeypatch):
