@@ -8,22 +8,24 @@ index it returns into the :class:`Decision`. Every scorer picks an
 extremizer of a per-point score with ties broken by the smallest linear grid
 index, the first one ``np.argmin`` and ``np.argmax`` return; they differ in
 how constraint information enters the score. ``config``, ``epbo`` and
-``primal_dual`` all minimize the objective LCB plus a constraint term,
-``config`` under a mask:
+``primal_dual`` share one scorer, which minimizes the objective LCB plus the
+policy's constraint term and declares infeasibility when that minimum is not
+finite:
 
 ``config``
     Optimism for both objective and constraints: minimize the objective LCB
-    subject to every constraint LCB being nonpositive. If some constraint's
-    LCB is positive over the whole lattice no feasible point can exist at
-    the chosen confidence level, and infeasibility is declared.
+    over the joint LCB-feasible set, where every constraint LCB is
+    nonpositive (a term of 0 there, ``+inf`` elsewhere). An empty set means
+    that no feasible point can exist at the chosen confidence level, and
+    infeasibility is declared: CONFIG's rule (Xu et al., ICML 2023).
 ``cei``
     Expected improvement times the probability that all constraints hold.
 ``epbo``
     Objective LCB plus a fixed penalty ``rho`` times summed positive parts
     of the constraint LCBs.
 ``primal_dual``
-    Lagrangian LCB score with multiplier updates, made in :func:`observe`,
-    driven by measured violations.
+    Lagrangian LCB score, the duals times the constraint LCBs, with
+    multiplier updates made in :func:`observe` from measured violations.
 ``safeopt_lite``
     Never samples outside a certified safe set grown from feasible seeds by
     Lipschitz extrapolation of the constraint UCBs. Deliberately simplified
@@ -237,42 +239,27 @@ class AlgorithmState:
         return evaluate_grid(self.models, beta_sqrt, self.domain)
 
 
-def _config(state: AlgorithmState, ev: GridEvaluation) -> int | None:
-    """Optimistic constrained step: minimize LCB(objective) where all constraint LCBs <= 0.
+def _lcb_step(state: AlgorithmState, ev: GridEvaluation) -> int | None:
+    """Minimize LCB(objective) plus the policy's term from :data:`_CONSTRAINT_TERMS`.
 
-    Declares infeasibility when some constraint's LCB is positive at every
-    lattice point. If the jointly-LCB-feasible set is empty without any
-    single constraint certifying infeasibility, falls back to the point with
-    the smallest total positive-part constraint LCB.
+    ``None`` (infeasible) when that minimum is not finite. Only ``config``'s
+    term, ``+inf`` off the joint LCB-feasible set, can make it so: when no
+    lattice point has every constraint LCB <= 0.
     """
     lcb = ev.lcb
-    if np.any(np.min(lcb[1:], axis=1) > 0):
-        return None
-    feasible = np.flatnonzero(np.all(lcb[1:] <= 0, axis=0))
-    if feasible.size == 0:
-        return int(np.argmin(_violation(lcb)))
-    return int(feasible[np.argmin(lcb[0][feasible])])
+    score = _CONSTRAINT_TERMS[state.policy](state, lcb[1:])
+    score += lcb[0]  # in place: one lattice-sized array fewer at the step's peak
+    index = int(np.argmin(score))
+    return index if np.isfinite(score[index]) else None
 
 
-def _epbo(state: AlgorithmState, ev: GridEvaluation) -> int:
-    """Penalty step: minimize LCB(objective) + rho * sum of positive-part constraint LCBs."""
-    lcb = ev.lcb
-    return int(np.argmin(lcb[0] + state.rho * _violation(lcb)))
-
-
-def _primal_dual(state: AlgorithmState, ev: GridEvaluation) -> int:
-    """Lagrangian step: minimize LCB(objective) + sum_i dual_i * LCB(constraint_i).
-
-    The dual variables themselves are updated in :func:`observe` once the
-    sampled point's constraint measurements are available.
-    """
-    lcb = ev.lcb
-    return int(np.argmin(lcb[0] + state.duals @ lcb[1:]))
-
-
-def _violation(lcb: np.ndarray) -> np.ndarray:
-    """Summed positive parts of the constraint LCBs (rows ``1..N``), per grid point."""
-    return np.sum(np.maximum(lcb[1:], 0.0), axis=0)
+# The term each LCB-style policy adds to the objective LCB, per lattice
+# point, from the constraint LCB rows ``g`` (shape ``(N, G)``).
+_CONSTRAINT_TERMS = {
+    "config": lambda state, g: np.where(np.all(g <= 0, axis=0), 0.0, np.inf),
+    "epbo": lambda state, g: state.rho * np.sum(np.maximum(g, 0.0), axis=0),
+    "primal_dual": lambda state, g: state.duals @ g,
+}
 
 
 def _constraint_probability(means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -370,10 +357,8 @@ def _safeopt_lite(state: AlgorithmState, ev: GridEvaluation) -> int:
 # Each scorer maps the step's lattice evaluation to a lattice index, or to
 # None when ``config`` declares infeasibility.
 _STEPS = {
-    "config": _config,
+    **dict.fromkeys(_CONSTRAINT_TERMS, _lcb_step),
     "cei": _cei,
-    "epbo": _epbo,
-    "primal_dual": _primal_dual,
     "safeopt_lite": _safeopt_lite,
 }
 

@@ -2,10 +2,11 @@
 
 Each problem has one batch oracle: an ``(n, d)`` array of points in, an
 ``(n, 1 + N)`` array of rows ``[J, g_1 .. g_N]`` out (feasible means every
-``g_i <= 0``). ``Problem.evaluate_batch`` validates both sides of it and
-``Problem.evaluate`` is a batch of one. Per-output noise levels come with the
-problem; noisy measurements are produced by a caller-supplied seeded
-generator so that the underlying oracle stays deterministic and replayable.
+``g_i <= 0``). ``Problem.evaluate_batch`` validates both sides of it (points
+in the domain; rows of the right shape, all finite) and ``Problem.evaluate``
+is a batch of one. Per-output noise levels come with the problem; noisy
+measurements are produced by a caller-supplied seeded generator so that the
+underlying oracle stays deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ class Problem:
                 f"oracle returned shape {values.shape}, expected "
                 f"{(thetas.shape[0], self.n_outputs)}"
             )
+        # A NaN or inf would reach the log before the GP refused it.
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{self.name} oracle value {values[~finite][0].tolist()} at "
+                             f"{thetas[~finite][0].tolist()} is not finite")
         return values
 
     def evaluate_noisy(self, theta, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -119,6 +119,11 @@ class RunConfig:
             raise ValueError(f"unknown start mode {self.start!r}")
         _check_keys("gp", self.gp, GP_KEYS)
         problem = problem_from_config(self.problem)
+        if self.start == "feasible" and not problem.pure:
+            # Its rejection sampling would send the external evaluator
+            # requests that no record logs, and send them again at a resume.
+            raise ValueError(f"start='feasible' is refused for the {problem.name!r} problem, "
+                             "whose evaluations are not replayable; use 'uniform' or 'none'")
         for spec in self.policies:
             if spec.get("name") not in POLICIES:
                 raise ValueError(f"policy spec needs a 'name' out of {POLICIES}: {spec}")
@@ -401,7 +406,8 @@ def run_replication(config: RunConfig, policy_spec: dict, seed: int) -> Path:
                 old_header, existing = load_log(path)
             except (ValueError, json.JSONDecodeError) as exc:
                 raise RuntimeError(f"cannot resume {path}: {exc}") from exc
-            if old_header != header:
+            # Compared as written: JSON turns a tuple setting into a list.
+            if old_header != json.loads(_dumps(header)):
                 raise RuntimeError(
                     f"existing log {path} was produced by a different configuration; "
                     "move it aside or change output_dir"

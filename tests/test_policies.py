@@ -23,6 +23,8 @@ from cego.policies import (
     propose,
 )
 
+from conftest import random_model
+
 
 def make_state(policy, domain, n_constraints=1, beta=2.0, noise=1e-2, output_scale=1.0,
                lengthscale=1.0, **kwargs):
@@ -41,21 +43,23 @@ def pointwise_bound(model, point, beta):
 
 
 def reference_config_decision(state):
-    """Two-loop reimplementation of the optimistic constrained step (oracle)."""
+    """Two-loop reimplementation of the optimistic constrained step (oracle).
+
+    Infeasible exactly when no lattice point has every constraint LCB <= 0.
+    """
     beta = state.beta.value
     n = state.domain.grid_size
     lcbs = np.empty((len(state.models), n))
     for i, model in enumerate(state.models):
         for idx in range(n):
             lcbs[i, idx] = pointwise_bound(model, state.domain.point(idx), -beta)
-    for i in range(1, len(state.models)):
-        if np.min(lcbs[i]) > 0:
-            return "infeasible", None
     best_idx, best_val = None, np.inf
     for idx in range(n):
         if all(lcbs[i, idx] <= 0 for i in range(1, len(state.models))):
             if lcbs[0, idx] < best_val:
                 best_idx, best_val = idx, lcbs[0, idx]
+    if best_idx is None:
+        return "infeasible", None
     return "sample", best_idx
 
 
@@ -119,7 +123,7 @@ def test_config_matches_two_loop_reference():
             assert decision.index == idx_ref
 
 
-def test_config_infeasible_iff_single_constraint_positive_everywhere():
+def test_config_infeasible_iff_no_point_meets_every_constraint_lcb():
     rng = np.random.default_rng(5)
     domain = Domain([0.0], [1.0], [15])
     for _ in range(10):
@@ -128,8 +132,8 @@ def test_config_infeasible_iff_single_constraint_positive_everywhere():
             theta = domain.point(int(rng.integers(domain.grid_size)))
             observe(state, theta, rng.normal(loc=1.0, size=3))
         ev = state.grid_bounds()
-        line2 = np.max(np.min(ev.lcb[1:], axis=1)) > 0
-        assert propose(state).is_infeasible == line2
+        joint_empty = not any(np.all(ev.lcb[1:, idx] <= 0) for idx in range(domain.grid_size))
+        assert propose(state).is_infeasible == joint_empty
 
 
 # -- cei ----------------------------------------------------------------------
@@ -617,15 +621,14 @@ def test_config_picks_the_first_tied_minimum_inside_the_mask(monkeypatch):
     assert decision.kind == "sample" and decision.index == 2
 
 
-def test_config_falls_back_to_the_least_violation(monkeypatch):
-    # Each constraint holds somewhere, so infeasibility is not declared, but
-    # never both at once. The summed positive parts (2, 0.5, 1, 0.5, 5) are
-    # least at indices 1 and 3, whatever the objective says.
+def test_config_infeasible_when_the_constraints_never_hold_together(monkeypatch):
+    # Each constraint's LCB is nonpositive somewhere, but never both at one
+    # point: the joint LCB-feasible set is empty, which proves infeasibility
+    # at the chosen confidence level.
     state = state_on_bounds(monkeypatch, "config", [[0.0, 3.0, -1.0, 2.0, -2.0],
                                                     [-1.0, 0.25, 1.0, 0.25, 2.0],
                                                     [2.0, 0.25, -1.0, 0.25, 3.0]])
-    decision = propose(state)
-    assert decision.kind == "sample" and decision.index == 1
+    assert propose(state).is_infeasible
 
 
 @pytest.mark.parametrize("policy, lcb, knobs, duals, expected", [
@@ -643,6 +646,49 @@ def test_penalty_scores_pick_the_first_tied_minimum(monkeypatch, policy, lcb, kn
 
 
 # -- shared machinery ---------------------------------------------------------------
+
+
+def test_empty_models_give_prior_everywhere():
+    domain = Domain([0.0, 0.0], [1.0, 1.0], [2, 2])
+    kernel = Kernel("squared_exponential", [1.0, 1.0], 1.0)
+    ev = evaluate_grid([GpModel(kernel, 0.01), GpModel(kernel, 0.01)], 2.0, domain)
+    np.testing.assert_array_equal(ev.means, 0.0)
+    np.testing.assert_allclose(ev.sigmas, 1.0)
+    np.testing.assert_allclose(ev.lcb, -2.0)
+    np.testing.assert_allclose(ev.ucb, 2.0)
+
+
+def test_batched_matches_scalar_path():
+    rng = np.random.default_rng(13)
+    domain = Domain([-1.0, -1.0], [1.0, 1.0], [7, 5])
+    kernel = Kernel("matern52", [0.8, 1.1], 1.2)
+    model = random_model(rng, kernel, 1e-3, 10, lo=-1, hi=1)
+    ev = evaluate_grid([model], 1.7, domain)
+    for idx in range(domain.grid_size):
+        (mean,), (var,) = model.posterior_batch([domain.point(idx)])
+        assert abs(ev.means[0, idx] - mean) <= 1e-12
+        assert abs(ev.sigmas[0, idx] - np.sqrt(var)) <= 1e-12
+
+
+def test_grid_ordering_convention():
+    domain = Domain([0.0, 0.0], [1.0, 2.0], [2, 3])
+    np.testing.assert_array_equal(domain.point(0), [0.0, 0.0])
+    np.testing.assert_array_equal(domain.point(domain.grid_size - 1), [1.0, 2.0])
+    # Row-major: the last coordinate varies fastest.
+    np.testing.assert_array_equal(domain.point(1), [0.0, 1.0])
+
+
+def test_beta_broadcasting_and_validation():
+    # One beta_sqrt weighs every model's sigma.
+    domain = Domain([0.0], [1.0], [3])
+    models = [GpModel(Kernel("squared_exponential", [1.0], scale), 0.01) for scale in (1.0, 2.0)]
+    ev = evaluate_grid(models, 1.5, domain)
+    np.testing.assert_allclose(ev.lcb[0], -1.5)
+    np.testing.assert_allclose(ev.lcb[1], -3.0)
+    # A step's beta comes from its schedule, which refuses a bad one.
+    for beta in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            BetaSchedule(value=beta)
 
 
 def test_observe_increments_t_and_grows_models():

@@ -137,6 +137,20 @@ def test_resume_refuses_foreign_config(tmp_path):
         run_replication(other, other.policies[0], 6)
 
 
+def test_tuple_settings_rerun_and_resume_their_own_log(tmp_path):
+    # JSON writes a tuple as a list, so the header read back holds a list
+    # where the configuration holds a tuple.
+    config = small_config(tmp_path, policies=[{"name": "config"}], budget=5,
+                          problem={"name": "artificial", "grid": (10, 10)})
+    (path,) = run_experiment(config)
+    original = path.read_bytes()
+    run_experiment(config)
+    assert path.read_bytes() == original
+    path.write_bytes(b"\n".join(original.split(b"\n")[:3]) + b"\n")  # header and 2 records
+    run_experiment(config)
+    assert path.read_bytes() == original
+
+
 def test_completed_log_left_untouched(tmp_path):
     config = small_config(tmp_path, budget=4, seeds=(9,))
     (path,) = run_experiment(config)
@@ -797,6 +811,39 @@ def test_external_failure_aborts_only_that_replication(tmp_path):
     assert all(r.true_values is None for r in records)  # external oracle is not pure
 
 
+# Answers NaN for the objective on the third request a child receives.
+NAN_ON_THIRD_STUB = (
+    "import json, sys\n"
+    "for n, line in enumerate(sys.stdin, start=1):\n"
+    "    t = json.loads(line)['theta']\n"
+    "    objective = float('nan') if n == 3 else t[0]\n"
+    "    print(json.dumps({'objective': objective, 'constraints': [t[1] - 1.0]}), flush=True)\n"
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_non_finite_oracle_value_is_refused_before_it_is_logged(tmp_path):
+    problem = {"name": "external", "command": [sys.executable, "-c", NAN_ON_THIRD_STUB],
+               "lower": [0.0, 0.0], "upper": [1.0, 1.0], "grid": [4, 4], "n_constraints": 1}
+    config = small_config(tmp_path, policies=[{"name": "config"}], budget=4, start="none",
+                          problem=problem)
+    with pytest.raises(RuntimeError, match=r"external oracle value \[nan, [^]]*\] at "
+                                           r"\[[^]]*\] is not finite"):
+        run_experiment(config)
+    path = log_path(config, {"name": "config"}, 1)
+    assert len(load_log(path)[1]) == 2
+    for line in path.read_text(encoding="utf-8").splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
+    # The rerun replays 2 records and asks a new child, whose first answer is finite.
+    run_experiment(config)
+    assert len(load_log(path)[1]) == 4
+    for line in path.read_text(encoding="utf-8").splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
+
+
 def test_hyperparameter_refit_in_the_loop(tmp_path):
     config = small_config(
         tmp_path,
@@ -871,6 +918,40 @@ def test_safeopt_without_seed_starts_from_the_feasible_start(tmp_path):
     (implicit_log,) = run_experiment(implicit)
     (explicit_log,) = run_experiment(explicit)
     assert load_log(implicit_log)[1] == load_log(explicit_log)[1]
+
+
+def test_external_problem_refuses_a_feasible_start(tmp_path, started_children):
+    # Rejection sampling would send the child requests that no record logs.
+    problem = {"name": "external", "command": [sys.executable, "-c", CORNER_EXIT_STUB],
+               "lower": [0.0], "upper": [1.0], "grid": [5], "n_constraints": 1}
+    for start in ({"start": "feasible"}, {}):  # the default start is "feasible"
+        with pytest.raises(ValueError, match="start='feasible' is refused for the 'external'"):
+            RunConfig(problem=problem, policies=[{"name": "random"}], budget=2, seeds=[1],
+                      output_dir=str(tmp_path), **start)
+    assert not started_children and not any(tmp_path.iterdir())
+
+
+# Constraints that each hold on part of [0, 1], never both: theta <= 0.2 and theta >= 0.8.
+DISJOINT_CONSTRAINTS_STUB = (
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    (t,) = json.loads(line)['theta']\n"
+    "    print(json.dumps({'objective': t, 'constraints': [t - 0.2, 0.8 - t]}), flush=True)\n"
+)
+
+
+def test_config_declares_infeasibility_when_the_constraints_never_hold_together(tmp_path):
+    # Every sample leaves the joint LCB-feasible set, since one constraint is
+    # at least 0.3 at each point; the set empties before the budget.
+    problem = {"name": "external", "command": [sys.executable, "-c", DISJOINT_CONSTRAINTS_STUB],
+               "lower": [0.0], "upper": [1.0], "grid": [11], "n_constraints": 2}
+    config = small_config(tmp_path, policies=[{"name": "config"}], budget=20, start="none",
+                          problem=problem, gp={**GP, "lengthscale_factor": 0.2})
+    (path,) = run_experiment(config)
+    _, records = load_log(path)
+    assert len(records) < 20
+    assert records[-1].decision == "infeasible"
+    assert all(r.decision == "sample" for r in records[:-1])
 
 
 # Answers every request, records its pid, and lingers briefly after stdin
