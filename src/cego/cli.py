@@ -31,37 +31,30 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    logs = sorted(Path(args.logs).glob("*.jsonl"))
-    if not logs:
-        print(f"cego metrics: no .jsonl logs under {args.logs}", file=sys.stderr)
-        return 1
-    j_star, sigmas, problem = args.j_star, None, None
-    if args.problem is not None:
-        try:
-            ref = get_reference(args.problem, path=args.references)
-        except (KeyError, OSError) as exc:  # no such entry, or no readable reference file
-            # str() of a KeyError quotes its message.
-            print(f"cego metrics: {exc.args[0] if isinstance(exc, KeyError) else exc}",
-                  file=sys.stderr)
-            return 1
-        if j_star is None:
-            j_star = ref["j_star"]
-        sigmas = ref["sigmas"]
-        # The logs must be of the problem and settings the entry was computed for.
-        problem = reference_problem(args.problem, ref)
-    if args.metric == "constrained_regret" and j_star is None:
-        print("cego metrics: need --problem (for the frozen reference) or --j-star",
-              file=sys.stderr)
-        return 1
-    if args.metric == "normalized" and sigmas is None:
-        print("cego metrics: the normalized metric needs --problem to load sigmas",
-              file=sys.stderr)
-        return 1
     try:
+        logs = sorted(Path(args.logs).glob("*.jsonl"))
+        if not logs:
+            raise ValueError(f"no .jsonl logs under {args.logs}")
+        j_star, sigmas, problem = args.j_star, None, None
+        if args.problem is not None:
+            ref = get_reference(args.problem, path=args.references)
+            if j_star is None:
+                j_star = ref["j_star"]
+            sigmas = ref["sigmas"]
+            # The logs must be of the problem and settings the entry was computed for.
+            problem = reference_problem(args.problem, ref)
+        if args.metric == "constrained_regret" and j_star is None:
+            raise ValueError("need --problem (for the frozen reference) or --j-star")
+        if args.metric == "normalized" and sigmas is None:
+            raise ValueError("the normalized metric needs --problem to load sigmas")
         table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas,
                              out=args.out, problem=problem)
-    except ValueError as exc:  # a log that fails its check, named with its first bad line
-        print(f"cego metrics: {exc}", file=sys.stderr)
+    except (KeyError, OSError, ValueError) as exc:
+        # A missing input, no such reference entry or no readable reference
+        # file, a log that fails its check (named with its first bad line), or
+        # an --out that cannot be written. str() of a KeyError quotes its message.
+        print(f"cego metrics: {exc.args[0] if isinstance(exc, KeyError) else exc}",
+              file=sys.stderr)
         return 1
     if args.out is None:
         for row in table:

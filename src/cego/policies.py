@@ -49,7 +49,8 @@ from .gp import GpModel, _scipy_extension, column_blocks
 __all__ = ["BetaSchedule", "AlgorithmState", "Decision", "POLICIES", "propose", "observe"]
 
 # The keys of a run configuration's policy spec that each policy reads,
-# besides its ``name`` and ``label``.
+# besides its ``name`` and ``label``: the one list of them, which
+# ``RunConfig`` checks specs against and ``runner.build_state`` passes on.
 SPEC_KEYS = {
     "config": ("beta",),
     "cei": (),

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .domain import int_at_least, positive_real
+from .domain import finite_real, int_at_least, positive_real
 from .gp import empty_models
 from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
 from .kernels import SQUARED_EXPONENTIAL, Kernel
@@ -69,10 +69,9 @@ _STREAM_POLICY = 303
 
 MAX_START_REJECTIONS = 100_000
 
-# Policy knobs a spec passes straight to ``AlgorithmState``.
-_STATE_KNOBS = ("rho", "eta", "lipschitz")
-# Keys of the experiment's ``gp`` settings.
-GP_KEYS = frozenset({"family", "lengthscale_factor", "output_scale", "noise_variance", "fit_every"})
+# The experiment's ``gp`` settings and the value each takes when left out.
+_GP_DEFAULTS = {"family": SQUARED_EXPONENTIAL, "lengthscale_factor": 0.1, "output_scale": 1.0,
+                "noise_variance": 1e-4, "fit_every": 0}
 
 
 class FeasibleStartError(RuntimeError):
@@ -106,7 +105,7 @@ class RunConfig:
         _check_shape("output_dir", self.output_dir, str, "a path string")
         int_at_least("budget", self.budget, 1)
         int_at_least("n_init_random", self.n_init_random, 0)
-        int_at_least("gp fit_every", self.gp.get("fit_every", 0), 0)
+        int_at_least("gp fit_every", self.gp.get("fit_every", _GP_DEFAULTS["fit_every"]), 0)
         if not self.policies:
             raise ValueError("policies must list at least one policy spec")
         if not self.seeds:
@@ -117,7 +116,7 @@ class RunConfig:
             raise ValueError("replication seeds must be distinct")
         if self.start not in ("feasible", "uniform", "none"):
             raise ValueError(f"unknown start mode {self.start!r}")
-        _check_keys("gp", self.gp, GP_KEYS)
+        _check_keys("gp", self.gp, _GP_DEFAULTS.keys())
         problem = problem_from_config(self.problem)
         if self.start == "feasible" and not problem.pure:
             # Its rejection sampling would send the external evaluator
@@ -183,9 +182,8 @@ def policy_label(spec: dict) -> str:
     return spec.get("label", spec["name"])
 
 
-def _stream(seed: int, tag: int, step: int | None = None):
-    key = [int(seed), tag] if step is None else [int(seed), tag, int(step)]
-    return np.random.default_rng(key)
+def _stream_key(seed: int, tag: int, step: int | None = None) -> list[int]:
+    return [int(seed), tag] if step is None else [int(seed), tag, int(step)]
 
 
 # -- state construction ------------------------------------------------------------
@@ -208,23 +206,27 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict,
     value per output, since objective and constraints often live on very
     different scales. The constructors check every value. Outputs whose
     kernel and noise are equal share one covariance part, whose lattice rows
-    are mapped once for the ``budget`` observations (see ``cego.gp``).
+    are mapped once for the ``budget`` observations (see ``cego.gp``). Each
+    key that ``SPEC_KEYS`` lists for the policy and the spec holds reaches
+    ``AlgorithmState``, ``beta`` as a ``BetaSchedule`` and ``safe_seed`` as
+    ``safe_indices``; one the spec leaves out keeps the state's default.
     """
-    family = gp_config.get("family", SQUARED_EXPONENTIAL)
-    factor = positive_real("lengthscale_factor", gp_config.get("lengthscale_factor", 0.1))
+    gp = {**_GP_DEFAULTS, **gp_config}
+    factor = positive_real("lengthscale_factor", gp["lengthscale_factor"])
     lengthscales = tuple(factor * problem.domain.widths)
-    output_scales = _per_output(gp_config.get("output_scale", 1.0), problem.n_outputs)
-    noise_variances = _per_output(gp_config.get("noise_variance", 1e-4), problem.n_outputs)
+    output_scales = _per_output(gp["output_scale"], problem.n_outputs)
+    noise_variances = _per_output(gp["noise_variance"], problem.n_outputs)
     models = empty_models(
-        ((Kernel(family, lengthscales, output_scales[i]), noise_variances[i])
+        ((Kernel(gp["family"], lengthscales, output_scales[i]), noise_variances[i])
          for i in range(problem.n_outputs)),
         capacity=budget,
     )
-    # A knob the spec leaves out keeps the default of AlgorithmState.
-    knobs = {key: policy_spec[key] for key in _STATE_KNOBS if key in policy_spec}
-    if policy_spec["name"] == "safeopt_lite" and "safe_seed" in policy_spec:
+    knobs = {key: policy_spec[key] for key in SPEC_KEYS[policy_spec["name"]] if key in policy_spec}
+    if "beta" in knobs:
+        knobs["beta"] = BetaSchedule(**knobs["beta"])
+    if "safe_seed" in knobs:
         knobs["safe_indices"] = [
-            problem.domain.nearest_index(point) for point in policy_spec["safe_seed"]
+            problem.domain.nearest_index(point) for point in knobs.pop("safe_seed")
         ]
         if not knobs["safe_indices"]:
             raise ValueError("safeopt_lite needs a non-empty safe_seed")
@@ -232,7 +234,6 @@ def build_state(problem: Problem, policy_spec: dict, gp_config: dict,
         policy=policy_spec["name"],
         domain=problem.domain,
         models=models,
-        beta=BetaSchedule(**policy_spec.get("beta", {})),
         **knobs,
     )
 
@@ -251,13 +252,14 @@ def _feasible_start(problem: Problem, rng: np.random.Generator) -> np.ndarray:
 
 
 def _initial_points(problem: Problem, config: RunConfig, seed: int) -> list[np.ndarray]:
-    rng = _stream(seed, _STREAM_START)
-    points: list[np.ndarray] = []
-    if config.start == "feasible":
-        points.append(_feasible_start(problem, rng))
-    elif config.start == "uniform":
-        points.append(problem.domain.point(problem.domain.sample_index(rng)))
-    for _ in range(config.n_init_random):
+    """The feasible start, if any, then the uniform lattice draws, all from the start stream.
+
+    ``start="uniform"`` is one more uniform draw than ``"none"``, so
+    ``("uniform", n)`` and ``("none", n + 1)`` give the same points.
+    """
+    rng = np.random.default_rng(_stream_key(seed, _STREAM_START))
+    points = [_feasible_start(problem, rng)] if config.start == "feasible" else []
+    for _ in range(config.n_init_random + (config.start == "uniform")):
         points.append(problem.domain.point(problem.domain.sample_index(rng)))
     return points
 
@@ -305,13 +307,14 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
     """Parse a log file into its header and complete records.
 
     A trailing line without a newline (truncated write) is ignored. The
-    header must carry an int ``budget`` >= 1, an int ``seed`` >= 0 and a
-    ``policy`` object with a string ``name`` (and ``label``, if any), and
-    the records must run ``t = 1, 2, ...`` with no gap or repeat, number at
-    most the header's ``budget``, and hold an ``infeasible`` marker only as
-    the last one. A ``sample`` record holds lists ``theta`` and ``y`` and a list
-    or null ``true``; the marker holds null for all three. Otherwise a
-    ``ValueError`` names the log and the first bad line.
+    header must carry an int ``budget`` >= 1, an int ``seed`` >= 0, a
+    ``policy`` object with a string ``name`` (and ``label``, if any) and, if
+    any, a ``problem`` object with a string ``name``, and the records must
+    run ``t = 1, 2, ...`` with no gap or repeat, number at most the header's
+    ``budget``, and hold an ``infeasible`` marker only as the last one. A
+    ``sample`` record holds lists ``theta`` and ``y`` and a list or null
+    ``true``, each list of finite numbers; the marker holds null for all
+    three. Otherwise a ``ValueError`` names the log and the first bad line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -332,6 +335,10 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
                 and isinstance(policy_label(policy), str)):
             raise ValueError(f"policy must be an object with a string 'name' and, if any, "
                              f"'label', got {policy!r}")
+        if "problem" in header and not (isinstance(header["problem"], dict)
+                                        and isinstance(header["problem"].get("name"), str)):
+            raise ValueError(f"problem must be an object with a string 'name', "
+                             f"got {header['problem']!r}")
         for number, line in enumerate(lines[1:], start=2):
             records.append(_next_record(json.loads(line), records, budget))
     except (KeyError, TypeError, ValueError) as exc:
@@ -361,11 +368,25 @@ def _next_record(raw: dict, records: list[RunRecord], budget: int) -> RunRecord:
         raise ValueError(f"decision {decision!r} is neither 'sample' nor 'infeasible'")
     return RunRecord(
         t=raw["t"],
-        theta=None if theta is None else tuple(theta),
-        y=None if y is None else tuple(y),
-        true_values=None if true is None else tuple(true),
+        theta=_finite_values("theta", theta),
+        y=_finite_values("y", y),
+        true_values=_finite_values("true", true),
         decision=decision,
     )
+
+
+def _finite_values(what: str, values: list | None) -> tuple | None:
+    """``values`` as a tuple, or None; ``ValueError`` unless each is a finite number.
+
+    JSON parses ``NaN``, ``Infinity`` and ``1e999`` to floats that are not finite.
+    """
+    if values is None:
+        return None
+    # Checked in place: a tuple built from a generator of the checked values
+    # raised the peak resident size a little more at every resume.
+    for value in values:
+        finite_real(what, value)
+    return tuple(values)
 
 
 def _finished(records: list[RunRecord], budget: int) -> bool:
@@ -458,14 +479,14 @@ def _advance_replication(
         policy_spec = {**policy_spec, "safe_seed": [[float(v) for v in init_points[0]]]}
 
     state = build_state(problem, policy_spec, config.gp, config.budget)
-    fit_every = config.gp.get("fit_every", 0)
+    fit_every = config.gp.get("fit_every", _GP_DEFAULTS["fit_every"])
     # `random` never reads a model, so its replications make no GP update or refit.
     updates = policy_spec["name"] != "random"
     for t in range(config.budget):
         if t < len(init_points):
             theta = init_points[t]
         else:
-            decision = propose(state, rng_seed=_policy_seed(seed, t + 1))
+            decision = propose(state, rng_seed=_stream_key(seed, _STREAM_POLICY, t + 1))
             theta = None if decision.is_infeasible else decision.point
         if t < len(existing):
             # A logged step must be re-derived exactly; its measurement is reused.
@@ -480,17 +501,14 @@ def _advance_replication(
             fh.write(_dumps(_record_dict(t + 1, None, None, None)) + "\n")
             return
         else:
-            y, true = problem.evaluate_noisy(theta, _stream(seed, _STREAM_NOISE, t + 1))
+            y, true = problem.evaluate_noisy(
+                theta, np.random.default_rng(_stream_key(seed, _STREAM_NOISE, t + 1)))
             record = _record_dict(t + 1, theta, y, true if problem.pure else None)
             fh.write(_dumps(record) + "\n")
             fh.flush()
         if updates and t + 1 < config.budget:  # nothing reads the state after the last record
             observe(state, theta, y)
             _maybe_refit(state, fit_every)
-
-
-def _policy_seed(seed: int, step: int):
-    return [int(seed), _STREAM_POLICY, int(step)]
 
 
 def _maybe_refit(state: AlgorithmState, fit_every: int):
@@ -573,14 +591,21 @@ def _series_for(records: list[RunRecord], metric: str, j_star, sigmas) -> np.nda
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _check_problem(path, logged: dict, expected: dict):
-    """Raise unless a log's problem holds every setting of ``expected``, defaults filled in."""
-    if logged.get("name") == expected["name"]:
-        parameters = inspect.signature(PROBLEM_BUILDERS[logged["name"]]).parameters
-        logged = {**{key: p.default for key, p in parameters.items()}, **logged}
+def _problem_settings(logged: dict) -> dict:
+    """A log's problem settings with its builder's defaults filled in, in their JSON form."""
+    builder = PROBLEM_BUILDERS.get(logged.get("name"))
+    if builder is None:
+        return logged
+    defaults = {key: p.default for key, p in inspect.signature(builder).parameters.items()
+                if p.default is not p.empty}
+    return {"name": logged["name"], **json.loads(_dumps(defaults)), **logged}
+
+
+def _check_problem(path, settings: dict, expected: dict):
+    """Raise unless a log's problem ``settings``, defaults filled in, hold those of ``expected``."""
     for key, value in expected.items():
-        if logged.get(key) != value:
-            raise ValueError(f"log {path} has problem {key}={logged.get(key)!r}; "
+        if settings.get(key) != value:
+            raise ValueError(f"log {path} has problem {key}={settings.get(key)!r}; "
                              f"the reference has {key}={value!r}")
 
 
@@ -602,13 +627,15 @@ def emit_metrics(
     holds the settings (``name`` and any others) that ``j_star`` and
     ``sigmas`` were computed for; a setting a log leaves out counts at its
     default. Each label's replications are averaged in ascending header
-    ``seed`` (ties by path), so the table does not depend on the order of
-    ``log_paths``. A ``ValueError`` names the first log, in the given order,
-    that is unfinished (short of its budget without an infeasibility
-    declaration), differs in budget from the logs before it, or differs from
-    ``problem``.
+    ``seed``, so the table does not depend on the order of ``log_paths``. A
+    ``ValueError`` names the first log, in the given order, that is unfinished
+    (short of its budget without an infeasibility declaration), differs in
+    budget from the logs before it, differs from ``problem``, repeats the
+    label and seed of an earlier log (named too), or differs in any problem
+    setting from the earlier logs of its label (the first of them named).
     """
-    by_label: dict[str, list[tuple[int, str, np.ndarray]]] = {}
+    by_label: dict[str, dict[int, tuple[object, np.ndarray]]] = {}  # seed -> (log, series)
+    first_of_label: dict[str, tuple[object, dict]] = {}  # its first log and problem settings
     budget = None
     for path in log_paths:
         header, records = load_log(path)
@@ -617,23 +644,34 @@ def emit_metrics(
         if header["budget"] != budget:
             raise ValueError(f"log {path} has a budget of {header['budget']}, the logs before "
                              f"it {budget}")
+        settings = _problem_settings(header.get("problem", {}))
         if problem is not None:
-            _check_problem(path, header.get("problem", {}), problem)
+            _check_problem(path, settings, problem)
         if not _finished(records, budget):
             raise ValueError(f"log {path} is unfinished: {len(records)} records of a "
                              f"budget of {budget}")
-        label = policy_label(header["policy"])
+        label, seed = policy_label(header["policy"]), header["seed"]
+        # A label's column averages distinct seeds of one problem.
+        runs = by_label.setdefault(label, {})
+        if seed in runs:
+            raise ValueError(f"log {path} repeats label {label!r} and seed {seed} of "
+                             f"log {runs[seed][0]}")
+        first, first_settings = first_of_label.setdefault(label, (path, settings))
+        for key in {**first_settings, **settings}:
+            if settings.get(key) != first_settings.get(key):
+                raise ValueError(f"log {path} has problem {key}={settings.get(key)!r}; log "
+                                 f"{first} of its label has {key}={first_settings.get(key)!r}")
         series = _series_for(records, metric, j_star, sigmas)
         if series.size == 0:
             raise ValueError(f"log {path} has no sampled records to aggregate")
-        by_label.setdefault(label, []).append((header["seed"], str(path), series))
+        runs[seed] = (path, series)
 
     labels = sorted(by_label)
     table: list[list] = [["step"] + [f"{lab}_{s}" for lab in labels for s in ("mean", "std")]]
     padded = {
         lab: np.stack([
             np.concatenate([s, np.full(budget - s.size, s[-1])])
-            for _, _, s in sorted(runs, key=lambda run: run[:2])
+            for _, (_, s) in sorted(runs.items())  # the seeds are distinct
         ])
         for lab, runs in by_label.items()
     }

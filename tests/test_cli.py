@@ -343,6 +343,18 @@ def test_metrics_missing_inputs_are_one_line(tmp_path, capsys):
     assert captured.err == "cego metrics: the normalized metric needs --problem to load sigmas\n"
 
 
+def test_metrics_out_into_a_missing_directory_is_one_line(tmp_path, capsys):
+    # The open of --out raised FileNotFoundError through to a traceback.
+    logs = run_small(tmp_path, {"name": "artificial"})
+    out = tmp_path / "missing" / "table.csv"
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(logs), "--metric", "best_so_far",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cego metrics: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
 def test_metrics_checks_logs_against_the_reference(tmp_path, capsys):
     # The packaged artificial entry is the optimum for g_thr = -0.6; logs of
     # g_thr = 0.4, or of another problem, were tabulated against it.

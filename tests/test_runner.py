@@ -19,6 +19,7 @@ import cego.runner as runner_mod
 from cego.blackbox import ExternalBlackbox
 from cego.gp import GpModel
 from cego.metrics import best_so_far_series
+from cego.policies import SPEC_KEYS, BetaSchedule
 from cego.problems import (
     artificial_infeasible_problem,
     artificial_problem,
@@ -307,6 +308,10 @@ def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
     '{"kind": "run_header", "budget": 1, "seed": 1.0, "policy": {"name": "random"}}',
     '{"kind": "run_header", "budget": 0, "seed": 1, "policy": {"name": "random"}}',
     '{"kind": "run_header", "budget": "2", "seed": 1, "policy": {"name": "random"}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {"name": "random"}, '
+    '"problem": "artificial"}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {"name": "random"}, '
+    '"problem": {"name": ["artificial"]}}',
 ])
 def test_load_log_names_a_bad_header(tmp_path, header):
     # emit_metrics used to fail on these with a JSON, lookup or attribute
@@ -315,6 +320,25 @@ def test_load_log_names_a_bad_header(tmp_path, header):
     path.write_text(header + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"log {re.escape(str(path))} line 1: "):
         emit_metrics([path], metric="best_so_far")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("true", "Infinity"), ("true", "NaN"), ("y", "-Infinity"), ("theta", "1e999"),
+    ("y", '"0.5"'), ("y", "true"), ("true", "null"),
+])
+def test_load_log_refuses_a_value_that_is_not_a_finite_number(tmp_path, field, value):
+    # JSON parses NaN, Infinity and 1e999 to floats that are not finite: an
+    # infinite true value was dropped from the running minimum, a NaN made
+    # every row of the table nan, and a string was tabulated as it stood.
+    (path,) = run_experiment(small_config(tmp_path, budget=3, seeds=(9,)))
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(records[1])
+    record[field][0] = "@"
+    records[1] = runner_mod._dumps(record).replace('"@"', value)
+    path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"log {re.escape(str(path))} line 3: "
+                                         f"{field} must be a finite number"):
+        load_log(path)
 
 
 def test_infeasible_variant_ends_with_marker(tmp_path):
@@ -393,6 +417,46 @@ def test_feasible_start_fails_on_infeasible_problem(monkeypatch):
     monkeypatch.setattr(runner_mod, "MAX_START_REJECTIONS", 200)
     with pytest.raises(FeasibleStartError):
         feasible_start(problem, 0)
+
+
+def test_uniform_start_is_one_more_uniform_draw(tmp_path):
+    # ("uniform", k) and ("none", k + 1) evaluate the same initial points, so
+    # every record is the same; only the header, which names the start, differs.
+    policies = [{"name": "config"}, {"name": "random"}]
+    uniform = run_experiment(small_config(tmp_path / "uniform", policies=policies, seeds=(3,),
+                                          start="uniform", n_init_random=1))
+    none = run_experiment(small_config(tmp_path / "none", policies=policies, seeds=(3,),
+                                       start="none", n_init_random=2))
+    for a, b in zip(uniform, none, strict=True):
+        header_a, *records_a = a.read_bytes().split(b"\n")
+        header_b, *records_b = b.read_bytes().split(b"\n")
+        assert header_a != header_b
+        assert records_a == records_b
+
+
+# A value for each key that SPEC_KEYS lists, the state attribute it sets,
+# and what that attribute then holds; each differs from the state's default.
+SPEC_KEY_CASES = {
+    "beta": ({"mode": "log_growth", "value": 0.5}, "beta",
+             BetaSchedule(mode="log_growth", value=0.5)),
+    "rho": (0.3, "rho", 0.3),
+    "eta": (0.7, "eta", 0.7),
+    "lipschitz": (2.5, "lipschitz", 2.5),
+    "safe_seed": ([[6.0, 9.0], [-7.5, -6.0]], "safe_indices", None),
+}
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, keys in SPEC_KEYS.items()
+                                       for key in keys])
+def test_each_spec_key_reaches_the_algorithm_state(name, key):
+    problem = problem_from_config({"name": "artificial", "grid": [12, 12]})
+    value, attribute, expected = SPEC_KEY_CASES[key]
+    if key == "safe_seed":
+        expected = sorted(problem.domain.nearest_index(point) for point in value)
+    state = runner_mod.build_state(problem, {"name": name, key: value}, GP, budget=3)
+    default = runner_mod.build_state(problem, {"name": name}, GP, budget=3)
+    assert np.array_equal(getattr(state, attribute), expected)
+    assert not np.array_equal(getattr(default, attribute), expected)
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
@@ -622,10 +686,38 @@ def test_emit_metrics_refuses_logs_of_different_budgets(tmp_path):
     # averaged with the budget-5 run without a word.
     short = run_experiment(small_config(tmp_path / "short", budget=3, seeds=(1,)))
     long = run_experiment(small_config(tmp_path / "long", budget=5, seeds=(2,)))
-    assert emit_metrics(long + long, metric="best_so_far")[-1][0] == 5
+    assert emit_metrics(long, metric="best_so_far")[-1][0] == 5
     with pytest.raises(ValueError, match=re.escape(
             f"log {long[0]} has a budget of 5, the logs before it 3")):
         emit_metrics(short + long, metric="best_so_far")
+
+
+def test_emit_metrics_refuses_a_repeated_label_and_seed(tmp_path):
+    # A stray copy of seed 1's log was averaged as a third replication.
+    seed1, seed2 = run_experiment(small_config(tmp_path, budget=3, seeds=(1, 2)))
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(seed1.read_bytes())
+    with pytest.raises(ValueError, match=re.escape(
+            f"log {copy} repeats label 'random' and seed 1 of log {seed1}")):
+        emit_metrics([seed1, seed2, copy], metric="best_so_far")
+
+
+def test_emit_metrics_refuses_a_label_of_two_problems(tmp_path):
+    # Each log's problem is read with its builder's defaults filled in, so a
+    # log that leaves the grid out and one that spells out its default agree.
+    same = run_experiment(small_config(tmp_path, budget=3, seeds=(1,), start="none",
+                                       problem={"name": "artificial"}))
+    same += run_experiment(small_config(tmp_path, budget=3, seeds=(2,), start="none",
+                                        problem={"name": "artificial", "grid": [100, 100]}))
+    assert len(emit_metrics(same, metric="best_so_far")) == 1 + 3
+    # A log of the infeasible variant was averaged into the same column.
+    other = run_experiment(small_config(tmp_path, budget=3, seeds=(4,), start="none",
+                                        problem={"name": "artificial_infeasible"}))
+    for paths, (log, first) in [(same + other, (other[0], same[0])),
+                                (other + same, (same[0], other[0]))]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"log {log} has problem name=") + ".*" + re.escape(f"; log {first} of its label")):
+            emit_metrics(paths, metric="best_so_far")
 
 
 def test_emit_metrics_regret_needs_reference(tmp_path):
