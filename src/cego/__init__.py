@@ -12,12 +12,8 @@ from .gp import GpModel
 from .hyperfit import fit_hyperparameters
 from .info_gain import max_info_gain
 from .kernels import Kernel
-from .metrics import (
-    RunRecord,
-    best_so_far_series,
-    compute_normalizers,
-    normalized_regret_violation,
-)
+from .logs import RunRecord
+from .metrics import best_so_far_series, compute_normalizers, normalized_regret_violation
 from .policies import (
     POLICIES,
     AlgorithmState,

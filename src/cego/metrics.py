@@ -2,10 +2,10 @@
 
 The central quantity is the constrained regret of a sample sequence: the
 best over sampled steps of positive-part suboptimality plus summed
-positive-part constraint violations. Its normalized cousin divides each
-term by a per-problem scale (standard deviations of the outputs over a
-seeded uniform sample of the lattice) so that outputs of different physical
-magnitudes can be added.
+positive-part constraint violations. Its normalized form divides each term
+by a per-problem scale (standard deviations of the outputs over a seeded
+uniform sample of the lattice) so that outputs of different physical
+magnitudes can be added; with unit scales it is the plain regret.
 
 All metrics prefer the noiseless oracle values stored in a record and fall
 back to the measured values when the problem is not pure.
@@ -13,16 +13,14 @@ back to the measured values when the problem is not pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .logs import RunRecord
 from .problems import Problem
 
 __all__ = [
-    "RunRecord",
-    "regret_contribution",
     "normalized_regret_violation",
     "best_so_far_series",
     "compute_normalizers",
@@ -34,48 +32,30 @@ SIGMA_SEED = 202303
 SIGMA_SAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One step of one run: where we sampled and what we measured."""
-
-    t: int
-    theta: tuple[float, ...] | None
-    y: tuple[float, ...] | None
-    true_values: tuple[float, ...] | None = None
-    decision: str = "sample"
-
-    def outputs(self) -> np.ndarray:
-        """Oracle values when available, else measurements."""
-        values = self.true_values if self.true_values is not None else self.y
-        if values is None:
-            raise ValueError(f"record at t={self.t} carries no output values")
-        return np.asarray(values, dtype=float)
-
-
 def _sampled(records: Sequence[RunRecord]) -> list[RunRecord]:
     return [r for r in records if r.decision == "sample"]
-
-
-def regret_contribution(record: RunRecord, j_star: float) -> float:
-    """Pointwise term ``[J - J*]^+ + sum_i [g_i]^+`` of one record."""
-    values = record.outputs()
-    suboptimality = max(values[0] - j_star, 0.0)
-    violation = float(np.sum(np.maximum(values[1:], 0.0)))
-    return suboptimality + violation
 
 
 def normalized_regret_violation(
     record: RunRecord,
     j_star: float,
-    sigmas: Sequence[float],
+    sigmas: Sequence[float] | None = None,
 ) -> float:
-    """Scale-free quality of one record: ``[J - J*]^+ / sigma_J + sum_i [g_i]^+ / sigma_i``."""
+    """Scale-free quality of one record: ``[J - J*]^+ / sigma_J + sum_i [g_i]^+ / sigma_i``.
+
+    Unit ``sigmas`` (the default) give the plain constrained regret term
+    ``[J - J*]^+ + sum_i [g_i]^+``.
+    """
     values = record.outputs()
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.shape[0] != values.shape[0]:
-        raise ValueError(f"need {values.shape[0]} sigmas, got {sigmas.shape[0]}")
-    if np.any(sigmas <= 0):
-        raise ValueError(f"sigmas must be positive, got {sigmas}")
+    if sigmas is None:
+        sigmas = np.ones(values.shape[0])
+    else:
+        sigmas = np.asarray(sigmas, dtype=float)
+        if sigmas.shape[0] != values.shape[0]:
+            raise ValueError(f"sigmas must be {values.shape[0]} numbers, one per output, "
+                             f"got {sigmas.shape[0]}")
+        if np.any(sigmas <= 0):
+            raise ValueError(f"sigmas must be positive, got {sigmas}")
     total = max(values[0] - j_star, 0.0) / sigmas[0]
     total += float(np.sum(np.maximum(values[1:], 0.0) / sigmas[1:]))
     return float(total)

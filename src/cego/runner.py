@@ -1,4 +1,4 @@
-"""Experiment orchestration: seeded replications, JSONL logs, resume, metrics tables.
+"""Experiment orchestration: seeded replications, resume, metrics tables.
 
 Reproducibility contract: a run configuration determines every byte of its
 logs for a given BLAS thread count. All randomness is drawn from named
@@ -10,43 +10,31 @@ threaded BLAS may split a product's rows among its threads by the product's
 size and round the rows at each thread's edge differently, so a posterior
 mean, and through it a decision, can differ in its last bits between thread
 counts. Run with ``OPENBLAS_NUM_THREADS=1`` (as ``perfbench`` does) for logs
-that compare across machines.
-
-Log layout: one JSONL file per (policy, seed). The first line is a header
-object carrying the full effective configuration; every further line is a
-step record ``{"t", "theta", "y", "true", "decision"}``. A replication holds
-an exclusive ``flock`` on its log from before it reads the log until its last
-write, so a second run on the same output directory stops that replication
-with an error naming the log instead of interleaving records with the first.
+that compare across machines. The log format is ``cego.logs``'s.
 """
 
 from __future__ import annotations
 
 import csv
-import fcntl
 import inspect
 import json
-import os
 import time
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import __version__
 from .domain import finite_real, int_at_least, positive_real
 from .gp import empty_models
 from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
 from .kernels import SQUARED_EXPONENTIAL, Kernel
-from .metrics import (
-    RunRecord,
-    best_so_far_series,
-    normalized_regret_violation,
-    regret_contribution,
-)
+# Module-level bindings: the benchmark's tracer patches the readers here, where they are called.
+from .logs import (RunRecord, _cut_torn_line, _dumps, _finished, _header, _lock_log, _record_dict,
+                   load_log, log_path, policy_label)
+from .metrics import best_so_far_series, normalized_regret_violation
 from .policies import POLICIES, SPEC_KEYS, AlgorithmState, BetaSchedule, observe, propose
 from .problems import PROBLEM_BUILDERS, Problem, problem_from_config
 
@@ -55,12 +43,8 @@ __all__ = [
     "run_experiment",
     "run_replication",
     "emit_metrics",
-    "load_log",
-    "log_path",
     "FeasibleStartError",
 ]
-
-LOG_DIR_ENV = "CEGO_LOG_DIR"
 
 # Stream tags separating the independent RNG streams of one replication.
 _STREAM_START = 101
@@ -178,10 +162,6 @@ def _check_keys(what: str, settings: dict, allowed):
         raise ValueError(f"unknown {what} keys {unknown} in {settings}")
 
 
-def policy_label(spec: dict) -> str:
-    return spec.get("label", spec["name"])
-
-
 def _stream_key(seed: int, tag: int, step: int | None = None) -> list[int]:
     return [int(seed), tag] if step is None else [int(seed), tag, int(step)]
 
@@ -255,155 +235,15 @@ def _initial_points(problem: Problem, config: RunConfig, seed: int) -> list[np.n
     """The feasible start, if any, then the uniform lattice draws, all from the start stream.
 
     ``start="uniform"`` is one more uniform draw than ``"none"``, so
-    ``("uniform", n)`` and ``("none", n + 1)`` give the same points.
+    ``("uniform", n)`` and ``("none", n + 1)`` give the same points. Draws
+    stop at ``budget`` points, the most a replication takes.
     """
     rng = np.random.default_rng(_stream_key(seed, _STREAM_START))
     points = [_feasible_start(problem, rng)] if config.start == "feasible" else []
-    for _ in range(config.n_init_random + (config.start == "uniform")):
+    draws = config.n_init_random + (config.start == "uniform")
+    for _ in range(min(draws, config.budget - len(points))):
         points.append(problem.domain.point(problem.domain.sample_index(rng)))
     return points
-
-
-# -- log I/O -----------------------------------------------------------------------
-
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _record_dict(t: int, theta, y, true) -> dict:
-    """A sampled step's record, or the ``infeasible`` marker when ``theta`` is None."""
-    return {
-        "t": t,
-        "theta": None if theta is None else [float(v) for v in theta],
-        "y": None if y is None else [float(v) for v in y],
-        "true": None if true is None else [float(v) for v in true],
-        "decision": "sample" if theta is not None else "infeasible",
-    }
-
-
-def log_path(config: RunConfig, policy_spec: dict, seed: int) -> Path:
-    out_dir = Path(os.environ.get(LOG_DIR_ENV, config.output_dir))
-    name = f"{config.problem['name']}__{policy_label(policy_spec)}__seed{seed}.jsonl"
-    return out_dir / name
-
-
-def _header(config: RunConfig, policy_spec: dict, seed: int) -> dict:
-    return {
-        "kind": "run_header",
-        "schema": 1,
-        "version": __version__,
-        "problem": config.problem,
-        "policy": policy_spec,
-        "budget": config.budget,
-        "seed": seed,
-        "start": config.start,
-        "n_init_random": config.n_init_random,
-        "gp": config.gp,
-    }
-
-
-def load_log(path) -> tuple[dict, list[RunRecord]]:
-    """Parse a log file into its header and complete records.
-
-    A trailing line without a newline (truncated write) is ignored. The
-    header must carry an int ``budget`` >= 1, an int ``seed`` >= 0, a
-    ``policy`` object with a string ``name`` (and ``label``, if any) and, if
-    any, a ``problem`` object with a string ``name``, and the records must
-    run ``t = 1, 2, ...`` with no gap or repeat, number at most the header's
-    ``budget``, and hold an ``infeasible`` marker only as the last one. A
-    ``sample`` record holds lists ``theta`` and ``y`` and a list or null
-    ``true``, each list of finite numbers; the marker holds null for all
-    three. Otherwise a ``ValueError`` names the log and the first bad line.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    # The last element is "" after a final newline, else an incomplete line.
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise ValueError(f"log {path} has no header line")
-    records: list[RunRecord] = []
-    number = 1
-    try:
-        header = json.loads(lines[0])
-        if not isinstance(header, dict) or header.get("kind") != "run_header":
-            raise ValueError("not a run header")
-        budget = int_at_least("budget", header["budget"], 1)
-        int_at_least("seed", header["seed"], 0)
-        policy = header["policy"]
-        if not (isinstance(policy, dict) and isinstance(policy.get("name"), str)
-                and isinstance(policy_label(policy), str)):
-            raise ValueError(f"policy must be an object with a string 'name' and, if any, "
-                             f"'label', got {policy!r}")
-        if "problem" in header and not (isinstance(header["problem"], dict)
-                                        and isinstance(header["problem"].get("name"), str)):
-            raise ValueError(f"problem must be an object with a string 'name', "
-                             f"got {header['problem']!r}")
-        for number, line in enumerate(lines[1:], start=2):
-            records.append(_next_record(json.loads(line), records, budget))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"log {path} line {number}: {exc}") from exc
-    return header, records
-
-
-def _next_record(raw: dict, records: list[RunRecord], budget: int) -> RunRecord:
-    """The record that ``raw`` holds, if it may follow ``records`` in a log of ``budget`` steps."""
-    due = len(records) + 1
-    if raw["t"] != due:
-        raise ValueError(f"t={raw['t']} where t={due} was due")
-    if due > budget:
-        raise ValueError(f"a record beyond the budget of {budget}")
-    if records and records[-1].decision == "infeasible":
-        raise ValueError("a record after the infeasible marker")
-    theta, y, true, decision = raw["theta"], raw["y"], raw["true"], raw["decision"]
-    if decision == "sample":
-        if not (isinstance(theta, list) and isinstance(y, list)
-                and (true is None or isinstance(true, list))):
-            raise ValueError("a sample record needs lists for theta and y, "
-                             "and a list or null for true")
-    elif decision == "infeasible":
-        if (theta, y, true) != (None, None, None):
-            raise ValueError("an infeasible marker needs null theta, y and true")
-    else:
-        raise ValueError(f"decision {decision!r} is neither 'sample' nor 'infeasible'")
-    return RunRecord(
-        t=raw["t"],
-        theta=_finite_values("theta", theta),
-        y=_finite_values("y", y),
-        true_values=_finite_values("true", true),
-        decision=decision,
-    )
-
-
-def _finite_values(what: str, values: list | None) -> tuple | None:
-    """``values`` as a tuple, or None; ``ValueError`` unless each is a finite number.
-
-    JSON parses ``NaN``, ``Infinity`` and ``1e999`` to floats that are not finite.
-    """
-    if values is None:
-        return None
-    # Checked in place: a tuple built from a generator of the checked values
-    # raised the peak resident size a little more at every resume.
-    for value in values:
-        finite_real(what, value)
-    return tuple(values)
-
-
-def _finished(records: list[RunRecord], budget: int) -> bool:
-    """Whether a log's records end its run: the whole budget, or an infeasibility declaration."""
-    return len(records) >= budget or (bool(records) and records[-1].decision == "infeasible")
-
-
-def _cut_torn_line(path: Path) -> int:
-    """Cut a last line that lacks its newline (a torn write) off the log, in place.
-
-    Returns the log's length after the cut: 0 when it held no complete line.
-    """
-    data = path.read_bytes()
-    size = data.rfind(b"\n") + 1
-    if size < len(data):
-        os.truncate(path, size)
-    return size
 
 
 # -- replication loop ---------------------------------------------------------------
@@ -448,21 +288,6 @@ def run_replication(config: RunConfig, policy_spec: dict, seed: int) -> Path:
         }
         path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
     return path
-
-
-def _lock_log(fh: TextIO, path: Path):
-    """Take the log's exclusive lock for this replication, or raise ``RuntimeError`` naming it.
-
-    One writer per log: two runs appending to one log interleave their
-    records. The lock is ``flock``'s, on the open file, so the kernel drops it
-    when the file is closed or its process dies and no stale lock is left.
-    """
-    try:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        raise RuntimeError(
-            f"log {path} is being written by another run; wait for it or change output_dir"
-        ) from None
 
 
 def _advance_replication(
@@ -575,20 +400,26 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
 # -- metric tables -------------------------------------------------------------------
 
 
-def _series_for(records: list[RunRecord], metric: str, j_star, sigmas) -> np.ndarray:
-    if metric in ("constrained_regret", "normalized") and j_star is None:
+def _record_metric(metric: str, j_star, sigmas) -> Callable[[RunRecord], float]:
+    """The per-record quantity of ``metric``; ``ValueError`` naming a missing or bad setting."""
+    if metric not in ("constrained_regret", "normalized", "best_so_far"):
+        raise ValueError(f"unknown metric {metric!r}")
+    if j_star is not None:
+        j_star = finite_real("j_star", j_star)
+    if sigmas is not None:
+        if not isinstance(sigmas, (list, tuple, np.ndarray)) or len(sigmas) == 0:
+            raise ValueError(f"sigmas must be a list of finite positive numbers, one per "
+                             f"output, got {sigmas!r}")
+        sigmas = np.array([positive_real("each of sigmas", s) for s in sigmas])
+    if metric == "best_so_far":
+        return lambda r: float(r.outputs()[0])
+    if j_star is None:
         raise ValueError(f"{metric} needs a reference optimum j_star")
     if metric == "constrained_regret":
-        return best_so_far_series(records, lambda r: regret_contribution(r, j_star))
-    if metric == "normalized":
-        if sigmas is None:
-            raise ValueError("normalized metric needs per-output sigmas")
-        return best_so_far_series(
-            records, lambda r: normalized_regret_violation(r, j_star, sigmas)
-        )
-    if metric == "best_so_far":
-        return best_so_far_series(records, lambda r: float(r.outputs()[0]))
-    raise ValueError(f"unknown metric {metric!r}")
+        return lambda r: normalized_regret_violation(r, j_star)
+    if sigmas is None:
+        raise ValueError("normalized metric needs per-output sigmas")
+    return lambda r: normalized_regret_violation(r, j_star, sigmas)
 
 
 def _problem_settings(logged: dict) -> dict:
@@ -633,7 +464,10 @@ def emit_metrics(
     budget from the logs before it, differs from ``problem``, repeats the
     label and seed of an earlier log (named too), or differs in any problem
     setting from the earlier logs of its label (the first of them named).
+    ``j_star`` must be a finite number and ``sigmas`` finite positive numbers,
+    both checked before any log is read, one sigma per output of each record.
     """
+    record_metric = _record_metric(metric, j_star, sigmas)
     by_label: dict[str, dict[int, tuple[object, np.ndarray]]] = {}  # seed -> (log, series)
     first_of_label: dict[str, tuple[object, dict]] = {}  # its first log and problem settings
     budget = None
@@ -661,7 +495,7 @@ def emit_metrics(
             if settings.get(key) != first_settings.get(key):
                 raise ValueError(f"log {path} has problem {key}={settings.get(key)!r}; log "
                                  f"{first} of its label has {key}={first_settings.get(key)!r}")
-        series = _series_for(records, metric, j_star, sigmas)
+        series = best_so_far_series(records, record_metric)
         if series.size == 0:
             raise ValueError(f"log {path} has no sampled records to aggregate")
         runs[seed] = (path, series)

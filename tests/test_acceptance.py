@@ -16,12 +16,13 @@ from cego.domain import Domain
 from cego.gp import GpModel
 from cego.info_gain import max_info_gain
 from cego.kernels import Kernel
-from cego.metrics import best_so_far_series, normalized_regret_violation, regret_contribution
+from cego.logs import load_log
+from cego.metrics import best_so_far_series, normalized_regret_violation
 from cego.policies import AlgorithmState, BetaSchedule, observe, propose
 from cego.problems import artificial_problem, williams_otto_problem
 from cego.cstr import CstrPlant, cstr_steady_state
 from cego.references import get_reference
-from cego.runner import RunConfig, load_log, run_experiment
+from cego.runner import RunConfig, run_experiment
 
 ARTIFICIAL_REF = get_reference("artificial")
 WO_REF = get_reference("williams_otto")
@@ -44,7 +45,7 @@ def _final_regrets(paths, j_star):
     finals = []
     for path in paths:
         _, records = load_log(path)
-        series = best_so_far_series(records, lambda r: regret_contribution(r, j_star))
+        series = best_so_far_series(records, lambda r: normalized_regret_violation(r, j_star))
         finals.append(series[-1])
     return np.asarray(finals)
 

@@ -375,3 +375,38 @@ def test_metrics_checks_logs_against_the_reference(tmp_path, capsys):
     # A log that leaves g_thr out ran at the default the reference was computed for.
     default_thr = run_small(tmp_path, {"name": "artificial"}, "default")
     assert main(["metrics", "--logs", str(default_thr), "--problem", "artificial"]) == 0
+
+
+@pytest.mark.parametrize("j_star", ["nan", "inf"])
+def test_metrics_refuses_a_j_star_that_is_not_finite(tmp_path, capsys, j_star):
+    # --j-star nan tabulated nan in every row, and inf 0.0 in every row, with exit 0.
+    logs = run_small(tmp_path, {"name": "artificial"})
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(logs), "--j-star", j_star]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cego metrics: j_star must be a finite number, got {j_star}\n"
+
+
+@pytest.mark.parametrize("metric, key, value, phrase", [
+    ("constrained_regret", "j_star", "x", "j_star must be a finite number, got 'x'"),
+    ("normalized", "sigmas", [1.0, float("nan")],
+     "each of sigmas must be a finite positive number, got nan"),
+    ("normalized", "sigmas", 2.0, "sigmas must be a list of finite positive numbers, one per "
+                                  "output, got 2.0"),
+    ("normalized", "sigmas", [1.0], "sigmas must be 2 numbers, one per output, got 1"),
+], ids=["j_star-string", "sigma-nan", "sigmas-number", "sigmas-count"])
+def test_metrics_refuses_a_bad_reference_entry(tmp_path, capsys, metric, key, value, phrase):
+    # A j_star of "x" failed inside numpy with a traceback; a NaN sigma made
+    # every row of the table nan, with exit 0.
+    logs = run_small(tmp_path, {"name": "artificial"})
+    refs = load_references()
+    refs["artificial"][key] = value
+    path = tmp_path / "refs.json"
+    path.write_text(json.dumps(refs), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(logs), "--problem", "artificial", "--metric", metric,
+                 "--references", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cego metrics: {phrase}\n"

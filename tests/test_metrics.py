@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cego.metrics import (
-    RunRecord,
-    best_so_far_series,
-    compute_normalizers,
-    normalized_regret_violation,
-    regret_contribution,
-)
+from cego.logs import RunRecord
+from cego.metrics import best_so_far_series, compute_normalizers, normalized_regret_violation
 from cego.problems import artificial_problem
 
 
@@ -19,7 +14,7 @@ def record(j, gs, t=1):
 
 def regret_series(records, j_star):
     """The constrained-regret series that ``emit_metrics`` tabulates."""
-    return best_so_far_series(records, lambda r: regret_contribution(r, j_star))
+    return best_so_far_series(records, lambda r: normalized_regret_violation(r, j_star))
 
 
 def test_regret_zero_at_optimum():
@@ -91,9 +86,9 @@ def test_best_so_far_skips_infeasible_markers():
 
 def test_records_prefer_true_values():
     r = RunRecord(t=1, theta=(0.0,), y=(9.0, 9.0), true_values=(1.0, -1.0))
-    assert regret_contribution(r, j_star=1.0) == 0.0
+    assert normalized_regret_violation(r, j_star=1.0) == 0.0
     measured = RunRecord(t=1, theta=(0.0,), y=(9.0, 9.0), true_values=None)
-    assert regret_contribution(measured, j_star=1.0) == pytest.approx(17.0)
+    assert normalized_regret_violation(measured, j_star=1.0) == pytest.approx(17.0)
 
 
 def test_normalizers_deterministic_and_positive():

@@ -15,9 +15,12 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import cego.gp as gp_mod
+import cego.logs as logs_mod
 import cego.runner as runner_mod
 from cego.blackbox import ExternalBlackbox
+from cego.domain import Domain
 from cego.gp import GpModel
+from cego.logs import LOG_DIR_ENV, load_log, log_path
 from cego.metrics import best_so_far_series
 from cego.policies import SPEC_KEYS, BetaSchedule
 from cego.problems import (
@@ -26,12 +29,9 @@ from cego.problems import (
     problem_from_config,
 )
 from cego.runner import (
-    LOG_DIR_ENV,
     FeasibleStartError,
     RunConfig,
     emit_metrics,
-    load_log,
-    log_path,
     run_experiment,
     run_replication,
 )
@@ -124,7 +124,7 @@ def test_resume_rejects_a_tampered_record(tmp_path, step):
     tampered = json.loads(records[step - 1])
     assert tampered["theta"] != [-10.0, -10.0]
     tampered["theta"] = [-10.0, -10.0]
-    records[step - 1] = runner_mod._dumps(tampered)
+    records[step - 1] = logs_mod._dumps(tampered)
     path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
     with pytest.raises(RuntimeError, match=f"resume mismatch at t={step}"):
         run_experiment(config)
@@ -262,8 +262,8 @@ def test_emit_metrics_refuses_an_unfinished_log(tmp_path, kept, tabulated):
     header, *records = path.read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in records[:2]]
     if tabulated:
-        records.append(runner_mod._record_dict(3, None, None, None))
-    path.write_text("\n".join([header, *map(runner_mod._dumps, records)]) + "\n",
+        records.append(logs_mod._record_dict(3, None, None, None))
+    path.write_text("\n".join([header, *map(logs_mod._dumps, records)]) + "\n",
                     encoding="utf-8")
     if tabulated:
         assert len(emit_metrics([path], metric="best_so_far")) == 1 + 6
@@ -276,7 +276,7 @@ def test_emit_metrics_refuses_an_unfinished_log(tmp_path, kept, tabulated):
 @pytest.mark.parametrize("edit, problem", [
     (lambda records: records[1:], "line 2: t=2 where t=1"),
     (lambda records: records + [{**records[-1], "t": 5}], "line 6: a record beyond the budget"),
-    (lambda records: [records[0], runner_mod._record_dict(2, None, None, None), records[2]],
+    (lambda records: [records[0], logs_mod._record_dict(2, None, None, None), records[2]],
      "line 4: a record after the infeasible marker"),
     (lambda records: [records[0], {"t": 2}], "line 3: 'theta'"),
     (lambda records: [records[0], {**records[1], "decision": "foo"}, records[2]],
@@ -292,7 +292,7 @@ def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
     (path,) = run_experiment(config)
     header, *records = path.read_text(encoding="utf-8").splitlines()
     records = edit([json.loads(line) for line in records])
-    path.write_text("\n".join([header, *map(runner_mod._dumps, records)]) + "\n",
+    path.write_text("\n".join([header, *map(logs_mod._dumps, records)]) + "\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match=f"log {re.escape(str(path))} {problem}"):
         load_log(path)
@@ -334,7 +334,7 @@ def test_load_log_refuses_a_value_that_is_not_a_finite_number(tmp_path, field, v
     header, *records = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(records[1])
     record[field][0] = "@"
-    records[1] = runner_mod._dumps(record).replace('"@"', value)
+    records[1] = logs_mod._dumps(record).replace('"@"', value)
     path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"log {re.escape(str(path))} line 3: "
                                          f"{field} must be a finite number"):
@@ -432,6 +432,23 @@ def test_uniform_start_is_one_more_uniform_draw(tmp_path):
         header_b, *records_b = b.read_bytes().split(b"\n")
         assert header_a != header_b
         assert records_a == records_b
+
+
+@pytest.mark.parametrize("start", ["none", "uniform"])
+def test_initial_draws_stop_at_the_budget(tmp_path, monkeypatch, start):
+    # Every one of n_init_random points was drawn, though a replication takes
+    # at most its budget: n_init_random = 10**6 at budget 2 took seconds. The
+    # first draws come from the same stream, so the records keep their bytes.
+    (capped,) = run_experiment(small_config(tmp_path / "capped", budget=3, start=start,
+                                            n_init_random=3 - (start == "uniform")))
+    draws = []
+    sample_index = Domain.sample_index
+    monkeypatch.setattr(Domain, "sample_index",
+                        lambda self, rng: draws.append(1) or sample_index(self, rng))
+    (path,) = run_experiment(small_config(tmp_path / "many", budget=3, start=start,
+                                          n_init_random=1000))
+    assert len(draws) == 3
+    assert path.read_bytes().split(b"\n")[1:] == capped.read_bytes().split(b"\n")[1:]
 
 
 # A value for each key that SPEC_KEYS lists, the state attribute it sets,
@@ -646,6 +663,22 @@ def test_emit_metrics_needs_a_reference_optimum(tmp_path, metric):
     (path,) = run_experiment(small_config(tmp_path, budget=2))
     with pytest.raises(ValueError, match=f"{metric} needs a reference optimum j_star"):
         emit_metrics([path], metric=metric, sigmas=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("settings, phrase", [
+    ({"metric": "regret"}, "unknown metric 'regret'"),
+    ({"metric": "normalized", "sigmas": [1.0, 1.0]}, "normalized needs a reference optimum"),
+    ({"metric": "normalized", "j_star": 0.0}, "normalized metric needs per-output sigmas"),
+    ({"j_star": float("nan")}, "j_star must be a finite number, got nan"),
+    ({"j_star": True}, "j_star must be a finite number, got True"),
+    ({"j_star": 0.0, "sigmas": []}, "sigmas must be a list of finite positive numbers"),
+    ({"j_star": 0.0, "sigmas": [1.0, -1.0]}, "each of sigmas must be a finite positive number"),
+], ids=["metric", "normalized-j_star", "normalized-sigmas", "j_star-nan", "j_star-bool",
+        "sigmas-empty", "sigma-negative"])
+def test_emit_metrics_checks_its_settings_before_any_log(tmp_path, settings, phrase):
+    # The log does not exist: each setting is refused before a log is read.
+    with pytest.raises(ValueError, match=phrase):
+        emit_metrics([tmp_path / "missing.jsonl"], **settings)
 
 
 def write_constant_logs(directory, values_by_seed):
