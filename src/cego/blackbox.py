@@ -39,10 +39,10 @@ class ExternalBlackbox:
 
     Single-in-flight: callers must not issue concurrent evaluations against
     the same instance. Calling the instance on an ``(n, d)`` array of points
-    is the problem oracle: one round trip per row, in order. The first
-    evaluation starts the child and ``close`` stops it. A child that has
-    exited is not replaced: the next evaluation raises ``BlackboxError``
-    naming its exit code.
+    is the problem oracle and the one way to evaluate: one round trip per
+    row, in order. The first evaluation starts the child and ``close`` stops
+    it. A child that has exited is not replaced: the next evaluation raises
+    ``BlackboxError`` naming its exit code.
     """
 
     def __init__(self, command: list[str], n_constraints: int, timeout: float = 30.0):
@@ -66,11 +66,16 @@ class ExternalBlackbox:
         self._poll.register(self._proc.stdout, select.POLLIN)
         self._pending = b""
 
-    def evaluate(self, theta) -> np.ndarray:
-        """One request/response round trip; returns ``[objective, g_1 .. g_N]``."""
+    def __call__(self, thetas) -> np.ndarray:
+        """Rows ``[objective, g_1 .. g_N]``, one round trip per row of ``thetas``, in order."""
+        rows = [self._evaluate(theta) for theta in thetas]
+        return np.array(rows).reshape(-1, 1 + self.n_constraints)  # (0, 1 + N) for no rows
+
+    def _evaluate(self, theta) -> np.ndarray:
+        """One request/response round trip for one point; returns ``[objective, g_1 .. g_N]``."""
         self._ensure_started()
         assert self._proc is not None and self._proc.stdin is not None
-        request = json.dumps({"theta": [float(v) for v in np.atleast_1d(theta)]})
+        request = json.dumps({"theta": [float(v) for v in theta]})
         try:
             self._proc.stdin.write(request.encode() + b"\n")
             self._proc.stdin.flush()
@@ -104,11 +109,6 @@ class ExternalBlackbox:
             self._pending += chunk
         line, self._pending = self._pending.split(b"\n", 1)
         return line
-
-    def __call__(self, thetas) -> np.ndarray:
-        """Rows ``[objective, g_1 .. g_N]``, one round trip per row of ``thetas``, in order."""
-        rows = [self.evaluate(theta) for theta in thetas]
-        return np.array(rows).reshape(-1, 1 + self.n_constraints)  # (0, 1 + N) for no rows
 
     def _parse_response(self, line: bytes) -> np.ndarray:
         try:

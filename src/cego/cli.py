@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .problems import PROBLEM_BUILDERS
 from .references import DEFAULT_ORACLE_GRIDS, get_reference, reference_problem, write_reference
-from .runner import RunConfig, emit_metrics, run_experiment
+from .runner import METRICS, RunConfig, emit_metrics, run_experiment
 
 
 def _cmd_run(args) -> int:
@@ -95,11 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="aggregate logs into a CSV metric table")
     p_metrics.add_argument("--logs", required=True, help="directory of .jsonl logs")
-    p_metrics.add_argument(
-        "--metric",
-        default="constrained_regret",
-        choices=["constrained_regret", "normalized", "best_so_far"],
-    )
+    p_metrics.add_argument("--metric", default="constrained_regret", choices=METRICS)
     p_metrics.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p_metrics.add_argument("--problem", default=None, help="reference entry to load")
     p_metrics.add_argument("--j-star", dest="j_star", type=float, default=None)

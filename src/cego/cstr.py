@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CstrPlant", "CstrState", "WILLIAMS_OTTO_PLANT", "ConvergenceError",
-           "cstr_steady_state", "williams_otto_profit"]
+__all__ = ["CstrPlant", "WILLIAMS_OTTO_PLANT", "ConvergenceError", "cstr_steady_state"]
 
 class ConvergenceError(RuntimeError):
     """Steady-state iteration hit a singular Jacobian or failed to reach the tolerance."""
@@ -74,40 +73,6 @@ class CstrPlant:
 
 
 WILLIAMS_OTTO_PLANT = CstrPlant()
-
-
-@dataclass(frozen=True)
-class CstrState:
-    """Converged reactor state: outlet mass fractions plus operating inputs."""
-
-    mass_fractions: tuple[float, ...]  # A, B, C, E, P, G
-    feed_a: float
-    feed_b: float
-    temperature: float
-
-    @property
-    def x_a(self) -> float:
-        return self.mass_fractions[0]
-
-    @property
-    def x_b(self) -> float:
-        return self.mass_fractions[1]
-
-    @property
-    def x_c(self) -> float:
-        return self.mass_fractions[2]
-
-    @property
-    def x_e(self) -> float:
-        return self.mass_fractions[3]
-
-    @property
-    def x_p(self) -> float:
-        return self.mass_fractions[4]
-
-    @property
-    def x_g(self) -> float:
-        return self.mass_fractions[5]
 
 
 def _residual(x, feed_a: float, feed_b: float, k, holdup: float) -> list[float]:
@@ -155,8 +120,8 @@ MAX_ITERATIONS = 200
 
 def cstr_steady_state(
     feed_b: float, temperature: float, plant: CstrPlant = WILLIAMS_OTTO_PLANT
-) -> CstrState:
-    """Solve the reactor steady state at inputs ``(F_B, T_r)``.
+) -> tuple[float, ...]:
+    """The steady-state outlet mass fractions ``(XA, XB, XC, XE, XP, XG)`` at ``(F_B, T_r)``.
 
     Raises ``ValueError`` outside the admissible input box and
     :class:`ConvergenceError` if a Jacobian is singular or the residual fails
@@ -203,21 +168,4 @@ def cstr_steady_state(
         raise ConvergenceError(
             f"steady state has negative mass fraction at (F_B={feed_b}, T_r={temperature}): {x}"
         )
-    return CstrState(
-        mass_fractions=tuple(x),
-        feed_a=feed_a,
-        feed_b=feed_b,
-        temperature=temperature,
-    )
-
-
-def williams_otto_profit(state: CstrState) -> float:
-    """Operating profit of a converged state of the classical plant (positive is good)."""
-    plant = WILLIAMS_OTTO_PLANT
-    f = state.feed_a + state.feed_b
-    return (
-        plant.profit_p * state.x_p * f
-        + plant.profit_e * state.x_e * f
-        - plant.cost_feed_a * state.feed_a
-        - plant.cost_feed_b * state.feed_b
-    )
+    return tuple(x)

@@ -44,7 +44,10 @@ def normalized_regret_violation(
     """Scale-free quality of one record: ``[J - J*]^+ / sigma_J + sum_i [g_i]^+ / sigma_i``.
 
     Unit ``sigmas`` (the default) give the plain constrained regret term
-    ``[J - J*]^+ + sum_i [g_i]^+``.
+    ``[J - J*]^+ + sum_i [g_i]^+``. Given ``sigmas`` must be finite and
+    positive, which the caller checks once (``emit_metrics`` does, before it
+    reads a log); only their count, one per output of the record, is checked
+    here.
     """
     values = record.outputs()
     if sigmas is None:
@@ -54,8 +57,6 @@ def normalized_regret_violation(
         if sigmas.shape[0] != values.shape[0]:
             raise ValueError(f"sigmas must be {values.shape[0]} numbers, one per output, "
                              f"got {sigmas.shape[0]}")
-        if np.any(sigmas <= 0):
-            raise ValueError(f"sigmas must be positive, got {sigmas}")
     total = max(values[0] - j_star, 0.0) / sigmas[0]
     total += float(np.sum(np.maximum(values[1:], 0.0) / sigmas[1:]))
     return float(total)

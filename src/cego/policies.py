@@ -9,8 +9,8 @@ extremizer of a per-point score with ties broken by the smallest linear grid
 index, the first one ``np.argmin`` and ``np.argmax`` return; they differ in
 how constraint information enters the score. ``config``, ``epbo`` and
 ``primal_dual`` share one scorer, which minimizes the objective LCB plus the
-policy's constraint term and declares infeasibility when that minimum is not
-finite:
+policy's constraint term; only ``config`` declares infeasibility, when that
+minimum is ``+inf``:
 
 ``config``
     Optimism for both objective and constraints: minimize the objective LCB
@@ -243,15 +243,25 @@ class AlgorithmState:
 def _lcb_step(state: AlgorithmState, ev: GridEvaluation) -> int | None:
     """Minimize LCB(objective) plus the policy's term from :data:`_CONSTRAINT_TERMS`.
 
-    ``None`` (infeasible) when that minimum is not finite. Only ``config``'s
-    term, ``+inf`` off the joint LCB-feasible set, can make it so: when no
-    lattice point has every constraint LCB <= 0.
+    ``None`` (infeasible) only for ``config`` with a ``+inf`` minimum: its
+    term is ``+inf`` off the joint LCB-feasible set, so no lattice point has
+    every constraint LCB <= 0. Any other minimum that is not finite (an
+    ``epbo`` penalty or ``primal_dual`` duals that overflowed) raises
+    ``FloatingPointError`` naming the policy and its weight.
     """
     lcb = ev.lcb
     score = _CONSTRAINT_TERMS[state.policy](state, lcb[1:])
     score += lcb[0]  # in place: one lattice-sized array fewer at the step's peak
     index = int(np.argmin(score))
-    return index if np.isfinite(score[index]) else None
+    best = score[index]
+    if np.isfinite(best):
+        return index
+    if state.policy == "config" and best == np.inf:
+        return None
+    knob = _CONSTRAINT_KNOBS.get(state.policy)
+    weight = f" with {knob}={getattr(state, knob)!r}" if knob else ""
+    raise FloatingPointError(f"{state.policy}{weight} scored a lattice minimum of {best}, "
+                             "not a finite number")
 
 
 # The term each LCB-style policy adds to the objective LCB, per lattice
@@ -261,6 +271,8 @@ _CONSTRAINT_TERMS = {
     "epbo": lambda state, g: state.rho * np.sum(np.maximum(g, 0.0), axis=0),
     "primal_dual": lambda state, g: state.duals @ g,
 }
+# The setting that weighs each penalty term, named when a score overflows.
+_CONSTRAINT_KNOBS = {"epbo": "rho", "primal_dual": "eta"}
 
 
 def _constraint_probability(means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cstr import WILLIAMS_OTTO_PLANT, cstr_steady_state, williams_otto_profit
+from .cstr import WILLIAMS_OTTO_PLANT, cstr_steady_state
 from .domain import Domain, as_point, finite_real
 
 __all__ = [
@@ -161,13 +161,20 @@ X_G_LIMIT = 0.08
 def williams_otto_values(thetas: np.ndarray) -> np.ndarray:
     """Negative profit and residual-fraction constraints, one steady-state solve per row.
 
-    Each row of ``thetas`` is an operating point ``(F_B, T_r)``.
+    Each row of ``thetas`` is an operating point ``(F_B, T_r)``; the profit is
+    ``c_P*XP*F + c_E*XE*F - c_A*F_A - c_B*F_B`` with the classical plant's
+    coefficients, on Python floats.
     """
+    plant = WILLIAMS_OTTO_PLANT
+    feed_a = plant.feed_a
     rows = []
     for feed_b, temperature in thetas:
-        state = cstr_steady_state(feed_b, temperature)
-        profit = williams_otto_profit(state)
-        rows.append((-profit, state.x_a - X_A_LIMIT, state.x_g - X_G_LIMIT))
+        x_a, _, _, x_e, x_p, x_g = cstr_steady_state(feed_b, temperature)
+        feed_b = float(feed_b)
+        f = feed_a + feed_b
+        profit = (plant.profit_p * x_p * f + plant.profit_e * x_e * f
+                  - plant.cost_feed_a * feed_a - plant.cost_feed_b * feed_b)
+        rows.append((-profit, x_a - X_A_LIMIT, x_g - X_G_LIMIT))
     return np.array(rows, dtype=float).reshape(-1, 3)  # (0, 3) for no rows
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "run_experiment",
     "run_replication",
     "emit_metrics",
+    "METRICS",
     "FeasibleStartError",
 ]
 
@@ -399,10 +400,14 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
 
 # -- metric tables -------------------------------------------------------------------
 
+# The per-record quantities a metric table can aggregate, for `emit_metrics`
+# and `cego metrics --metric`.
+METRICS = ("constrained_regret", "normalized", "best_so_far")
+
 
 def _record_metric(metric: str, j_star, sigmas) -> Callable[[RunRecord], float]:
     """The per-record quantity of ``metric``; ``ValueError`` naming a missing or bad setting."""
-    if metric not in ("constrained_regret", "normalized", "best_so_far"):
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if j_star is not None:
         j_star = finite_real("j_star", j_star)

@@ -7,9 +7,24 @@ import pytest
 from cego.domain import Domain
 from cego.gp import GpModel
 from cego.kernels import Kernel
+from cego.runner import RunConfig
 
 hypothesis.settings.register_profile("ci", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("ci")
+
+GP = {"lengthscale_factor": 0.05, "output_scale": 0.5, "noise_variance": 1e-4}
+
+
+def small_config(tmp_path, policies=None, budget=5, seeds=(1,), problem=None, gp=None, **kwargs):
+    """A run of ``random`` on a 12x12 artificial lattice, budget 5, seed 1, unless overridden."""
+    return RunConfig(
+        problem=problem or {"name": "artificial", "g_thr": -0.6, "grid": [12, 12], "noise_std": 0.01},
+        policies=policies or [{"name": "random"}],
+        budget=budget,
+        seeds=seeds,
+        gp=gp or GP,
+        **{"output_dir": str(tmp_path), **kwargs},
+    )
 
 
 @pytest.fixture

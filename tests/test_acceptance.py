@@ -161,18 +161,18 @@ def test_criterion_5_williams_otto_suite(tmp_path):
     worst_gap = 0.0
     for fb in np.linspace(4.0, 7.0, 50):
         for tr in np.linspace(70.0, 100.0, 50):
-            state = cstr_steady_state(fb, tr)
-            worst_gap = max(worst_gap, abs(sum(state.mass_fractions) - 1.0))
+            fractions = cstr_steady_state(fb, tr)
+            worst_gap = max(worst_gap, abs(sum(fractions) - 1.0))
     conservation_ok = worst_gap <= 1e-8
 
     # (b) no-reaction limit returns the feed composition exactly
     plant = CstrPlant(arrhenius_a=(0.0, 0.0, 0.0))
-    state = cstr_steady_state(5.0, 85.0, plant=plant)
+    x_a, x_b, x_c, x_e, x_p, x_g = cstr_steady_state(5.0, 85.0, plant=plant)
     f = plant.feed_a + 5.0
     no_reaction_ok = (
-        state.x_a == plant.feed_a / f
-        and state.x_b == 5.0 / f
-        and state.x_c == state.x_e == state.x_p == state.x_g == 0.0
+        x_a == plant.feed_a / f
+        and x_b == 5.0 / f
+        and x_c == x_e == x_p == x_g == 0.0
     )
 
     # (c) CONFIG beats Random on best normalized regret+violation, paired per seed

@@ -66,11 +66,16 @@ HELPER_STUB = [
 ]
 
 
+def evaluate_one(box, theta):
+    """The box's row for one point, through its batch call on a ``(1, d)`` array."""
+    return box(np.array([theta], dtype=float))[0]
+
+
 def test_echo_round_trip():
     with closing(ExternalBlackbox(ECHO_STUB, n_constraints=1)) as box:
-        values = box.evaluate([0.25, -1.5])
+        values = evaluate_one(box, [0.25, -1.5])
         np.testing.assert_allclose(values, [0.25, -1.5])
-        values = box.evaluate([2.0, 0.5])
+        values = evaluate_one(box, [2.0, 0.5])
         np.testing.assert_allclose(values, [2.0, 0.5])
         # Called on a batch, the box answers the rows in order.
         rows = [[2.0, 0.5], [0.25, -1.5], [-3.0, 4.0]]
@@ -80,19 +85,19 @@ def test_echo_round_trip():
 def test_malformed_response_raises_protocol_error():
     with closing(ExternalBlackbox(GARBAGE_STUB, n_constraints=1)) as box:
         with pytest.raises(BlackboxProtocolError):
-            box.evaluate([0.0, 0.0])
+            evaluate_one(box, [0.0, 0.0])
 
 
 def test_wrong_constraint_count_raises_protocol_error():
     with closing(ExternalBlackbox(ECHO_STUB, n_constraints=2)) as box:
         with pytest.raises(BlackboxProtocolError):
-            box.evaluate([0.0, 0.0])
+            evaluate_one(box, [0.0, 0.0])
 
 
 def test_timeout_raises():
     with closing(ExternalBlackbox(SLEEPY_STUB, n_constraints=0, timeout=0.5)) as box:
         with pytest.raises(BlackboxTimeout):
-            box.evaluate([1.0])
+            evaluate_one(box, [1.0])
 
 
 def test_non_utf8_response_raises_protocol_error():
@@ -101,7 +106,7 @@ def test_non_utf8_response_raises_protocol_error():
             "    sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()\n"]
     with closing(ExternalBlackbox(stub, n_constraints=0)) as box:
         with pytest.raises(BlackboxProtocolError, match="malformed response line"):
-            box.evaluate([0.0])
+            evaluate_one(box, [0.0])
 
 
 def test_timeout_not_delayed_by_helper_holding_stdout(tmp_path):
@@ -112,11 +117,11 @@ def test_timeout_not_delayed_by_helper_holding_stdout(tmp_path):
     threads = threading.active_count()
     box = ExternalBlackbox([*HELPER_STUB, str(pid_file)], n_constraints=0, timeout=1.0)
     try:
-        np.testing.assert_allclose(box.evaluate([1.0]), [1.0])
+        np.testing.assert_allclose(evaluate_one(box, [1.0]), [1.0])
         proc = box._proc
         started = time.monotonic()
         with pytest.raises(BlackboxTimeout):
-            box.evaluate([2.0])
+            evaluate_one(box, [2.0])
         assert time.monotonic() - started < box.timeout + 0.5
         assert proc.stdout.closed
         assert threading.active_count() == threads
@@ -132,7 +137,7 @@ def test_timeout_not_delayed_by_helper_holding_stdout(tmp_path):
 def test_child_exit_raises():
     with closing(ExternalBlackbox(EXITING_STUB, n_constraints=0, timeout=5.0)) as box:
         with pytest.raises(BlackboxError, match="code 3"):
-            box.evaluate([1.0])
+            evaluate_one(box, [1.0])
 
 
 @pytest.mark.parametrize("stub, error", [(ECHO_STUB, None), (SLEEPY_STUB, BlackboxTimeout),
@@ -142,7 +147,7 @@ def test_child_pipes_closed(stub, error, started_children):
     # Each child's pipes are closed once it is reaped, not left to the garbage collector.
     with closing(ExternalBlackbox(stub, n_constraints=1, timeout=0.5)) as box:
         with nullcontext() if error is None else pytest.raises(error):
-            box.evaluate([1.0, 2.0])
+            evaluate_one(box, [1.0, 2.0])
     (proc,) = started_children
     assert proc.poll() is not None
     assert proc.stdin.closed and proc.stdout.closed
@@ -150,7 +155,7 @@ def test_child_pipes_closed(stub, error, started_children):
 
 def test_close_is_idempotent():
     box = ExternalBlackbox(ECHO_STUB, n_constraints=1)
-    box.evaluate([1.0, 2.0])
+    evaluate_one(box, [1.0, 2.0])
     box.close()
     box.close()
 

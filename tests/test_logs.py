@@ -1,10 +1,17 @@
+import fcntl
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cego.logs import LOG_DIR_ENV, log_path
-from cego.runner import RunConfig
+from cego.runner import RunConfig, run_experiment
+
+from conftest import small_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -30,3 +37,96 @@ def test_manifest_lists_exactly_the_logs_of_its_config(config_path, monkeypatch)
     assert len(set(names)) == len(names)
     logs = {log_path(config, spec, seed).name for spec in config.policies for seed in config.seeds}
     assert set(names) == logs | TABLES.get(config_path.stem, set())
+
+
+def test_record_schema(tmp_path):
+    config = small_config(tmp_path, budget=2, seeds=(2,))
+    (path,) = run_experiment(config)
+    lines = path.read_text().strip().split("\n")
+    header = json.loads(lines[0])
+    assert header["kind"] == "run_header"
+    for i, line in enumerate(lines[1:], start=1):
+        rec = json.loads(line)
+        assert set(rec) == {"t", "theta", "y", "true", "decision"}
+        assert rec["t"] == i
+        assert rec["decision"] == "sample"
+        assert len(rec["theta"]) == 2
+        assert len(rec["y"]) == 2
+        assert len(rec["true"]) == 2
+
+
+def test_locked_log_fails_only_its_replication_and_is_left_as_it_was(tmp_path):
+    clean = {p.name: p.read_bytes()
+             for p in run_experiment(small_config(tmp_path / "clean", budget=4, seeds=(1, 2)))}
+    config = small_config(tmp_path / "run", budget=4, seeds=(1, 2))
+    locked, other = (log_path(config, config.policies[0], seed) for seed in (1, 2))
+    locked.parent.mkdir()
+    torn = clean[locked.name][:-5]  # the last record lacks its end
+    locked.write_bytes(torn)
+    with open(locked, "rb") as holder:
+        # Another writer's lock: flock locks of two opens conflict even in one process.
+        fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
+        named = f"policy=random seed=1: log {re.escape(str(locked))} is being written by another run"
+        with pytest.raises(RuntimeError, match=rf"^1 replication\(s\) failed: {named}"):
+            run_experiment(config)
+        assert locked.read_bytes() == torn  # not even the torn line was cut
+        assert not locked.with_suffix(".meta.json").exists()
+        assert other.read_bytes() == clean[other.name]
+    # The holder closed its file, which dropped the lock: the rerun resumes.
+    run_experiment(config)
+    assert locked.read_bytes() == clean[locked.name]
+
+
+# One writer process: it waits for a line on stdin, then runs the config named
+# by its argument with every measurement slowed down, so that two such
+# writers started together are inside the same replication at the same time.
+SLOW_WRITER = """
+import sys, time
+from cego.problems import Problem
+from cego.runner import RunConfig, run_experiment
+measure = Problem.evaluate_noisy
+def slow(self, *args):
+    time.sleep(0.02)
+    return measure(self, *args)
+Problem.evaluate_noisy = slow
+print("ready", flush=True)
+sys.stdin.readline()
+try:
+    run_experiment(RunConfig.from_json(sys.argv[1]))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_two_writers_on_one_output_dir_leave_single_run_logs(tmp_path, monkeypatch):
+    # Two runs of one config into one output_dir. Each log is written by one
+    # of them; the other stops that replication with the named error and
+    # changes nothing, so every log holds a single run's bytes. Without the
+    # lock both appended to the same logs and reported success.
+    monkeypatch.delenv(LOG_DIR_ENV, raising=False)
+    settings = {"problem": {"name": "artificial", "grid": [12, 12]},
+                "policies": [{"name": "random"}], "budget": 6, "seeds": [1, 2, 3], "start": "none"}
+    clean = {p.name: p.read_bytes()
+             for p in run_experiment(RunConfig(**settings, output_dir=str(tmp_path / "clean")))}
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({**settings, "output_dir": str(tmp_path / "shared")}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    writers = [subprocess.Popen([sys.executable, "-c", SLOW_WRITER, str(path)], env=env, text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE) for _ in range(2)]
+    try:
+        for writer in writers:
+            assert writer.stdout.readline() == "ready\n"
+        for writer in writers:
+            writer.stdin.write("go\n")
+            writer.stdin.flush()
+        outputs = [writer.communicate(timeout=60)[0] for writer in writers]
+    finally:
+        for writer in writers:
+            writer.kill()
+            writer.wait()
+    for output in outputs:
+        # Nothing, or "N replication(s) failed: ..." with each of the N a locked log.
+        failed = int(output.split()[0]) if output else 0
+        assert output.count("is being written by another run") == failed, output
+    assert {p.name: p.read_bytes() for p in (tmp_path / "shared").glob("*.jsonl")} == clean

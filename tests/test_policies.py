@@ -1,3 +1,4 @@
+import re
 import types
 
 import numpy as np
@@ -643,6 +644,23 @@ def test_penalty_scores_pick_the_first_tied_minimum(monkeypatch, policy, lcb, kn
     if duals is not None:
         state.duals = np.array(duals)
     assert propose(state).index == expected
+
+
+@pytest.mark.parametrize("policy, lcb, knobs, duals, phrase", [
+    # 1e308 * 2.0 overflows every penalty: the minimum is +inf, yet no proof of infeasibility.
+    ("epbo", [[0.0, 1.0], [2.0, 2.0]], {"rho": 1e308}, None, "epbo with rho=1e+308"),
+    ("primal_dual", [[0.0, 1.0], [-1.0, 2.0]], {}, [np.inf], "primal_dual with eta=1.0"),
+    ("config", [[-np.inf, 1.0], [-1.0, -1.0]], {}, None, "config"),
+], ids=["epbo-overflow", "primal_dual-overflow", "config-minus-inf"])
+def test_only_configs_plus_inf_minimum_declares_infeasibility(monkeypatch, policy, lcb, knobs,
+                                                              duals, phrase):
+    state = state_on_bounds(monkeypatch, policy, lcb, **knobs)
+    if duals is not None:
+        state.duals = np.array(duals)
+    with pytest.raises(FloatingPointError, match=rf"^{re.escape(phrase)} scored a lattice minimum of "
+                                                 r"-?inf, not a finite number$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        propose(state)
 
 
 # -- shared machinery ---------------------------------------------------------------

@@ -1,10 +1,8 @@
-import fcntl
 import importlib.util
 import json
 import multiprocessing
 import os
 import re
-import subprocess
 import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -36,22 +34,11 @@ from cego.runner import (
     run_replication,
 )
 
+from conftest import GP, small_config
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
-
-GP = {"lengthscale_factor": 0.05, "output_scale": 0.5, "noise_variance": 1e-4}
-
-
-def small_config(tmp_path, policies=None, budget=5, seeds=(1,), problem=None, gp=None, **kwargs):
-    return RunConfig(
-        problem=problem or {"name": "artificial", "g_thr": -0.6, "grid": [12, 12], "noise_std": 0.01},
-        policies=policies or [{"name": "random"}],
-        budget=budget,
-        seeds=seeds,
-        gp=gp or GP,
-        **{"output_dir": str(tmp_path), **kwargs},
-    )
 
 
 def test_budget_one_random_yields_one_record(tmp_path):
@@ -173,83 +160,6 @@ def test_log_of_two_writers_is_named_on_resume_and_in_metrics(tmp_path):
         run_experiment(config)
     with pytest.raises(ValueError, match=named):
         emit_metrics([path], metric="best_so_far")
-
-
-def test_locked_log_fails_only_its_replication_and_is_left_as_it_was(tmp_path):
-    clean = {p.name: p.read_bytes()
-             for p in run_experiment(small_config(tmp_path / "clean", budget=4, seeds=(1, 2)))}
-    config = small_config(tmp_path / "run", budget=4, seeds=(1, 2))
-    locked, other = (log_path(config, config.policies[0], seed) for seed in (1, 2))
-    locked.parent.mkdir()
-    torn = clean[locked.name][:-5]  # the last record lacks its end
-    locked.write_bytes(torn)
-    with open(locked, "rb") as holder:
-        # Another writer's lock: flock locks of two opens conflict even in one process.
-        fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
-        named = f"policy=random seed=1: log {re.escape(str(locked))} is being written by another run"
-        with pytest.raises(RuntimeError, match=rf"^1 replication\(s\) failed: {named}"):
-            run_experiment(config)
-        assert locked.read_bytes() == torn  # not even the torn line was cut
-        assert not locked.with_suffix(".meta.json").exists()
-        assert other.read_bytes() == clean[other.name]
-    # The holder closed its file, which dropped the lock: the rerun resumes.
-    run_experiment(config)
-    assert locked.read_bytes() == clean[locked.name]
-
-
-# One writer process: it waits for a line on stdin, then runs the config named
-# by its argument with every measurement slowed down, so that two such
-# writers started together are inside the same replication at the same time.
-SLOW_WRITER = """
-import sys, time
-from cego.problems import Problem
-from cego.runner import RunConfig, run_experiment
-measure = Problem.evaluate_noisy
-def slow(self, *args):
-    time.sleep(0.02)
-    return measure(self, *args)
-Problem.evaluate_noisy = slow
-print("ready", flush=True)
-sys.stdin.readline()
-try:
-    run_experiment(RunConfig.from_json(sys.argv[1]))
-except RuntimeError as exc:
-    print(exc)
-"""
-
-
-def test_two_writers_on_one_output_dir_leave_single_run_logs(tmp_path, monkeypatch):
-    # Two runs of one config into one output_dir. Each log is written by one
-    # of them; the other stops that replication with the named error and
-    # changes nothing, so every log holds a single run's bytes. Without the
-    # lock both appended to the same logs and reported success.
-    monkeypatch.delenv(LOG_DIR_ENV, raising=False)
-    settings = {"problem": {"name": "artificial", "grid": [12, 12]},
-                "policies": [{"name": "random"}], "budget": 6, "seeds": [1, 2, 3], "start": "none"}
-    clean = {p.name: p.read_bytes()
-             for p in run_experiment(RunConfig(**settings, output_dir=str(tmp_path / "clean")))}
-    path = tmp_path / "shared.json"
-    path.write_text(json.dumps({**settings, "output_dir": str(tmp_path / "shared")}))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    writers = [subprocess.Popen([sys.executable, "-c", SLOW_WRITER, str(path)], env=env, text=True,
-                                stdin=subprocess.PIPE, stdout=subprocess.PIPE) for _ in range(2)]
-    try:
-        for writer in writers:
-            assert writer.stdout.readline() == "ready\n"
-        for writer in writers:
-            writer.stdin.write("go\n")
-            writer.stdin.flush()
-        outputs = [writer.communicate(timeout=60)[0] for writer in writers]
-    finally:
-        for writer in writers:
-            writer.kill()
-            writer.wait()
-    for output in outputs:
-        # Nothing, or "N replication(s) failed: ..." with each of the N a locked log.
-        failed = int(output.split()[0]) if output else 0
-        assert output.count("is being written by another run") == failed, output
-    assert {p.name: p.read_bytes() for p in (tmp_path / "shared").glob("*.jsonl")} == clean
 
 
 @pytest.mark.parametrize("kept, tabulated", [(2, False), (3, True)],
@@ -374,22 +284,6 @@ def test_huge_budget_reserves_bounded_lattice_rows(tmp_path):
     _, records = load_log(path)
     assert len(records) == 31
     assert records[-1].decision == "infeasible"
-
-
-def test_record_schema(tmp_path):
-    config = small_config(tmp_path, budget=2, seeds=(2,))
-    (path,) = run_experiment(config)
-    lines = path.read_text().strip().split("\n")
-    header = json.loads(lines[0])
-    assert header["kind"] == "run_header"
-    for i, line in enumerate(lines[1:], start=1):
-        rec = json.loads(line)
-        assert set(rec) == {"t", "theta", "y", "true", "decision"}
-        assert rec["t"] == i
-        assert rec["decision"] == "sample"
-        assert len(rec["theta"]) == 2
-        assert len(rec["y"]) == 2
-        assert len(rec["true"]) == 2
 
 
 def feasible_start(problem, seed):
@@ -1079,6 +973,24 @@ def test_config_declares_infeasibility_when_the_constraints_never_hold_together(
     assert all(r.decision == "sample" for r in records[:-1])
 
 
+def test_an_overflowing_penalty_fails_its_replication_by_name(tmp_path):
+    # eta = 1e308 overflows the primal-dual duals within a few steps, and the
+    # lattice minimum of its score is -inf. Only config declares
+    # infeasibility: each replication fails naming the policy and eta instead,
+    # and every log it wrote ends in a sample.
+    spec = {"name": "primal_dual", "eta": 1e308}
+    config = small_config(tmp_path, policies=[spec], budget=15, seeds=(1, 2, 3),
+                          problem={"name": "artificial", "grid": [30, 30]})
+    with pytest.raises(RuntimeError) as failed, np.errstate(over="ignore"):
+        run_experiment(config)
+    message = str(failed.value)
+    assert message.startswith("3 replication(s) failed: ")
+    assert message.count("primal_dual with eta=1e+308 scored a lattice minimum of ") == 3
+    for seed in (1, 2, 3):
+        _, records = load_log(log_path(config, spec, seed))
+        assert records and all(r.decision == "sample" for r in records)
+
+
 # Answers every request, records its pid, and lingers briefly after stdin
 # closes, so a child nobody closed is still alive when the run returns.
 LINGERING_STUB = (
@@ -1139,14 +1051,14 @@ def test_child_that_exits_between_requests_fails_its_replication(tmp_path, monke
                                                                    started_children):
     # A child is never replaced within a replication: a simulator that loses
     # its state between steps must not be restarted unseen.
-    evaluate = ExternalBlackbox.evaluate
+    evaluate = ExternalBlackbox._evaluate
 
     def evaluate_once_exited(box, theta):
         if box._proc is not None:  # wait, without reaping it, until the child has exited
             os.waitid(os.P_PID, box._proc.pid, os.WEXITED | os.WNOWAIT)
         return evaluate(box, theta)
 
-    monkeypatch.setattr(ExternalBlackbox, "evaluate", evaluate_once_exited)
+    monkeypatch.setattr(ExternalBlackbox, "_evaluate", evaluate_once_exited)
     problem = {"name": "external", "command": [sys.executable, "-c", ONE_ANSWER_STUB],
                "lower": [0.0, 0.0], "upper": [1.0, 1.0], "grid": [4, 4], "n_constraints": 1}
     config = small_config(tmp_path / "logs", budget=3, start="none", problem=problem)
