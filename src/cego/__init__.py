@@ -13,7 +13,7 @@ from .hyperfit import fit_hyperparameters
 from .info_gain import max_info_gain
 from .kernels import Kernel
 from .logs import RunRecord
-from .metrics import best_so_far_series, compute_normalizers, normalized_regret_violation
+from .metrics import best_so_far_series, normalized_regret_violation
 from .policies import (
     POLICIES,
     AlgorithmState,
@@ -52,7 +52,6 @@ __all__ = [
     "RunRecord",
     "normalized_regret_violation",
     "best_so_far_series",
-    "compute_normalizers",
     "RunConfig",
     "run_experiment",
     "emit_metrics",

@@ -21,6 +21,9 @@ from .domain import int_at_least, positive_real
 
 __all__ = ["ExternalBlackbox", "BlackboxError", "BlackboxTimeout", "BlackboxProtocolError"]
 
+# select.poll takes a timeout of at most 2**31 - 1 ms (about 24.8 days).
+_MAX_TIMEOUT = (2**31 - 1) // 1000
+
 
 class BlackboxError(RuntimeError):
     """Base failure talking to the external evaluator."""
@@ -53,6 +56,8 @@ class ExternalBlackbox:
         self.command = list(command)
         self.n_constraints = int_at_least("n_constraints", n_constraints, 0)
         self.timeout = positive_real("timeout", timeout)
+        if self.timeout > _MAX_TIMEOUT:
+            raise ValueError(f"timeout must be at most {_MAX_TIMEOUT} s, got {timeout!r}")
         self._proc: subprocess.Popen | None = None
         self._poll = None
         self._pending = b""  # bytes read past the last line returned

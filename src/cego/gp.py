@@ -224,10 +224,13 @@ def _checked(result, routine: str) -> np.ndarray:
 def _factor(gram: np.ndarray, noise_variance: float) -> np.ndarray:
     """Lower Cholesky factor of ``gram + noise_variance I``, in Fortran order.
 
+    ``gram`` must be symmetric bit for bit, as every Gram here is built: its
+    transpose is then the same matrix, and copying that (Fortran-ordered for
+    a C-ordered ``gram``) is a plain copy rather than a transposing one.
     Raises ``LinAlgError`` on an ill-conditioned kernel/noise pair, and on
     settings that overflow: a non-finite entry reaches the factor's diagonal.
     """
-    a = np.array(gram, order="F")
+    a = np.array(gram.T, order="F")
     a[np.diag_indices_from(a)] += noise_variance
     chol = _checked(_lapack().dpotrf(a, lower=1, clean=1, overwrite_a=1), "dpotrf")
     if not np.isfinite(chol.diagonal()).all():

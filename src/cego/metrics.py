@@ -3,9 +3,9 @@
 The central quantity is the constrained regret of a sample sequence: the
 best over sampled steps of positive-part suboptimality plus summed
 positive-part constraint violations. Its normalized form divides each term
-by a per-problem scale (standard deviations of the outputs over a seeded
-uniform sample of the lattice) so that outputs of different physical
-magnitudes can be added; with unit scales it is the plain regret.
+by a per-problem scale so that outputs of different physical magnitudes can
+be added; with unit scales it is the plain regret. The scales are the
+reference entry's sigmas, which ``cego.references`` computes and records.
 
 All metrics prefer the noiseless oracle values stored in a record and fall
 back to the measured values when the problem is not pure.
@@ -18,18 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .logs import RunRecord
-from .problems import Problem
 
-__all__ = [
-    "normalized_regret_violation",
-    "best_so_far_series",
-    "compute_normalizers",
-    "SIGMA_SEED",
-]
-
-# Dedicated seed for the normalizer sample; recorded alongside the sigmas.
-SIGMA_SEED = 202303
-SIGMA_SAMPLES = 10_000
+__all__ = ["normalized_regret_violation", "best_so_far_series"]
 
 
 def _sampled(records: Sequence[RunRecord]) -> list[RunRecord]:
@@ -72,13 +62,3 @@ def best_so_far_series(
         return np.empty(0)
     return np.minimum.accumulate(np.asarray(values, dtype=float))
 
-
-def compute_normalizers(
-    problem: Problem,
-    n_samples: int = SIGMA_SAMPLES,
-    seed: int = SIGMA_SEED,
-) -> np.ndarray:
-    """Per-output standard deviations over a seeded uniform sample of the lattice."""
-    rng = np.random.default_rng(seed)
-    indices = rng.integers(problem.domain.grid_size, size=n_samples)
-    return np.std(problem.evaluate_batch(problem.domain.grid[indices]), axis=0)

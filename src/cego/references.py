@@ -2,7 +2,9 @@
 
 The reference optimum of a benchmark is defined operationally as the best
 feasible value over a dense lattice, recorded together with the lattice
-resolution that produced it. The ``oracle`` CLI subcommand performs these
+resolution that produced it. The metric normalizers are the per-output
+standard deviations over a seeded uniform sample of that lattice's points;
+both read one evaluation of the whole lattice. The ``oracle`` CLI subcommand performs these
 brute-force computations and writes/updates the JSON file; the copy shipped
 in ``cego/data/references.json`` is what the metric tools and the test
 suite read.
@@ -17,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import SIGMA_SAMPLES, SIGMA_SEED, compute_normalizers
 from .problems import Problem, problem_from_config
 
 __all__ = [
     "compute_reference",
+    "compute_normalizers",
     "load_references",
     "get_reference",
     "reference_problem",
@@ -33,6 +35,9 @@ DEFAULT_ORACLE_GRIDS = {"artificial": (2000, 2000), "williams_otto": (200, 200)}
 # Problem parameters (besides the lattice) that each reference is computed
 # for; they are recorded in the entry.
 REFERENCE_PARAMS = {"artificial": {"g_thr": -0.6}, "williams_otto": {}}
+# Dedicated seed and size of the normalizer sample; recorded alongside the sigmas.
+SIGMA_SEED = 202303
+SIGMA_SAMPLES = 10_000
 
 
 def packaged_references_path() -> Path:
@@ -46,7 +51,10 @@ def load_references(path=None) -> dict:
             f"reference file {target} not found; generate it with the 'oracle' subcommand"
         )
     with open(target, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        refs = json.load(fh)
+    if not isinstance(refs, dict):
+        raise ValueError(f"reference file {target} must hold a JSON object, got {refs!r:.60}")
+    return refs
 
 
 def get_reference(name: str, path=None) -> dict:
@@ -54,6 +62,8 @@ def get_reference(name: str, path=None) -> dict:
     refs = load_references(path)
     if name not in refs:
         raise KeyError(f"no reference entry for {name!r}; run the oracle subcommand")
+    if not isinstance(refs[name], dict):
+        raise ValueError(f"reference entry {name!r} must be a JSON object, got {refs[name]!r:.60}")
     return refs[name]
 
 
@@ -63,9 +73,8 @@ def reference_problem(name: str, entry: dict) -> dict:
                              if key in entry}}
 
 
-def _dense_feasible_optimum(problem: Problem) -> dict:
-    """Best feasible value over the problem's lattice via full enumeration."""
-    values = problem.evaluate_batch(problem.domain.grid)
+def _dense_feasible_optimum(problem: Problem, values: np.ndarray) -> dict:
+    """Best feasible value among ``values``, the oracle rows of the problem's whole lattice."""
     feasible = np.all(values[:, 1:] <= 0, axis=1)
     if not np.any(feasible):
         raise ValueError(f"{problem.name}: no feasible lattice point at this resolution")
@@ -78,16 +87,22 @@ def _dense_feasible_optimum(problem: Problem) -> dict:
     }
 
 
+def compute_normalizers(values: np.ndarray) -> np.ndarray:
+    """Per-output standard deviations over a seeded uniform sample of the lattice's oracle rows."""
+    rng = np.random.default_rng(SIGMA_SEED)
+    return np.std(values[rng.integers(len(values), size=SIGMA_SAMPLES)], axis=0)
+
+
 def compute_reference(name: str, grid=None) -> dict:
-    """Run the brute-force computations for one problem and return its entry."""
+    """One problem's entry, from one evaluation of every point of its lattice."""
     if name not in REFERENCE_PARAMS:
         raise ValueError(f"no reference computation defined for problem {name!r}")
     grid = tuple(grid) if grid is not None else DEFAULT_ORACLE_GRIDS[name]
     params = REFERENCE_PARAMS[name]
     problem = problem_from_config({"name": name, "grid": grid, **params})
-    entry = {**_dense_feasible_optimum(problem), **params}
-    sigmas = compute_normalizers(problem)
-    entry["sigmas"] = [float(s) for s in sigmas]
+    values = problem.evaluate_batch(problem.domain.grid)
+    entry = {**_dense_feasible_optimum(problem, values), **params}
+    entry["sigmas"] = [float(s) for s in compute_normalizers(values)]
     entry["sigma_seed"] = SIGMA_SEED
     entry["sigma_samples"] = SIGMA_SAMPLES
     return entry

@@ -45,7 +45,8 @@ def test_tracer_records_a_span_for_every_layer(tmp_path):
             gp={"fit_every": 4},
         )
         runner.run_experiment(config)
-        references.compute_normalizers(problems.williams_otto_problem(grid=(3, 3)), n_samples=2)
+        lattice = problems.williams_otto_problem(grid=(3, 3))
+        references.compute_normalizers(lattice.evaluate_batch(lattice.domain.grid))
     finally:
         tracer.uninstall()
     calls = Counter(span[tracing.NAME] for span in tracer.spans)

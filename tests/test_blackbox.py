@@ -165,13 +165,17 @@ def test_close_is_idempotent():
     [({"command": "python"}, "command"), ({"command": []}, "command"),
      ({"command": [sys.executable, 1]}, "command"), ({"n_constraints": 1.7}, "n_constraints"),
      ({"n_constraints": -1}, "n_constraints"), ({"n_constraints": True}, "n_constraints"),
-     ({"timeout": float("nan")}, "timeout"), ({"timeout": 0.0}, "timeout")],
+     ({"timeout": float("nan")}, "timeout"), ({"timeout": 0.0}, "timeout"),
+     ({"timeout": 3e6}, "timeout")],
     ids=["command-string", "command-empty", "command-not-text", "n_constraints-fraction",
-         "n_constraints-negative", "n_constraints-bool", "timeout-nan", "timeout-zero"],
+         "n_constraints-negative", "n_constraints-bool", "timeout-nan", "timeout-zero",
+         "timeout-past-poll"],
 )
 def test_mistyped_settings_rejected(kwargs, setting):
     # A string command ran as its letters, 1.7 constraints as 1 and -1 as a
-    # problem with no outputs; no child process is started for any of them.
+    # problem with no outputs; a timeout past select.poll's 2**31 - 1 ms
+    # failed the first read with OverflowError. No child process is started
+    # for any of them.
     settings = {"command": ECHO_STUB, "n_constraints": 1, **kwargs}
     with pytest.raises(ValueError, match=setting):
         ExternalBlackbox(**settings)

@@ -7,9 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cego import problems
 from cego.cli import main
-from cego.problems import artificial_values
-from cego.references import get_reference, load_references, write_reference
+from cego.problems import artificial_problem, artificial_values
+from cego.references import (
+    SIGMA_SAMPLES,
+    SIGMA_SEED,
+    compute_normalizers,
+    compute_reference,
+    get_reference,
+    load_references,
+    write_reference,
+)
 
 
 def test_list_problems(capsys):
@@ -80,13 +89,40 @@ def test_oracle_subcommand_writes_reference(tmp_path, capsys):
 def test_packaged_reference_matches_recomputation():
     # The frozen artificial entry must equal a fresh dense-grid enumeration.
     ref = get_reference("artificial")
-    from cego.problems import artificial_problem
-
     problem = artificial_problem(g_thr=-0.6, grid=tuple(ref["grid"]), noise_std=0.0)
     values = artificial_values(problem.domain.grid, -0.6)
     feasible = values[:, 1] <= 0
     j_star = values[feasible, 0].min()
     assert ref["j_star"] == pytest.approx(j_star, abs=0)
+
+
+def test_normalizers_deterministic_and_positive():
+    problem = artificial_problem(g_thr=-0.6, grid=(50, 50), noise_std=0.0)
+    values = problem.evaluate_batch(problem.domain.grid)
+    first = compute_normalizers(values)
+    second = compute_normalizers(values)
+    np.testing.assert_array_equal(first, second)
+    assert np.all(first > 0)
+    # The draw is that of evaluating the seeded sample of lattice points alone.
+    rng = np.random.default_rng(SIGMA_SEED)
+    sample = problem.domain.grid[rng.integers(problem.domain.grid_size, size=SIGMA_SAMPLES)]
+    assert first.tobytes() == np.std(problem.evaluate_batch(sample), axis=0).tobytes()
+
+
+def test_reference_solves_each_lattice_point_once(monkeypatch):
+    # The optimum and the sigmas read one evaluation of the lattice; the
+    # normalizer sample used to solve 10,000 of its points again.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return steady_state(*args)
+
+    steady_state = problems.cstr_steady_state
+    monkeypatch.setattr(problems, "cstr_steady_state", counted)
+    entry = compute_reference("williams_otto", grid=(20, 20))
+    assert len(calls) == 400
+    assert len(entry["sigmas"]) == 3
 
 
 def test_write_reference_merges_entries(tmp_path):
@@ -325,6 +361,38 @@ def test_metrics_unknown_reference_is_one_line(tmp_path, capsys):
     assert main(["metrics", "--logs", str(logs), "--problem", "nosuch"]) == 1
     assert capsys.readouterr().err == (
         "cego metrics: no reference entry for 'nosuch'; run the oracle subcommand\n")
+
+
+@pytest.mark.parametrize("content, phrase", [
+    ('{"artificial": 5}', "reference entry 'artificial' must be a JSON object, got 5"),
+    ("[1, 2]", "reference file {path} must hold a JSON object, got [1, 2]"),
+], ids=["entry", "file"])
+def test_metrics_refuses_a_reference_that_is_not_an_object(tmp_path, capsys, content, phrase):
+    # Both ended in a TypeError traceback.
+    logs = run_small(tmp_path, {"name": "artificial"})
+    path = tmp_path / "refs.json"
+    path.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(logs), "--problem", "artificial",
+                 "--references", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cego metrics: {phrase.format(path=path)}\n"
+
+
+def test_oracle_refuses_a_reference_file_that_is_not_an_object(tmp_path, capsys, monkeypatch):
+    # The oracle used to solve the lattice, then fail on the list with a
+    # TypeError traceback.
+    path = tmp_path / "refs.json"
+    path.write_bytes(b"[1, 2]")
+    monkeypatch.setattr(problems, "cstr_steady_state", None)  # any solve would fail
+    assert main(["oracle", "--problem", "williams_otto", "--grid", "3x3",
+                 "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"cego oracle: reference file {path} must hold a JSON object, "
+                            "got [1, 2]\n")
+    assert path.read_bytes() == b"[1, 2]"
 
 
 def test_metrics_missing_inputs_are_one_line(tmp_path, capsys):

@@ -233,7 +233,7 @@ def test_bordered_gram_equals_gram_from_scratch(family, dim):
         assert np.array_equal(model._cov.gram, gram)
 
 
-@pytest.mark.parametrize("t", [1, 5, 30, 100])
+@pytest.mark.parametrize("t", [1, 5, 30, 100, 300])
 def test_direct_lapack_calls_match_scipy_wrappers(t):
     rng = np.random.default_rng(t)
     gram = Kernel("matern52", [0.7, 0.7], 1.3).gram(rng.uniform(-2, 2, (t, 2)))

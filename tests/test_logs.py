@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cego.logs import LOG_DIR_ENV, log_path
-from cego.runner import RunConfig, run_experiment
+import cego.logs as logs_mod
+from cego.logs import LOG_DIR_ENV, load_log, log_path
+from cego.runner import RunConfig, emit_metrics, run_experiment
 
 from conftest import small_config
 
@@ -130,3 +131,86 @@ def test_two_writers_on_one_output_dir_leave_single_run_logs(tmp_path, monkeypat
         failed = int(output.split()[0]) if output else 0
         assert output.count("is being written by another run") == failed, output
     assert {p.name: p.read_bytes() for p in (tmp_path / "shared").glob("*.jsonl")} == clean
+
+
+def test_log_of_two_writers_is_named_on_resume_and_in_metrics(tmp_path):
+    # Two writers that each resume from the other's partial file leave a
+    # budget's worth of records with a repeated step: t = 1, 2, 2, 3.
+    config = small_config(tmp_path, budget=4, seeds=(9,))
+    (path,) = run_experiment(config)
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, *records[:2], records[1], records[2]]) + "\n",
+                    encoding="utf-8")
+    named = f"log {re.escape(str(path))} line 4: t=2 where t=3"
+    with pytest.raises(RuntimeError, match=f"cannot resume {re.escape(str(path))}: {named}"):
+        run_experiment(config)
+    with pytest.raises(ValueError, match=named):
+        emit_metrics([path], metric="best_so_far")
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda records: records[1:], "line 2: t=2 where t=1"),
+    (lambda records: records + [{**records[-1], "t": 5}], "line 6: a record beyond the budget"),
+    (lambda records: [records[0], logs_mod._record_dict(2, None, None, None), records[2]],
+     "line 4: a record after the infeasible marker"),
+    (lambda records: [records[0], {"t": 2}], "line 3: 'theta'"),
+    (lambda records: [records[0], {**records[1], "decision": "foo"}, records[2]],
+     "line 3: decision 'foo' is neither 'sample' nor 'infeasible'"),
+    (lambda records: [records[0], {**records[1], "theta": None, "y": None}],
+     "line 3: a sample record needs lists for theta and y"),
+    (lambda records: [records[0], {**records[1], "decision": "infeasible"}],
+     "line 3: an infeasible marker needs null theta, y and true"),
+], ids=["gap", "over-budget", "after-infeasible", "missing-field", "unknown-decision",
+        "sample-without-values", "infeasible-with-values"])
+def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
+    config = small_config(tmp_path, budget=4, seeds=(9,))
+    (path,) = run_experiment(config)
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    records = edit([json.loads(line) for line in records])
+    path.write_text("\n".join([header, *map(logs_mod._dumps, records)]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"log {re.escape(str(path))} {problem}"):
+        load_log(path)
+
+
+@pytest.mark.parametrize("header", [
+    '{"kind": ', '[1]', '{"kind": "run_header"}',
+    '{"kind": "run_header", "budget": 1, "policy": {}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": "config"}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {"name": 7}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {"name": "random", "label": 7}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1.0, "policy": {"name": "random"}}',
+    '{"kind": "run_header", "budget": 0, "seed": 1, "policy": {"name": "random"}}',
+    '{"kind": "run_header", "budget": "2", "seed": 1, "policy": {"name": "random"}}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {"name": "random"}, '
+    '"problem": "artificial"}',
+    '{"kind": "run_header", "budget": 1, "seed": 1, "policy": {"name": "random"}, '
+    '"problem": {"name": ["artificial"]}}',
+])
+def test_load_log_names_a_bad_header(tmp_path, header):
+    # emit_metrics used to fail on these with a JSON, lookup or attribute
+    # error naming no log, or to name the log but not its header.
+    path = tmp_path / "bad.jsonl"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"log {re.escape(str(path))} line 1: "):
+        emit_metrics([path], metric="best_so_far")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("true", "Infinity"), ("true", "NaN"), ("y", "-Infinity"), ("theta", "1e999"),
+    ("y", '"0.5"'), ("y", "true"), ("true", "null"),
+])
+def test_load_log_refuses_a_value_that_is_not_a_finite_number(tmp_path, field, value):
+    # JSON parses NaN, Infinity and 1e999 to floats that are not finite: an
+    # infinite true value was dropped from the running minimum, a NaN made
+    # every row of the table nan, and a string was tabulated as it stood.
+    (path,) = run_experiment(small_config(tmp_path, budget=3, seeds=(9,)))
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(records[1])
+    record[field][0] = "@"
+    records[1] = logs_mod._dumps(record).replace('"@"', value)
+    path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"log {re.escape(str(path))} line 3: "
+                                         f"{field} must be a finite number"):
+        load_log(path)

@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cego.logs import RunRecord
-from cego.metrics import best_so_far_series, compute_normalizers, normalized_regret_violation
-from cego.problems import artificial_problem
+from cego.metrics import best_so_far_series, normalized_regret_violation
 
 
 def record(j, gs, t=1):
@@ -89,11 +88,3 @@ def test_records_prefer_true_values():
     assert normalized_regret_violation(r, j_star=1.0) == 0.0
     measured = RunRecord(t=1, theta=(0.0,), y=(9.0, 9.0), true_values=None)
     assert normalized_regret_violation(measured, j_star=1.0) == pytest.approx(17.0)
-
-
-def test_normalizers_deterministic_and_positive():
-    problem = artificial_problem(g_thr=-0.6, grid=(50, 50), noise_std=0.0)
-    first = compute_normalizers(problem, n_samples=500, seed=11)
-    second = compute_normalizers(problem, n_samples=500, seed=11)
-    np.testing.assert_array_equal(first, second)
-    assert np.all(first > 0)
