@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
+from .metrics import METRICS
 from .problems import PROBLEM_BUILDERS
 from .references import DEFAULT_ORACLE_GRIDS, get_reference, reference_problem, write_reference
-from .runner import METRICS, RunConfig, emit_metrics, run_experiment
+from .runner import RunConfig, emit_metrics, run_experiment
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:  # a bad argument, refused before the config is read
+        print(f"cego run: --jobs must be an int >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         config = RunConfig.from_json(args.config)
         paths = run_experiment(config, jobs=args.jobs)
@@ -43,10 +48,6 @@ def _cmd_metrics(args) -> int:
             sigmas = ref["sigmas"]
             # The logs must be of the problem and settings the entry was computed for.
             problem = reference_problem(args.problem, ref)
-        if args.metric == "constrained_regret" and j_star is None:
-            raise ValueError("need --problem (for the frozen reference) or --j-star")
-        if args.metric == "normalized" and sigmas is None:
-            raise ValueError("the normalized metric needs --problem to load sigmas")
         table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas,
                              out=args.out, problem=problem)
     except (KeyError, OSError, ValueError) as exc:
@@ -57,8 +58,8 @@ def _cmd_metrics(args) -> int:
               file=sys.stderr)
         return 1
     if args.out is None:
-        for row in table:
-            print(",".join(str(v) for v in row))
+        # Quoted as --out writes it, so a label holding a comma stays one field.
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     else:
         print(args.out)
     return 0

@@ -12,6 +12,7 @@ underlying oracle stays deterministic and replayable.
 from __future__ import annotations
 
 import inspect
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,7 @@ __all__ = [
     "williams_otto_problem",
     "external_problem",
     "problem_from_config",
+    "problem_settings",
     "PROBLEM_BUILDERS",
 ]
 
@@ -254,3 +256,14 @@ def problem_from_config(config: dict) -> Problem:
     except TypeError as exc:
         raise ValueError(f"problem {name!r}: {exc}") from None
     return builder(**params)
+
+
+def problem_settings(config: dict) -> dict:
+    """``config``'s problem settings with its builder's defaults filled in, in their JSON form."""
+    builder = PROBLEM_BUILDERS.get(config.get("name"))
+    if builder is None:
+        return config
+    defaults = {key: p.default for key, p in inspect.signature(builder).parameters.items()
+                if p.default is not p.empty}
+    # Sorted, as a log's header holds its settings.
+    return {"name": config["name"], **json.loads(json.dumps(defaults, sort_keys=True)), **config}

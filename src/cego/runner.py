@@ -16,34 +16,32 @@ that compare across machines. The log format is ``cego.logs``'s.
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 import time
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .domain import finite_real, int_at_least, positive_real
+from .domain import int_at_least, positive_real
 from .gp import empty_models
 from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
 from .kernels import SQUARED_EXPONENTIAL, Kernel
 # Module-level bindings: the benchmark's tracer patches the readers here, where they are called.
 from .logs import (RunRecord, _cut_torn_line, _dumps, _finished, _header, _lock_log, _record_dict,
                    load_log, log_path, policy_label)
-from .metrics import best_so_far_series, normalized_regret_violation
+from .metrics import best_so_far_series, record_metric
 from .policies import POLICIES, SPEC_KEYS, AlgorithmState, BetaSchedule, observe, propose
-from .problems import PROBLEM_BUILDERS, Problem, problem_from_config
+from .problems import Problem, problem_from_config, problem_settings
 
 __all__ = [
     "RunConfig",
     "run_experiment",
     "run_replication",
     "emit_metrics",
-    "METRICS",
     "FeasibleStartError",
 ]
 
@@ -400,49 +398,13 @@ def run_experiment(config: RunConfig, jobs: int = 1) -> list[Path]:
 
 # -- metric tables -------------------------------------------------------------------
 
-# The per-record quantities a metric table can aggregate, for `emit_metrics`
-# and `cego metrics --metric`.
-METRICS = ("constrained_regret", "normalized", "best_so_far")
 
-
-def _record_metric(metric: str, j_star, sigmas) -> Callable[[RunRecord], float]:
-    """The per-record quantity of ``metric``; ``ValueError`` naming a missing or bad setting."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    if j_star is not None:
-        j_star = finite_real("j_star", j_star)
-    if sigmas is not None:
-        if not isinstance(sigmas, (list, tuple, np.ndarray)) or len(sigmas) == 0:
-            raise ValueError(f"sigmas must be a list of finite positive numbers, one per "
-                             f"output, got {sigmas!r}")
-        sigmas = np.array([positive_real("each of sigmas", s) for s in sigmas])
-    if metric == "best_so_far":
-        return lambda r: float(r.outputs()[0])
-    if j_star is None:
-        raise ValueError(f"{metric} needs a reference optimum j_star")
-    if metric == "constrained_regret":
-        return lambda r: normalized_regret_violation(r, j_star)
-    if sigmas is None:
-        raise ValueError("normalized metric needs per-output sigmas")
-    return lambda r: normalized_regret_violation(r, j_star, sigmas)
-
-
-def _problem_settings(logged: dict) -> dict:
-    """A log's problem settings with its builder's defaults filled in, in their JSON form."""
-    builder = PROBLEM_BUILDERS.get(logged.get("name"))
-    if builder is None:
-        return logged
-    defaults = {key: p.default for key, p in inspect.signature(builder).parameters.items()
-                if p.default is not p.empty}
-    return {"name": logged["name"], **json.loads(_dumps(defaults)), **logged}
-
-
-def _check_problem(path, settings: dict, expected: dict):
-    """Raise unless a log's problem ``settings``, defaults filled in, hold those of ``expected``."""
-    for key, value in expected.items():
-        if settings.get(key) != value:
+def _check_problem(path, settings: dict, expected: dict, keys, whose: str):
+    """Raise unless a log's problem ``settings`` equal ``expected`` (``whose`` settings) on ``keys``."""
+    for key in keys:
+        if settings.get(key) != expected.get(key):
             raise ValueError(f"log {path} has problem {key}={settings.get(key)!r}; "
-                             f"the reference has {key}={value!r}")
+                             f"{whose} has {key}={expected.get(key)!r}")
 
 
 def emit_metrics(
@@ -472,7 +434,7 @@ def emit_metrics(
     ``j_star`` must be a finite number and ``sigmas`` finite positive numbers,
     both checked before any log is read, one sigma per output of each record.
     """
-    record_metric = _record_metric(metric, j_star, sigmas)
+    quantity = record_metric(metric, j_star, sigmas)
     by_label: dict[str, dict[int, tuple[object, np.ndarray]]] = {}  # seed -> (log, series)
     first_of_label: dict[str, tuple[object, dict]] = {}  # its first log and problem settings
     budget = None
@@ -483,9 +445,9 @@ def emit_metrics(
         if header["budget"] != budget:
             raise ValueError(f"log {path} has a budget of {header['budget']}, the logs before "
                              f"it {budget}")
-        settings = _problem_settings(header.get("problem", {}))
+        settings = problem_settings(header.get("problem", {}))
         if problem is not None:
-            _check_problem(path, settings, problem)
+            _check_problem(path, settings, problem, problem, "the reference")
         if not _finished(records, budget):
             raise ValueError(f"log {path} is unfinished: {len(records)} records of a "
                              f"budget of {budget}")
@@ -496,11 +458,9 @@ def emit_metrics(
             raise ValueError(f"log {path} repeats label {label!r} and seed {seed} of "
                              f"log {runs[seed][0]}")
         first, first_settings = first_of_label.setdefault(label, (path, settings))
-        for key in {**first_settings, **settings}:
-            if settings.get(key) != first_settings.get(key):
-                raise ValueError(f"log {path} has problem {key}={settings.get(key)!r}; log "
-                                 f"{first} of its label has {key}={first_settings.get(key)!r}")
-        series = best_so_far_series(records, record_metric)
+        _check_problem(path, settings, first_settings, {**first_settings, **settings},
+                       f"log {first} of its label")
+        series = best_so_far_series(records, quantity)
         if series.size == 0:
             raise ValueError(f"log {path} has no sampled records to aggregate")
         runs[seed] = (path, series)

@@ -27,6 +27,14 @@ def small_config(tmp_path, policies=None, budget=5, seeds=(1,), problem=None, gp
     )
 
 
+def resume_config(tmp_path):
+    """Three initial points (feasible start, two random), then proposals; the first refit is at t=6."""
+    return small_config(
+        tmp_path, policies=[{"name": "config"}], budget=9, seeds=(5,), start="feasible",
+        n_init_random=2, gp={**GP, "fit_every": 3},
+    )
+
+
 @pytest.fixture
 def started_children(monkeypatch):
     """Every process the test starts through ``subprocess.Popen``, in order."""

@@ -314,6 +314,14 @@ def test_run_configuration_errors_are_one_line(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "logs").exists()
 
 
+def test_run_refuses_jobs_below_one_before_reading_the_config(tmp_path, capsys):
+    # It read the config first and blamed it: "cego run: <config>: jobs must be ...".
+    assert main(["run", "--config", str(tmp_path / "missing.json"), "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cego run: --jobs must be an int >= 1, got 0\n"
+
+
 def test_run_failed_replication_is_one_line(tmp_path, monkeypatch, capsys):
     # A replication that fails (here an external evaluator that exits at
     # once) escaped as a RuntimeError traceback. It exits 1, not the 2 of a
@@ -404,11 +412,30 @@ def test_metrics_missing_inputs_are_one_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["metrics", "--logs", str(logs)]) == 1
     assert capsys.readouterr().err == (
-        "cego metrics: need --problem (for the frozen reference) or --j-star\n")
+        "cego metrics: constrained_regret needs a reference optimum j_star\n")
     assert main(["metrics", "--logs", str(logs), "--metric", "normalized", "--j-star", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "cego metrics: the normalized metric needs --problem to load sigmas\n"
+    assert captured.err == "cego metrics: normalized metric needs per-output sigmas\n"
+
+
+def test_metrics_stdout_is_the_csv_that_out_writes(tmp_path, capsys):
+    # Joined with "," a label holding a comma printed a header of five
+    # fields above rows of three; --out quoted it.
+    logs = run_small(tmp_path, {"name": "artificial"})
+    (tmp_path / "config.json").write_text(json.dumps({
+        "problem": {"name": "artificial", "grid": [10, 10]},
+        "policies": [{"name": "random", "label": "rand,a"}], "budget": 2, "seeds": [1],
+        "output_dir": str(logs), "start": "none"}))
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+    out = tmp_path / "table.csv"
+    assert main(["metrics", "--logs", str(logs), "--metric", "best_so_far", "--out",
+                 str(out)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(logs), "--metric", "best_so_far"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines()[0] == 'step,"rand,a_mean","rand,a_std",random_mean,random_std'
+    assert printed.splitlines() == out.read_text().splitlines()
 
 
 def test_metrics_out_into_a_missing_directory_is_one_line(tmp_path, capsys):

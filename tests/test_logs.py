@@ -12,7 +12,7 @@ import cego.logs as logs_mod
 from cego.logs import LOG_DIR_ENV, load_log, log_path
 from cego.runner import RunConfig, emit_metrics, run_experiment
 
-from conftest import small_config
+from conftest import resume_config, small_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -214,3 +214,34 @@ def test_load_log_refuses_a_value_that_is_not_a_finite_number(tmp_path, field, v
     with pytest.raises(ValueError, match=f"log {re.escape(str(path))} line 3: "
                                          f"{field} must be a finite number"):
         load_log(path)
+
+
+@pytest.mark.parametrize(
+    "kept, torn", [(0, False), (1, False), (3, False), (3, True), (7, False)],
+    ids=["cut-0", "cut-1", "cut-3", "cut-3-torn", "cut-7"],
+)
+def test_truncate_and_resume_reproduces_prefix(tmp_path, kept, torn):
+    config = resume_config(tmp_path)
+    (path,) = run_experiment(config)
+    original = path.read_bytes()
+
+    lines = original.split(b"\n")
+    # keep the header and `kept` records, perhaps plus a torn partial line
+    truncated = b"\n".join(lines[: kept + 1]) + b"\n"
+    if torn:
+        truncated += lines[kept + 1][: len(lines[kept + 1]) // 2]
+    path.write_bytes(truncated)
+    run_experiment(config)
+    assert path.read_bytes() == original
+
+
+def test_torn_header_resumes_to_the_clean_run(tmp_path):
+    # A log cut inside its header holds no complete line: the run starts over
+    # from t = 1 instead of refusing to resume.
+    config = small_config(tmp_path, policies=[{"name": "config"}], budget=3,
+                          problem={"name": "artificial", "grid": [8, 8]})
+    (path,) = run_experiment(config)
+    original = path.read_bytes()
+    path.write_bytes(original[:20])
+    run_experiment(config)
+    assert path.read_bytes() == original

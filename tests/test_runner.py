@@ -34,7 +34,7 @@ from cego.runner import (
     run_replication,
 )
 
-from conftest import GP, small_config
+from conftest import GP, resume_config, small_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -61,45 +61,6 @@ def test_rerun_is_byte_identical(tmp_path):
     run_experiment(config)
     for p, blob in first.items():
         assert p.read_bytes() == blob
-
-
-def resume_config(tmp_path):
-    """Three initial points (feasible start, two random), then proposals; the first refit is at t=6."""
-    return small_config(
-        tmp_path, policies=[{"name": "config"}], budget=9, seeds=(5,), start="feasible",
-        n_init_random=2, gp={**GP, "fit_every": 3},
-    )
-
-
-@pytest.mark.parametrize(
-    "kept, torn", [(0, False), (1, False), (3, False), (3, True), (7, False)],
-    ids=["cut-0", "cut-1", "cut-3", "cut-3-torn", "cut-7"],
-)
-def test_truncate_and_resume_reproduces_prefix(tmp_path, kept, torn):
-    config = resume_config(tmp_path)
-    (path,) = run_experiment(config)
-    original = path.read_bytes()
-
-    lines = original.split(b"\n")
-    # keep the header and `kept` records, perhaps plus a torn partial line
-    truncated = b"\n".join(lines[: kept + 1]) + b"\n"
-    if torn:
-        truncated += lines[kept + 1][: len(lines[kept + 1]) // 2]
-    path.write_bytes(truncated)
-    run_experiment(config)
-    assert path.read_bytes() == original
-
-
-def test_torn_header_resumes_to_the_clean_run(tmp_path):
-    # A log cut inside its header holds no complete line: the run starts over
-    # from t = 1 instead of refusing to resume.
-    config = small_config(tmp_path, policies=[{"name": "config"}], budget=3,
-                          problem={"name": "artificial", "grid": [8, 8]})
-    (path,) = run_experiment(config)
-    original = path.read_bytes()
-    path.write_bytes(original[:20])
-    run_experiment(config)
-    assert path.read_bytes() == original
 
 
 @pytest.mark.parametrize("step", [2, 5], ids=["initial", "proposed"])
