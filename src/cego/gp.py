@@ -1,17 +1,17 @@
 """Exact Gaussian process regression with a cached Cholesky factorization.
 
 A model owns one scalar output (objective or a single constraint). Updates
-return a fresh model, so callers may treat any instance as immutable and
-query it concurrently between updates. ``add`` borders the noise-free Gram
-matrix with the new point's kernel row, ``k(x_t, X)``, which is bit for bit
-the matrix ``Kernel.gram`` gives, and then re-factorizes it in full: with a
-few hundred observations at most that is cheap, and it keeps every factor a
-deterministic function of the data alone. ``alpha = (K + lam I)^{-1} y`` is
-solved when first read; the cached lattice path never reads it. Factors and
-solves call LAPACK's ``dpotrf``, ``dpotrs`` and ``dtrtrs`` directly, with the
-arguments and memory layout that ``scipy.linalg.cholesky``, ``cho_solve``
-and ``solve_triangular`` pass them, so the bits are theirs without the
-wrappers' per-call validation.
+return a fresh model, so callers may treat any instance as immutable; it may
+be queried from any thread, and each part is extended at most once. ``add``
+borders the noise-free Gram matrix with the new point's kernel row,
+``k(x_t, X)``, which is bit for bit the matrix ``Kernel.gram`` gives, and
+then re-factorizes it in full: with a few hundred observations at most that
+is cheap, and it keeps every factor a deterministic function of the data
+alone. ``alpha = (K + lam I)^{-1} y`` is solved when first read; the cached
+lattice path never reads it. Factors and solves call LAPACK's ``dpotrf``,
+``dpotrs`` and ``dtrtrs`` directly, with the arguments and memory layout
+that ``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` pass
+them, so the bits are theirs without the wrappers' per-call validation.
 
 The three routines come from ``scipy.linalg._flapack``, the compiled f2py
 module that ``scipy.linalg.lapack`` re-exports, linked against scipy's own
@@ -42,7 +42,10 @@ them. Outputs observed at the same inputs under equal kernel and noise can
 hold one covariance part, a group: :func:`empty_models` starts one per
 distinct ``(kernel, noise_variance)``, and when each member of a group
 ``add``s the same point, the first builds the child part and the others get
-it. A model built any other way, such as a refit, is a group of one.
+it. A model built any other way, such as a refit, is a group of one. A part
+has at most one child: adding another point raises ``ValueError``. A part
+holds its child, so a kept old model keeps its descendants' parts alive, a
+``G``-float variance and a ``t x t`` factor per step; the runner keeps none.
 
 Lattice cache. Every policy step asks each model about the same lattice, so
 a covariance part caches ``V = L^{-1} k(X, lattice)`` and the unclamped
@@ -77,12 +80,11 @@ model built any other way. Mapped rows not yet written are not resident,
 so a mapping sized for the whole run costs nothing up front, but the
 kernel's overcommit check counts all of it: the rows reserved for
 ``capacity`` are capped at ``_RESERVE_BYTES`` (1 GiB), and a run past them
-grows by doubling. A model reads only its own first ``t`` rows, so the
-first child of a part writes row ``t`` in place while there is room: a run
-that stays within its capacity maps its rows once and never copies them.
-Any other extension (a second child of one part, or one past the mapping's
-end) copies the ``t`` rows into a new mapping by the same rule, with the
-old mapping's rows as its capacity, so branching and growth are one path.
+grows by doubling. A model reads only its own first ``t`` rows, so a
+part's child writes row ``t`` in place while there is room: a run that stays
+within its capacity maps its rows once and never copies them. An extension
+past the mapping's end copies the ``t`` rows into a new mapping by the same
+rule, with the old mapping's rows as its capacity.
 
 Column blocks. Every query the cache cannot answer makes one pass,
 :meth:`GpModel._streamed`, that streams its points through blocks of about
@@ -105,7 +107,6 @@ import importlib.util
 import mmap
 import sys
 import threading
-import weakref
 from functools import cache, cached_property
 
 import numpy as np
@@ -163,7 +164,7 @@ def _lapack():
 
 _VARIANCE_CLAMP = 1e-9
 
-# Guards the once-flag of _Covariance.extend and the setting of a lattice cache.
+# Held through each _Covariance.extend (one child per part) and while a cache is set.
 _EXTEND_LOCK = threading.Lock()
 # Bytes a row store reserves at most for its capacity (see _row_store). The
 # kernel's overcommit check counts a whole mapping, though rows not yet
@@ -231,7 +232,7 @@ def _factor(gram: np.ndarray, noise_variance: float) -> np.ndarray:
     settings that overflow: a non-finite entry reaches the factor's diagonal.
     """
     a = np.array(gram.T, order="F")
-    a[np.diag_indices_from(a)] += noise_variance
+    a.T.reshape(-1)[:: a.shape[0] + 1] += noise_variance  # the diagonal, as a strided view
     chol = _checked(_lapack().dpotrf(a, lower=1, clean=1, overwrite_a=1), "dpotrf")
     if not np.isfinite(chol.diagonal()).all():
         raise LinAlgError("Cholesky factor is not finite: kernel or noise settings overflow")
@@ -271,6 +272,7 @@ class _Covariance:
     it, and never replaced), ``rows``, a private mapping whose first ``t``
     rows are ``V``, and ``var``, the unclamped variance there. ``lattice`` is
     set last, so whoever reads it set also reads ``rows`` and ``var``.
+    ``child`` is the one part :meth:`extend` made from this one, or None.
     """
 
     def __init__(self, kernel: Kernel, noise_variance: float, X: np.ndarray,
@@ -280,10 +282,7 @@ class _Covariance:
         self.X = X
         self.capacity = capacity
         self.chol = None
-        self.lattice = self.rows = self.var = None
-        self._extended = False
-        # (point bytes, rows as read, weakref to the child)
-        self._last_child = None
+        self.lattice = self.rows = self.var = self.child = None
         if not len(X):
             self.gram = np.empty((0, 0))
             return
@@ -293,44 +292,38 @@ class _Covariance:
     def extend(self, point: np.ndarray) -> "_Covariance":
         """The part for ``X`` plus ``point``, with the lattice cache extended by its row.
 
-        The members of a group call this in turn with the same point; while
-        the first one's child lives, the others get it back. Two calls that
-        race both build a child, and either is correct. The first child of a
-        part writes its row of ``V`` in place; any other (a second child, or
-        one past the mapping's end) copies the rows into a new mapping with
-        at least as many rows.
+        A part has one child: the members of a group call this in turn with
+        the same point (bitwise) and all get it, and any other point raises
+        ``ValueError``; ``_EXTEND_LOCK`` makes that atomic. The child writes
+        its row of ``V`` in place, or copies the rows past a full mapping.
         """
-        key = point.tobytes()
-        lattice = self.lattice
-        rows = None if lattice is None else self.rows
-        last = self._last_child
-        if last is not None and last[0] == key and last[1] is rows:
-            child = last[2]()
-            if child is not None:
-                return child
-        # k(a, b) and k(b, a) come from (a - b)**2 and (b - a)**2, which are
-        # equal, and Kernel.gram's 0.5 * (v + v) is v: the bordered Gram is
-        # bit for bit the one Kernel.gram builds from scratch.
-        t = self.X.shape[0]
-        X = np.vstack([self.X, point[None, :]])
-        gram = np.empty((t + 1, t + 1))
-        gram[:t, :t] = self.gram
-        gram[t] = gram[:, t] = self.kernel.cross(point[None, :], X)[0]
-        child = _Covariance(self.kernel, self.noise_variance, X, gram, self.capacity)
-        if rows is not None:
-            l, d = child.chol[t, :t], child.chol[t, t]
-            row = (self.kernel.cross(point[None, :], lattice)[0] - l @ rows[:t]) / d
-            with _EXTEND_LOCK:
-                first, self._extended = not self._extended, True
-            store = rows
-            if not first or t == rows.shape[0]:
-                store = _row_store(t, rows.shape[1], capacity=rows.shape[0])
-                store[:t] = rows[:t]
-            store[t] = row
-            child.rows, child.var = store, self.var - row * row
-            child.lattice = lattice
-        self._last_child = (key, rows, weakref.ref(child))
-        return child
+        with _EXTEND_LOCK:
+            if self.child is not None:
+                if self.child.X[-1].tobytes() == point.tobytes():
+                    return self.child
+                raise ValueError("a covariance part is extended at most once: this model "
+                                 "already has a child at another point")
+            # k(a, b) and k(b, a) come from (a - b)**2 and (b - a)**2, which are
+            # equal, and Kernel.gram's 0.5 * (v + v) is v: the bordered Gram is
+            # bit for bit the one Kernel.gram builds from scratch.
+            t = self.X.shape[0]
+            X = np.vstack([self.X, point[None, :]])
+            gram = np.empty((t + 1, t + 1))
+            gram[:t, :t] = self.gram
+            gram[t] = gram[:, t] = self.kernel.cross(point[None, :], X)[0]
+            child = _Covariance(self.kernel, self.noise_variance, X, gram, self.capacity)
+            if self.lattice is not None:
+                rows = self.rows
+                l, d = child.chol[t, :t], child.chol[t, t]
+                row = (self.kernel.cross(point[None, :], self.lattice)[0] - l @ rows[:t]) / d
+                if t == rows.shape[0]:
+                    rows = _row_store(t, rows.shape[1], capacity=rows.shape[0])
+                    rows[:t] = self.rows[:t]
+                rows[t] = row
+                child.rows, child.var = rows, self.var - row * row
+                child.lattice = self.lattice
+            self.child = child
+            return child
 
 
 def _is_lattice(queries: np.ndarray) -> bool:
@@ -402,7 +395,8 @@ class GpModel:
         cov = self._cov.extend(point)
         child = object.__new__(GpModel)
         child._hold(cov, np.append(self._y, value))
-        if self._mean is not None:
+        # A member that first read its lattice after a sibling's add may get a child without it.
+        if self._mean is not None and cov.lattice is self._cov.lattice:
             t = self.n_observations
             l, d = cov.chol[t, :t], cov.chol[t, t]
             z_t = (value - l @ self._z) / d
@@ -423,6 +417,9 @@ class GpModel:
         uncached (see the module docstring).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        if queries.shape[1] != self.kernel.dim:
+            raise ValueError(f"points have dims {self.kernel.dim}/{queries.shape[1]}, "
+                             f"kernel has {self.kernel.dim}")
         if self.n_observations == 0:
             return np.zeros(queries.shape[0]), np.full(queries.shape[0], self.kernel.prior_variance)
         cov = self._cov

@@ -217,16 +217,14 @@ def test_ill_conditioned_factorization_signalled():
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_bordered_gram_equals_gram_from_scratch(family, dim):
     # Each add borders its parent's Gram with one kernel row; a repeated
-    # point and a second child of one parent take the same path.
+    # point takes the same path.
     rng = np.random.default_rng(100 + dim)
     kernel = Kernel(family, rng.uniform(0.2, 2.0, dim), rng.uniform(0.5, 50.0))
     chain = [GpModel(kernel, 1e-3)]
     for t in range(25):
         point = chain[-1].points[rng.integers(t)] if t % 6 == 5 else rng.uniform(-2, 2, dim)
         chain.append(chain[-1].add(point, rng.normal()))
-    second = chain[10].add(rng.uniform(-2, 2, dim), rng.normal())
-    models = chain[1:] + [second, second.add(rng.uniform(-2, 2, dim), rng.normal())]
-    for model in models:
+    for model in chain[1:]:
         gram = kernel.gram(model.points)
         # Exactly symmetric as built: each plane's (a - b)**2 equals (b - a)**2.
         assert np.array_equal(gram, gram.T)
@@ -326,41 +324,45 @@ def test_lattice_rows_extend_in_place_once_while_there_is_room(t, capacity):
     assert first.rows is parent.rows and first.lattice is parent.lattice
     assert np.array_equal(first.rows[t], row)
     assert np.array_equal(first.var, parent.var - row * row)
+    # A child past the end of its parent's mapping doubles it.
     full = part_with_rows(t, width, gp._mapped_rows(t, width))
-    # A second child of one part keeps the size of its mapping; a child past
-    # the end of its mapping doubles it.
-    for own, mapped in ((parent, parent.rows.shape[0]), (full, 2 * t)):
-        child = own.extend(rng.uniform(-1, 1, 2))
-        assert child.rows is not own.rows
-        assert child.rows.shape == (mapped, width)
-        assert np.array_equal(child.rows[:t], own.rows[:t])
-        assert np.array_equal(child.rows[t], extension_row(own, child))
-    assert np.array_equal(first.rows[t], row)
+    child = full.extend(rng.uniform(-1, 1, 2))
+    assert child.rows is not full.rows
+    assert child.rows.shape == (2 * t, width)
+    assert np.array_equal(child.rows[:t], full.rows[:t])
+    assert np.array_equal(child.rows[t], extension_row(full, child))
 
 
 def test_concurrent_extensions_of_one_parent_get_one_in_place():
-    # A lost update of the once-flag would let two children write row t of
-    # one mapping, and one of them would read the other's row.
+    # A check and a set of the child that were not atomic would let two
+    # children write row t of one mapping, and one would read the other's row.
     t, width, workers = 4, 3, 8
     points = np.random.default_rng(5).uniform(-1, 1, (workers, 2))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
+        for round_ in range(20):
+            distinct = round_ % 2 == 0
             parent = part_with_rows(t, width, gp._row_store(t, width))
             values = parent.rows[:t].copy()
             barrier = threading.Barrier(workers)
 
             def extend(i):
                 barrier.wait(timeout=10)
-                return parent.extend(points[i])
+                try:
+                    return parent.extend(points[i] if distinct else points[0])
+                except ValueError:
+                    return None
 
             with ThreadPoolExecutor(workers) as pool:
                 children = list(pool.map(extend, range(workers), timeout=30))
-            assert sum(child.rows is parent.rows for child in children) == 1
-            for child in children:
-                assert np.array_equal(child.rows[:t], values)
-                assert np.array_equal(child.rows[t], extension_row(parent, child))
+            # Distinct points: one child and 7 refusals. One point: one child for all.
+            made = [child for child in children if child is not None]
+            assert len(made) == (1 if distinct else workers)
+            assert all(child is parent.child for child in made)
+            assert parent.child.rows is parent.rows
+            assert np.array_equal(parent.rows[:t], values)
+            assert np.array_equal(parent.rows[t], extension_row(parent, parent.child))
     finally:
         sys.setswitchinterval(interval)
 
@@ -375,7 +377,7 @@ def test_row_store_caps_the_rows_reserved_for_capacity(monkeypatch):
 
 
 # A model without a capacity maps 2 rows at t = 1 and doubles them when full;
-# at t = 16 both children are extended past the end of the mapping.
+# at t = 16 the child is extended past the end of the mapping.
 @pytest.mark.parametrize("t, mapped", [(10, 16), (16, 16), (17, 32)],
                          ids=["room", "full-mapping", "after-growth"])
 def test_branching_adds_leave_parent_posterior_unchanged(t, mapped):
@@ -386,16 +388,53 @@ def test_branching_adds_leave_parent_posterior_unchanged(t, mapped):
         model.posterior_batch(domain.grid)  # the cache starts at t = 1 and grows with it
     assert model._cov.rows.shape[0] == mapped
     parent = model.posterior_batch(domain.grid)
-    first = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
-    first.posterior_batch(domain.grid)
-    second = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
-    grandchild = first.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+    child = model.add(rng.uniform(-2, 2, domain.dim), rng.normal())
+    child.posterior_batch(domain.grid)
+    grandchild = child.add(rng.uniform(-2, 2, domain.dim), rng.normal())
     for before, after in zip(parent, model.posterior_batch(domain.grid)):
         np.testing.assert_array_equal(before, after)
-    for child in (first, second, grandchild):
+    for later in (child, grandchild):
         assert_posteriors_close(
-            child.posterior_batch(domain.grid), fresh_lattice_posterior(child, domain)
+            later.posterior_batch(domain.grid), fresh_lattice_posterior(later, domain)
         )
+
+
+def test_a_part_is_extended_once_and_refuses_another_point():
+    # Capacity 0: the group's mapping has 4 rows at t = 3, room for one more.
+    rng = np.random.default_rng(47)
+    domain = Domain([-2.0, -2.0], [2.0, 2.0], [12, 12])
+    first, second = empty_models([(Kernel("squared_exponential", [0.6, 0.6]), 1e-3)] * 2)
+    for _ in range(3):
+        point = rng.uniform(-2, 2, 2)
+        first, second = first.add(point, rng.normal()), second.add(point, rng.normal())
+        first.posterior_batch(domain.grid)
+    t = first.n_observations
+    assert first._cov.rows.shape[0] == t + 1
+    point = rng.uniform(-2, 2, 2)
+    child = first.add(point, 1.0)
+    assert second.add(point.copy(), 2.0)._cov is child._cov
+    before, rows = first.posterior_batch(domain.grid), first._cov.rows[:t + 1].copy()
+    with pytest.raises(ValueError, match="extended at most once"):
+        first.add(rng.uniform(-2, 2, 2), 1.0)
+    for got, want in zip(first.posterior_batch(domain.grid), before):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(first._cov.rows[:t + 1], rows)
+    # The child's mapping is full: its own child grows it.
+    grandchild = child.add(rng.uniform(-2, 2, 2), 0.5)
+    assert grandchild._cov.rows is not child._cov.rows
+    assert grandchild._cov.rows.shape[0] == 2 * (t + 1)
+    assert_posteriors_close(
+        grandchild.posterior_batch(domain.grid), fresh_lattice_posterior(grandchild, domain)
+    )
+
+
+def test_model_without_data_checks_the_dimension_of_its_query():
+    model = GpModel(Kernel("squared_exponential", [1.0, 1.0]), 1e-3)
+    for queries in ([[1.0, 2.0, 3.0]], []):
+        with pytest.raises(ValueError, match="points have dims 2/"):
+            model.posterior_batch(queries)
+    means, variances = model.posterior_batch(np.empty((0, 2)))
+    assert means.shape == variances.shape == (0,)
 
 
 def test_model_rebuilt_from_its_data_matches_incremental():
@@ -585,7 +624,7 @@ def test_shared_covariance_matches_separate_models_bit_for_bit():
         return [[model.add(x, value) for model, value in zip(models, values)]
                 for models in pairs]
 
-    main, branch, branches = [], [], []
+    main = []
     for t in range(36):
         shared, separate = step((shared, separate), main)
         if t % 3 == 0:
@@ -593,10 +632,6 @@ def test_shared_covariance_matches_separate_models_bit_for_bit():
             for a, b in zip(shared, separate):
                 for got, want in zip(a.posterior_batch(queries), b.posterior_batch(queries)):
                     assert np.array_equal(got, want)
-        if t == 12:
-            # A second child of each shared parent, stepped on its own branch.
-            branches, branch = [shared, separate], list(main)
-            shared, separate = step((shared, separate), main)
         if t == 24:
             # A refit gives each output hyperparameters of its own.
             shared, separate = [
@@ -605,10 +640,6 @@ def test_shared_covariance_matches_separate_models_bit_for_bit():
             ]
             assert shared[0].kernel != shared[1].kernel
         assert_same_posteriors(shared, separate, domain, main)
-        if branches and t < 20:
-            branches = step(branches, branch)
-            assert_same_posteriors(*branches, domain, branch)
-    assert_same_posteriors(*branches, domain, branch)
 
 
 def test_group_members_may_query_and_add_in_any_order():
@@ -632,6 +663,25 @@ def test_group_members_may_query_and_add_in_any_order():
         for model in models:
             for domain in lattices:
                 check(model, domain)
+
+
+@pytest.mark.parametrize("sibling_side", [9, 15], ids=["other-lattice", "same-lattice"])
+def test_member_that_reads_its_lattice_after_a_siblings_add_keeps_its_mean(sibling_side):
+    # The sibling's child part has no cache of the member's lattice when the
+    # member reads it: the child may cache another lattice, or this one anew.
+    rng = np.random.default_rng(53)
+    lattices = {side: Domain([-2.0, -2.0], [2.0, 2.0], [side, side]) for side in (9, 15)}
+    first, second = empty_models([(Kernel("matern52", [0.7, 0.7], 1.2), 1e-3)] * 2)
+    point = rng.uniform(-2, 2, 2)
+    first, second = first.add(point, 1.0), second.add(point, -1.0)
+    point = rng.uniform(-2, 2, 2)
+    first = first.add(point, 0.5)
+    first.posterior_batch(lattices[sibling_side].grid)
+    second.posterior_batch(lattices[15].grid)
+    second = second.add(point, 2.0)
+    assert second._cov is first._cov
+    assert_posteriors_close(second.posterior_batch(lattices[15].grid),
+                            fresh_lattice_posterior(second, lattices[15]))
 
 
 def test_cached_results_are_copies():
