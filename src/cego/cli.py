@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .metrics import METRICS
@@ -49,7 +50,12 @@ def _cmd_metrics(args) -> int:
             # The logs must be of the problem and settings the entry was computed for.
             problem = reference_problem(args.problem, ref)
         table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas,
-                             out=args.out, problem=problem)
+                             problem=problem)
+        # One writer for stdout and --out: RFC 4180 CSV with csv's \r\n line
+        # ends, so a label holding a comma is quoted and both hold one set of bytes.
+        with (nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8", newline="")) as fh:
+            csv.writer(fh).writerows(table)
     except (KeyError, OSError, ValueError) as exc:
         # A missing input, no such reference entry or no readable reference
         # file, a log that fails its check (named with its first bad line), or
@@ -57,10 +63,7 @@ def _cmd_metrics(args) -> int:
         print(f"cego metrics: {exc.args[0] if isinstance(exc, KeyError) else exc}",
               file=sys.stderr)
         return 1
-    if args.out is None:
-        # Quoted as --out writes it, so a label holding a comma stays one field.
-        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
-    else:
+    if args.out is not None:
         print(args.out)
     return 0
 

@@ -198,7 +198,6 @@ class AlgorithmState:
     domain: Domain
     models: list[GpModel]
     beta: BetaSchedule = field(default_factory=BetaSchedule)
-    t: int = 0
     rho: float = 1.0
     eta: float = 1.0
     duals: np.ndarray = field(init=False)
@@ -229,6 +228,11 @@ class AlgorithmState:
             seed_mask = np.zeros(self.domain.grid_size, dtype=bool)
             seed_mask[seeds] = True
             self.safe_indices = np.flatnonzero(seed_mask)
+
+    @property
+    def t(self) -> int:
+        """Steps observed so far: the objective model's observation count."""
+        return self.models[0].n_observations
 
     @property
     def n_constraints(self) -> int:
@@ -397,7 +401,7 @@ def propose(state: AlgorithmState, rng_seed=None) -> Decision:
 def observe(state: AlgorithmState, theta, values) -> AlgorithmState:
     """Fold a full measurement vector ``(y_0 .. y_N)`` into the state.
 
-    Every model gains the observation and the step counter advances. A
+    Every model gains the observation, so ``state.t`` grows by one. A
     ``primal_dual`` state then takes one projected dual-ascent step,
     ``dual_i = max(0, dual_i + eta * y_i)`` for each constraint ``i``.
     """
@@ -406,7 +410,6 @@ def observe(state: AlgorithmState, theta, values) -> AlgorithmState:
     if values.shape[0] != len(state.models):
         raise ValueError(f"expected {len(state.models)} outputs, got {values.shape[0]}")
     state.models = [model.add(theta, value) for model, value in zip(state.models, values)]
-    state.t += 1
     if state.policy == "primal_dual" and state.n_constraints:
         state.duals = np.maximum(0.0, state.duals + state.eta * values[1:])
     return state

@@ -15,7 +15,6 @@ that compare across machines. The log format is ``cego.logs``'s.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from contextlib import closing
@@ -412,10 +411,11 @@ def emit_metrics(
     metric: str = "constrained_regret",
     j_star: float | None = None,
     sigmas=None,
-    out=None,
     problem: dict | None = None,
 ) -> list[list]:
-    """Aggregate per-policy metric series into a CSV-shaped table.
+    """Aggregate per-policy metric series into a CSV-shaped table, and return it.
+
+    It opens no file but the logs; ``cego metrics`` writes the table.
 
     One row per step: ``step, <label>_mean, <label>_std, ...`` with the
     sample standard deviation (n-1 denominator; 0.0 for a single
@@ -466,24 +466,14 @@ def emit_metrics(
         runs[seed] = (path, series)
 
     labels = sorted(by_label)
-    table: list[list] = [["step"] + [f"{lab}_{s}" for lab in labels for s in ("mean", "std")]]
-    padded = {
-        lab: np.stack([
-            np.concatenate([s, np.full(budget - s.size, s[-1])])
-            for _, (_, s) in sorted(runs.items())  # the seeds are distinct
-        ])
-        for lab, runs in by_label.items()
-    }
-    for step in range(budget or 0):
-        row: list = [step + 1]
-        for lab in labels:
-            column = padded[lab][:, step]
-            mean = float(np.mean(column))
-            std = float(np.std(column, ddof=1)) if column.size > 1 else 0.0
-            row.extend([mean, std])
-        table.append(row)
-
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(table)
-    return table
+    columns: list = [range(1, (budget or 0) + 1)]
+    for lab in labels:
+        # A C-contiguous (budget, seeds) array, seeds ascending: each row sums
+        # in the pairwise order of its step's 1-D column. Reducing axis 0 of a
+        # (seeds, budget) array instead changes the last bits of some means.
+        runs = np.stack([np.concatenate([s, np.full(budget - s.size, s[-1])])
+                         for _, (_, s) in sorted(by_label[lab].items())], axis=1)
+        std = np.std(runs, axis=1, ddof=1) if runs.shape[1] > 1 else np.zeros(budget)
+        columns += [np.mean(runs, axis=1).tolist(), std.tolist()]
+    header = ["step"] + [f"{lab}_{s}" for lab in labels for s in ("mean", "std")]
+    return [header] + [list(row) for row in zip(*columns)]

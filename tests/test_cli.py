@@ -435,7 +435,8 @@ def test_metrics_stdout_is_the_csv_that_out_writes(tmp_path, capsys):
     assert main(["metrics", "--logs", str(logs), "--metric", "best_so_far"]) == 0
     printed = capsys.readouterr().out
     assert printed.splitlines()[0] == 'step,"rand,a_mean","rand,a_std",random_mean,random_std'
-    assert printed.splitlines() == out.read_text().splitlines()
+    # The same bytes, \r\n line ends included: a redirect and --out agree.
+    assert printed == out.read_bytes().decode()
 
 
 def test_metrics_out_into_a_missing_directory_is_one_line(tmp_path, capsys):

@@ -715,6 +715,9 @@ def test_observe_increments_t_and_grows_models():
     observe(state, domain.point(2), [1.0, -0.5])
     assert state.t == 1
     assert all(m.n_observations == 1 for m in state.models)
+    # t is the models' observation count, not a field of its own.
+    with pytest.raises(TypeError):
+        make_state("config", domain, t=1)
 
 
 def test_beta_schedule_log_growth_monotone():

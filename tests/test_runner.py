@@ -455,25 +455,27 @@ def test_emit_metrics_checks_its_settings_before_any_log(tmp_path, settings, phr
         emit_metrics([tmp_path / "missing.jsonl"], **settings)
 
 
-def write_constant_logs(directory, values_by_seed):
-    """One two-step ``random`` log per seed whose every sample is ``(value, -1)``."""
-    for seed, value in values_by_seed.items():
-        lines = [
-            json.dumps({"kind": "run_header", "policy": {"name": "random"}, "budget": 2, "seed": seed})
-        ]
-        for t in (1, 2):
-            lines.append(
-                json.dumps(
-                    {"t": t, "theta": [0.0], "y": [value, -1.0], "true": [value, -1.0], "decision": "sample"}
-                )
-            )
+def write_series_logs(directory, series_by_seed, budget):
+    """One ``random`` log per seed whose objective runs through its series, all feasible.
+
+    A series shorter than ``budget`` ends in the infeasibility marker.
+    """
+    for seed, series in series_by_seed.items():
+        lines = [json.dumps({"kind": "run_header", "policy": {"name": "random"},
+                             "budget": budget, "seed": seed})]
+        for t, value in enumerate(series, start=1):
+            lines.append(json.dumps({"t": t, "theta": [0.0], "y": [value, -1.0],
+                                     "true": [value, -1.0], "decision": "sample"}))
+        if len(series) < budget:
+            lines.append(json.dumps({"t": len(series) + 1, "theta": None, "y": None,
+                                     "true": None, "decision": "infeasible"}))
         (directory / f"x__random__seed{seed}.jsonl").write_text("\n".join(lines) + "\n")
     return sorted(directory.glob("*.jsonl"))
 
 
 def test_emit_metrics_mean_and_sample_std(tmp_path):
     # Synthetic two-replication logs with constant series [1,1] and [3,3].
-    paths = write_constant_logs(tmp_path, {1: 1.0, 2: 3.0})
+    paths = write_series_logs(tmp_path, {1: [1.0, 1.0], 2: [3.0, 3.0]}, budget=2)
     table = emit_metrics(paths, metric="constrained_regret", j_star=0.0)
     for row in table[1:]:
         assert row[1] == pytest.approx(2.0)
@@ -484,7 +486,8 @@ def test_emit_metrics_does_not_depend_on_log_order(tmp_path):
     # A float sum depends on its order: 1e16 + 1.0 rounds back to 1e16. The
     # file names sort seed10 before seed2, so a mean taken in argument order
     # differs between the two orders.
-    paths = write_constant_logs(tmp_path, {1: 1e16, 2: 1.0, 10: -1e16})
+    paths = write_series_logs(tmp_path, {1: [1e16] * 2, 2: [1.0] * 2, 10: [-1e16] * 2},
+                              budget=2)
     assert emit_metrics(paths, metric="best_so_far") == emit_metrics(paths[::-1], metric="best_so_far")
 
 
@@ -535,13 +538,35 @@ def test_emit_metrics_regret_needs_reference(tmp_path):
 
 
 def test_emit_metrics_writes_csv(tmp_path):
+    # The table is returned, not written: `cego metrics` is its one writer.
     config = small_config(tmp_path, budget=3, seeds=(4,))
     paths = run_experiment(config)
-    out = tmp_path / "table.csv"
-    emit_metrics(paths, metric="best_so_far", out=out)
-    rows = out.read_text().strip().split("\n")
-    assert rows[0] == "step,random_mean,random_std"
-    assert len(rows) == 4
+    before = sorted(tmp_path.rglob("*"))
+    table = emit_metrics(paths, metric="best_so_far")
+    assert table[0] == ["step", "random_mean", "random_std"]
+    assert [row[0] for row in table[1:]] == [1, 2, 3]
+    assert all(len(row) == 3 and all(type(v) is float for v in row[1:]) for row in table[1:])
+    assert sorted(tmp_path.rglob("*")) == before
+    assert emit_metrics([], metric="best_so_far") == [["step"]]
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 11])
+def test_emit_metrics_rows_reduce_each_step_column_in_seed_order(tmp_path, n_seeds):
+    # Nine or more seeds bring numpy's pairwise summation into play, whose
+    # order a reduction over another axis or layout changes in the last bits.
+    budget = 7
+    rng = np.random.default_rng(n_seeds)
+    series = {int(seed): (rng.normal(size=budget) * 10.0 ** rng.integers(-5, 6, size=budget)).tolist()
+              for seed in rng.permutation(np.arange(100, 100 + n_seeds))}
+    first = min(series)
+    series[first] = series[first][:4]  # ends in the infeasibility marker
+    paths = write_series_logs(tmp_path, series, budget)
+    table = emit_metrics(paths, metric="best_so_far")
+    running = {seed: np.minimum.accumulate(values) for seed, values in sorted(series.items())}
+    for step, row in enumerate(table[1:]):
+        column = np.array([s[min(step, s.size - 1)] for s in running.values()])
+        std = float(np.std(column, ddof=1)) if n_seeds > 1 else 0.0
+        assert row == [step + 1, float(np.mean(column)), std]
 
 
 def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
