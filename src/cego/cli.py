@@ -44,9 +44,10 @@ def _cmd_metrics(args) -> int:
         j_star, sigmas, problem = args.j_star, None, None
         if args.problem is not None:
             ref = get_reference(args.problem, path=args.references)
+            # record_metric names whichever of them the metric needs and lacks.
             if j_star is None:
-                j_star = ref["j_star"]
-            sigmas = ref["sigmas"]
+                j_star = ref.get("j_star")
+            sigmas = ref.get("sigmas")
             # The logs must be of the problem and settings the entry was computed for.
             problem = reference_problem(args.problem, ref)
         table = emit_metrics(logs, metric=args.metric, j_star=j_star, sigmas=sigmas,

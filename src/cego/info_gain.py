@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .domain import Domain, positive_real
+from .domain import Domain, int_at_least, positive_real
 from .gp import _factor, empty_models
 from .kernels import Kernel
 
@@ -60,8 +60,7 @@ def max_info_gain(kernel: Kernel, domain: Domain, t: int, noise_variance: float)
     Enumerates the size-``t`` subsets of the lattice when there are at most
     ``_EXACT_SUBSET_LIMIT`` (20,000) of them, and is greedy otherwise.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    int_at_least("t", t, 0)
     noise_variance = positive_real("noise_variance", noise_variance)
     grid = domain.grid
     if t > grid.shape[0]:

@@ -98,6 +98,8 @@ def covariance(family: str, sq: np.ndarray, variance: float = 1.0) -> np.ndarray
         np.exp(out, out=out)
         out *= variance
         return out
+    if family != MATERN52:
+        raise ValueError(f"unknown kernel family {family!r}, expected one of {_FAMILIES}")
     # Matern-5/2 in terms of the scaled distance r:
     # variance * (1 + sqrt(5) r + (5/3) sq) * exp(-sqrt(5) r), each operation
     # in that order, with at most three arrays the size of sq alive besides it.

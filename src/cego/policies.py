@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Domain, as_point, finite_real, positive_real
-from .gp import GpModel, _scipy_extension, column_blocks
+from .gp import GpModel, _scipy_extension
 
 __all__ = ["BetaSchedule", "AlgorithmState", "Decision", "POLICIES", "propose", "observe"]
 
@@ -291,12 +291,12 @@ def _cei(state: AlgorithmState, ev: GridEvaluation) -> int:
     The feasibility probability is the product over constraints of
     ``P[g_i <= 0]``. The incumbent is the best observed objective value
     among points where every constraint on its own holds with posterior
-    probability at least 1/2; with no such point the step maximizes the
-    feasibility probability alone. Never declares infeasibility.
+    probability at least 1/2; with no such point, as at a cold start with no
+    observation at all, the step maximizes the feasibility probability
+    alone (the no-incumbent rule of Gelbart, Snoek & Adams). Under the prior
+    that probability is the same everywhere, so a cold step takes index 0.
+    Never declares infeasibility.
     """
-    objective = state.models[0]
-    if objective.n_observations == 0:
-        raise ValueError("cei needs at least one objective observation for the incumbent")
     feas_prob = np.prod(_constraint_probability(ev.means[1:], ev.sigmas[1:]), axis=0)
 
     incumbent = _cei_incumbent(state)
@@ -336,6 +336,7 @@ def _safeopt_lite(state: AlgorithmState, ev: GridEvaluation) -> int:
     constraint ``i``. Within the safe set the step picks the smallest
     objective LCB, breaking ties by larger posterior sigma and then by
     smaller index. The safe set only grows and sampling never leaves it.
+    The certificate takes one pass over the lattice per safe point.
     """
     if state.safe_indices is None or state.safe_indices.size == 0:
         raise ValueError("safeopt_lite requires a non-empty feasible seed set")
@@ -344,19 +345,16 @@ def _safeopt_lite(state: AlgorithmState, ev: GridEvaluation) -> int:
     # A set that holds the whole lattice has nothing left to certify.
     if np.isfinite(state.lipschitz) and safe.size < state.domain.grid_size:
         grid = state.domain.grid
-        safe_points = grid[safe]
         # -inf with no constraint: every point is certified, vacuously.
-        safe_ucb = np.max(ev.ucb[1:], axis=0, initial=-np.inf)[safe][:, None]
-        certified = np.empty(grid.shape[0], dtype=bool)
-        # L1 distances from each safe point to one block of lattice points at
-        # a time, summed one plane per dimension in order (see
-        # kernels.scaled_sq_distances).
-        for cols in column_blocks(safe.size, grid.shape[0]):
-            block = grid[cols]
-            dist = np.abs(np.subtract.outer(safe_points[:, 0], block[:, 0]))
+        worst = np.max(ev.ucb[1:], axis=0, initial=-np.inf)
+        certified = np.zeros(grid.shape[0], dtype=bool)
+        # One lattice-sized L1 distance row per safe point, summed one
+        # dimension at a time in order (see kernels.scaled_sq_distances).
+        for s in safe:
+            dist = np.abs(grid[:, 0] - grid[s, 0])
             for k in range(1, state.domain.dim):
-                dist += np.abs(np.subtract.outer(safe_points[:, k], block[:, k]))
-            certified[cols] = np.min(safe_ucb + state.lipschitz * dist, axis=0) <= 0
+                dist += np.abs(grid[:, k] - grid[s, k])
+            certified |= worst[s] + state.lipschitz * dist <= 0
         # The set only grows: a safe point stays safe whether or not it
         # certifies itself. A mask, not np.union1d, which loads numpy.ma in
         # numpy >= 2.3.

@@ -119,11 +119,6 @@ class RunConfig:
                     f"policy {label!r}: safeopt_lite needs an explicit safe_seed "
                     "unless start='feasible'"
                 )
-            if spec["name"] == "cei" and self.start == "none" and self.n_init_random == 0:
-                raise ValueError(
-                    f"policy {label!r}: cei needs an initial point for its incumbent, "
-                    "so start='none' needs n_init_random >= 1"
-                )
             try:
                 # A key the policy never reads would be logged but not used.
                 _check_keys(f"{spec['name']} policy", spec,

@@ -417,6 +417,19 @@ def test_metrics_missing_inputs_are_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "cego metrics: normalized metric needs per-output sigmas\n"
+    # A reference entry that lacks what the metric needs gets the same lines.
+    for metric, key, phrase in (
+            ("constrained_regret", "j_star", "constrained_regret needs a reference optimum j_star"),
+            ("normalized", "sigmas", "normalized metric needs per-output sigmas")):
+        refs = load_references()
+        del refs["artificial"][key]
+        path = tmp_path / "refs.json"
+        path.write_text(json.dumps(refs), encoding="utf-8")
+        assert main(["metrics", "--logs", str(logs), "--problem", "artificial",
+                     "--metric", metric, "--references", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cego metrics: {phrase}\n"
 
 
 def test_metrics_stdout_is_the_csv_that_out_writes(tmp_path, capsys):
@@ -482,6 +495,29 @@ def test_metrics_refuses_a_j_star_that_is_not_finite(tmp_path, capsys, j_star):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cego metrics: j_star must be a finite number, got {j_star}\n"
+
+
+@pytest.mark.parametrize("metric, missing", [
+    ("constrained_regret", ["sigmas"]),
+    ("best_so_far", ["j_star"]),
+    ("best_so_far", ["j_star", "sigmas"]),
+], ids=["regret-without-sigmas", "best-without-j_star", "best-without-either"])
+def test_metrics_reads_only_what_its_metric_needs(tmp_path, capsys, metric, missing):
+    # An entry without sigmas failed constrained_regret, and one without
+    # j_star failed best_so_far, with "cego metrics: <key>".
+    logs = run_small(tmp_path, {"name": "artificial"})
+    capsys.readouterr()
+    assert main(["metrics", "--logs", str(logs), "--problem", "artificial",
+                 "--metric", metric]) == 0
+    want = capsys.readouterr().out
+    refs = load_references()
+    for key in missing:
+        del refs["artificial"][key]
+    path = tmp_path / "refs.json"
+    path.write_text(json.dumps(refs), encoding="utf-8")
+    assert main(["metrics", "--logs", str(logs), "--problem", "artificial",
+                 "--metric", metric, "--references", str(path)]) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("metric, key, value, phrase", [

@@ -166,6 +166,15 @@ def test_one_fit_for_all_outputs_matches_one_column_fits(family, seed):
         assert model.log_marginal_likelihood() == single.log_marginal_likelihood()
 
 
+def test_unknown_family_is_refused():
+    # It used to fit no candidate, [None, None], as if none had factorized.
+    domain = Domain([0.0], [10.0], [20])
+    points = np.linspace(0.0, 10.0, 6)[:, None]
+    with pytest.raises(ValueError, match="unknown kernel family 'bogus'"):
+        fit_hyperparameters(points, np.column_stack([np.sin(points[:, 0]), points[:, 0]]),
+                            domain, family="bogus")
+
+
 def test_values_must_be_one_column_per_output():
     domain = Domain([0.0], [1.0], [5])
     with pytest.raises(ValueError, match="n_outputs"):

@@ -99,6 +99,15 @@ def test_t_larger_than_grid_rejected():
         max_info_gain(k, Domain([0.0], [1.0], [3]), 4, 0.01)
 
 
+@pytest.mark.parametrize("t", [True, 2.5, "2", -1, np.int64(1)],
+                         ids=["bool", "float", "str", "negative", "numpy-int"])
+def test_t_must_be_an_int_at_least_zero(t):
+    # True counted as one step, 2.5 and "2" failed with a TypeError.
+    k = Kernel("squared_exponential", [1.0], 1.0)
+    with pytest.raises(ValueError, match="t must be an int >= 0"):
+        max_info_gain(k, Domain([0.0], [1.0], [5]), t, 0.01)
+
+
 def conditioner_greedy_gain(kernel, grid, t, lam):
     """Greedy gain from explicitly conditioned covariance rows, one per pick."""
     variances = np.full(len(grid), kernel.prior_variance)

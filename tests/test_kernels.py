@@ -112,6 +112,12 @@ def test_invalid_parameters_rejected():
             Kernel("squared_exponential", lengthscales, 1.0)
 
 
+def test_covariance_refuses_an_unknown_family():
+    # It used to compute any family but squared_exponential as Matern-5/2.
+    with pytest.raises(ValueError, match="unknown kernel family 'bogus', expected one of"):
+        covariance("bogus", np.zeros((2, 2)))
+
+
 def test_zero_dimensions_rejected():
     with pytest.raises(ValueError, match="at least one lengthscale"):
         Kernel("squared_exponential", [], 1.0)

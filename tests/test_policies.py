@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from cego import gp, policies
+from cego import policies
 from cego.domain import Domain
 from cego.gp import GpModel
 from cego.kernels import Kernel
@@ -141,9 +141,15 @@ def test_config_infeasible_iff_no_point_meets_every_constraint_lcb():
 
 
 def test_cei_requires_objective_observation():
-    state = make_state("cei", Domain([0.0], [1.0], [3]))
-    with pytest.raises(ValueError, match="cei needs at least one objective observation"):
-        propose(state)
+    # A cold step has no incumbent, so it maximizes the feasibility
+    # probability, which the prior makes equal everywhere: index 0.
+    domain = Domain([-1.0, -1.0], [1.0, 1.0], [4, 5])
+    for n_constraints in (0, 1, 2):
+        state = make_state("cei", domain, n_constraints=n_constraints)
+        assert _cei_incumbent(state) is None
+        decision = propose(state)
+        assert decision.index == 0
+        np.testing.assert_array_equal(decision.point, domain.point(0))
 
 
 def test_cei_zero_variance_everywhere_ties_to_first_point():
@@ -399,13 +405,9 @@ def test_safeopt_infinite_lipschitz_confines_to_seed():
     np.testing.assert_array_equal(state.safe_indices, [2, 3])
 
 
-def test_safeopt_without_constraints_certifies_the_whole_lattice(monkeypatch):
+def test_safeopt_without_constraints_certifies_the_whole_lattice():
     # "Every constraint" holds vacuously with none: the first step certifies
-    # every point, so the seed does not sample itself forever. Later steps
-    # measure no distances, since a full set has nothing left to certify.
-    passes = []
-    monkeypatch.setattr(policies, "column_blocks",
-                        lambda *args: passes.append(args) or gp.column_blocks(*args))
+    # every point, so the seed does not sample itself forever.
     domain = Domain([0.0, 0.0], [1.0, 1.0], [11, 11])
     state = make_state("safeopt_lite", domain, n_constraints=0, lipschitz=1.0,
                        safe_indices=[60], lengthscale=0.3)
@@ -416,7 +418,6 @@ def test_safeopt_without_constraints_certifies_the_whole_lattice(monkeypatch):
         picks.append(decision.index)
         observe(state, decision.point, [float(np.sum(decision.point))])
     assert len(set(picks)) == 5
-    assert passes == [(1, domain.grid_size)]
 
 
 def test_safeopt_expansion_certificate():
@@ -457,23 +458,39 @@ def test_safeopt_keeps_seeds_it_cannot_certify():
     assert state.safe_indices.dtype == expected.dtype
 
 
-def test_safeopt_expansion_matches_brute_force_l1():
-    # Three spread seeds, two constraints: a lattice point is certified when
-    # some seed's worst UCB plus L times its L1 distance is <= 0.
-    domain = Domain([0.0, -1.0], [3.0, 1.0], [16, 11])
-    seeds = np.array([0, 93, domain.grid_size - 1])
-    state = make_state("safeopt_lite", domain, n_constraints=2, lipschitz=1.5, noise=1e-6,
-                       safe_indices=seeds, lengthscale=0.4)
+# (lower, upper, counts, seeds, n_constraints, lipschitz): seeds as lattice
+# indices, negative ones counted from the end.
+BRUTE_FORCE_CASES = {
+    "two-constraints": ([0.0, -1.0], [3.0, 1.0], [16, 11], [0, 93, -1], 2, 1.5),
+    "lipschitz-0": ([0.0, -1.0], [3.0, 1.0], [16, 11], [0, 93, -1], 2, 0.0),
+    "no-constraint": ([0.0, -1.0], [3.0, 1.0], [16, 11], [93], 0, 1.5),
+    "1-d": ([0.0], [10.0], [60], [0, 17, -1], 2, 1.5),
+    "3-d": ([0.0, -1.0, 0.0], [3.0, 1.0, 1.0], [9, 7, 5], [0, 157, -1], 2, 1.5),
+    "210x210": ([0.0, -1.0], [3.0, 1.0], [210, 210], [0, 22155, -1], 2, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", BRUTE_FORCE_CASES.values(), ids=BRUTE_FORCE_CASES.keys())
+def test_safeopt_expansion_matches_brute_force_l1(case):
+    # Spread seeds: a lattice point is certified when some seed's worst
+    # constraint UCB plus L times its L1 distance is <= 0.
+    lower, upper, counts, seeds, n_constraints, lipschitz = case
+    domain = Domain(lower, upper, counts)
+    seeds = np.array(seeds) % domain.grid_size
+    state = make_state("safeopt_lite", domain, n_constraints=n_constraints,
+                       lipschitz=lipschitz, noise=1e-6, safe_indices=seeds, lengthscale=0.4)
     for index, value in zip(seeds, (-1.0, -2.0, -0.6)):
         for _ in range(3):
-            observe(state, domain.point(index), [0.0, value, value - 0.2])
+            observe(state, domain.point(index), [0.0, value, value - 0.2][:n_constraints + 1])
     ucb = state.grid_bounds().ucb
     grid = domain.grid
     certified = np.zeros(domain.grid_size, dtype=bool)
-    for index in range(domain.grid_size):
-        for seed in seeds:
-            dist = sum(abs(float(grid[seed, k]) - float(grid[index, k])) for k in range(2))
-            if max(ucb[1][seed], ucb[2][seed]) + 1.5 * dist <= 0:
+    for seed in seeds:
+        worst = max(ucb[1:, seed], default=-np.inf)
+        for index in range(domain.grid_size):
+            dist = sum(abs(float(grid[seed, k]) - float(grid[index, k]))
+                       for k in range(domain.dim))
+            if worst + lipschitz * dist <= 0:
                 certified[index] = True
     old = state.safe_indices
     propose(state)
@@ -482,36 +499,12 @@ def test_safeopt_expansion_matches_brute_force_l1():
     expected = np.union1d(old, np.flatnonzero(certified))
     np.testing.assert_array_equal(state.safe_indices, expected)
     assert state.safe_indices.dtype == expected.dtype
-    assert len(seeds) < len(expected) < domain.grid_size
-
-
-@pytest.mark.parametrize("shape, block_bytes", [((210, 210), None), ((16, 11), 8 * 3 * 64)])
-def test_safeopt_expansion_across_column_blocks_matches_brute_force(
-        monkeypatch, shape, block_bytes):
-    # The |S| x G distance planes are built one column block of the lattice
-    # at a time: the lattice spans several blocks, at the real budget and at
-    # one of 64 columns, and the certified points lie in more than one.
-    if block_bytes is not None:
-        monkeypatch.setattr(gp, "_BLOCK_BYTES", block_bytes)
-    domain = Domain([0.0, -1.0], [3.0, 1.0], shape)
-    seeds = np.array([0, domain.grid_size // 2 + shape[1] // 2, domain.grid_size - 1])
-    state = make_state("safeopt_lite", domain, n_constraints=2, lipschitz=1.5, noise=1e-6,
-                       safe_indices=seeds, lengthscale=0.4)
-    for index, value in zip(seeds, (-1.0, -2.0, -0.6)):
-        for _ in range(3):
-            observe(state, domain.point(index), [0.0, value, value - 0.2])
-    worst_ucb = np.max(state.grid_bounds().ucb[1:], axis=0)
-    grid = domain.grid
-    certified = np.zeros(domain.grid_size, dtype=bool)
-    for seed in seeds:
-        dist = np.abs(grid[:, 0] - grid[seed, 0]) + np.abs(grid[:, 1] - grid[seed, 1])
-        certified |= worst_ucb[seed] + 1.5 * dist <= 0
-    expected = set(seeds) | set(np.flatnonzero(certified))
-    blocks = gp.column_blocks(len(seeds), domain.grid_size)
-    assert len({i // blocks[0].stop for i in expected}) > 1
-    propose(state)
-    assert set(state.safe_indices) == expected
-    assert len(seeds) < len(expected) < domain.grid_size
+    # With no constraint, or with L = 0 and a seed whose UCB is <= 0, every
+    # point is certified.
+    if n_constraints == 0 or lipschitz == 0:
+        assert len(expected) == domain.grid_size
+    else:
+        assert len(seeds) < len(expected) < domain.grid_size
 
 
 def test_safeopt_never_samples_outside_safe_set():

@@ -823,11 +823,16 @@ def test_config_replication_maps_its_lattice_rows_once(tmp_path, monkeypatch):
 
 
 def test_cei_requires_an_initial_point(tmp_path):
-    # With no initial point cei has no incumbent for its first step.
-    with pytest.raises(ValueError, match="policy 'cei': cei needs an initial point"):
-        small_config(tmp_path, policies=[{"name": "cei"}], start="none", n_init_random=0)
-    assert not any(tmp_path.iterdir())
-    small_config(tmp_path, policies=[{"name": "cei"}], start="none", n_init_random=1)
+    # A cold cei start has no incumbent: its first step maximizes the
+    # feasibility probability, equal everywhere under the prior, so it takes
+    # lattice index 0.
+    config = small_config(tmp_path, policies=[{"name": "cei"}], budget=3, seeds=(5,),
+                          start="none", n_init_random=0)
+    (path,) = run_experiment(config)
+    header, records = load_log(path)
+    assert [r.decision for r in records] == ["sample"] * 3
+    first = problem_from_config(config.problem).domain.point(0)
+    assert records[0].theta == tuple(first) == (-10.0, -10.0)
 
 
 def test_safeopt_without_seed_starts_from_the_feasible_start(tmp_path):
