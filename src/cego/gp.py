@@ -83,8 +83,8 @@ kernel's overcommit check counts all of it: the rows reserved for
 grows by doubling. A model reads only its own first ``t`` rows, so a
 part's child writes row ``t`` in place while there is room: a run that stays
 within its capacity maps its rows once and never copies them. An extension
-past the mapping's end copies the ``t`` rows into a new mapping by the same
-rule, with the old mapping's rows as its capacity.
+past the mapping's end copies the ``t`` rows into a new mapping of ``2 t``
+rows: the mapping doubles.
 
 Column blocks. Every query the cache cannot answer makes one pass,
 :meth:`GpModel._streamed`, that streams its points through blocks of about
@@ -317,7 +317,7 @@ class _Covariance:
                 l, d = child.chol[t, :t], child.chol[t, t]
                 row = (self.kernel.cross(point[None, :], self.lattice)[0] - l @ rows[:t]) / d
                 if t == rows.shape[0]:
-                    rows = _row_store(t, rows.shape[1], capacity=rows.shape[0])
+                    rows = _row_store(t, rows.shape[1])
                     rows[:t] = self.rows[:t]
                 rows[t] = row
                 child.rows, child.var = rows, self.var - row * row

@@ -98,7 +98,7 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
     header must carry an int ``budget`` >= 1, an int ``seed`` >= 0, a
     ``policy`` object with a string ``name`` (and ``label``, if any) and, if
     any, a ``problem`` object with a string ``name``, and the records must
-    run ``t = 1, 2, ...`` with no gap or repeat, number at most the header's
+    run int ``t = 1, 2, ...`` with no gap or repeat, number at most the header's
     ``budget``, and hold an ``infeasible`` marker only as the last one. A
     ``sample`` record holds lists ``theta`` and ``y`` and a list or null
     ``true``, each list of finite numbers; the marker holds null for all
@@ -137,7 +137,7 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
 def _next_record(raw: dict, records: list[RunRecord], budget: int) -> RunRecord:
     """The record that ``raw`` holds, if it may follow ``records`` in a log of ``budget`` steps."""
     due = len(records) + 1
-    if raw["t"] != due:
+    if int_at_least("t", raw["t"], 1) != due:
         raise ValueError(f"t={raw['t']} where t={due} was due")
     if due > budget:
         raise ValueError(f"a record beyond the budget of {budget}")

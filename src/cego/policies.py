@@ -61,12 +61,6 @@ SPEC_KEYS = {
 }
 POLICIES = tuple(SPEC_KEYS)
 
-# Incumbent rule for constrained EI: an observed point counts as feasible
-# when each constraint on its own holds with posterior probability >= 1/2
-# (the per-constraint rule of Gelbart, Snoek & Adams, UAI 2014), not when
-# the joint probability does.
-CEI_INCUMBENT_THRESHOLD = 0.5
-
 # The standard normal CDF is scipy's ``ndtr`` ufunc and the density below is
 # ``exp(-z**2/2) / sqrt(2*pi)``: the formulas behind ``scipy.stats.norm.cdf``
 # and ``norm.pdf``, so scores keep their bits without importing scipy.stats
@@ -254,7 +248,8 @@ def _lcb_step(state: AlgorithmState, ev: GridEvaluation) -> int | None:
     ``FloatingPointError`` naming the policy and its weight.
     """
     lcb = ev.lcb
-    score = _CONSTRAINT_TERMS[state.policy](state, lcb[1:])
+    term, knob = _CONSTRAINT_TERMS[state.policy]
+    score = term(state, lcb[1:])
     score += lcb[0]  # in place: one lattice-sized array fewer at the step's peak
     index = int(np.argmin(score))
     best = score[index]
@@ -262,21 +257,18 @@ def _lcb_step(state: AlgorithmState, ev: GridEvaluation) -> int | None:
         return index
     if state.policy == "config" and best == np.inf:
         return None
-    knob = _CONSTRAINT_KNOBS.get(state.policy)
     weight = f" with {knob}={getattr(state, knob)!r}" if knob else ""
     raise FloatingPointError(f"{state.policy}{weight} scored a lattice minimum of {best}, "
                              "not a finite number")
 
 
-# The term each LCB-style policy adds to the objective LCB, per lattice
-# point, from the constraint LCB rows ``g`` (shape ``(N, G)``).
+# The term each LCB-style policy adds to the objective LCB, per lattice point, from
+# the constraint LCB rows ``g`` (shape ``(N, G)``), and the weight named on overflow.
 _CONSTRAINT_TERMS = {
-    "config": lambda state, g: np.where(np.all(g <= 0, axis=0), 0.0, np.inf),
-    "epbo": lambda state, g: state.rho * np.sum(np.maximum(g, 0.0), axis=0),
-    "primal_dual": lambda state, g: state.duals @ g,
+    "config": (lambda state, g: np.where(np.all(g <= 0, axis=0), 0.0, np.inf), None),
+    "epbo": (lambda state, g: state.rho * np.sum(np.maximum(g, 0.0), axis=0), "rho"),
+    "primal_dual": (lambda state, g: state.duals @ g, "eta"),
 }
-# The setting that weighs each penalty term, named when a score overflows.
-_CONSTRAINT_KNOBS = {"epbo": "rho", "primal_dual": "eta"}
 
 
 def _constraint_probability(means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -290,12 +282,12 @@ def _cei(state: AlgorithmState, ev: GridEvaluation) -> int:
 
     The feasibility probability is the product over constraints of
     ``P[g_i <= 0]``. The incumbent is the best observed objective value
-    among points where every constraint on its own holds with posterior
-    probability at least 1/2; with no such point, as at a cold start with no
-    observation at all, the step maximizes the feasibility probability
-    alone (the no-incumbent rule of Gelbart, Snoek & Adams). Under the prior
-    that probability is the same everywhere, so a cold step takes index 0.
-    Never declares infeasibility.
+    among points where every constraint holds with posterior probability
+    >= 1/2 on its own, that is posterior mean <= 0; with no such point, as
+    at a cold start with no observation at all, the step maximizes the
+    feasibility probability alone (the no-incumbent rule of Gelbart, Snoek
+    & Adams). Under the prior that probability is the same everywhere, so a
+    cold step takes index 0. Never declares infeasibility.
     """
     feas_prob = np.prod(_constraint_probability(ev.means[1:], ev.sigmas[1:]), axis=0)
 
@@ -315,14 +307,17 @@ def _cei(state: AlgorithmState, ev: GridEvaluation) -> int:
 
 
 def _cei_incumbent(state: AlgorithmState) -> float | None:
-    """Best objective observation at a point where each constraint is probably met."""
+    """Best objective observation where each constraint's posterior mean is <= 0.
+
+    That is, each constraint holds with probability >= 1/2 on its own: the
+    incumbent rule of Gelbart, Snoek & Adams (UAI 2014).
+    """
     objective = state.models[0]
     points = objective.points
     feasible = np.ones(points.shape[0], dtype=bool)
     for model in state.models[1:]:
-        means, variances = model.posterior_batch(points)
-        probability = _constraint_probability(means, np.sqrt(variances))
-        feasible &= probability >= CEI_INCUMBENT_THRESHOLD
+        means, _ = model.posterior_batch(points)
+        feasible &= means <= 0
     if not np.any(feasible):
         return None
     return float(np.min(objective.values[feasible]))

@@ -455,7 +455,10 @@ def emit_metrics(
         first, first_settings = first_of_label.setdefault(label, (path, settings))
         _check_problem(path, settings, first_settings, {**first_settings, **settings},
                        f"log {first} of its label")
-        series = best_so_far_series(records, quantity)
+        try:
+            series = best_so_far_series(records, quantity)
+        except ValueError as exc:
+            raise ValueError(f"log {path}: {exc}") from exc
         if series.size == 0:
             raise ValueError(f"log {path} has no sampled records to aggregate")
         runs[seed] = (path, series)

@@ -1,5 +1,6 @@
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -158,6 +159,26 @@ def test_close_is_idempotent():
     evaluate_one(box, [1.0, 2.0])
     box.close()
     box.close()
+
+
+def test_close_kills_a_child_that_ignores_eof():
+    box = ExternalBlackbox([sys.executable, "-c", "import time; time.sleep(60)"], n_constraints=0)
+    box._ensure_started()
+    proc = box._proc
+    wait, timeouts = proc.wait, []
+
+    def wait_once(timeout=None):
+        # The first wait times out at once instead of after its 2 s.
+        timeouts.append(timeout)
+        if len(timeouts) == 1:
+            raise subprocess.TimeoutExpired(proc.args, timeout)
+        return wait(timeout)
+
+    proc.wait = wait_once
+    box.close()
+    assert timeouts == [2.0, None]
+    assert proc.returncode == -signal.SIGKILL
+    assert proc.stdin.closed and proc.stdout.closed
 
 
 @pytest.mark.parametrize(

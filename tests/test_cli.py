@@ -408,6 +408,10 @@ def test_metrics_missing_inputs_are_one_line(tmp_path, capsys):
     empty.mkdir()
     assert main(["metrics", "--logs", str(empty)]) == 1
     assert capsys.readouterr().err == f"cego metrics: no .jsonl logs under {empty}\n"
+    (empty / "run.jsonl").write_text("", encoding="utf-8")
+    assert main(["metrics", "--logs", str(empty), "--metric", "best_so_far"]) == 1
+    assert capsys.readouterr().err == (
+        f"cego metrics: log {empty / 'run.jsonl'} has no header line\n")
     logs = run_small(tmp_path, {"name": "artificial"})
     capsys.readouterr()
     assert main(["metrics", "--logs", str(logs)]) == 1
@@ -526,7 +530,7 @@ def test_metrics_reads_only_what_its_metric_needs(tmp_path, capsys, metric, miss
      "each of sigmas must be a finite positive number, got nan"),
     ("normalized", "sigmas", 2.0, "sigmas must be a list of finite positive numbers, one per "
                                   "output, got 2.0"),
-    ("normalized", "sigmas", [1.0], "sigmas must be 2 numbers, one per output, got 1"),
+    ("normalized", "sigmas", [1.0], "log {log}: sigmas must be 2 numbers, one per output, got 1"),
 ], ids=["j_star-string", "sigma-nan", "sigmas-number", "sigmas-count"])
 def test_metrics_refuses_a_bad_reference_entry(tmp_path, capsys, metric, key, value, phrase):
     # A j_star of "x" failed inside numpy with a traceback; a NaN sigma made
@@ -541,4 +545,5 @@ def test_metrics_refuses_a_bad_reference_entry(tmp_path, capsys, metric, key, va
                  "--references", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"cego metrics: {phrase}\n"
+    (log,) = logs.glob("*.jsonl")
+    assert captured.err == f"cego metrics: {phrase.format(log=log)}\n"

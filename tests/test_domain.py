@@ -41,6 +41,13 @@ def test_corners_on_lattice():
     np.testing.assert_array_equal(d.point(d.grid_size - 1), [1.0, 4.0])
 
 
+@pytest.mark.parametrize("index", [-1, 12])
+def test_point_refuses_an_index_outside_the_lattice(index):
+    d = Domain([0.0, -1.0], [2.0, 1.0], [3, 4])
+    with pytest.raises(IndexError, match=rf"grid index {index} out of range \[0, 12\)"):
+        d.point(index)
+
+
 @given(st.integers(0, 11))
 def test_index_round_trip(idx):
     d = Domain([0.0, -1.0], [2.0, 1.0], [3, 4])

@@ -196,6 +196,12 @@ def test_observation_validates_finiteness():
         model.add([np.inf], 1.0)
 
 
+def test_add_checks_the_dimension_of_its_point():
+    model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01)
+    with pytest.raises(ValueError, match="point has dim 2, model has 1"):
+        model.add([0.0, 0.0], 1.0)
+
+
 @pytest.mark.parametrize("noise", [0.0, -1e-3, np.nan, np.inf, 1e400, True, "0.01"])
 def test_noise_variance_must_be_a_finite_positive_real(noise):
     # True ran as 1.0, and an infinite noise failed every replication mid-run.

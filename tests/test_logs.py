@@ -150,6 +150,11 @@ def test_log_of_two_writers_is_named_on_resume_and_in_metrics(tmp_path):
 
 @pytest.mark.parametrize("edit, problem", [
     (lambda records: records[1:], "line 2: t=2 where t=1"),
+    # True == 1 == 1.0, so a first record with either t used to load as step 1.
+    (lambda records: [{**records[0], "t": True}, *records[1:]],
+     "line 2: t must be an int >= 1, got True"),
+    (lambda records: [{**records[0], "t": 1.0}, *records[1:]],
+     "line 2: t must be an int >= 1, got 1.0"),
     (lambda records: records + [{**records[-1], "t": 5}], "line 6: a record beyond the budget"),
     (lambda records: [records[0], logs_mod._record_dict(2, None, None, None), records[2]],
      "line 4: a record after the infeasible marker"),
@@ -160,8 +165,8 @@ def test_log_of_two_writers_is_named_on_resume_and_in_metrics(tmp_path):
      "line 3: a sample record needs lists for theta and y"),
     (lambda records: [records[0], {**records[1], "decision": "infeasible"}],
      "line 3: an infeasible marker needs null theta, y and true"),
-], ids=["gap", "over-budget", "after-infeasible", "missing-field", "unknown-decision",
-        "sample-without-values", "infeasible-with-values"])
+], ids=["gap", "t-bool", "t-float", "over-budget", "after-infeasible", "missing-field",
+        "unknown-decision", "sample-without-values", "infeasible-with-values"])
 def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
     config = small_config(tmp_path, budget=4, seeds=(9,))
     (path,) = run_experiment(config)

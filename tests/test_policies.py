@@ -10,7 +10,6 @@ from cego.domain import Domain
 from cego.gp import GpModel
 from cego.kernels import Kernel
 from cego.policies import (
-    CEI_INCUMBENT_THRESHOLD,
     POLICIES,
     AlgorithmState,
     BetaSchedule,
@@ -270,8 +269,8 @@ def test_cei_falls_back_to_feasibility_maximization():
 
 def test_cei_incumbent_rule_is_per_constraint():
     # Each constraint holds at the observed point with probability 0.6 on its
-    # own, so the point counts as feasible although the joint probability,
-    # 0.36, is below the threshold.
+    # own (posterior mean < 0), so the point counts as feasible although the
+    # joint probability, 0.36, is below 1/2.
     domain = Domain([0.0], [1.0], [3])
     state = make_state("cei", domain, n_constraints=2, noise=1.0)
     # Prior variance 1, noise 1: the posterior at the observed point has mean
@@ -281,10 +280,42 @@ def test_cei_incumbent_rule_is_per_constraint():
     probabilities = []
     for model in state.models[1:]:
         (mean,), (var,) = model.posterior_batch([domain.point(1)])
+        assert mean < 0
         probabilities.append(norm.cdf(-mean / np.sqrt(var)))
     assert probabilities == pytest.approx([0.6, 0.6])
-    assert np.prod(probabilities) < CEI_INCUMBENT_THRESHOLD
+    assert np.prod(probabilities) < 0.5
     assert _cei_incumbent(state) == 0.7
+
+
+def test_cei_incumbent_is_the_sign_of_the_constraint_mean():
+    # A mean of 1e-20 under unit variance holds with probability just under
+    # 1/2, which the normal CDF rounds to 1/2; the point is not feasible.
+    domain = Domain([0.0], [1.0], [3])
+    state = make_state("cei", domain)
+    observe(state, domain.point(1), [0.7, -1.0])
+    model = state.models[1]
+    model.posterior_batch = lambda points: (np.full(len(points), 1e-20), np.ones(len(points)))
+    assert _normal_cdf(np.array(-1e-20)) == 0.5
+    assert _cei_incumbent(state) is None
+
+
+@pytest.mark.parametrize("policy, dims, phrase", [
+    ("nosuch", [1], "unknown policy 'nosuch'"),
+    ("config", [], "need at least the objective model"),
+    ("config", [2], "model dimension does not match the domain"),
+], ids=["unknown-policy", "no-model", "model-dimension"])
+def test_state_checks_its_policy_and_models(policy, dims, phrase):
+    models = [GpModel(Kernel("squared_exponential", [1.0] * dim, 1.0), 1e-2) for dim in dims]
+    with pytest.raises(ValueError, match=phrase):
+        AlgorithmState(policy, Domain([0.0], [1.0], [3]), models)
+
+
+def test_observe_checks_the_number_of_outputs():
+    domain = Domain([0.0], [1.0], [3])
+    state = make_state("config", domain)
+    with pytest.raises(ValueError, match="expected 2 outputs, got 3"):
+        observe(state, domain.point(0), [0.0, 0.0, 0.0])
+    assert state.t == 0
 
 
 # -- epbo -----------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cego.domain import Domain
 from cego.problems import (
     PROBLEM_BUILDERS,
+    Problem,
     artificial_infeasible_problem,
     artificial_problem,
     artificial_values,
@@ -60,6 +62,15 @@ def test_mistyped_artificial_settings_rejected(kwargs, setting):
     # A NaN noise level was taken, and made every measurement NaN.
     with pytest.raises(ValueError, match=setting):
         artificial_problem(**kwargs)
+
+
+def test_problem_checks_its_noise_levels_and_its_oracle_shape():
+    domain = Domain([0.0], [1.0], [3])
+    with pytest.raises(ValueError, match="need 2 noise levels, got 1"):
+        Problem("p", domain, 1, lambda thetas: np.zeros((len(thetas), 2)), (0.0,))
+    problem = Problem("p", domain, 1, lambda thetas: np.zeros((len(thetas), 3)), (0.0, 0.0))
+    with pytest.raises(ValueError, match=r"oracle returned shape \(1, 3\), expected \(1, 2\)"):
+        problem.evaluate([0.5])
 
 
 def test_purity_bit_identical():
