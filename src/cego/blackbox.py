@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .domain import int_at_least, positive_real
+from .domain import _is_real, int_at_least, positive_real
 
 __all__ = ["ExternalBlackbox", "BlackboxError", "BlackboxTimeout", "BlackboxProtocolError"]
 
@@ -118,17 +118,20 @@ class ExternalBlackbox:
     def _parse_response(self, line: bytes) -> np.ndarray:
         try:
             payload = json.loads(line)
-            objective = float(payload["objective"])
-            constraints = [float(v) for v in payload["constraints"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            values = [payload["objective"], *payload["constraints"]]
+            # NaN and Infinity pass: the problem refuses them with its own message.
+            if not all(map(_is_real, values)):
+                raise TypeError(f"objective and constraints must be numbers, got {values!r}")
+            row = np.array(values, dtype=float)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BlackboxProtocolError(
                 f"malformed response line {line.decode(errors='replace').strip()!r}: {exc}"
             ) from exc
-        if len(constraints) != self.n_constraints:
+        if row.size - 1 != self.n_constraints:
             raise BlackboxProtocolError(
-                f"expected {self.n_constraints} constraint values, got {len(constraints)}"
+                f"expected {self.n_constraints} constraint values, got {row.size - 1}"
             )
-        return np.array([objective, *constraints])
+        return row
 
     def close(self):
         """Close stdin, reap the child (killed after 2 s), then close its stdout."""

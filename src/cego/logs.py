@@ -7,8 +7,10 @@ an exclusive ``flock`` on its log from before it reads the log until its last
 write, so a second run on the same output directory stops that replication
 with an error naming the log instead of interleaving records with the first.
 
-``cego.runner`` writes and resumes logs with these pieces; every reader,
-``runner.emit_metrics`` included, goes through ``load_log``.
+``cego.runner`` writes and resumes logs with these pieces: its one writer,
+in ``run_replication``, appends the header and each record as one flushed
+line. Every reader, ``runner.emit_metrics`` included, goes through
+``load_log``.
 """
 
 from __future__ import annotations
@@ -101,8 +103,10 @@ def load_log(path) -> tuple[dict, list[RunRecord]]:
     run int ``t = 1, 2, ...`` with no gap or repeat, number at most the header's
     ``budget``, and hold an ``infeasible`` marker only as the last one. A
     ``sample`` record holds lists ``theta`` and ``y`` and a list or null
-    ``true``, each list of finite numbers; the marker holds null for all
-    three. Otherwise a ``ValueError`` names the log and the first bad line.
+    ``true``, each list of finite numbers, ``true`` as long as ``y``, and
+    ``theta`` and ``y`` as long as the first record's; the marker holds null
+    for all three. Otherwise a ``ValueError`` names the log and the first bad
+    line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -149,6 +153,12 @@ def _next_record(raw: dict, records: list[RunRecord], budget: int) -> RunRecord:
                 and (true is None or isinstance(true, list))):
             raise ValueError("a sample record needs lists for theta and y, "
                              "and a list or null for true")
+        if true is not None and len(true) != len(y):
+            raise ValueError(f"true and y differ in length: {len(true)} and {len(y)}")
+        # Only the last record may be the marker, so any record before this one is a sample.
+        if records and (len(theta), len(y)) != (len(records[0].theta), len(records[0].y)):
+            raise ValueError(f"theta and y have lengths {len(theta)} and {len(y)}, the first "
+                             f"record's {len(records[0].theta)} and {len(records[0].y)}")
     elif decision == "infeasible":
         if (theta, y, true) != (None, None, None):
             raise ValueError("an infeasible marker needs null theta, y and true")

@@ -21,11 +21,21 @@ minimum is ``+inf``:
 ``cei``
     Expected improvement times the probability that all constraints hold.
 ``epbo``
-    Objective LCB plus a fixed penalty ``rho`` times summed positive parts
-    of the constraint LCBs.
+    Exact-penalty BO (Lu & Paulson, IFAC-PapersOnLine 2022): minimize
+    ``lcb_0(x) + rho * sum_i max(0, lcb_i(x))``, the objective LCB plus a
+    fixed penalty ``rho`` times the summed positive parts of the constraint
+    LCBs. The source's penalty is exact once ``rho`` exceeds the largest
+    Lagrange multiplier; here ``rho`` is a setting, never adapted or checked
+    against one, and the equality constraints the source also penalizes are
+    not supported.
 ``primal_dual``
-    Lagrangian LCB score, the duals times the constraint LCBs, with
-    multiplier updates made in :func:`observe` from measured violations.
+    Primal-dual kernelized bandit (Zhou & Ji, NeurIPS 2022): minimize the
+    Lagrangian of the LCBs, ``lcb_0(x) + sum_i dual_i * lcb_i(x)``, then in
+    :func:`observe` take a projected dual step ``dual_i = max(0, dual_i +
+    eta * y_i)``, one dual per constraint, with a fixed step ``eta``. The
+    code departs from the source in the dual step: it takes the noisy
+    measurement ``y_i`` at the sampled point, where the source takes the
+    constraint's confidence-bound estimate there.
 ``safeopt_lite``
     Never samples outside a certified safe set grown from feasible seeds by
     Lipschitz extrapolation of the constraint UCBs. Deliberately simplified

@@ -19,8 +19,8 @@ import json
 import time
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -255,7 +255,8 @@ def run_replication(config: RunConfig, policy_spec: dict, seed: int) -> Path:
         _lock_log(fh, path)
         existing: list[RunRecord] = []
         # A log with no complete line, not even its header, starts afresh.
-        if _cut_torn_line(path):
+        fresh = not _cut_torn_line(path)
+        if not fresh:
             try:
                 old_header, existing = load_log(path)
             except (ValueError, json.JSONDecodeError) as exc:
@@ -266,13 +267,13 @@ def run_replication(config: RunConfig, policy_spec: dict, seed: int) -> Path:
                     f"existing log {path} was produced by a different configuration; "
                     "move it aside or change output_dir"
                 )
-        else:
-            fh.write(_dumps(header) + "\n")
-            fh.flush()
-
         started = time.time()
-        if not _finished(existing, config.budget):
-            _advance_replication(config, policy_spec, seed, problem, fh, existing)
+        steps = (() if _finished(existing, config.budget)
+                 else _advance_replication(config, policy_spec, seed, problem, path, existing))
+        # The one writer: each line is whole on disk before the next step runs.
+        for line in chain([header] if fresh else [], steps):
+            fh.write(_dumps(line) + "\n")
+            fh.flush()
         meta = {
             "log": path.name,
             "resumed_at_step": len(existing),
@@ -288,9 +289,10 @@ def _advance_replication(
     policy_spec: dict,
     seed: int,
     problem: Problem,
-    fh: TextIO,
+    path: Path,
     existing: list[RunRecord],
 ):
+    """Re-derive the ``existing`` records, then yield each record the log must append."""
     init_points = _initial_points(problem, config, seed)
     if policy_spec["name"] == "safeopt_lite" and "safe_seed" not in policy_spec:
         # RunConfig made sure the start is feasible: it seeds the safe set.
@@ -311,19 +313,17 @@ def _advance_replication(
             logged = existing[t]
             if theta is None or logged.theta is None or list(theta) != list(logged.theta):
                 raise RuntimeError(
-                    f"resume mismatch at t={t + 1} in {fh.name}: the configuration "
+                    f"resume mismatch at t={t + 1} in {path}: the configuration "
                     "or code no longer reproduces the logged decision"
                 )
             y = np.asarray(logged.y)
         elif theta is None:
-            fh.write(_dumps(_record_dict(t + 1, None, None, None)) + "\n")
+            yield _record_dict(t + 1, None, None, None)
             return
         else:
             y, true = problem.evaluate_noisy(
                 theta, np.random.default_rng(_stream_key(seed, _STREAM_NOISE, t + 1)))
-            record = _record_dict(t + 1, theta, y, true if problem.pure else None)
-            fh.write(_dumps(record) + "\n")
-            fh.flush()
+            yield _record_dict(t + 1, theta, y, true if problem.pure else None)
         if updates and t + 1 < config.budget:  # nothing reads the state after the last record
             observe(state, theta, y)
             _maybe_refit(state, fit_every)

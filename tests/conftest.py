@@ -1,4 +1,6 @@
+import json
 import subprocess
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -33,6 +35,13 @@ def resume_config(tmp_path):
         tmp_path, policies=[{"name": "config"}], budget=9, seeds=(5,), start="feasible",
         n_init_random=2, gp={**GP, "fit_every": 3},
     )
+
+
+def infeasible_config(tmp_path):
+    """The shipped ``artificial_infeasible`` config, seed 1 only; its logs end in the marker."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "artificial_infeasible.json"
+    settings = json.loads(path.read_text(encoding="utf-8"))
+    return RunConfig(**{**settings, "seeds": [1], "output_dir": str(tmp_path)})
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -25,16 +26,6 @@ ECHO_STUB = [
         "    req = json.loads(line)\n"
         "    t = req['theta']\n"
         "    print(json.dumps({'objective': t[0], 'constraints': [t[1]]}), flush=True)\n"
-    ),
-]
-
-GARBAGE_STUB = [
-    sys.executable,
-    "-c",
-    (
-        "import sys\n"
-        "for line in sys.stdin:\n"
-        "    print('this is not json', flush=True)\n"
     ),
 ]
 
@@ -83,10 +74,32 @@ def test_echo_round_trip():
         np.testing.assert_allclose(box(np.array(rows)), rows)
 
 
+# Each a malformed answer to a one-constraint request. float() took the
+# strings and bools: "3.5" and true were evaluated as 3.5 and 1.0.
+MALFORMED_ANSWERS = [
+    "this is not json",
+    '{"objective": "3.5", "constraints": [true]}',
+    '{"objective": "3.5", "constraints": [1.0]}',
+    '{"objective": true, "constraints": [1.0]}',
+    '{"objective": null, "constraints": [1.0]}',
+    '{"objective": 1.0, "constraints": [true]}',
+    '{"objective": 1.0, "constraints": [null]}',
+    '{"objective": 1.0, "constraints": "2"}',
+    '{"objective": 1.0, "constraints": {"2": 0}}',
+    '{"objective": 1.0, "constraints": [1' + "0" * 400 + "]}",  # beyond a float
+]
+
+
 def test_malformed_response_raises_protocol_error():
-    with closing(ExternalBlackbox(GARBAGE_STUB, n_constraints=1)) as box:
-        with pytest.raises(BlackboxProtocolError):
-            evaluate_one(box, [0.0, 0.0])
+    # One child gives the answers in turn; a protocol error leaves it running.
+    stub = [sys.executable, "-c",
+            "import sys\nfor line, answer in zip(sys.stdin, sys.argv[1:]):\n"
+            "    print(answer, flush=True)\n", *MALFORMED_ANSWERS]
+    with closing(ExternalBlackbox(stub, n_constraints=1)) as box:
+        for answer in MALFORMED_ANSWERS:
+            with pytest.raises(BlackboxProtocolError,
+                               match=f"malformed response line {re.escape(repr(answer))}"):
+                evaluate_one(box, [0.0, 0.0])
 
 
 def test_wrong_constraint_count_raises_protocol_error():

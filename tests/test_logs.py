@@ -12,7 +12,7 @@ import cego.logs as logs_mod
 from cego.logs import LOG_DIR_ENV, load_log, log_path
 from cego.runner import RunConfig, emit_metrics, run_experiment
 
-from conftest import resume_config, small_config
+from conftest import infeasible_config, resume_config, small_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -165,8 +165,20 @@ def test_log_of_two_writers_is_named_on_resume_and_in_metrics(tmp_path):
      "line 3: a sample record needs lists for theta and y"),
     (lambda records: [records[0], {**records[1], "decision": "infeasible"}],
      "line 3: an infeasible marker needs null theta, y and true"),
+    # Records of another shape used to load; a metric dropped the extra outputs.
+    (lambda records: [records[0], {**records[1], "y": [0.1, 0.2, 0.3], "true": [0.1]},
+                      {**records[2], "theta": [0.0, 0.0, 0.0]}],
+     "line 3: true and y differ in length: 1 and 3"),
+    (lambda records: [records[0], {**records[1], "y": [0.1, 0.2, 0.3], "true": None}],
+     "line 3: theta and y have lengths 2 and 3, the first record's 2 and 2"),
+    (lambda records: [records[0], records[1], {**records[2], "theta": [0.0, 0.0, 0.0]}],
+     "line 4: theta and y have lengths 3 and 2, the first record's 2 and 2"),
+    (lambda records: [{**records[0], "true": [0.1, 0.2, 0.3]}, *records[1:]],
+     "line 2: true and y differ in length: 3 and 2"),
 ], ids=["gap", "t-bool", "t-float", "over-budget", "after-infeasible", "missing-field",
-        "unknown-decision", "sample-without-values", "infeasible-with-values"])
+        "unknown-decision", "sample-without-values", "infeasible-with-values",
+        "true-shorter-than-y", "y-longer-than-first", "theta-longer-than-first",
+        "first-true-longer-than-y"])
 def test_load_log_names_the_first_bad_line(tmp_path, edit, problem):
     config = small_config(tmp_path, budget=4, seeds=(9,))
     (path,) = run_experiment(config)
@@ -236,6 +248,20 @@ def test_truncate_and_resume_reproduces_prefix(tmp_path, kept, torn):
     if torn:
         truncated += lines[kept + 1][: len(lines[kept + 1]) // 2]
     path.write_bytes(truncated)
+    run_experiment(config)
+    assert path.read_bytes() == original
+
+
+@pytest.mark.parametrize("before", [0, 3], ids=["marker-torn", "3-before-marker-torn"])
+def test_resume_of_a_log_that_ends_in_the_marker(tmp_path, before):
+    # The line `before` records ahead of the marker is cut in half.
+    config = infeasible_config(tmp_path)
+    (path,) = run_experiment(config)
+    original = path.read_bytes()
+    lines = original.split(b"\n")[:-1]
+    assert json.loads(lines[-1])["decision"] == "infeasible"
+    torn = len(lines) - 1 - before
+    path.write_bytes(b"\n".join(lines[:torn]) + b"\n" + lines[torn][: len(lines[torn]) // 2])
     run_experiment(config)
     assert path.read_bytes() == original
 

@@ -34,7 +34,7 @@ from cego.runner import (
     run_replication,
 )
 
-from conftest import GP, resume_config, small_config
+from conftest import GP, infeasible_config, resume_config, small_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -144,6 +144,25 @@ def test_infeasible_variant_ends_with_marker(tmp_path):
     assert records[-1].decision == "infeasible"
     assert records[-1].theta is None
     assert all(r.decision == "sample" for r in records[:-1])
+
+
+def test_marker_is_on_disk_before_the_sidecar(tmp_path, monkeypatch):
+    # The marker's write had no flush of its own: when `.meta.json` was
+    # written, the log on disk still ended in the sample at t = 28.
+    config = infeasible_config(tmp_path)
+    log = log_path(config, config.policies[0], 1)
+    on_disk = []
+    write_text = Path.write_text
+
+    def spy(self, *args, **kwargs):
+        if self.name.endswith(".meta.json"):
+            on_disk.append(log.read_bytes())
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", spy)
+    run_experiment(config)
+    assert on_disk == [log.read_bytes()]
+    assert json.loads(on_disk[0].splitlines()[-1])["decision"] == "infeasible"
 
 
 def test_huge_budget_reserves_bounded_lattice_rows(tmp_path):
