@@ -45,75 +45,98 @@ distinct ``(kernel, noise_variance)``, and when each member of a group
 it. A model built any other way, such as a refit, is a group of one. A part
 has at most one child: adding another point raises ``ValueError``. A part
 holds its child, so a kept old model keeps its descendants' parts alive, a
-``G``-float variance and a ``t x t`` factor per step; the runner keeps none.
+``G``-float variance, a ``G``-float row and a ``t x t`` factor per step; the
+runner keeps none.
 
 Lattice cache. Every policy step asks each model about the same lattice, so
-a covariance part caches ``V = L^{-1} k(X, lattice)`` and the unclamped
-variance on the first lattice any member asks about, and each model keeps
-``z = L^{-1} y`` and its mean there. A part caches one lattice and never
-replaces it: any other query, a second lattice included, is answered by the
-uncached pass below and leaves the cache alone. The first query builds the
-cache with the formulas above, so its answer is the uncached one; a member
-that first asks about the part's lattice later makes the same uncached pass
-for its own mean and takes the part's variance. ``add`` then extends the
-cache by one row instead of dropping it (sequential Cholesky update;
-Rasmussen & Williams 2006, Alg. 2.1; Osborne 2010), and the child part
-caches the same lattice. With ``l, d`` the new last row and diagonal entry
-of the child's factor::
+a covariance part caches the unclamped variance on the first lattice any
+member asks about, and each model keeps ``z = L^{-1} y`` and its mean there.
+A part caches one lattice and never replaces it: any other query, a second
+lattice included, is answered by the uncached pass below and leaves the
+cache alone. The first query builds the cache with the formulas above, so
+its answer is the uncached one; a member that first asks about the part's
+lattice later makes the same uncached pass for its own mean and takes the
+part's variance. ``add`` then extends the cache by one row instead of
+dropping it (sequential Cholesky update; Rasmussen & Williams 2006, Alg.
+2.1; Osborne 2010), and the child part caches the same lattice. With ``l,
+d`` the new last row and diagonal entry of the child's factor, and ``V =
+L^{-1} k(X, lattice)``::
 
     row  = (k(x_t, lattice) - l^T V) / d     once per group
     var -= row**2                            once per group
     z_t  = (y_t - l . z) / d
     mean += z_t * row
 
-which costs O(t G) per step instead of O(t G d + t^2 G). A lattice is a
-read-only array that owns its memory, such as ``Domain.grid``, and is
-recognized by identity. A part that is never asked about a lattice builds
-no cache, and a model built from scratch (e.g. after a hyperparameter refit)
-builds one on its first lattice query.
+A lattice is a read-only array that owns its memory, such as
+``Domain.grid``, and is recognized by identity. A part that is never asked
+about a lattice builds no cache, and a model built from scratch (e.g. after
+a hyperparameter refit) builds one on its first lattice query.
 
-Row store. A part's ``V`` lives in the first ``t`` rows of a private
-mapping (``_Covariance.rows``) of ``max(capacity, 2 t)`` rows, with ``t``
-the observations when it is mapped and ``capacity`` the number the group was
-built for (:func:`empty_models`; the runner passes its budget), 0 for a
-model built any other way. Mapped rows not yet written are not resident,
-so a mapping sized for the whole run costs nothing up front, but the
-kernel's overcommit check counts all of it: the rows reserved for
-``capacity`` are capped at ``_RESERVE_BYTES`` (1 GiB), and a run past them
-grows by doubling. A model reads only its own first ``t`` rows, so a
-part's child writes row ``t`` in place while there is room: a run that stays
-within its capacity maps its rows once and never copies them. An extension
-past the mapping's end copies the ``t`` rows into a new mapping of ``2 t``
-rows: the mapping doubles.
+Separable SE parts. ``l^T V`` is ``w^T k(X, lattice)`` with ``w = L^{-T} l``.
+When the kernel is SE and the lattice a row-major tensor product, as
+``Domain.grid`` enumerates it (:func:`_tensor_axes`, checked once per
+lattice in O(G d)), ``k(X, lattice)`` factors over the axes (Saatci 2012;
+Gilboa, Saatci & Cunningham 2015): row ``i`` is ``s**2 kron(A[i], B[i])``,
+where ``A[i]`` is the row-wise Kronecker product of the per-axis rows
+``exp(-0.5 ((x_k / l_k) - (axis_k / l_k))**2)`` of the leading ``d // 2``
+axes, of ``G_A`` points, and ``B[i]`` that of the others, of ``G_B``. Such
+a part keeps the factor rows ``[A | B]`` of ``X`` (:func:`_factor_rows`)
+instead of ``V``, and an extension computes ``l^T V`` as ``s**2 (A^T diag(w)
+B)``, one ``(G_A x t)(t x G_B)`` product, instead of reading ``t G`` floats
+of ``V``: a d = 2 lattice of 100 x 100 points keeps 200 floats per
+observation instead of 10^4. (For d = 1, ``A`` is empty and the product is
+``w^T B``.) The formula is ``V``'s up to rounding: the last bits of a
+posterior differ, and so can a decision between two points whose scores
+tie within them. A Matern-5/2 part, or a lattice that is no tensor
+product, keeps ``V`` and its bits. Either way a step costs O(t G) instead
+of the uncached O(t G d + t^2 G).
+
+Row store. A part's lattice rows (the factor rows, or ``V``) live in the
+first ``t`` rows of a private mapping (``_Covariance.rows``) of
+``max(capacity, 2 t)`` rows, with ``t`` the observations when it is mapped
+and ``capacity`` the number the group was built for (:func:`empty_models`;
+the runner passes its budget), 0 for a model built any other way. Mapped
+rows not yet written are not resident, so a mapping sized for the whole run
+costs nothing up front, but the kernel's overcommit check counts all of it:
+the rows reserved for ``capacity`` are capped at ``_RESERVE_BYTES`` (1 GiB),
+and a run past them grows by doubling. A model reads only its own first
+``t`` rows, so a part's child writes row ``t`` in place while there is room:
+a run that stays within its capacity maps its rows once and never copies
+them. An extension past the mapping's end copies the ``t`` rows into a new
+mapping of ``2 t`` rows: the mapping doubles. Besides its rows, a cached
+part holds ``row``, the last row of ``V``, for its members' means.
 
 Column blocks. Every query the cache cannot answer makes one pass,
 :meth:`GpModel._streamed`, that streams its points through blocks of about
 ``_BLOCK_BYTES`` of ``t``-float columns (:func:`column_blocks`). Each block
 computes its cross-covariance, means (``k(X, block)^T alpha``, before the
-triangular solve), ``V`` and variances, and when the pass builds a cache it
-writes its columns of ``V`` straight into the row store, so the cache is
-the only ``t * G`` array alive and no heap array reaches numpy's 4 MiB
-huge-page threshold. Every column goes through the same operations as in
-one product over all columns, so the bits are the same; a query that fits
-in one block is that product. (A BLAS that splits a product's rows among
-threads by its size may round the one-product mean differently in its last
-bits; on one BLAS thread the two are equal.)
+triangular solve), ``V`` and variances. When the pass builds a cache it
+writes its columns of ``V`` straight into the row store, or of the last row
+of ``V`` alone for a separable part, so no ``t * G`` array besides the
+cache is alive and no heap array reaches numpy's 4 MiB huge-page
+threshold. Every column goes through the same operations as in one product
+over all columns, so the bits are the same; a query that fits in one block
+is that product. (A BLAS that splits a product's rows among threads by its
+size may round the one-product mean differently in its last bits; on one
+BLAS thread the two are equal.)
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import mmap
 import sys
 import threading
+import weakref
 from functools import cache, cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from .domain import as_point, int_at_least, positive_real
-from .kernels import Kernel
+from .kernels import SQUARED_EXPONENTIAL, Kernel, covariance, scaled_sq_distances
 
 __all__ = ["GpModel", "empty_models"]
 
@@ -239,9 +262,9 @@ def _factor(gram: np.ndarray, noise_variance: float) -> np.ndarray:
     return chol
 
 
-def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``chol^{-1} b`` for a lower factor from :func:`_factor`."""
-    return _checked(_lapack().dtrtrs(chol, b, lower=1), "dtrtrs")
+def _solve_lower(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``chol^{-1} b`` (``chol^{-T} b`` with ``trans=1``) for a lower factor from :func:`_factor`."""
+    return _checked(_lapack().dtrtrs(chol, b, lower=1, trans=trans), "dtrtrs")
 
 
 def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,6 +283,98 @@ def _row_store(t: int, width: int, capacity: int = 0) -> np.ndarray:
     return _mapped_rows(max(capacity, 2 * t), width)
 
 
+# The last lattice _tensor_axes checked, as a weak reference, and its axes.
+_LAST_AXES = (lambda: None, None)
+
+
+def _tensor_axes(lattice: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """Coordinates per axis whose row-major tensor product is ``lattice``, or None.
+
+    Row-major as :attr:`Domain.grid` enumerates it: the last coordinate
+    varies fastest. The answer for the last lattice checked is kept, so the
+    parts that refits build on one lattice check it once.
+    """
+    global _LAST_AXES
+    ref, axes = _LAST_AXES
+    if ref() is not lattice:
+        axes = _find_tensor_axes(lattice)
+        _LAST_AXES = (weakref.ref(lattice), axes)
+    return axes
+
+
+def _find_tensor_axes(lattice: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """:func:`_tensor_axes` uncached, in O(G d) comparisons.
+
+    Axis k holds its coordinates in blocks of ``stride`` rows, the number of
+    points on the later axes; its count is where its first coordinate comes
+    back, except on the leading axis, which takes every block left. A lattice
+    whose axis repeats a coordinate within one period is not recognized. No
+    sort: ``np.unique`` loads ``numpy.ma``, which no replication needs.
+    """
+    size, dim = lattice.shape
+    if not size:
+        return None
+    axes, stride = [], 1
+    for k in reversed(range(dim)):
+        column = lattice[::stride, k]
+        count = len(column)
+        if k:
+            back = column[1:] == column[0]
+            count = int(np.argmax(back)) + 1 if back.any() else count
+        axes.insert(0, column[:count].copy())
+        stride *= count
+    if stride != size:
+        return None
+    counts = [len(axis) for axis in axes]
+    for k, axis in enumerate(axes):
+        shape = [1] * dim
+        shape[k] = counts[k]
+        if not (lattice[:, k].reshape(counts) == axis.reshape(shape)).all():
+            return None
+    return tuple(axes)
+
+
+def _kron_rows(planes: list[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product of ``(t, n_k)`` planes, the first plane's index slowest."""
+    rows = planes[0]
+    for plane in planes[1:]:
+        rows = (rows[:, :, None] * plane[:, None, :]).reshape(rows.shape[0], -1)
+    return rows
+
+
+def _factor_rows(kernel: Kernel, axes: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
+    """Rows ``[A | B]`` of ``X``: ``k(X, lattice) / s**2`` on a tensor lattice, factored.
+
+    An SE kernel is a product over axes: axis k gives the plane
+    ``exp(-0.5 * ((x_k / l_k) - (axis_k / l_k))**2)``. ``A`` is the row-wise
+    Kronecker product of the planes of the leading ``d // 2`` axes (none for
+    d = 1) and ``B`` that of the others, so ``k(X, lattice)[i]`` is
+    ``s**2 * kron(A[i], B[i])``.
+    """
+    planes = [covariance(SQUARED_EXPONENTIAL, scaled_sq_distances(X[:, k:k + 1], axis[:, None],
+                                                                  kernel.lengthscales[k:k + 1]))
+              for k, axis in enumerate(axes)]
+    half = len(planes) // 2
+    return np.hstack([_kron_rows(group) for group in (planes[:half], planes[half:]) if group])
+
+
+def _factor_product(rows: np.ndarray, w: np.ndarray, axes: tuple[np.ndarray, ...],
+                    prior_variance: float) -> np.ndarray:
+    """``w^T k(X, lattice)`` from the factor rows ``[A | B]`` of ``X``.
+
+    One ``(G_A x t)(t x G_B)`` product, or ``w^T B`` for d = 1.
+    """
+    half = len(axes) // 2
+    if not half:
+        product = w @ rows
+    else:
+        split = math.prod(len(axis) for axis in axes[:half])
+        a, b = rows[:, :split], rows[:, split:]
+        product = (a.T @ (w[:, None] * b)).reshape(-1)
+    product *= prior_variance
+    return product
+
+
 class _Covariance:
     """The part of a posterior that depends on the inputs alone.
 
@@ -269,9 +384,13 @@ class _Covariance:
     rows its first lattice query maps at least (see :func:`_row_store`),
     which its children keep. The lattice cache: ``lattice``, the read-only
     array it answers (None until the first lattice query or the parent sets
-    it, and never replaced), ``rows``, a private mapping whose first ``t``
-    rows are ``V``, and ``var``, the unclamped variance there. ``lattice`` is
-    set last, so whoever reads it set also reads ``rows`` and ``var``.
+    it, and never replaced), ``axes``, the lattice's coordinates per axis
+    when the kernel is SE and the lattice a tensor product (else None),
+    ``rows``, a private mapping whose first ``t`` rows are the factor rows
+    ``[A | B]`` of ``X`` with ``axes`` (:func:`_factor_rows`) or ``V``
+    without, ``var``, the unclamped variance there, and ``row``, the last
+    row of ``V``, which each member's mean takes in :meth:`GpModel.add`.
+    ``lattice`` is set last, so whoever reads it set also reads the others.
     ``child`` is the one part :meth:`extend` made from this one, or None.
     """
 
@@ -282,7 +401,7 @@ class _Covariance:
         self.X = X
         self.capacity = capacity
         self.chol = None
-        self.lattice = self.rows = self.var = self.child = None
+        self.lattice = self.axes = self.rows = self.var = self.row = self.child = None
         if not len(X):
             self.gram = np.empty((0, 0))
             return
@@ -295,7 +414,8 @@ class _Covariance:
         A part has one child: the members of a group call this in turn with
         the same point (bitwise) and all get it, and any other point raises
         ``ValueError``; ``_EXTEND_LOCK`` makes that atomic. The child writes
-        its row of ``V`` in place, or copies the rows past a full mapping.
+        its row (of factors, or of ``V``) in place, or copies the rows past
+        a full mapping.
         """
         with _EXTEND_LOCK:
             if self.child is not None:
@@ -315,12 +435,21 @@ class _Covariance:
             if self.lattice is not None:
                 rows = self.rows
                 l, d = child.chol[t, :t], child.chol[t, t]
-                row = (self.kernel.cross(point[None, :], self.lattice)[0] - l @ rows[:t]) / d
+                k_row = self.kernel.cross(point[None, :], self.lattice)[0]
+                if self.axes is None:
+                    row = new = (k_row - l @ rows[:t]) / d
+                else:
+                    # l^T V = w^T k(X, lattice), with w = L^{-T} l.
+                    w = _solve_lower(self.chol, l, trans=1)
+                    row = (k_row - _factor_product(rows[:t], w, self.axes,
+                                                   self.kernel.prior_variance)) / d
+                    new = _factor_rows(self.kernel, self.axes, point[None, :])[0]
                 if t == rows.shape[0]:
                     rows = _row_store(t, rows.shape[1])
                     rows[:t] = self.rows[:t]
-                rows[t] = row
-                child.rows, child.var = rows, self.var - row * row
+                rows[t] = new
+                child.axes, child.rows, child.var = self.axes, rows, self.var - row * row
+                child.row = rows[t] if self.axes is None else row
                 child.lattice = self.lattice
             self.child = child
             return child
@@ -401,7 +530,7 @@ class GpModel:
             l, d = cov.chol[t, :t], cov.chol[t, t]
             z_t = (value - l @ self._z) / d
             child._z = np.append(self._z, z_t)
-            child._mean = self._mean + z_t * cov.rows[t]
+            child._mean = self._mean + z_t * cov.row
         return child
 
     # -- posterior queries ----------------------------------------------------
@@ -426,14 +555,24 @@ class GpModel:
         if self._mean is not None and cov.lattice is queries:
             means, variances = self._mean.copy(), cov.var
         else:
-            rows = None
+            t, rows, axes = cov.X.shape[0], None, None
             if cov.lattice is None and _is_lattice(queries):
-                rows = _row_store(cov.X.shape[0], queries.shape[0], cov.capacity)
+                if self.kernel.family == SQUARED_EXPONENTIAL:
+                    axes = _tensor_axes(queries)
+                if axes is None:
+                    store = _row_store(t, queries.shape[0], cov.capacity)
+                    rows = store[:t]
+                else:
+                    rows = np.empty((1, queries.shape[0]))  # the last row of V alone
             means, variances = self._streamed(queries, rows)
             if rows is not None:
+                if axes is not None:
+                    factors = _factor_rows(self.kernel, axes, cov.X)
+                    store = _row_store(t, factors.shape[1], cov.capacity)
+                    store[:t] = factors
                 with _EXTEND_LOCK:
                     if cov.lattice is None:
-                        cov.rows, cov.var = rows, variances
+                        cov.axes, cov.rows, cov.var, cov.row = axes, store, variances, rows[-1]
                         cov.lattice = queries
             if cov.lattice is queries:
                 variances = cov.var
@@ -451,7 +590,8 @@ class GpModel:
                   rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and unclamped variances at ``queries``, one column block at a time.
 
-        With ``rows``, each block also writes its columns of ``V`` into ``rows[:t]``.
+        With ``rows``, each block also writes its columns of the last
+        ``len(rows)`` rows of ``V`` into ``rows``.
         """
         X = self._cov.X
         t = X.shape[0]
@@ -462,7 +602,7 @@ class GpModel:
             means[cols] = block.T @ self._alpha
             block = _solve_lower(self._cov.chol, block)  # V; k(X, block) is freed
             if rows is not None:
-                rows[:t, cols] = block
+                rows[:, cols] = block[t - rows.shape[0]:]
             block *= block
             variances[cols] -= np.sum(block, axis=0)
             del block  # before the next block's cross-covariance

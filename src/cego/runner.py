@@ -16,6 +16,7 @@ that compare across machines. The log format is ``cego.logs``'s.
 from __future__ import annotations
 
 import json
+import os
 import time
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
@@ -280,8 +281,24 @@ def run_replication(config: RunConfig, policy_spec: dict, seed: int) -> Path:
             "started_at": started,
             "finished_at": time.time(),
         }
-        path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+        _write_whole(path.with_suffix(".meta.json"), json.dumps(meta, indent=2))
     return path
+
+
+def _write_whole(path: Path, text: str):
+    """Write ``text`` to ``path`` through a temporary file beside it and ``os.replace``.
+
+    A reader sees the previous file or the new one, whole: a run killed
+    mid-write leaves at most the temporary ``<name>.tmp``, which the next
+    write replaces. A write or replace that fails removes it.
+    """
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _advance_replication(

@@ -239,6 +239,12 @@ def test_safeopt_lite_replication_leaves_out_numpy_ma(tmp_path):
     assert out.split() == []
 
 
+@pytest.mark.parametrize("policy", ["config", "cei"])
+def test_gp_replication_leaves_out_numpy_ma(tmp_path, policy):
+    # Every GP policy checks whether its lattice is a tensor product, with no np.unique.
+    assert run_fresh_replication(tmp_path, policy, print_loaded(("numpy.ma",))).split() == []
+
+
 def test_cei_replication_leaves_out_scipy_special(tmp_path):
     # cei's normal CDF comes from scipy.special's compiled extension, loaded
     # by itself at the first cei step; the package init stays out.

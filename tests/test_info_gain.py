@@ -133,8 +133,8 @@ def test_greedy_matches_conditioned_rows_on_a_2d_lattice(family):
 
 
 def test_greedy_maps_its_lattice_rows_once(monkeypatch):
-    # The model is built for its t picks, so its rows of V are never copied
-    # into a larger mapping.
+    # The model is built for its t picks, so its lattice rows (SE factor
+    # rows, or rows of V) are never copied into a larger mapping.
     calls = []
     mapped_rows = gp._mapped_rows
 
@@ -144,8 +144,10 @@ def test_greedy_maps_its_lattice_rows_once(monkeypatch):
 
     monkeypatch.setattr(gp, "_mapped_rows", counted)
     domain = Domain([0.0, 0.0], [1.0, 1.0], [15, 13])
-    max_info_gain(Kernel("squared_exponential", [0.3, 0.45], 1.2), domain, 40, 0.01)
-    assert calls == [(40, domain.grid_size)]
+    for family, width in (("squared_exponential", 15 + 13), ("matern52", 15 * 13)):
+        calls.clear()
+        max_info_gain(Kernel(family, [0.3, 0.45], 1.2), domain, 40, 0.01)
+        assert calls == [(40, width)], family
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.1, float("nan"), float("inf"), True])

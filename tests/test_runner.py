@@ -155,7 +155,7 @@ def test_marker_is_on_disk_before_the_sidecar(tmp_path, monkeypatch):
     write_text = Path.write_text
 
     def spy(self, *args, **kwargs):
-        if self.name.endswith(".meta.json"):
+        if self.name.endswith(".meta.json.tmp"):  # the sidecar, before its os.replace
             on_disk.append(log.read_bytes())
         return write_text(self, *args, **kwargs)
 
@@ -165,22 +165,44 @@ def test_marker_is_on_disk_before_the_sidecar(tmp_path, monkeypatch):
     assert json.loads(on_disk[0].splitlines()[-1])["decision"] == "infeasible"
 
 
-def test_huge_budget_reserves_bounded_lattice_rows(tmp_path):
-    # A row store sized for 10^6 steps on 10^4 points is 80 GB; mapped whole,
-    # it failed the replication with ENOMEM at its first lattice query.
-    config = RunConfig(
-        problem={"name": "artificial_infeasible", "grid": [100, 100]},
-        policies=[{"name": "config"}],
-        budget=10**6,
-        seeds=[1],
-        output_dir=str(tmp_path),
-        start="none",
-        gp={"lengthscale_factor": 0.125, "output_scale": 0.5, "noise_variance": 1e-4},
-    )
+def test_sidecar_is_replaced_whole(tmp_path, monkeypatch):
+    # The sidecar is written beside itself and moved into place: a replace
+    # that fails leaves the previous sidecar whole and no temporary file.
+    config = small_config(tmp_path, budget=3)
     (path,) = run_experiment(config)
-    _, records = load_log(path)
-    assert len(records) == 31
-    assert records[-1].decision == "infeasible"
+    sidecar = path.with_suffix(".meta.json")
+    before = sidecar.read_bytes()
+    assert json.loads(before)["resumed_at_step"] == 0
+
+    def fail(source, target):
+        raise OSError(f"cannot replace {target}")
+
+    monkeypatch.setattr(runner_mod.os, "replace", fail)
+    with pytest.raises(RuntimeError, match="1 replication.*cannot replace"):
+        run_experiment(config)  # finished: only the sidecar is written again
+    assert sidecar.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path, sidecar]
+
+
+def test_huge_budget_reserves_bounded_lattice_rows(tmp_path):
+    # A store of rows of V sized for 10^6 steps on 10^4 points is 80 GB;
+    # mapped whole, it failed the replication with ENOMEM at its first
+    # lattice query. SE factor rows (200 floats each) would take 1.6 GB.
+    for family, steps in (("squared_exponential", 31), ("matern52", 33)):
+        config = RunConfig(
+            problem={"name": "artificial_infeasible", "grid": [100, 100]},
+            policies=[{"name": "config"}],
+            budget=10**6,
+            seeds=[1],
+            output_dir=str(tmp_path / family),
+            start="none",
+            gp={"family": family, "lengthscale_factor": 0.125, "output_scale": 0.5,
+                "noise_variance": 1e-4},
+        )
+        (path,) = run_experiment(config)
+        _, records = load_log(path)
+        assert len(records) == steps, family
+        assert records[-1].decision == "infeasible"
 
 
 def feasible_start(problem, seed):
@@ -824,8 +846,9 @@ def test_safeopt_refuses_an_empty_safe_seed(tmp_path):
 
 
 def test_config_replication_maps_its_lattice_rows_once(tmp_path, monkeypatch):
-    # The runner builds its models for the budget, so the group's rows of V
-    # (t x G floats) are mapped at the first lattice query and never copied.
+    # The runner builds its models for the budget, so the group's lattice
+    # rows are mapped at the first lattice query and never copied: SE factor
+    # rows (t x (G_1 + G_2) floats) or, for Matern-5/2, rows of V (t x G).
     calls = []
     mapped_rows = gp_mod._mapped_rows
 
@@ -834,11 +857,14 @@ def test_config_replication_maps_its_lattice_rows_once(tmp_path, monkeypatch):
         return mapped_rows(n_rows, width)
 
     monkeypatch.setattr(gp_mod, "_mapped_rows", counted)
-    config = small_config(tmp_path, policies=[{"name": "config"}], budget=100,
-                          problem={"name": "artificial", "grid": [100, 100]})
-    (path,) = run_experiment(config)
-    assert len(load_log(path)[1]) == 100
-    assert calls == [(100, 100 * 100)]
+    for family, width in (("squared_exponential", 100 + 100), ("matern52", 100 * 100)):
+        calls.clear()
+        config = small_config(tmp_path / family, policies=[{"name": "config"}], budget=100,
+                              problem={"name": "artificial", "grid": [100, 100]},
+                              gp={**GP, "family": family})
+        (path,) = run_experiment(config)
+        assert len(load_log(path)[1]) == 100
+        assert calls == [(100, width)], family
 
 
 def test_cei_requires_an_initial_point(tmp_path):
