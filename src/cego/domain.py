@@ -5,19 +5,36 @@ exhaustive evaluation over the lattice, so the grid ordering is part of the
 public contract: points are enumerated in row-major order (last coordinate
 varies fastest), index 0 is the lower corner and the last index is the upper
 corner. Deterministic tie-breaking everywhere else in the package relies on
-this ordering being stable.
+this ordering being stable. That array is also the one lattice a GP
+posterior caches (``cego.gp``): :func:`grid_axes` names its axes, so the
+tensor structure of a lattice is stated here, where the lattice is built.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 
 import numpy as np
 
-__all__ = ["Domain", "as_point", "finite_real", "positive_real", "int_at_least"]
+__all__ = ["Domain", "as_point", "finite_real", "grid_axes", "positive_real", "int_at_least"]
+
+# The axes of each live Domain.grid array, by the array's id, beside a weak
+# reference to it whose callback drops the entry when the array is collected.
+_GRID_AXES: dict[int, tuple[weakref.ref, tuple[np.ndarray, ...]]] = {}
+
+
+def grid_axes(points) -> tuple[np.ndarray, ...] | None:
+    """``Domain.axes`` of the domain whose ``grid`` is ``points``, or None for any other object.
+
+    Only the array ``Domain.grid`` returned answers: a copy, a view, a slice
+    or a permutation of it is another object and gets None.
+    """
+    entry = _GRID_AXES.get(id(points))
+    return None if entry is None else entry[1]
 
 
 def _is_real(value) -> bool:
@@ -105,18 +122,27 @@ class Domain:
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
-        """Per-dimension lattice coordinates (inclusive of both corners)."""
-        return tuple(
+        """Per-dimension lattice coordinates (inclusive of both corners), read-only."""
+        axes = tuple(
             np.linspace(lo, hi, n)
             for lo, hi, n in zip(self.lower, self.upper, self.grid_counts)
         )
+        for axis in axes:
+            axis.setflags(write=False)
+        return axes
 
     @cached_property
     def grid(self) -> np.ndarray:
-        """All lattice points as a ``(grid_size, dim)`` array, row-major order."""
+        """All lattice points as a ``(grid_size, dim)`` array, row-major order.
+
+        The array is read-only, and :func:`grid_axes` names its axes for as
+        long as it lives, past the domain's own life.
+        """
         mesh = np.meshgrid(*self.axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         pts.setflags(write=False)
+        key = id(pts)
+        _GRID_AXES[key] = (weakref.ref(pts, lambda _, key=key: _GRID_AXES.pop(key)), self.axes)
         return pts
 
     def point(self, index: int) -> np.ndarray:

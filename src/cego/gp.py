@@ -48,34 +48,34 @@ holds its child, so a kept old model keeps its descendants' parts alive, a
 ``G``-float variance, a ``G``-float row and a ``t x t`` factor per step; the
 runner keeps none.
 
-Lattice cache. Every policy step asks each model about the same lattice, so
-a covariance part caches the unclamped variance on the first lattice any
-member asks about, and each model keeps ``z = L^{-1} y`` and its mean there.
-A part caches one lattice and never replaces it: any other query, a second
-lattice included, is answered by the uncached pass below and leaves the
-cache alone. The first query builds the cache with the formulas above, so
-its answer is the uncached one; a member that first asks about the part's
-lattice later makes the same uncached pass for its own mean and takes the
-part's variance. ``add`` then extends the cache by one row instead of
-dropping it (sequential Cholesky update; Rasmussen & Williams 2006, Alg.
-2.1; Osborne 2010), and the child part caches the same lattice. With ``l,
-d`` the new last row and diagonal entry of the child's factor, and ``V =
-L^{-1} k(X, lattice)``::
+Lattice cache. Every policy step asks each model about the same lattice,
+``Domain.grid``, so a covariance part caches the unclamped variance on the
+first ``Domain.grid`` array any member asks about, and each model keeps ``z
+= L^{-1} y`` and its mean there. That array is recognized by identity
+(:func:`cego.domain.grid_axes`, which also names its axes). A part caches
+one lattice and never replaces it: any other query, a second grid, a copy
+or a slice of one included, is answered by the uncached pass below and
+leaves the cache alone. The first query builds the cache with the
+formulas above, so its answer is the uncached one; a member that first
+asks about the part's lattice later makes the same uncached pass for its
+own mean and takes the part's variance. ``add`` then extends the cache by
+one row instead of dropping it (sequential Cholesky update; Rasmussen &
+Williams 2006, Alg. 2.1; Osborne 2010), and the child part caches the same
+lattice. With ``l, d`` the new last row and diagonal entry of the child's
+factor, and ``V = L^{-1} k(X, lattice)``::
 
     row  = (k(x_t, lattice) - l^T V) / d     once per group
     var -= row**2                            once per group
     z_t  = (y_t - l . z) / d
     mean += z_t * row
 
-A lattice is a read-only array that owns its memory, such as
-``Domain.grid``, and is recognized by identity. A part that is never asked
-about a lattice builds no cache, and a model built from scratch (e.g. after
-a hyperparameter refit) builds one on its first lattice query.
+A part that is never asked about a grid builds no cache, and a model built
+from scratch (e.g. after a hyperparameter refit) builds one on its first
+grid query.
 
 Separable SE parts. ``l^T V`` is ``w^T k(X, lattice)`` with ``w = L^{-T} l``.
-When the kernel is SE and the lattice a row-major tensor product, as
-``Domain.grid`` enumerates it (:func:`_tensor_axes`, checked once per
-lattice in O(G d)), ``k(X, lattice)`` factors over the axes (Saatci 2012;
+When the kernel is SE, ``k(X, lattice)`` factors over the grid's axes,
+``Domain.axes``, whose row-major tensor product it is (Saatci 2012;
 Gilboa, Saatci & Cunningham 2015): row ``i`` is ``s**2 kron(A[i], B[i])``,
 where ``A[i]`` is the row-wise Kronecker product of the per-axis rows
 ``exp(-0.5 ((x_k / l_k) - (axis_k / l_k))**2)`` of the leading ``d // 2``
@@ -87,9 +87,8 @@ of ``V``: a d = 2 lattice of 100 x 100 points keeps 200 floats per
 observation instead of 10^4. (For d = 1, ``A`` is empty and the product is
 ``w^T B``.) The formula is ``V``'s up to rounding: the last bits of a
 posterior differ, and so can a decision between two points whose scores
-tie within them. A Matern-5/2 part, or a lattice that is no tensor
-product, keeps ``V`` and its bits. Either way a step costs O(t G) instead
-of the uncached O(t G d + t^2 G).
+tie within them. A Matern-5/2 part keeps ``V`` and its bits. Either way
+a step costs O(t G) instead of the uncached O(t G d + t^2 G).
 
 Row store. A part's lattice rows (the factor rows, or ``V``) live in the
 first ``t`` rows of a private mapping (``_Covariance.rows``) of
@@ -129,13 +128,12 @@ import math
 import mmap
 import sys
 import threading
-import weakref
 from functools import cache, cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .domain import as_point, int_at_least, positive_real
+from .domain import as_point, grid_axes, int_at_least, positive_real
 from .kernels import SQUARED_EXPONENTIAL, Kernel, covariance, scaled_sq_distances
 
 __all__ = ["GpModel", "empty_models"]
@@ -283,57 +281,6 @@ def _row_store(t: int, width: int, capacity: int = 0) -> np.ndarray:
     return _mapped_rows(max(capacity, 2 * t), width)
 
 
-# The last lattice _tensor_axes checked, as a weak reference, and its axes.
-_LAST_AXES = (lambda: None, None)
-
-
-def _tensor_axes(lattice: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """Coordinates per axis whose row-major tensor product is ``lattice``, or None.
-
-    Row-major as :attr:`Domain.grid` enumerates it: the last coordinate
-    varies fastest. The answer for the last lattice checked is kept, so the
-    parts that refits build on one lattice check it once.
-    """
-    global _LAST_AXES
-    ref, axes = _LAST_AXES
-    if ref() is not lattice:
-        axes = _find_tensor_axes(lattice)
-        _LAST_AXES = (weakref.ref(lattice), axes)
-    return axes
-
-
-def _find_tensor_axes(lattice: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """:func:`_tensor_axes` uncached, in O(G d) comparisons.
-
-    Axis k holds its coordinates in blocks of ``stride`` rows, the number of
-    points on the later axes; its count is where its first coordinate comes
-    back, except on the leading axis, which takes every block left. A lattice
-    whose axis repeats a coordinate within one period is not recognized. No
-    sort: ``np.unique`` loads ``numpy.ma``, which no replication needs.
-    """
-    size, dim = lattice.shape
-    if not size:
-        return None
-    axes, stride = [], 1
-    for k in reversed(range(dim)):
-        column = lattice[::stride, k]
-        count = len(column)
-        if k:
-            back = column[1:] == column[0]
-            count = int(np.argmax(back)) + 1 if back.any() else count
-        axes.insert(0, column[:count].copy())
-        stride *= count
-    if stride != size:
-        return None
-    counts = [len(axis) for axis in axes]
-    for k, axis in enumerate(axes):
-        shape = [1] * dim
-        shape[k] = counts[k]
-        if not (lattice[:, k].reshape(counts) == axis.reshape(shape)).all():
-            return None
-    return tuple(axes)
-
-
 def _kron_rows(planes: list[np.ndarray]) -> np.ndarray:
     """Row-wise Kronecker product of ``(t, n_k)`` planes, the first plane's index slowest."""
     rows = planes[0]
@@ -382,10 +329,10 @@ class _Covariance:
     ``gram`` (built from scratch when not given), the lower Cholesky factor
     ``chol`` of ``K + lam I`` (None without data), and ``capacity``, the
     rows its first lattice query maps at least (see :func:`_row_store`),
-    which its children keep. The lattice cache: ``lattice``, the read-only
-    array it answers (None until the first lattice query or the parent sets
-    it, and never replaced), ``axes``, the lattice's coordinates per axis
-    when the kernel is SE and the lattice a tensor product (else None),
+    which its children keep. The lattice cache: ``lattice``, the
+    ``Domain.grid`` array it answers (None until the first grid query or the
+    parent sets it, and never replaced), ``axes``, that grid's
+    ``Domain.axes`` when the kernel is SE (else None),
     ``rows``, a private mapping whose first ``t`` rows are the factor rows
     ``[A | B]`` of ``X`` with ``axes`` (:func:`_factor_rows`) or ``V``
     without, ``var``, the unclamped variance there, and ``row``, the last
@@ -453,13 +400,6 @@ class _Covariance:
                 child.lattice = self.lattice
             self.child = child
             return child
-
-
-def _is_lattice(queries: np.ndarray) -> bool:
-    # A read-only view (say one row of Domain.grid) is a new object each time
-    # it is made: a cache on it would never be read, and would keep the part
-    # from caching the lattice itself.
-    return queries.base is None and not queries.flags.writeable
 
 
 class GpModel:
@@ -539,10 +479,9 @@ class GpModel:
         """Posterior means and variances at many points at once.
 
         One triangular solve per column block of the cross-covariance; this
-        is the hot path of every grid-based acquisition step. A read-only
-        array that owns its memory, such as ``Domain.grid``, is answered from
-        the lattice cache when it is the cached lattice, and becomes the
-        cached lattice when there is none yet; any other query is answered
+        is the hot path of every grid-based acquisition step. A part caches
+        the first ``Domain.grid`` array that any member asks about and
+        answers it from the cache from then on; any other query is answered
         uncached (see the module docstring).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -556,14 +495,13 @@ class GpModel:
             means, variances = self._mean.copy(), cov.var
         else:
             t, rows, axes = cov.X.shape[0], None, None
-            if cov.lattice is None and _is_lattice(queries):
-                if self.kernel.family == SQUARED_EXPONENTIAL:
-                    axes = _tensor_axes(queries)
-                if axes is None:
-                    store = _row_store(t, queries.shape[0], cov.capacity)
-                    rows = store[:t]
-                else:
-                    rows = np.empty((1, queries.shape[0]))  # the last row of V alone
+            lattice_axes = grid_axes(queries) if cov.lattice is None else None
+            if lattice_axes is not None and self.kernel.family == SQUARED_EXPONENTIAL:
+                axes = lattice_axes
+                rows = np.empty((1, queries.shape[0]))  # the last row of V alone
+            elif lattice_axes is not None:
+                store = _row_store(t, queries.shape[0], cov.capacity)
+                rows = store[:t]
             means, variances = self._streamed(queries, rows)
             if rows is not None:
                 if axes is not None:

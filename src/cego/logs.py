@@ -10,7 +10,8 @@ with an error naming the log instead of interleaving records with the first.
 ``cego.runner`` writes and resumes logs with these pieces: its one writer,
 in ``run_replication``, appends the header and each record as one flushed
 line. Every reader, ``runner.emit_metrics`` included, goes through
-``load_log``.
+``load_log``. Files that are rewritten whole, a log's ``.meta.json`` sidecar
+and the reference file (``cego.references``), go through ``_write_whole``.
 """
 
 from __future__ import annotations
@@ -217,3 +218,19 @@ def _lock_log(fh: TextIO, path: Path):
         raise RuntimeError(
             f"log {path} is being written by another run; wait for it or change output_dir"
         ) from None
+
+
+def _write_whole(path: Path, text: str):
+    """Write ``text`` to ``path`` through a temporary file beside it and ``os.replace``.
+
+    A reader sees the previous file or the new one, whole: a run killed
+    mid-write leaves at most the temporary ``<name>.tmp``, which the next
+    write replaces. A write or replace that fails removes it.
+    """
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

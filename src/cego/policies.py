@@ -162,8 +162,11 @@ class GridEvaluation:
 def evaluate_grid(models: list[GpModel], beta_sqrt: float, domain: Domain) -> GridEvaluation:
     """Each model's posterior over the whole lattice, under one confidence weight.
 
-    ``beta_sqrt`` weighs every model's sigma. The lattice values agree with
-    one-point ``posterior_batch`` queries to 1e-12.
+    ``beta_sqrt`` weighs every model's sigma. The lattice values are those of
+    each model's lattice cache, which an update extends rather than rebuilds:
+    they agree with an uncached ``posterior_batch`` query of the same points
+    within 1e-12 at noise variance 1e-2, and within a few 1e-12 at 1e-3
+    (about 5e-12 over 40 steps with repeated points).
     """
     grid = domain.grid
     means = np.empty((len(models), grid.shape[0]))

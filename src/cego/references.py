@@ -13,12 +13,12 @@ suite read.
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .logs import _write_whole
 from .problems import Problem, problem_from_config
 
 __all__ = [
@@ -114,14 +114,5 @@ def write_reference(name: str, grid=None, path=None) -> dict:
     refs = load_references(target) if target.exists() else {}
     refs[name] = compute_reference(name, grid)
     target.parent.mkdir(parents=True, exist_ok=True)
-    # Written beside the target and renamed over it, so that a write that
-    # fails midway leaves the old file whole.
-    partial = target.with_name(f".{target.name}.partial")
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            json.dump(refs, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(partial, target)
-    finally:
-        partial.unlink(missing_ok=True)
+    _write_whole(target, json.dumps(refs, indent=2, sort_keys=True) + "\n")
     return refs[name]

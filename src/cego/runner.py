@@ -16,7 +16,6 @@ that compare across machines. The log format is ``cego.logs``'s.
 from __future__ import annotations
 
 import json
-import os
 import time
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields
@@ -32,7 +31,7 @@ from .hyperfit import MIN_OBSERVATIONS, fit_hyperparameters
 from .kernels import SQUARED_EXPONENTIAL, Kernel
 # Module-level bindings: the benchmark's tracer patches the readers here, where they are called.
 from .logs import (RunRecord, _cut_torn_line, _dumps, _finished, _header, _lock_log, _record_dict,
-                   load_log, log_path, policy_label)
+                   _write_whole, load_log, log_path, policy_label)
 from .metrics import best_so_far_series, record_metric
 from .policies import POLICIES, SPEC_KEYS, AlgorithmState, BetaSchedule, observe, propose
 from .problems import Problem, problem_from_config, problem_settings
@@ -283,22 +282,6 @@ def run_replication(config: RunConfig, policy_spec: dict, seed: int) -> Path:
         }
         _write_whole(path.with_suffix(".meta.json"), json.dumps(meta, indent=2))
     return path
-
-
-def _write_whole(path: Path, text: str):
-    """Write ``text`` to ``path`` through a temporary file beside it and ``os.replace``.
-
-    A reader sees the previous file or the new one, whole: a run killed
-    mid-write leaves at most the temporary ``<name>.tmp``, which the next
-    write replaces. A write or replace that fails removes it.
-    """
-    temporary = path.with_name(path.name + ".tmp")
-    try:
-        temporary.write_text(text, encoding="utf-8")
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
 
 
 def _advance_replication(

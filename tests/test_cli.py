@@ -140,11 +140,13 @@ def test_failed_reference_write_leaves_the_file_as_it_was(tmp_path, monkeypatch)
     write_reference("artificial", grid=(50, 50), path=out)
     before = out.read_bytes()
 
-    def dump_half(obj, fh, **kwargs):
-        fh.write(json.dumps(obj, **kwargs)[:100])
+    write_text = Path.write_text
+
+    def write_half(self, text, *args, **kwargs):
+        write_text(self, text[:100], *args, **kwargs)
         raise OSError("No space left on device")
 
-    monkeypatch.setattr(json, "dump", dump_half)
+    monkeypatch.setattr(Path, "write_text", write_half)
     with pytest.raises(OSError, match="No space left"):
         write_reference("artificial", grid=(60, 60), path=out)
     assert out.read_bytes() == before

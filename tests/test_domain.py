@@ -89,3 +89,14 @@ def test_grid_is_read_only():
     d = Domain([0.0], [1.0], [3])
     with pytest.raises(ValueError):
         d.grid[0, 0] = 5.0
+
+
+def test_axes_are_read_only():
+    # A write would move nearest_index, the lattice itself and the SE factor
+    # rows of every GP that caches the grid.
+    d = Domain([0.0, 0.0], [1.0, 1.0], [3, 4])
+    for axis in d.axes:
+        with pytest.raises(ValueError):
+            axis[0] = 9.0
+    assert d.nearest_index([0.0, 0.0]) == 0
+    assert np.array_equal(d.grid[0], [0.0, 0.0])

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cego import domain as domain_module
 from cego import gp
-from cego.domain import Domain
+from cego.domain import Domain, grid_axes
 from cego.gp import GpModel, empty_models
 from cego.hyperfit import fit_hyperparameters
 from cego.kernels import Kernel
@@ -446,57 +448,76 @@ def check_part_extended_once(kernel, width):
 @pytest.mark.parametrize("counts", [(7,), (7, 5), (7, 5, 3)], ids=["d1", "d2", "d3"])
 def test_tensor_axes_of_a_domain_grid_are_its_axes(counts):
     domain = Domain([-2.0] * len(counts), [2.0] * len(counts), counts)
-    axes = gp._find_tensor_axes(domain.grid)
-    assert len(axes) == len(counts)
-    for got, want in zip(axes, domain.axes):
-        assert np.array_equal(got, want)
+    assert grid_axes(domain.grid) is domain.axes
+    model = GpModel(Kernel("squared_exponential", [0.6] * len(counts)), 1e-3).add(
+        [0.0] * len(counts), 1.0)
+    model.posterior_batch(domain.grid)
+    assert model._cov.lattice is domain.grid and model._cov.axes is domain.axes
 
 
-def test_tensor_axes_refuse_a_lattice_that_is_no_row_major_product():
+def test_only_a_domain_grid_is_a_cached_lattice():
+    # Copies, views, slices and permutations of a grid, read-only or not, are
+    # other arrays: each gets the uncached pass and leaves the part uncached.
     grid = Domain([-2.0, -2.0], [2.0, 2.0], [7, 5]).grid
     rng = np.random.default_rng(3)
-    nudged = grid.copy()
-    nudged[17, 1] += 1e-9
-    for lattice in (grid[rng.permutation(len(grid))], grid[:, ::-1], grid[:-1], nudged,
-                    rng.uniform(-2, 2, (35, 2)), np.empty((0, 2))):
-        assert gp._find_tensor_axes(np.ascontiguousarray(lattice)) is None
+    read_only = grid.copy()
+    read_only.flags.writeable = False
+    permuted = grid[rng.permutation(len(grid))]
+    permuted.flags.writeable = False
+    model = random_model(rng, Kernel("squared_exponential", [0.6, 0.8]), 1e-3, 4)
+    for points in (grid.copy(), read_only, permuted, grid[:], grid[:-1], grid[:, ::-1],
+                   rng.uniform(-2, 2, (35, 2)), model.points):
+        assert grid_axes(points) is None
+        means, _ = model.posterior_batch(points)
+        assert model._cov.lattice is None and model._mean is None
+        np.testing.assert_array_equal(means, model._streamed(points)[0])
+    model.posterior_batch(grid)
+    assert model._cov.lattice is grid
 
 
-def test_tensor_check_runs_once_per_lattice(monkeypatch):
-    # Each model is built from scratch, as a hyperparameter refit builds
-    # them: its part builds a cache of its own, and the check is not redone.
-    checked = []
-    find = gp._find_tensor_axes
-    monkeypatch.setattr(gp, "_find_tensor_axes",
-                        lambda lattice: checked.append(lattice) or find(lattice))
-    domain = Domain([-2.0, -2.0], [2.0, 2.0], [15, 15])
-    rng = np.random.default_rng(7)
+def test_grid_that_outlives_its_domain_takes_the_separable_path():
+    # As problem_from_config(...).domain.grid leaves it: the domain is gone.
+    grid = Domain([-2.0, -2.0], [2.0, 2.0], [9, 7]).grid
+    gc.collect()
+    axes = grid_axes(grid)
+    assert [len(axis) for axis in axes] == [9, 7]
+    rng = np.random.default_rng(11)
+    model = random_model(rng, Kernel("squared_exponential", [0.6, 0.8]), 1e-2, 3)
+    model.posterior_batch(grid)
     for _ in range(5):
-        model = random_model(rng, Kernel("squared_exponential", [0.5, 0.5]), 1e-3, 4)
-        model.posterior_batch(domain.grid)
-        assert model._cov.axes is not None
-    assert len(checked) == 1 and checked[0] is domain.grid
+        model = model.add(rng.uniform(-2, 2, 2), rng.normal())
+        got = model.posterior_batch(grid)
+        assert model._cov.axes is axes and model._cov.rows.shape[1] == 9 + 7
+        for a, b in zip(got, model.posterior_batch(grid.copy())):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_grid_axes_forget_each_grid_when_it_is_collected():
+    # Nothing grows with the number of replications, each of which builds a domain.
+    start = len(domain_module._GRID_AXES)
+    for i in range(1000):
+        domain = Domain([0.0, 0.0], [1.0, 1.0 + i], [4, 3])
+        assert grid_axes(domain.grid) is domain.axes
+    del domain
+    gc.collect()
+    assert len(domain_module._GRID_AXES) == start
 
 
 @pytest.mark.parametrize("counts", [(7,), (7, 5), (7, 5, 3)], ids=["d1", "d2", "d3"])
-def test_separable_update_matches_rows_of_v_and_an_uncached_pass(counts, monkeypatch):
+def test_separable_update_matches_an_uncached_pass(counts):
     # One group of two outputs steps on the lattice through SE factor rows,
-    # and an equal group through rows of V on a read-only copy that the
-    # tensor check is made to refuse. The second member first reads the
-    # lattice after its sibling's add at step 20. At noise 1e-3 the means of
-    # either incremental path, rows of V included, drift up to about 5e-12
-    # from an uncached pass over 40 steps with repeated points; at 1e-2 both
-    # stay within 1e-12.
+    # and an equal group asks about a read-only copy of it, which no part
+    # caches. The second member first reads the lattice after its sibling's
+    # add at step 20. At noise 1e-3 the means of either incremental path,
+    # SE factor rows or rows of V, drift up to about 5e-12 from an uncached
+    # pass over 40 steps with repeated points; at 1e-2 both stay within 1e-12.
     dim = len(counts)
     domain = Domain([-2.0] * dim, [2.0] * dim, counts)
-    separable, rows_of_v = domain.grid, domain.grid.copy()
-    rows_of_v.flags.writeable = False
-    tensor_axes = gp._tensor_axes
-    monkeypatch.setattr(gp, "_tensor_axes",
-                        lambda lattice: None if lattice is rows_of_v else tensor_axes(lattice))
+    separable, copy = domain.grid, domain.grid.copy()
+    copy.flags.writeable = False
     kernel = Kernel("squared_exponential", [0.9, 0.7, 1.1][:dim], 1.3)
     groups = {"separable": (separable, empty_models([(kernel, 1e-2)] * 2)),
-              "rows of V": (rows_of_v, empty_models([(kernel, 1e-2)] * 2))}
+              "uncached": (copy, empty_models([(kernel, 1e-2)] * 2))}
     rng = np.random.default_rng(59)
     for step in range(40):
         if step % 2:
@@ -510,26 +531,22 @@ def test_separable_update_matches_rows_of_v_and_an_uncached_pass(counts, monkeyp
             if step == 20:
                 models[1].posterior_batch(lattice)
             models[1] = models[1].add(point, values[1])
-        (_, factored), (_, rows) = groups.values()
+        (_, factored), (_, uncached) = groups.values()
         for i in range(2 if step >= 20 else 1):
             got = factored[i].posterior_batch(separable)
-            for want in (rows[i].posterior_batch(rows_of_v),
+            for want in (uncached[i].posterior_batch(copy),
                          factored[i].posterior_batch(separable.copy())):
                 for a, b in zip(got, want):
                     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-    assert factored[0]._cov.axes is not None and rows[0]._cov.axes is None
+    assert factored[0]._cov.axes is domain.axes and uncached[0]._cov.lattice is None
     assert factored[1]._cov is factored[0]._cov
 
 
-@pytest.mark.parametrize("family, permuted", [("matern52", False), ("squared_exponential", True)],
-                         ids=["matern52", "permuted-grid"])
-def test_parts_off_the_tensor_path_keep_rows_of_v(family, permuted):
+@pytest.mark.parametrize("family", ["matern52"])
+def test_parts_off_the_tensor_path_keep_rows_of_v(family):
     domain = Domain([-2.0, -2.0], [2.0, 2.0], [9, 7])
     rng = np.random.default_rng(67)
     lattice = domain.grid
-    if permuted:
-        lattice = lattice[rng.permutation(domain.grid_size)]  # a new array that owns its memory
-        lattice.flags.writeable = False
     model = GpModel(Kernel(family, [0.6, 0.8], 1.1), 1e-3).add([0.0, 0.0], 1.0)
     model.posterior_batch(lattice)
     for _ in range(10):

@@ -177,7 +177,7 @@ def test_sidecar_is_replaced_whole(tmp_path, monkeypatch):
     def fail(source, target):
         raise OSError(f"cannot replace {target}")
 
-    monkeypatch.setattr(runner_mod.os, "replace", fail)
+    monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(RuntimeError, match="1 replication.*cannot replace"):
         run_experiment(config)  # finished: only the sidecar is written again
     assert sidecar.read_bytes() == before
