@@ -62,62 +62,64 @@ own mean and takes the part's variance. ``add`` then extends the cache by
 one row instead of dropping it (sequential Cholesky update; Rasmussen &
 Williams 2006, Alg. 2.1; Osborne 2010), and the child part caches the same
 lattice. With ``l, d`` the new last row and diagonal entry of the child's
-factor, and ``V = L^{-1} k(X, lattice)``::
+factor, and ``w = L^{-T} l``::
 
-    row  = (k(x_t, lattice) - l^T V) / d     once per group
-    var -= row**2                            once per group
+    row  = (k(x_t, lattice) - w^T k(X, lattice)) / d     once per group
+    var -= row**2                                        once per group
     z_t  = (y_t - l . z) / d
     mean += z_t * row
 
-A part that is never asked about a grid builds no cache, and a model built
-from scratch (e.g. after a hyperparameter refit) builds one on its first
-grid query.
+``w^T k(X, lattice)`` is ``l^T V`` with ``V = L^{-1} k(X, lattice)``, and
+``row`` is the child's last row of ``V``; no part stores ``V``. Only an
+extension computes ``row``: an ``add`` onto a part whose cache a query
+built leaves the child's mean to its first query. A part that is never
+asked about a grid builds no cache, and a model built from scratch (e.g.
+after a hyperparameter refit) builds one on its first grid query.
 
-Separable SE parts. ``l^T V`` is ``w^T k(X, lattice)`` with ``w = L^{-T} l``.
-When the kernel is SE, ``k(X, lattice)`` factors over the grid's axes,
-``Domain.axes``, whose row-major tensor product it is (Saatci 2012;
-Gilboa, Saatci & Cunningham 2015): row ``i`` is ``s**2 kron(A[i], B[i])``,
-where ``A[i]`` is the row-wise Kronecker product of the per-axis rows
-``exp(-0.5 ((x_k / l_k) - (axis_k / l_k))**2)`` of the leading ``d // 2``
-axes, of ``G_A`` points, and ``B[i]`` that of the others, of ``G_B``. Such
-a part keeps the factor rows ``[A | B]`` of ``X`` (:func:`_factor_rows`)
-instead of ``V``, and an extension computes ``l^T V`` as ``s**2 (A^T diag(w)
-B)``, one ``(G_A x t)(t x G_B)`` product, instead of reading ``t G`` floats
-of ``V``: a d = 2 lattice of 100 x 100 points keeps 200 floats per
-observation instead of 10^4. (For d = 1, ``A`` is empty and the product is
-``w^T B``.) The formula is ``V``'s up to rounding: the last bits of a
-posterior differ, and so can a decision between two points whose scores
-tie within them. A Matern-5/2 part keeps ``V`` and its bits. Either way
-a step costs O(t G) instead of the uncached O(t G d + t^2 G).
+Kernel rows. A part keeps ``k(X, lattice)`` factored when its kernel is
+SE and whole, ``t x G`` floats, otherwise (Matern-5/2). An SE ``k(X,
+lattice)`` factors over the grid's axes, ``Domain.axes``, whose row-major
+tensor product it is (Saatci 2012; Gilboa, Saatci & Cunningham 2015): row
+``i`` is ``s**2 kron(A[i], B[i])``, where ``A[i]`` is the row-wise
+Kronecker product of the per-axis rows ``exp(-0.5 ((x_k / l_k) - (axis_k /
+l_k))**2)`` of the leading ``d // 2`` axes, of ``G_A`` points, and ``B[i]``
+that of the others, of ``G_B``. Such a part keeps the factor rows ``[A |
+B]`` of ``X`` (:func:`_factor_rows`), and :func:`_kernel_product` reads
+``w^T k(X, lattice)`` from them as ``s**2 (A^T diag(w) B)``, one ``(G_A x
+t)(t x G_B)`` product, instead of reading ``t G`` floats: a d = 2 lattice
+of 100 x 100 points keeps 200 floats per observation instead of 10^4. (For
+d = 1, ``A`` is empty and the product is ``w^T B``.) Whole rows take the
+same product without a split, and an extension appends to them the ``k(x_t,
+lattice)`` it computes anyway. Either way a step costs O(t G) instead of
+the uncached O(t G d + t^2 G).
 
-Row store. A part's lattice rows (the factor rows, or ``V``) live in the
-first ``t`` rows of a private mapping (``_Covariance.rows``) of
-``max(capacity, 2 t)`` rows, with ``t`` the observations when it is mapped
-and ``capacity`` the number the group was built for (:func:`empty_models`;
-the runner passes its budget), 0 for a model built any other way. Mapped
-rows not yet written are not resident, so a mapping sized for the whole run
+Row store. A part's kernel rows, factored or whole, live in the first
+``t`` rows of a private mapping (``_Covariance.rows``) of ``max(capacity,
+2 t)`` rows, with ``t`` the observations when it is mapped and
+``capacity`` the number the group was built for (:func:`empty_models`; the
+runner passes its budget), 0 for a model built any other way. Mapped rows
+not yet written are not resident, so a mapping sized for the whole run
 costs nothing up front, but the kernel's overcommit check counts all of it:
-the rows reserved for ``capacity`` are capped at ``_RESERVE_BYTES`` (1 GiB),
-and a run past them grows by doubling. A model reads only its own first
-``t`` rows, so a part's child writes row ``t`` in place while there is room:
-a run that stays within its capacity maps its rows once and never copies
-them. An extension past the mapping's end copies the ``t`` rows into a new
-mapping of ``2 t`` rows: the mapping doubles. Besides its rows, a cached
-part holds ``row``, the last row of ``V``, for its members' means.
+the rows reserved for ``capacity`` are capped at ``_RESERVE_BYTES`` (1
+GiB), and a run past them grows by doubling. A model reads only its own
+first ``t`` rows, so a part's child writes row ``t`` in place while there
+is room: a run that stays within its capacity maps its rows once and never
+copies them. An extension past the mapping's end copies the ``t`` rows
+into a new mapping of ``2 t`` rows: the mapping doubles. Besides its rows,
+an extended part holds ``row`` for its members' means.
 
 Column blocks. Every query the cache cannot answer makes one pass,
 :meth:`GpModel._streamed`, that streams its points through blocks of about
 ``_BLOCK_BYTES`` of ``t``-float columns (:func:`column_blocks`). Each block
-computes its cross-covariance, means (``k(X, block)^T alpha``, before the
-triangular solve), ``V`` and variances. When the pass builds a cache it
-writes its columns of ``V`` straight into the row store, or of the last row
-of ``V`` alone for a separable part, so no ``t * G`` array besides the
-cache is alive and no heap array reaches numpy's 4 MiB huge-page
-threshold. Every column goes through the same operations as in one product
-over all columns, so the bits are the same; a query that fits in one block
-is that product. (A BLAS that splits a product's rows among threads by its
-size may round the one-product mean differently in its last bits; on one
-BLAS thread the two are equal.)
+computes its cross-covariance ``k(X, block)``, means (``k(X, block)^T
+alpha``), ``V`` and variances. A pass that builds a whole-row cache writes
+each ``k(X, block)`` straight into the row store, so no ``t * G`` array
+besides the cache is alive and no heap array reaches numpy's 4 MiB
+huge-page threshold. Every column goes through the same operations as in
+one product over all columns, so the bits are the same; a query that fits
+in one block is that product. (A BLAS that splits a product's rows among
+threads by its size may round the one-product mean differently in its last
+bits; on one BLAS thread the two are equal.)
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .domain import as_point, grid_axes, int_at_least, positive_real
+from .domain import as_point, finite_real, grid_axes, int_at_least, positive_real
 from .kernels import SQUARED_EXPONENTIAL, Kernel, covariance, scaled_sq_distances
 
 __all__ = ["GpModel", "empty_models"]
@@ -271,7 +273,7 @@ def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_store(t: int, width: int, capacity: int = 0) -> np.ndarray:
-    """A mapping for the ``t`` rows of ``V`` so far: ``max(capacity, 2 t)`` rows.
+    """A mapping for a part's ``t`` kernel rows so far: ``max(capacity, 2 t)`` rows.
 
     The rows reserved for ``capacity`` are capped at ``_RESERVE_BYTES``; past
     them, doubling keeps the rows copied per extension bounded by one on
@@ -305,20 +307,21 @@ def _factor_rows(kernel: Kernel, axes: tuple[np.ndarray, ...], X: np.ndarray) ->
     return np.hstack([_kron_rows(group) for group in (planes[:half], planes[half:]) if group])
 
 
-def _factor_product(rows: np.ndarray, w: np.ndarray, axes: tuple[np.ndarray, ...],
+def _kernel_product(rows: np.ndarray, w: np.ndarray, axes: tuple[np.ndarray, ...] | None,
                     prior_variance: float) -> np.ndarray:
-    """``w^T k(X, lattice)`` from the factor rows ``[A | B]`` of ``X``.
+    """``w^T k(X, lattice)`` from a part's kernel rows: whole without ``axes``, else ``[A | B]``.
 
-    One ``(G_A x t)(t x G_B)`` product, or ``w^T B`` for d = 1.
+    ``w^T rows``, or for factor rows of d >= 2 one ``(G_A x t)(t x G_B)``
+    product; factor rows leave out ``s**2``, which the product takes last.
     """
-    half = len(axes) // 2
-    if not half:
-        product = w @ rows
-    else:
+    half = 0 if axes is None else len(axes) // 2
+    if half:
         split = math.prod(len(axis) for axis in axes[:half])
-        a, b = rows[:, :split], rows[:, split:]
-        product = (a.T @ (w[:, None] * b)).reshape(-1)
-    product *= prior_variance
+        product = (rows[:, :split].T @ (w[:, None] * rows[:, split:])).reshape(-1)
+    else:
+        product = w @ rows
+    if axes is not None:
+        product *= prior_variance
     return product
 
 
@@ -332,11 +335,11 @@ class _Covariance:
     which its children keep. The lattice cache: ``lattice``, the
     ``Domain.grid`` array it answers (None until the first grid query or the
     parent sets it, and never replaced), ``axes``, that grid's
-    ``Domain.axes`` when the kernel is SE (else None),
-    ``rows``, a private mapping whose first ``t`` rows are the factor rows
-    ``[A | B]`` of ``X`` with ``axes`` (:func:`_factor_rows`) or ``V``
+    ``Domain.axes`` when the kernel is SE (else None), ``rows``, a private
+    mapping whose first ``t`` rows are ``k(X, lattice)``: the factor rows
+    ``[A | B]`` of ``X`` with ``axes`` (:func:`_factor_rows`), whole rows
     without, ``var``, the unclamped variance there, and ``row``, the last
-    row of ``V``, which each member's mean takes in :meth:`GpModel.add`.
+    row of ``V``, which only :meth:`extend` sets, for :meth:`GpModel.add`.
     ``lattice`` is set last, so whoever reads it set also reads the others.
     ``child`` is the one part :meth:`extend` made from this one, or None.
     """
@@ -361,7 +364,7 @@ class _Covariance:
         A part has one child: the members of a group call this in turn with
         the same point (bitwise) and all get it, and any other point raises
         ``ValueError``; ``_EXTEND_LOCK`` makes that atomic. The child writes
-        its row (of factors, or of ``V``) in place, or copies the rows past
+        its kernel row (factored or whole) in place, or copies the rows past
         a full mapping.
         """
         with _EXTEND_LOCK:
@@ -383,20 +386,19 @@ class _Covariance:
                 rows = self.rows
                 l, d = child.chol[t, :t], child.chol[t, t]
                 k_row = self.kernel.cross(point[None, :], self.lattice)[0]
-                if self.axes is None:
-                    row = new = (k_row - l @ rows[:t]) / d
-                else:
-                    # l^T V = w^T k(X, lattice), with w = L^{-T} l.
-                    w = _solve_lower(self.chol, l, trans=1)
-                    row = (k_row - _factor_product(rows[:t], w, self.axes,
-                                                   self.kernel.prior_variance)) / d
-                    new = _factor_rows(self.kernel, self.axes, point[None, :])[0]
+                # l^T L^{-1} k(X, lattice) = w^T k(X, lattice), with w = L^{-T} l.
+                w = _solve_lower(self.chol, l, trans=1)
+                row = (k_row - _kernel_product(rows[:t], w, self.axes,
+                                               self.kernel.prior_variance)) / d
                 if t == rows.shape[0]:
                     rows = _row_store(t, rows.shape[1])
                     rows[:t] = self.rows[:t]
-                rows[t] = new
-                child.axes, child.rows, child.var = self.axes, rows, self.var - row * row
-                child.row = rows[t] if self.axes is None else row
+                if self.axes is None:
+                    rows[t] = k_row
+                else:
+                    rows[t] = _factor_rows(self.kernel, self.axes, point[None, :])[0]
+                child.axes, child.rows, child.row = self.axes, rows, row
+                child.var = self.var - row * row
                 child.lattice = self.lattice
             self.child = child
             return child
@@ -458,14 +460,12 @@ class GpModel:
         point = as_point(point)
         if point.shape[0] != self.kernel.dim:
             raise ValueError(f"point has dim {point.shape[0]}, model has {self.kernel.dim}")
-        if not np.isfinite(value):
-            raise ValueError(f"observation value must be finite, got {value}")
-        value = float(value)
+        value = finite_real("observation value", value)
         cov = self._cov.extend(point)
         child = object.__new__(GpModel)
         child._hold(cov, np.append(self._y, value))
-        # A member that first read its lattice after a sibling's add may get a child without it.
-        if self._mean is not None and cov.lattice is self._cov.lattice:
+        # Only extend sets a row: after a sibling's add, a member may get a child without one.
+        if self._mean is not None and cov.row is not None:
             t = self.n_observations
             l, d = cov.chol[t, :t], cov.chol[t, t]
             z_t = (value - l @ self._z) / d
@@ -494,23 +494,21 @@ class GpModel:
         if self._mean is not None and cov.lattice is queries:
             means, variances = self._mean.copy(), cov.var
         else:
-            t, rows, axes = cov.X.shape[0], None, None
+            t, store, axes = cov.X.shape[0], None, None
             lattice_axes = grid_axes(queries) if cov.lattice is None else None
             if lattice_axes is not None and self.kernel.family == SQUARED_EXPONENTIAL:
                 axes = lattice_axes
-                rows = np.empty((1, queries.shape[0]))  # the last row of V alone
             elif lattice_axes is not None:
                 store = _row_store(t, queries.shape[0], cov.capacity)
-                rows = store[:t]
-            means, variances = self._streamed(queries, rows)
-            if rows is not None:
+            means, variances = self._streamed(queries, None if store is None else store[:t])
+            if lattice_axes is not None:
                 if axes is not None:
                     factors = _factor_rows(self.kernel, axes, cov.X)
                     store = _row_store(t, factors.shape[1], cov.capacity)
                     store[:t] = factors
                 with _EXTEND_LOCK:
                     if cov.lattice is None:
-                        cov.axes, cov.rows, cov.var, cov.row = axes, store, variances, rows[-1]
+                        cov.axes, cov.rows, cov.var = axes, store, variances
                         cov.lattice = queries
             if cov.lattice is queries:
                 variances = cov.var
@@ -528,19 +526,18 @@ class GpModel:
                   rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and unclamped variances at ``queries``, one column block at a time.
 
-        With ``rows``, each block also writes its columns of the last
-        ``len(rows)`` rows of ``V`` into ``rows``.
+        With ``rows``, each block also writes its columns of ``k(X, queries)``
+        into ``rows``.
         """
         X = self._cov.X
-        t = X.shape[0]
         means = np.empty(queries.shape[0])
         variances = np.full(queries.shape[0], self.kernel.prior_variance)
-        for cols in column_blocks(t, queries.shape[0]):
+        for cols in column_blocks(X.shape[0], queries.shape[0]):
             block = self.kernel.cross(X, queries[cols])
             means[cols] = block.T @ self._alpha
-            block = _solve_lower(self._cov.chol, block)  # V; k(X, block) is freed
             if rows is not None:
-                rows[:, cols] = block[t - rows.shape[0]:]
+                rows[:, cols] = block
+            block = _solve_lower(self._cov.chol, block)  # V; k(X, block) is freed
             block *= block
             variances[cols] -= np.sum(block, axis=0)
             del block  # before the next block's cross-covariance

@@ -98,8 +98,9 @@ def fit_hyperparameters(
     square or whose Gram matrix fails to factorize are skipped; a column for
     which every candidate fails gets ``None``.
 
-    Requires at least four observations. ``LinAlgError`` from the shared
-    eigendecomposition (no convergence) reaches the caller.
+    Requires at least four observations, and finite points and values.
+    ``LinAlgError`` from the shared eigendecomposition (no convergence)
+    reaches the caller.
     """
     # Copies: the returned models keep these arrays.
     points = np.atleast_2d(np.array(points, dtype=float))
@@ -116,6 +117,9 @@ def fit_hyperparameters(
         )
     if points.shape[1] != domain.dim:
         raise ValueError(f"points have dim {points.shape[1]}, domain has {domain.dim}")
+    for name, array in (("points", points), ("values", values)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must be finite")
 
     sq = scaled_sq_distances(points, points, domain.widths)
     factors = np.asarray(LENGTHSCALE_FACTORS)

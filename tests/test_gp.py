@@ -198,6 +198,15 @@ def test_observation_validates_finiteness():
         model.add([np.inf], 1.0)
 
 
+@pytest.mark.parametrize("value", [True, "1.0", None, np.array([1.0, 2.0])])
+def test_observation_value_must_be_a_finite_real(value):
+    # True ran as 1.0; the others raised numpy's TypeError, or its ValueError
+    # on the truth value of an array.
+    model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01)
+    with pytest.raises(ValueError, match="observation value must be a finite number"):
+        model.add([0.0], value)
+
+
 def test_add_checks_the_dimension_of_its_point():
     model = GpModel(Kernel("squared_exponential", [1.0], 1.0), 0.01)
     with pytest.raises(ValueError, match="point has dim 2, model has 1"):
@@ -303,9 +312,9 @@ def test_incremental_lattice_posterior_matches_fresh():
 
 
 def part_with_rows(t, width, store, seed=0):
-    """A covariance part on ``t`` inputs whose lattice cache keeps arbitrary rows in ``store``."""
+    """A Matern-5/2 part on ``t`` inputs whose cache keeps arbitrary whole rows in ``store``."""
     rng = np.random.default_rng(seed)
-    part = gp._Covariance(Kernel("squared_exponential", [0.5, 0.5]), 1e-3,
+    part = gp._Covariance(Kernel("matern52", [0.5, 0.5]), 1e-3,
                           rng.uniform(-1, 1, (t, 2)))
     lattice = rng.uniform(-1, 1, (width, 2))
     lattice.flags.writeable = False
@@ -315,10 +324,15 @@ def part_with_rows(t, width, store, seed=0):
 
 
 def extension_row(parent, child):
-    """The row of ``V`` that extending ``parent`` to ``child`` appends."""
+    """``k_row = k(x_t, lattice)`` and ``(k_row - w^T rows) / d`` for extending ``parent``.
+
+    With ``w = L^{-T} l``. The child appends ``k_row`` to its kernel rows,
+    and its members' means and its variance take the other row.
+    """
     t = parent.X.shape[0]
     k_row = parent.kernel.cross(child.X[t:], parent.lattice)[0]
-    return (k_row - child.chol[t, :t] @ parent.rows[:t]) / child.chol[t, t]
+    w = scipy.linalg.solve_triangular(parent.chol, child.chol[t, :t], lower=True, trans=1)
+    return k_row, (k_row - w @ parent.rows[:t]) / child.chol[t, t]
 
 
 @pytest.mark.parametrize("t, capacity", [(3, 40), (40, 0)], ids=["capacity", "doubling"])
@@ -328,9 +342,9 @@ def test_lattice_rows_extend_in_place_once_while_there_is_room(t, capacity):
     parent = part_with_rows(t, width, gp._row_store(t, width, capacity))
     assert parent.rows.shape == (max(capacity, 2 * t), width)
     first = parent.extend(rng.uniform(-1, 1, 2))
-    row = extension_row(parent, first)
+    k_row, row = extension_row(parent, first)
     assert first.rows is parent.rows and first.lattice is parent.lattice
-    assert np.array_equal(first.rows[t], row)
+    assert np.array_equal(first.rows[t], k_row) and np.array_equal(first.row, row)
     assert np.array_equal(first.var, parent.var - row * row)
     # A child past the end of its parent's mapping doubles it.
     full = part_with_rows(t, width, gp._mapped_rows(t, width))
@@ -338,7 +352,8 @@ def test_lattice_rows_extend_in_place_once_while_there_is_room(t, capacity):
     assert child.rows is not full.rows
     assert child.rows.shape == (2 * t, width)
     assert np.array_equal(child.rows[:t], full.rows[:t])
-    assert np.array_equal(child.rows[t], extension_row(full, child))
+    k_row, row = extension_row(full, child)
+    assert np.array_equal(child.rows[t], k_row) and np.array_equal(child.row, row)
 
 
 def test_concurrent_extensions_of_one_parent_get_one_in_place():
@@ -370,7 +385,9 @@ def test_concurrent_extensions_of_one_parent_get_one_in_place():
             assert all(child is parent.child for child in made)
             assert parent.child.rows is parent.rows
             assert np.array_equal(parent.rows[:t], values)
-            assert np.array_equal(parent.rows[t], extension_row(parent, parent.child))
+            k_row, row = extension_row(parent, parent.child)
+            assert np.array_equal(parent.rows[t], k_row)
+            assert np.array_equal(parent.child.row, row)
     finally:
         sys.setswitchinterval(interval)
 
@@ -408,7 +425,7 @@ def test_branching_adds_leave_parent_posterior_unchanged(t, mapped):
 
 
 def test_a_part_is_extended_once_and_refuses_another_point():
-    # SE factor rows (12 + 12 floats) and rows of V (12 x 12) alike.
+    # SE factor rows (12 + 12 floats) and whole kernel rows (12 x 12) alike.
     for family, width in (("squared_exponential", 12 + 12), ("matern52", 12 * 12)):
         check_part_extended_once(Kernel(family, [0.6, 0.6]), width)
 
@@ -509,8 +526,9 @@ def test_separable_update_matches_an_uncached_pass(counts):
     # and an equal group asks about a read-only copy of it, which no part
     # caches. The second member first reads the lattice after its sibling's
     # add at step 20. At noise 1e-3 the means of either incremental path,
-    # SE factor rows or rows of V, drift up to about 5e-12 from an uncached
-    # pass over 40 steps with repeated points; at 1e-2 both stay within 1e-12.
+    # SE factor rows or whole kernel rows, drift up to about 5e-12 from an
+    # uncached pass over 40 steps with repeated points; at 1e-2 both stay
+    # within 1e-12.
     dim = len(counts)
     domain = Domain([-2.0] * dim, [2.0] * dim, counts)
     separable, copy = domain.grid, domain.grid.copy()
@@ -543,7 +561,7 @@ def test_separable_update_matches_an_uncached_pass(counts):
 
 
 @pytest.mark.parametrize("family", ["matern52"])
-def test_parts_off_the_tensor_path_keep_rows_of_v(family):
+def test_parts_off_the_tensor_path_keep_whole_kernel_rows(family):
     domain = Domain([-2.0, -2.0], [2.0, 2.0], [9, 7])
     rng = np.random.default_rng(67)
     lattice = domain.grid
@@ -554,8 +572,8 @@ def test_parts_off_the_tensor_path_keep_rows_of_v(family):
         model = model.add(rng.uniform(-2, 2, 2), rng.normal())
         child = model._cov
         assert child.axes is None and child.rows.shape[1] == domain.grid_size
-        assert np.array_equal(child.rows[t], extension_row(parent, child))
-        assert np.array_equal(child.row, child.rows[t])
+        assert np.array_equal(child.row, extension_row(parent, child)[1])
+        assert np.array_equal(child.rows[:t + 1], model.kernel.cross(model.points, lattice))
         model.posterior_batch(lattice)
 
 
@@ -671,7 +689,7 @@ def traced_peak_of_lattice_query(t, side):
 
 def test_uncached_lattice_query_peaks_within_block_budget():
     # One column block of k(X, lattice), its copy in dtrtrs and the cross's
-    # own temporaries; the cache V lives in an untraced private mapping.
+    # own temporaries; the cache's rows live in an untraced private mapping.
     t, side = 100, 100
     assert traced_peak_of_lattice_query(t, side) / (t * side * side * 8) <= 0.5
 
@@ -695,9 +713,9 @@ def se_factor_rows(kernel, axes, X):
 def check_streamed_posterior_matches_one_shot():
     """Means, variances and the cache equal the one-shot formulas, bit for bit.
 
-    The cache is ``V`` for Matern-5/2, and the SE factor rows and the last
-    row of ``V`` for SE. Each case spans several column blocks, the last one
-    partial.
+    The cache is ``k(X, lattice)`` for Matern-5/2 and the SE factor rows for
+    SE; a part built by a query keeps no ``row``. Each case spans several
+    column blocks, the last one partial.
     """
     rng = np.random.default_rng(43)
     for family in ("squared_exponential", "matern52"):
@@ -713,7 +731,6 @@ def check_streamed_posterior_matches_one_shot():
             chol = first._cov.chol
             k_cross = kernel.cross(first.points, domain.grid)
             v = gp._solve_lower(chol, k_cross)
-            rows = v.copy()
             v *= v
             variances = np.maximum(kernel.prior_variance - np.sum(v, axis=0), 0.0)
             for model in (first, second):
@@ -724,10 +741,10 @@ def check_streamed_posterior_matches_one_shot():
                     got_means, got_variances = model.posterior_batch(queries)
                     assert np.array_equal(got_means, means), (family, t)
                     assert np.array_equal(got_variances, variances), (family, t)
-            assert np.array_equal(first._cov.row, rows[-1]), (family, t)
+            assert first._cov.row is None
             if family == "matern52":
                 assert first._cov.axes is None
-                assert np.array_equal(first._cov.rows[:t], rows), (family, t)
+                assert np.array_equal(first._cov.rows[:t], k_cross), (family, t)
             else:
                 assert np.array_equal(first._cov.rows[:t],
                                       se_factor_rows(kernel, domain.axes, first.points)), t
@@ -816,7 +833,7 @@ def test_group_members_may_query_and_add_in_any_order():
 def test_member_that_reads_its_lattice_after_a_siblings_add_keeps_its_mean(sibling_side):
     # The sibling's child part has no cache of the member's lattice when the
     # member reads it: the child may cache another lattice, or this one anew,
-    # as rows of V (Matern-5/2) or as SE factor rows and the last row of V.
+    # as whole kernel rows (Matern-5/2) or as SE factor rows.
     lattices = {side: Domain([-2.0, -2.0], [2.0, 2.0], [side, side]) for side in (9, 15)}
     for family in ("matern52", "squared_exponential"):
         rng = np.random.default_rng(53)

@@ -28,6 +28,19 @@ def test_requires_four_observations():
         fit_hyperparameters(np.zeros((3, 1)), np.zeros((3, 1)), domain)
 
 
+@pytest.mark.parametrize("name, row, column, bad", [
+    ("values", 2, 0, np.nan), ("values", 0, 1, np.inf), ("points", 3, 0, np.inf),
+    ("points", 1, 0, np.nan)])
+def test_non_finite_input_is_refused(name, row, column, bad):
+    # A NaN value returned None for its output, as if no candidate factorized;
+    # an infinite point returned None for every output, with a RuntimeWarning.
+    rng = np.random.default_rng(3)
+    data = {"points": rng.uniform(0, 10, (6, 1)), "values": rng.normal(size=(6, 2))}
+    data[name][row, column] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        fit_hyperparameters(data["points"], data["values"], Domain([0.0], [10.0], [5]))
+
+
 def test_recovers_known_lengthscale_within_grid_cell():
     # Sample a function from a known SE prior (lengthscale 1) and fit.
     rng = np.random.default_rng(2024)
