@@ -3,11 +3,15 @@
 A model owns one scalar output (objective or a single constraint). Updates
 return a fresh model, so callers may treat any instance as immutable; it may
 be queried from any thread, and each part is extended at most once. ``add``
-borders the noise-free Gram matrix with the new point's kernel row,
-``k(x_t, X)``, which is bit for bit the matrix ``Kernel.gram`` gives, and
-then re-factorizes it in full: with a few hundred observations at most that
-is cheap, and it keeps every factor a deterministic function of the data
-alone. ``alpha = (K + lam I)^{-1} y`` is solved when first read; the cached
+appends one row to its parent's Cholesky factor (Osborne 2010): from the
+new point's kernel row ``k(x_t, X)`` and ``k(x_t, x_t)``, ``l = L^{-1}
+k(X, x_t)`` and ``d = sqrt(k(x_t, x_t) + lam - l . l)`` (:func:`_append_row`),
+O(t^2) work where a full factorization is O(t^3), and no Gram matrix is
+kept. So a factor is a deterministic function of the inputs in their order.
+A model built from data (``GpModel(kernel, noise, X, y)``, as a
+hyperparameter refit builds it) factors ``K + lam I`` in full, and its
+factor may differ from the appended one of the same inputs in the last
+bits. ``alpha = (K + lam I)^{-1} y`` is solved when first read; the cached
 lattice path never reads it. Factors and solves call LAPACK's ``dpotrf``,
 ``dpotrs`` and ``dtrtrs`` directly, with the arguments and memory layout
 that ``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` pass
@@ -89,8 +93,12 @@ B]`` of ``X`` (:func:`_factor_rows`), and :func:`_kernel_product` reads
 t)(t x G_B)`` product, instead of reading ``t G`` floats: a d = 2 lattice
 of 100 x 100 points keeps 200 floats per observation instead of 10^4. (For
 d = 1, ``A`` is empty and the product is ``w^T B``.) Whole rows take the
-same product without a split, and an extension appends to them the ``k(x_t,
-lattice)`` it computes anyway. Either way a step costs O(t G) instead of
+same product without a split. An extension needs ``k(x_t, lattice)`` and
+the row it appends. An SE part takes both from one scaled squared-distance
+vector per axis (:func:`_lattice_row`): the factor row, and ``k(x_t,
+lattice)`` with the bits ``Kernel.cross`` gives, in O(G) work instead of
+its O(G d). A whole-row part computes ``k(x_t, lattice)`` with
+``Kernel.cross`` and appends it. Either way a step costs O(t G) instead of
 the uncached O(t G d + t^2 G).
 
 Row store. A part's kernel rows, factored or whole, live in the first
@@ -267,6 +275,31 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return _checked(_lapack().dtrtrs(chol, b, lower=1, trans=trans), "dtrtrs")
 
 
+def _append_row(chol: np.ndarray | None, k: np.ndarray, noise_variance: float) -> np.ndarray:
+    """The factor of ``K + lam I`` bordered by the kernel row ``k``, from ``K``'s factor ``chol``.
+
+    ``k`` is ``k(x_t, X)`` followed by ``k(x_t, x_t)``; ``chol`` is None
+    without data. The factor keeps ``chol`` and appends one row (Osborne
+    2010): ``l = chol^{-1} k(X, x_t)`` and ``d = sqrt(k(x_t, x_t) + lam -
+    l . l)``, in Fortran order as :func:`_factor` gives it. Raises
+    ``LinAlgError`` unless ``d**2`` is finite and positive: the bordered
+    matrix is singular to working precision, or the settings overflow.
+    """
+    t = k.shape[0] - 1
+    out = np.zeros((t + 1, t + 1), order="F")
+    l = k[:0]
+    if t:
+        l = _solve_lower(chol, k[:t])
+        out[:t, :t] = chol
+        out[t, :t] = l
+    d2 = k[t] + noise_variance - l @ l
+    if not (math.isfinite(d2) and d2 > 0):
+        raise LinAlgError(f"appended Cholesky row has squared diagonal {d2:.3e}: matrix not "
+                          "positive definite to working precision, or settings overflow")
+    out[t, t] = math.sqrt(d2)
+    return out
+
+
 def _solve_gram(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``(chol chol^T)^{-1} b`` for a lower factor from :func:`_factor`."""
     return _checked(_lapack().dpotrs(chol, b, lower=1), "dpotrs")
@@ -291,6 +324,23 @@ def _kron_rows(planes: list[np.ndarray]) -> np.ndarray:
     return rows
 
 
+def _axis_distances(kernel: Kernel, axes: tuple[np.ndarray, ...], X: np.ndarray) -> list[np.ndarray]:
+    """One ``(t, n_k)`` plane ``((x_k / l_k) - (axis_k / l_k))**2`` per lattice axis k.
+
+    Each plane is computed as :func:`~cego.kernels.scaled_sq_distances`
+    computes it for that axis alone.
+    """
+    return [scaled_sq_distances(X[:, k:k + 1], axis[:, None], kernel.lengthscales[k:k + 1])
+            for k, axis in enumerate(axes)]
+
+
+def _kron_halves(distances: list[np.ndarray]) -> np.ndarray:
+    """Factor rows ``[A | B]`` from per-axis distance planes (see :func:`_factor_rows`)."""
+    planes = [covariance(SQUARED_EXPONENTIAL, sq) for sq in distances]
+    half = len(planes) // 2
+    return np.hstack([_kron_rows(group) for group in (planes[:half], planes[half:]) if group])
+
+
 def _factor_rows(kernel: Kernel, axes: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
     """Rows ``[A | B]`` of ``X``: ``k(X, lattice) / s**2`` on a tensor lattice, factored.
 
@@ -300,11 +350,28 @@ def _factor_rows(kernel: Kernel, axes: tuple[np.ndarray, ...], X: np.ndarray) ->
     d = 1) and ``B`` that of the others, so ``k(X, lattice)[i]`` is
     ``s**2 * kron(A[i], B[i])``.
     """
-    planes = [covariance(SQUARED_EXPONENTIAL, scaled_sq_distances(X[:, k:k + 1], axis[:, None],
-                                                                  kernel.lengthscales[k:k + 1]))
-              for k, axis in enumerate(axes)]
-    half = len(planes) // 2
-    return np.hstack([_kron_rows(group) for group in (planes[:half], planes[half:]) if group])
+    return _kron_halves(_axis_distances(kernel, axes, X))
+
+
+def _lattice_row(kernel: Kernel, axes: tuple[np.ndarray, ...],
+                 point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``k(point, lattice)`` and ``point``'s factor row, from one distance vector per axis.
+
+    The row is the vectors broadcast-summed in axis order, then
+    :func:`~cego.kernels.covariance`'s ``* -0.5``, ``exp`` and ``* s**2``:
+    the operations ``Kernel.cross(point[None], lattice)`` applies to the same
+    per-axis values, so its bits are that call's at O(G) instead of O(G d)
+    work. The factor row is ``_factor_rows(kernel, axes, point[None])[0]``.
+    """
+    distances = _axis_distances(kernel, axes, point[None, :])
+    factor_row = _kron_halves(distances)[0]
+    sq = distances[0][0]
+    for plane in distances[1:]:
+        sq = np.add.outer(sq, plane[0]).reshape(-1)
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= kernel.prior_variance
+    return sq, factor_row
 
 
 def _kernel_product(rows: np.ndarray, w: np.ndarray, axes: tuple[np.ndarray, ...] | None,
@@ -328,38 +395,36 @@ def _kernel_product(rows: np.ndarray, w: np.ndarray, axes: tuple[np.ndarray, ...
 class _Covariance:
     """The part of a posterior that depends on the inputs alone.
 
-    Kernel, noise variance, inputs ``X``, their noise-free Gram matrix
-    ``gram`` (built from scratch when not given), the lower Cholesky factor
-    ``chol`` of ``K + lam I`` (None without data), and ``capacity``, the
-    rows its first lattice query maps at least (see :func:`_row_store`),
-    which its children keep. The lattice cache: ``lattice``, the
-    ``Domain.grid`` array it answers (None until the first grid query or the
-    parent sets it, and never replaced), ``axes``, that grid's
-    ``Domain.axes`` when the kernel is SE (else None), ``rows``, a private
-    mapping whose first ``t`` rows are ``k(X, lattice)``: the factor rows
-    ``[A | B]`` of ``X`` with ``axes`` (:func:`_factor_rows`), whole rows
-    without, ``var``, the unclamped variance there, and ``row``, the last
-    row of ``V``, which only :meth:`extend` sets, for :meth:`GpModel.add`.
+    Kernel, noise variance, inputs ``X``, the lower Cholesky factor
+    ``chol`` of ``K + lam I`` (None without data; factored in full from
+    ``X`` unless :meth:`extend` passes its appended factor), and
+    ``capacity``, the rows its first lattice query maps at least (see
+    :func:`_row_store`), which its children keep. The lattice cache:
+    ``lattice``, the ``Domain.grid`` array it answers (None until the first
+    grid query or the parent sets it, and never replaced), ``axes``, that
+    grid's ``Domain.axes`` when the kernel is SE (else None), ``rows``, a
+    private mapping whose first ``t`` rows are ``k(X, lattice)``: the factor
+    rows ``[A | B]`` of ``X`` with ``axes`` (:func:`_factor_rows`), whole
+    rows without, ``var``, the unclamped variance there, and ``row``, the
+    last row of ``V``, which only :meth:`extend` sets, for
+    :meth:`GpModel.add`.
     ``lattice`` is set last, so whoever reads it set also reads the others.
     ``child`` is the one part :meth:`extend` made from this one, or None.
     """
 
     def __init__(self, kernel: Kernel, noise_variance: float, X: np.ndarray,
-                 gram: np.ndarray | None = None, capacity: int = 0):
+                 chol: np.ndarray | None = None, capacity: int = 0):
         self.kernel = kernel
         self.noise_variance = noise_variance
         self.X = X
         self.capacity = capacity
-        self.chol = None
+        self.chol = chol
         self.lattice = self.axes = self.rows = self.var = self.row = self.child = None
-        if not len(X):
-            self.gram = np.empty((0, 0))
-            return
-        self.gram = kernel.gram(X) if gram is None else gram
-        self.chol = _factor(self.gram, noise_variance)
+        if chol is None and len(X):
+            self.chol = _factor(kernel.gram(X), noise_variance)
 
     def extend(self, point: np.ndarray) -> "_Covariance":
-        """The part for ``X`` plus ``point``, with the lattice cache extended by its row.
+        """The part for ``X`` plus ``point``: the factor with one appended row, and the cache extended.
 
         A part has one child: the members of a group call this in turn with
         the same point (bitwise) and all get it, and any other point raises
@@ -373,32 +438,30 @@ class _Covariance:
                     return self.child
                 raise ValueError("a covariance part is extended at most once: this model "
                                  "already has a child at another point")
-            # k(a, b) and k(b, a) come from (a - b)**2 and (b - a)**2, which are
-            # equal, and Kernel.gram's 0.5 * (v + v) is v: the bordered Gram is
-            # bit for bit the one Kernel.gram builds from scratch.
             t = self.X.shape[0]
             X = np.vstack([self.X, point[None, :]])
-            gram = np.empty((t + 1, t + 1))
-            gram[:t, :t] = self.gram
-            gram[t] = gram[:, t] = self.kernel.cross(point[None, :], X)[0]
-            child = _Covariance(self.kernel, self.noise_variance, X, gram, self.capacity)
+            chol = _append_row(self.chol, self.kernel.cross(point[None, :], X)[0],
+                               self.noise_variance)
+            child = _Covariance(self.kernel, self.noise_variance, X, chol, self.capacity)
             if self.lattice is not None:
                 rows = self.rows
-                l, d = child.chol[t, :t], child.chol[t, t]
-                k_row = self.kernel.cross(point[None, :], self.lattice)[0]
+                if self.axes is None:
+                    k_row = new_row = self.kernel.cross(point[None, :], self.lattice)[0]
+                else:
+                    k_row, new_row = _lattice_row(self.kernel, self.axes, point)
                 # l^T L^{-1} k(X, lattice) = w^T k(X, lattice), with w = L^{-T} l.
-                w = _solve_lower(self.chol, l, trans=1)
-                row = (k_row - _kernel_product(rows[:t], w, self.axes,
-                                               self.kernel.prior_variance)) / d
+                w = _solve_lower(self.chol, chol[t, :t], trans=1)
+                # In place on the product, never on k_row, which a whole-row part keeps.
+                row = _kernel_product(rows[:t], w, self.axes, self.kernel.prior_variance)
+                np.subtract(k_row, row, out=row)
+                row /= chol[t, t]
                 if t == rows.shape[0]:
                     rows = _row_store(t, rows.shape[1])
                     rows[:t] = self.rows[:t]
-                if self.axes is None:
-                    rows[t] = k_row
-                else:
-                    rows[t] = _factor_rows(self.kernel, self.axes, point[None, :])[0]
-                child.axes, child.rows, child.row = self.axes, rows, row
-                child.var = self.var - row * row
+                rows[t] = new_row
+                var = np.multiply(row, row)
+                np.subtract(self.var, var, out=var)
+                child.axes, child.rows, child.row, child.var = self.axes, rows, row, var
                 child.lattice = self.lattice
             self.child = child
             return child
@@ -470,7 +533,8 @@ class GpModel:
             l, d = cov.chol[t, :t], cov.chol[t, t]
             z_t = (value - l @ self._z) / d
             child._z = np.append(self._z, z_t)
-            child._mean = self._mean + z_t * cov.row
+            child._mean = cov.row * z_t
+            child._mean += self._mean
         return child
 
     # -- posterior queries ----------------------------------------------------

@@ -230,10 +230,19 @@ def test_ill_conditioned_factorization_signalled():
         model.add([0.0], 1.0)
 
 
+def assert_factor_reproduces_gram(model, rtol=1e-13):
+    """``L L^T`` equals ``K + lam I`` within ``rtol`` of its largest entry, ``s**2 + lam``."""
+    chol = model._cov.chol
+    assert chol.flags.f_contiguous and np.array_equal(chol, np.tril(chol))
+    target = model.kernel.gram(model.points) + model.noise_variance * np.eye(model.n_observations)
+    assert np.abs(chol @ chol.T - target).max() <= rtol * target.diagonal().max()
+
+
 @pytest.mark.parametrize("family", ["squared_exponential", "matern52"])
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_bordered_gram_equals_gram_from_scratch(family, dim):
-    # Each add borders its parent's Gram with one kernel row; a repeated
+    # Each add borders its parent's Gram with one kernel row by appending
+    # one row to its parent's factor, which it keeps bit for bit; a repeated
     # point takes the same path.
     rng = np.random.default_rng(100 + dim)
     kernel = Kernel(family, rng.uniform(0.2, 2.0, dim), rng.uniform(0.5, 50.0))
@@ -241,11 +250,54 @@ def test_bordered_gram_equals_gram_from_scratch(family, dim):
     for t in range(25):
         point = chain[-1].points[rng.integers(t)] if t % 6 == 5 else rng.uniform(-2, 2, dim)
         chain.append(chain[-1].add(point, rng.normal()))
-    for model in chain[1:]:
+    for parent, model in zip(chain, chain[1:]):
         gram = kernel.gram(model.points)
         # Exactly symmetric as built: each plane's (a - b)**2 equals (b - a)**2.
         assert np.array_equal(gram, gram.T)
-        assert np.array_equal(model._cov.gram, gram)
+        t = parent.n_observations
+        if t:
+            assert np.array_equal(model._cov.chol[:t, :t], parent._cov.chol)
+            assert not model._cov.chol[:t, t].any()
+        assert_factor_reproduces_gram(model)
+
+
+@pytest.mark.parametrize("family", ["squared_exponential", "matern52"])
+def test_appended_factor_reproduces_gram_and_full_posterior(family):
+    # Up to t = 300 observations, a tenth of them repeated, at the noise
+    # variances of test_incremental_lattice_posterior_matches_fresh (1e-4 to
+    # 1e-1): L L^T stays within 1e-13 of K + lam I (relative to s**2 + lam;
+    # about 3.5e-15 measured), and the posterior within criterion 1's
+    # tolerance of a model factored in full. (Near 1e-6 the posterior mean
+    # is too ill-conditioned for it: two full factorizations of the same
+    # data in two orders then differ by up to 7 times the tolerance.)
+    rng = np.random.default_rng(71 if family == "matern52" else 73)
+    for _ in range(4):
+        dim = int(rng.integers(1, 4))
+        kernel = Kernel(family, rng.uniform(0.3, 2.0, dim), rng.uniform(0.5, 2.0))
+        model = GpModel(kernel, 10 ** rng.uniform(-4, -1))
+        for t in range(int(rng.integers(150, 301))):
+            point = model.points[rng.integers(t)] if t % 10 == 9 else rng.uniform(-2, 2, dim)
+            model = model.add(point, rng.normal())
+        assert_factor_reproduces_gram(model)
+        full = GpModel(kernel, model.noise_variance, model.points, model.values)
+        queries = np.vstack([rng.uniform(-2, 2, (200, dim)), model.points[:20]])
+        assert_posteriors_close(model.posterior_batch(queries), full.posterior_batch(queries))
+
+
+@pytest.mark.parametrize("family", ["squared_exponential", "matern52"])
+def test_duplicated_points_extend_down_to_working_precision(family):
+    # Six observations of one point: K + lam I is s**2 J + lam I, positive
+    # definite for any lam > 0, but an appended diagonal entry of
+    # sqrt(s**2 + lam - l . l) rounds to 0 once lam is below s**2's rounding.
+    kernel = Kernel(family, [1.0], 1.0)
+    for noise in (1e-12, 1e-14):
+        model = GpModel(kernel, noise)
+        for _ in range(6):
+            model = model.add([0.3], 1.0)
+        assert_factor_reproduces_gram(model)
+    model = GpModel(kernel, 1e-16).add([0.3], 1.0)
+    with pytest.raises(scipy.linalg.LinAlgError, match="appended Cholesky row"):
+        model.add([0.3], 1.0)
 
 
 @pytest.mark.parametrize("t", [1, 5, 30, 100, 300])
@@ -560,6 +612,27 @@ def test_separable_update_matches_an_uncached_pass(counts):
     assert factored[1]._cov is factored[0]._cov
 
 
+def test_lattice_row_from_axes_is_kernel_cross_bit_for_bit():
+    # d = 1, 2, 3 and random axis counts, lengthscales and output scales, at
+    # lattice points and off the lattice: the per-axis row must be the bits
+    # of Kernel.cross and of the factor rows, so a step keeps every log byte.
+    rng = np.random.default_rng(79)
+    for case in range(150):
+        dim = case % 3 + 1 if case < 60 else int(rng.integers(1, 6))
+        counts = [int(n) for n in rng.integers(2, 9 if dim > 2 else 30, dim)]
+        lower = rng.uniform(-3, 0, dim)
+        domain = Domain(lower, lower + rng.uniform(0.1, 5, dim), counts)
+        kernel = Kernel("squared_exponential", 10 ** rng.uniform(-1.5, 1, dim),
+                        10 ** rng.uniform(-1, 1.5))
+        on_lattice = domain.point(int(rng.integers(domain.grid_size)))
+        for point in (on_lattice, rng.uniform(lower - 1, lower + 6)):
+            k_row, factor_row = gp._lattice_row(kernel, domain.axes, point)
+            want = kernel.cross(point[None, :], domain.grid)[0]
+            assert k_row.tobytes() == want.tobytes(), (case, point)
+            want = gp._factor_rows(kernel, domain.axes, point[None, :])[0]
+            assert factor_row.tobytes() == want.tobytes(), (case, point)
+
+
 @pytest.mark.parametrize("family", ["matern52"])
 def test_parts_off_the_tensor_path_keep_whole_kernel_rows(family):
     domain = Domain([-2.0, -2.0], [2.0, 2.0], [9, 7])
@@ -621,18 +694,21 @@ def test_lattice_step_costs_one_kernel_row(monkeypatch):
     entries = count_cross_entries(monkeypatch)
     rng = np.random.default_rng(31)
     domain = Domain([-2.0, -2.0], [2.0, 2.0], [20, 20])
-    model = GpModel(Kernel("squared_exponential", [0.5, 0.5]), 1e-3).add([0.0, 0.0], 1.0)
-    model.posterior_batch(domain.grid)
-    for _ in range(5):
-        model = model.add(rng.uniform(-2, 2, 2), rng.normal())
-        model.posterior_batch(model.points)  # writeable: uncached, keeps the cache
-        entries.clear()
+    for family in ("squared_exponential", "matern52"):
+        model = GpModel(Kernel(family, [0.5, 0.5]), 1e-3).add([0.0, 0.0], 1.0)
         model.posterior_batch(domain.grid)
-        assert entries == []
-    entries.clear()
-    child = model.add([1.0, 1.0], 0.0)
-    # One row bordering the Gram matrix, then one row against the lattice.
-    assert entries == [child.n_observations, domain.grid_size]
+        for _ in range(5):
+            model = model.add(rng.uniform(-2, 2, 2), rng.normal())
+            model.posterior_batch(model.points)  # writeable: uncached, keeps the cache
+            entries.clear()
+            model.posterior_batch(domain.grid)
+            assert entries == []
+        entries.clear()
+        child = model.add([1.0, 1.0], 0.0)
+        # One row bordering the Gram matrix; an SE part takes its lattice row
+        # from per-axis distances, a Matern-5/2 part from Kernel.cross.
+        lattice_rows = [domain.grid_size] if family == "matern52" else []
+        assert entries == [child.n_observations] + lattice_rows, family
 
 
 def test_second_lattice_leaves_the_first_lattice_cache_alone(monkeypatch):
@@ -657,20 +733,21 @@ def test_second_lattice_leaves_the_first_lattice_cache_alone(monkeypatch):
     ((70.0, 0.05, 0.05), (0.5, 1e-6, 1e-6), 2),
 ])
 def test_observe_costs_one_gram_and_row_per_group(monkeypatch, scales, noises, groups):
+    # A lattice-sized Kernel.cross per SE group would mean the per-axis row is gone.
     entries = count_cross_entries(monkeypatch)
     rng = np.random.default_rng(37)
     domain = Domain([-2.0, -2.0], [2.0, 2.0], [20, 20])
-    models = empty_models(
-        (Kernel("squared_exponential", [0.5, 0.5], scale), noise)
-        for scale, noise in zip(scales, noises)
-    )
-    state = AlgorithmState(policy="config", domain=domain, models=models)
-    for _ in range(4):
-        observe(state, rng.uniform(-2, 2, 2), rng.normal(size=len(scales)))
-        state.grid_bounds()
-    entries.clear()
-    observe(state, [1.0, 1.0], np.zeros(len(scales)))
-    assert entries == [state.t, domain.grid_size] * groups
+    for family, lattice_rows in (("squared_exponential", []), ("matern52", [domain.grid_size])):
+        models = empty_models(
+            (Kernel(family, [0.5, 0.5], scale), noise) for scale, noise in zip(scales, noises)
+        )
+        state = AlgorithmState(policy="config", domain=domain, models=models)
+        for _ in range(4):
+            observe(state, rng.uniform(-2, 2, 2), rng.normal(size=len(scales)))
+            state.grid_bounds()
+        entries.clear()
+        observe(state, [1.0, 1.0], np.zeros(len(scales)))
+        assert entries == ([state.t] + lattice_rows) * groups, family
 
 
 def traced_peak_of_lattice_query(t, side):
