@@ -88,18 +88,21 @@ tensor product it is (Saatci 2012; Gilboa, Saatci & Cunningham 2015): row
 Kronecker product of the per-axis rows ``exp(-0.5 ((x_k / l_k) - (axis_k /
 l_k))**2)`` of the leading ``d // 2`` axes, of ``G_A`` points, and ``B[i]``
 that of the others, of ``G_B``. Such a part keeps the factor rows ``[A |
-B]`` of ``X`` (:func:`_factor_rows`), and :func:`_kernel_product` reads
-``w^T k(X, lattice)`` from them as ``s**2 (A^T diag(w) B)``, one ``(G_A x
-t)(t x G_B)`` product, instead of reading ``t G`` floats: a d = 2 lattice
-of 100 x 100 points keeps 200 floats per observation instead of 10^4. (For
-d = 1, ``A`` is empty and the product is ``w^T B``.) Whole rows take the
-same product without a split. An extension needs ``k(x_t, lattice)`` and
-the row it appends. An SE part takes both from one scaled squared-distance
-vector per axis (:func:`_lattice_row`): the factor row, and ``k(x_t,
-lattice)`` with the bits ``Kernel.cross`` gives, in O(G) work instead of
-its O(G d). A whole-row part computes ``k(x_t, lattice)`` with
-``Kernel.cross`` and appends it. Either way a step costs O(t G) instead of
-the uncached O(t G d + t^2 G).
+B]`` of ``X`` (:func:`_factor_rows`), and
+:meth:`_Covariance._kernel_product` reads ``w^T k(X, lattice)`` from them
+as ``s**2 (A^T diag(w) B)``, one ``(G_A x t)(t x G_B)`` product, instead
+of reading ``t G`` floats: a d = 2 lattice of 100 x 100 points keeps 200
+floats per observation instead of 10^4. (For d = 1, ``A`` is empty and the
+product is ``w^T B``.) Whole rows take the same product without a split.
+One rule gives a lattice row ``k(x, lattice)`` for either family,
+:func:`_lattice_row`: one scaled squared-distance vector per axis, summed
+and mapped by :func:`~cego.kernels.covariance`, with the bits
+``Kernel.cross`` gives in O(G) work instead of its O(G d). An extension
+computes ``k(x_t, lattice)`` once and appends it, or for SE its factor
+row; a cache that a query builds (:meth:`_Covariance.cache`) takes its
+rows by the same rules. Only :class:`_Covariance` builds, extends and
+holds its cache. A step costs O(t G) instead of the uncached O(t G d + t^2
+G).
 
 Row store. A part's kernel rows, factored or whole, live in the first
 ``t`` rows of a private mapping (``_Covariance.rows``) of ``max(capacity,
@@ -120,14 +123,13 @@ Column blocks. Every query the cache cannot answer makes one pass,
 :meth:`GpModel._streamed`, that streams its points through blocks of about
 ``_BLOCK_BYTES`` of ``t``-float columns (:func:`column_blocks`). Each block
 computes its cross-covariance ``k(X, block)``, means (``k(X, block)^T
-alpha``), ``V`` and variances. A pass that builds a whole-row cache writes
-each ``k(X, block)`` straight into the row store, so no ``t * G`` array
-besides the cache is alive and no heap array reaches numpy's 4 MiB
-huge-page threshold. Every column goes through the same operations as in
-one product over all columns, so the bits are the same; a query that fits
-in one block is that product. (A BLAS that splits a product's rows among
-threads by its size may round the one-product mean differently in its last
-bits; on one BLAS thread the two are equal.)
+alpha``), ``V`` and variances, so no ``t * G`` array is alive and no heap
+array reaches numpy's 4 MiB huge-page threshold. Every column goes through
+the same operations as in one product over all columns, so the bits are
+the same; a query that fits in one block is that product. (A BLAS that
+splits a product's rows among threads by its size may round the
+one-product mean differently in its last bits; on one BLAS thread the two
+are equal.)
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ def _scipy_extension(subpackage: str, name: str):
     later import of the subpackage reuses this one, so there is only ever one
     module of that name. Callers load at first use, so a process maps only
     the extensions it runs. Raises ``ImportError`` when scipy is missing or
-    ships no such file.
+    ships no such file, and re-raises what a failed load raises, leaving no
+    half-initialized module in ``sys.modules``.
     """
     qualified = f"scipy.{subpackage}.{name}"
     with _LOAD_LOCK:
@@ -183,7 +186,11 @@ def _scipy_extension(subpackage: str, name: str):
             raise ImportError(f"no {qualified} extension in {folders}")
         module = importlib.util.module_from_spec(spec)
         sys.modules[qualified] = module
-        spec.loader.exec_module(module)
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[qualified]
+            raise
         return module
 
 
@@ -334,62 +341,32 @@ def _axis_distances(kernel: Kernel, axes: tuple[np.ndarray, ...], X: np.ndarray)
             for k, axis in enumerate(axes)]
 
 
-def _kron_halves(distances: list[np.ndarray]) -> np.ndarray:
-    """Factor rows ``[A | B]`` from per-axis distance planes (see :func:`_factor_rows`)."""
+def _factor_rows(distances: list[np.ndarray]) -> np.ndarray:
+    """Rows ``[A | B]``, ``k(X, lattice) / s**2`` factored, from the :func:`_axis_distances` of ``X``.
+
+    An SE kernel is a product over axes: axis k gives the plane
+    ``exp(-0.5 * ((x_k / l_k) - (axis_k / l_k))**2)``, computed in place of
+    its distances. ``A`` is the row-wise Kronecker product of the planes of
+    the leading ``d // 2`` axes (none for d = 1) and ``B`` that of the
+    others, so ``k(X, lattice)[i]`` is ``s**2 * kron(A[i], B[i])``.
+    """
     planes = [covariance(SQUARED_EXPONENTIAL, sq) for sq in distances]
     half = len(planes) // 2
     return np.hstack([_kron_rows(group) for group in (planes[:half], planes[half:]) if group])
 
 
-def _factor_rows(kernel: Kernel, axes: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
-    """Rows ``[A | B]`` of ``X``: ``k(X, lattice) / s**2`` on a tensor lattice, factored.
+def _lattice_row(kernel: Kernel, distances: list[np.ndarray]) -> np.ndarray:
+    """``k(x, lattice)`` from the :func:`_axis_distances` of one point ``x``, left as they are.
 
-    An SE kernel is a product over axes: axis k gives the plane
-    ``exp(-0.5 * ((x_k / l_k) - (axis_k / l_k))**2)``. ``A`` is the row-wise
-    Kronecker product of the planes of the leading ``d // 2`` axes (none for
-    d = 1) and ``B`` that of the others, so ``k(X, lattice)[i]`` is
-    ``s**2 * kron(A[i], B[i])``.
+    The distances broadcast-summed in axis order are the ``sq`` that
+    ``Kernel.cross(x[None], lattice)`` sums plane by plane, and
+    :func:`~cego.kernels.covariance` maps them as that call does, so the row
+    has its bits at O(G) instead of O(G d) work.
     """
-    return _kron_halves(_axis_distances(kernel, axes, X))
-
-
-def _lattice_row(kernel: Kernel, axes: tuple[np.ndarray, ...],
-                 point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``k(point, lattice)`` and ``point``'s factor row, from one distance vector per axis.
-
-    The row is the vectors broadcast-summed in axis order, then
-    :func:`~cego.kernels.covariance`'s ``* -0.5``, ``exp`` and ``* s**2``:
-    the operations ``Kernel.cross(point[None], lattice)`` applies to the same
-    per-axis values, so its bits are that call's at O(G) instead of O(G d)
-    work. The factor row is ``_factor_rows(kernel, axes, point[None])[0]``.
-    """
-    distances = _axis_distances(kernel, axes, point[None, :])
-    factor_row = _kron_halves(distances)[0]
-    sq = distances[0][0]
+    sq = distances[0][0] if len(distances) > 1 else distances[0][0].copy()
     for plane in distances[1:]:
         sq = np.add.outer(sq, plane[0]).reshape(-1)
-    sq *= -0.5
-    np.exp(sq, out=sq)
-    sq *= kernel.prior_variance
-    return sq, factor_row
-
-
-def _kernel_product(rows: np.ndarray, w: np.ndarray, axes: tuple[np.ndarray, ...] | None,
-                    prior_variance: float) -> np.ndarray:
-    """``w^T k(X, lattice)`` from a part's kernel rows: whole without ``axes``, else ``[A | B]``.
-
-    ``w^T rows``, or for factor rows of d >= 2 one ``(G_A x t)(t x G_B)``
-    product; factor rows leave out ``s**2``, which the product takes last.
-    """
-    half = 0 if axes is None else len(axes) // 2
-    if half:
-        split = math.prod(len(axis) for axis in axes[:half])
-        product = (rows[:, :split].T @ (w[:, None] * rows[:, split:])).reshape(-1)
-    else:
-        product = w @ rows
-    if axes is not None:
-        product *= prior_variance
-    return product
+    return covariance(kernel.family, sq, kernel.prior_variance)
 
 
 class _Covariance:
@@ -399,15 +376,14 @@ class _Covariance:
     ``chol`` of ``K + lam I`` (None without data; factored in full from
     ``X`` unless :meth:`extend` passes its appended factor), and
     ``capacity``, the rows its first lattice query maps at least (see
-    :func:`_row_store`), which its children keep. The lattice cache:
-    ``lattice``, the ``Domain.grid`` array it answers (None until the first
-    grid query or the parent sets it, and never replaced), ``axes``, that
-    grid's ``Domain.axes`` when the kernel is SE (else None), ``rows``, a
-    private mapping whose first ``t`` rows are ``k(X, lattice)``: the factor
-    rows ``[A | B]`` of ``X`` with ``axes`` (:func:`_factor_rows`), whole
-    rows without, ``var``, the unclamped variance there, and ``row``, the
-    last row of ``V``, which only :meth:`extend` sets, for
-    :meth:`GpModel.add`.
+    :func:`_row_store`), which its children keep. The lattice cache, which
+    only :meth:`cache` and :meth:`extend` set: ``lattice``, the
+    ``Domain.grid`` array it answers (None until then, and never replaced),
+    ``axes``, that grid's ``Domain.axes``, ``rows``, a private mapping whose
+    first ``t`` rows are ``k(X, lattice)``: the factor rows ``[A | B]`` of
+    ``X`` (:func:`_factor_rows`) when the kernel is SE, whole rows
+    otherwise, ``var``, the unclamped variance there, and ``row``, the last
+    row of ``V``, which only :meth:`extend` sets, for :meth:`GpModel.add`.
     ``lattice`` is set last, so whoever reads it set also reads the others.
     ``child`` is the one part :meth:`extend` made from this one, or None.
     """
@@ -419,9 +395,52 @@ class _Covariance:
         self.X = X
         self.capacity = capacity
         self.chol = chol
+        self.factored = kernel.family == SQUARED_EXPONENTIAL
         self.lattice = self.axes = self.rows = self.var = self.row = self.child = None
         if chol is None and len(X):
             self.chol = _factor(kernel.gram(X), noise_variance)
+
+    def cache(self, queries: np.ndarray, var: np.ndarray):
+        """Cache ``queries`` and its unclamped variance ``var`` if it is the part's first lattice.
+
+        Only a ``Domain.grid`` array is a lattice, and a part keeps the first
+        it caches. The rows come from an extension's rules: the factor rows,
+        or each whole row from :func:`_lattice_row` written straight into the
+        store, so no ``t x G`` array is alive besides it.
+        """
+        axes = grid_axes(queries) if self.lattice is None else None
+        if axes is None:
+            return
+        t, distances = self.X.shape[0], _axis_distances(self.kernel, axes, self.X)
+        if self.factored:
+            factors = _factor_rows(distances)
+            rows = _row_store(t, factors.shape[1], self.capacity)
+            rows[:t] = factors
+        else:
+            rows = _row_store(t, queries.shape[0], self.capacity)
+            for i in range(t):
+                rows[i] = _lattice_row(self.kernel, [plane[i:i + 1] for plane in distances])
+        with _EXTEND_LOCK:
+            if self.lattice is None:
+                self.axes, self.rows, self.var = axes, rows, var
+                self.lattice = queries
+
+    def _kernel_product(self, w: np.ndarray) -> np.ndarray:
+        """``w^T k(X, lattice)`` from the kernel rows: ``w^T rows`` for whole rows.
+
+        For factor rows of d >= 2, one ``(G_A x t)(t x G_B)`` product; factor
+        rows leave out ``s**2``, which the product takes last.
+        """
+        rows = self.rows[:w.shape[0]]
+        half = len(self.axes) // 2 if self.factored else 0
+        if half:
+            split = math.prod(len(axis) for axis in self.axes[:half])
+            product = (rows[:, :split].T @ (w[:, None] * rows[:, split:])).reshape(-1)
+        else:
+            product = w @ rows
+        if self.factored:
+            product *= self.kernel.prior_variance
+        return product
 
     def extend(self, point: np.ndarray) -> "_Covariance":
         """The part for ``X`` plus ``point``: the factor with one appended row, and the cache extended.
@@ -444,21 +463,18 @@ class _Covariance:
                                self.noise_variance)
             child = _Covariance(self.kernel, self.noise_variance, X, chol, self.capacity)
             if self.lattice is not None:
-                rows = self.rows
-                if self.axes is None:
-                    k_row = new_row = self.kernel.cross(point[None, :], self.lattice)[0]
-                else:
-                    k_row, new_row = _lattice_row(self.kernel, self.axes, point)
+                distances = _axis_distances(self.kernel, self.axes, point[None, :])
+                k_row = _lattice_row(self.kernel, distances)
                 # l^T L^{-1} k(X, lattice) = w^T k(X, lattice), with w = L^{-T} l.
-                w = _solve_lower(self.chol, chol[t, :t], trans=1)
+                row = self._kernel_product(_solve_lower(self.chol, chol[t, :t], trans=1))
                 # In place on the product, never on k_row, which a whole-row part keeps.
-                row = _kernel_product(rows[:t], w, self.axes, self.kernel.prior_variance)
                 np.subtract(k_row, row, out=row)
                 row /= chol[t, t]
+                rows = self.rows
                 if t == rows.shape[0]:
                     rows = _row_store(t, rows.shape[1])
                     rows[:t] = self.rows[:t]
-                rows[t] = new_row
+                rows[t] = _factor_rows(distances)[0] if self.factored else k_row
                 var = np.multiply(row, row)
                 np.subtract(self.var, var, out=var)
                 child.axes, child.rows, child.row, child.var = self.axes, rows, row, var
@@ -558,22 +574,8 @@ class GpModel:
         if self._mean is not None and cov.lattice is queries:
             means, variances = self._mean.copy(), cov.var
         else:
-            t, store, axes = cov.X.shape[0], None, None
-            lattice_axes = grid_axes(queries) if cov.lattice is None else None
-            if lattice_axes is not None and self.kernel.family == SQUARED_EXPONENTIAL:
-                axes = lattice_axes
-            elif lattice_axes is not None:
-                store = _row_store(t, queries.shape[0], cov.capacity)
-            means, variances = self._streamed(queries, None if store is None else store[:t])
-            if lattice_axes is not None:
-                if axes is not None:
-                    factors = _factor_rows(self.kernel, axes, cov.X)
-                    store = _row_store(t, factors.shape[1], cov.capacity)
-                    store[:t] = factors
-                with _EXTEND_LOCK:
-                    if cov.lattice is None:
-                        cov.axes, cov.rows, cov.var = axes, store, variances
-                        cov.lattice = queries
+            means, variances = self._streamed(queries)
+            cov.cache(queries, variances)
             if cov.lattice is queries:
                 variances = cov.var
                 self._z = _solve_lower(cov.chol, self._y)
@@ -586,21 +588,14 @@ class GpModel:
             )
         return means, np.maximum(variances, 0.0)
 
-    def _streamed(self, queries: np.ndarray,
-                  rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and unclamped variances at ``queries``, one column block at a time.
-
-        With ``rows``, each block also writes its columns of ``k(X, queries)``
-        into ``rows``.
-        """
+    def _streamed(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and unclamped variances at ``queries``, one column block at a time."""
         X = self._cov.X
         means = np.empty(queries.shape[0])
         variances = np.full(queries.shape[0], self.kernel.prior_variance)
         for cols in column_blocks(X.shape[0], queries.shape[0]):
             block = self.kernel.cross(X, queries[cols])
             means[cols] = block.T @ self._alpha
-            if rows is not None:
-                rows[:, cols] = block
             block = _solve_lower(self._cov.chol, block)  # V; k(X, block) is freed
             block *= block
             variances[cols] -= np.sum(block, axis=0)

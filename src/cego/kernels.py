@@ -91,23 +91,27 @@ def scaled_sq_distances(a: np.ndarray, b: np.ndarray, scales) -> np.ndarray:
 
 
 def covariance(family: str, sq: np.ndarray, variance: float = 1.0) -> np.ndarray:
-    """Covariance at lengthscale-scaled squared distances ``sq``, prior variance ``variance``."""
+    """Covariance at lengthscale-scaled squared distances ``sq``, prior variance ``variance``.
+
+    Overwrites ``sq``, which each caller builds for the call; an SE result
+    is ``sq`` itself.
+    """
     if family == SQUARED_EXPONENTIAL:
-        # variance * exp(-0.5 * sq), in one array besides sq.
-        out = np.multiply(sq, -0.5)
-        np.exp(out, out=out)
-        out *= variance
-        return out
+        # variance * exp(-0.5 * sq), in place.
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= variance
+        return sq
     if family != MATERN52:
         raise ValueError(f"unknown kernel family {family!r}, expected one of {_FAMILIES}")
     # Matern-5/2 in terms of the scaled distance r:
     # variance * (1 + sqrt(5) r + (5/3) sq) * exp(-sqrt(5) r), each operation
-    # in that order, with at most three arrays the size of sq alive besides it.
+    # in that order, with two arrays the size of sq alive besides it.
     sqrt5_r = np.maximum(sq, 0.0)
     np.sqrt(sqrt5_r, out=sqrt5_r)
     sqrt5_r *= np.sqrt(5.0)
     out = 1.0 + sqrt5_r
-    out += (5.0 / 3.0) * sq
+    out += np.multiply(sq, 5.0 / 3.0, out=sq)
     out *= variance
     np.negative(sqrt5_r, out=sqrt5_r)
     out *= np.exp(sqrt5_r, out=sqrt5_r)

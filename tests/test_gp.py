@@ -1,4 +1,7 @@
 import gc
+import importlib.abc
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
@@ -317,6 +320,28 @@ def test_direct_lapack_calls_match_scipy_wrappers(t):
             assert got.flags.f_contiguous == want.flags.f_contiguous
 
 
+class FailingLoader(importlib.abc.Loader):
+    """A loader whose module raises while it runs, as a broken extension does."""
+
+    def exec_module(self, module):
+        raise ImportError(f"{module.__name__} failed to initialize")
+
+
+def test_failed_extension_load_leaves_no_module(monkeypatch):
+    # A half-initialized module left in sys.modules would be returned by the
+    # next call without an error, and defeat a caller's fallback.
+    qualified = "scipy.linalg._cego_failing"
+    find_spec = importlib.machinery.PathFinder.find_spec
+    spec = importlib.util.spec_from_loader(qualified, FailingLoader())
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", staticmethod(
+        lambda name, path=None, target=None:
+            spec if name == qualified else find_spec(name, path, target)))
+    for _ in range(2):
+        with pytest.raises(ImportError, match="failed to initialize"):
+            gp._scipy_extension("linalg", "_cego_failing")
+        assert qualified not in sys.modules
+
+
 def test_non_positive_definite_gram_raises():
     with pytest.raises(scipy.linalg.LinAlgError):
         gp._factor(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)
@@ -363,15 +388,15 @@ def test_incremental_lattice_posterior_matches_fresh():
             )
 
 
-def part_with_rows(t, width, store, seed=0):
-    """A Matern-5/2 part on ``t`` inputs whose cache keeps arbitrary whole rows in ``store``."""
+def part_with_rows(t, counts, store, seed=0):
+    """A Matern-5/2 part on ``t`` inputs caching a ``counts`` grid, arbitrary whole rows in ``store``."""
     rng = np.random.default_rng(seed)
     part = gp._Covariance(Kernel("matern52", [0.5, 0.5]), 1e-3,
                           rng.uniform(-1, 1, (t, 2)))
-    lattice = rng.uniform(-1, 1, (width, 2))
-    lattice.flags.writeable = False
-    store[:t] = rng.normal(size=(t, width))
-    part.rows, part.var, part.lattice = store, rng.uniform(1.0, 2.0, width), lattice
+    domain = Domain([-1.0, -1.0], [1.0, 1.0], counts)
+    part.cache(domain.grid, rng.uniform(1.0, 2.0, domain.grid_size))
+    part.rows = store
+    store[:t] = rng.normal(size=(t, domain.grid_size))
     return part
 
 
@@ -379,7 +404,8 @@ def extension_row(parent, child):
     """``k_row = k(x_t, lattice)`` and ``(k_row - w^T rows) / d`` for extending ``parent``.
 
     With ``w = L^{-T} l``. The child appends ``k_row`` to its kernel rows,
-    and its members' means and its variance take the other row.
+    and its members' means and its variance take the other row. The
+    extension takes ``k_row`` from per-axis distances, with these bits.
     """
     t = parent.X.shape[0]
     k_row = parent.kernel.cross(child.X[t:], parent.lattice)[0]
@@ -389,9 +415,9 @@ def extension_row(parent, child):
 
 @pytest.mark.parametrize("t, capacity", [(3, 40), (40, 0)], ids=["capacity", "doubling"])
 def test_lattice_rows_extend_in_place_once_while_there_is_room(t, capacity):
-    width = 5
+    counts, width = (3, 2), 6
     rng = np.random.default_rng(t)
-    parent = part_with_rows(t, width, gp._row_store(t, width, capacity))
+    parent = part_with_rows(t, counts, gp._row_store(t, width, capacity))
     assert parent.rows.shape == (max(capacity, 2 * t), width)
     first = parent.extend(rng.uniform(-1, 1, 2))
     k_row, row = extension_row(parent, first)
@@ -399,7 +425,7 @@ def test_lattice_rows_extend_in_place_once_while_there_is_room(t, capacity):
     assert np.array_equal(first.rows[t], k_row) and np.array_equal(first.row, row)
     assert np.array_equal(first.var, parent.var - row * row)
     # A child past the end of its parent's mapping doubles it.
-    full = part_with_rows(t, width, gp._mapped_rows(t, width))
+    full = part_with_rows(t, counts, gp._mapped_rows(t, width))
     child = full.extend(rng.uniform(-1, 1, 2))
     assert child.rows is not full.rows
     assert child.rows.shape == (2 * t, width)
@@ -411,14 +437,14 @@ def test_lattice_rows_extend_in_place_once_while_there_is_room(t, capacity):
 def test_concurrent_extensions_of_one_parent_get_one_in_place():
     # A check and a set of the child that were not atomic would let two
     # children write row t of one mapping, and one would read the other's row.
-    t, width, workers = 4, 3, 8
+    t, counts, workers = 4, (2, 2), 8
     points = np.random.default_rng(5).uniform(-1, 1, (workers, 2))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(20):
             distinct = round_ % 2 == 0
-            parent = part_with_rows(t, width, gp._row_store(t, width))
+            parent = part_with_rows(t, counts, gp._row_store(t, 4))
             values = parent.rows[:t].copy()
             barrier = threading.Barrier(workers)
 
@@ -613,24 +639,26 @@ def test_separable_update_matches_an_uncached_pass(counts):
 
 
 def test_lattice_row_from_axes_is_kernel_cross_bit_for_bit():
-    # d = 1, 2, 3 and random axis counts, lengthscales and output scales, at
-    # lattice points and off the lattice: the per-axis row must be the bits
-    # of Kernel.cross and of the factor rows, so a step keeps every log byte.
-    rng = np.random.default_rng(79)
-    for case in range(150):
-        dim = case % 3 + 1 if case < 60 else int(rng.integers(1, 6))
-        counts = [int(n) for n in rng.integers(2, 9 if dim > 2 else 30, dim)]
-        lower = rng.uniform(-3, 0, dim)
-        domain = Domain(lower, lower + rng.uniform(0.1, 5, dim), counts)
-        kernel = Kernel("squared_exponential", 10 ** rng.uniform(-1.5, 1, dim),
-                        10 ** rng.uniform(-1, 1.5))
-        on_lattice = domain.point(int(rng.integers(domain.grid_size)))
-        for point in (on_lattice, rng.uniform(lower - 1, lower + 6)):
-            k_row, factor_row = gp._lattice_row(kernel, domain.axes, point)
-            want = kernel.cross(point[None, :], domain.grid)[0]
-            assert k_row.tobytes() == want.tobytes(), (case, point)
-            want = gp._factor_rows(kernel, domain.axes, point[None, :])[0]
-            assert factor_row.tobytes() == want.tobytes(), (case, point)
+    # Both kernel families, d = 1, 2, 3 and random axis counts, lengthscales
+    # and output scales, at lattice points and off the lattice: the per-axis
+    # row must be the bits of Kernel.cross, so a step keeps every log byte,
+    # and must leave the distances, which an SE step's factor row reads next.
+    for family in ("squared_exponential", "matern52"):
+        rng = np.random.default_rng(79)
+        for case in range(150):
+            dim = case % 3 + 1 if case < 60 else int(rng.integers(1, 6))
+            counts = [int(n) for n in rng.integers(2, 9 if dim > 2 else 30, dim)]
+            lower = rng.uniform(-3, 0, dim)
+            domain = Domain(lower, lower + rng.uniform(0.1, 5, dim), counts)
+            kernel = Kernel(family, 10 ** rng.uniform(-1.5, 1, dim), 10 ** rng.uniform(-1, 1.5))
+            on_lattice = domain.point(int(rng.integers(domain.grid_size)))
+            for point in (on_lattice, rng.uniform(lower - 1, lower + 6)):
+                distances = gp._axis_distances(kernel, domain.axes, point[None, :])
+                got = gp._lattice_row(kernel, distances)
+                want = kernel.cross(point[None, :], domain.grid)[0]
+                assert got.tobytes() == want.tobytes(), (family, case, point)
+                fresh = gp._axis_distances(kernel, domain.axes, point[None, :])
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(distances, fresh)), case
 
 
 @pytest.mark.parametrize("family", ["matern52"])
@@ -644,7 +672,7 @@ def test_parts_off_the_tensor_path_keep_whole_kernel_rows(family):
         t, parent = model.n_observations, model._cov
         model = model.add(rng.uniform(-2, 2, 2), rng.normal())
         child = model._cov
-        assert child.axes is None and child.rows.shape[1] == domain.grid_size
+        assert child.axes is domain.axes and child.rows.shape[1] == domain.grid_size
         assert np.array_equal(child.row, extension_row(parent, child)[1])
         assert np.array_equal(child.rows[:t + 1], model.kernel.cross(model.points, lattice))
         model.posterior_batch(lattice)
@@ -705,10 +733,9 @@ def test_lattice_step_costs_one_kernel_row(monkeypatch):
             assert entries == []
         entries.clear()
         child = model.add([1.0, 1.0], 0.0)
-        # One row bordering the Gram matrix; an SE part takes its lattice row
-        # from per-axis distances, a Matern-5/2 part from Kernel.cross.
-        lattice_rows = [domain.grid_size] if family == "matern52" else []
-        assert entries == [child.n_observations] + lattice_rows, family
+        # One row bordering the Gram matrix; either family takes its lattice
+        # row from per-axis distances.
+        assert entries == [child.n_observations], family
 
 
 def test_second_lattice_leaves_the_first_lattice_cache_alone(monkeypatch):
@@ -733,11 +760,11 @@ def test_second_lattice_leaves_the_first_lattice_cache_alone(monkeypatch):
     ((70.0, 0.05, 0.05), (0.5, 1e-6, 1e-6), 2),
 ])
 def test_observe_costs_one_gram_and_row_per_group(monkeypatch, scales, noises, groups):
-    # A lattice-sized Kernel.cross per SE group would mean the per-axis row is gone.
+    # A lattice-sized Kernel.cross per group would mean the per-axis row is gone.
     entries = count_cross_entries(monkeypatch)
     rng = np.random.default_rng(37)
     domain = Domain([-2.0, -2.0], [2.0, 2.0], [20, 20])
-    for family, lattice_rows in (("squared_exponential", []), ("matern52", [domain.grid_size])):
+    for family in ("squared_exponential", "matern52"):
         models = empty_models(
             (Kernel(family, [0.5, 0.5], scale), noise) for scale, noise in zip(scales, noises)
         )
@@ -747,7 +774,7 @@ def test_observe_costs_one_gram_and_row_per_group(monkeypatch, scales, noises, g
             state.grid_bounds()
         entries.clear()
         observe(state, [1.0, 1.0], np.zeros(len(scales)))
-        assert entries == ([state.t] + lattice_rows) * groups, family
+        assert entries == [state.t] * groups, family
 
 
 def traced_peak_of_lattice_query(t, side):
@@ -818,9 +845,8 @@ def check_streamed_posterior_matches_one_shot():
                     got_means, got_variances = model.posterior_batch(queries)
                     assert np.array_equal(got_means, means), (family, t)
                     assert np.array_equal(got_variances, variances), (family, t)
-            assert first._cov.row is None
+            assert first._cov.row is None and first._cov.axes is domain.axes
             if family == "matern52":
-                assert first._cov.axes is None
                 assert np.array_equal(first._cov.rows[:t], k_cross), (family, t)
             else:
                 assert np.array_equal(first._cov.rows[:t],
